@@ -1,6 +1,16 @@
-//! Golden-trace regression: a pinned-seed short fleet run must
-//! reproduce its committed fixture *exactly* — integer event counts by
+//! Golden-trace regression: pinned-seed fleet runs must reproduce
+//! their committed fixtures *exactly* — integer event counts by
 //! equality, derived f64 metrics by `to_bits` (the PR 6 pinning style).
+//!
+//! Two fixtures:
+//!
+//! * `fleet_golden_v4.txt` — one hot v4 OCS run, pinned since the DES
+//!   was introduced.
+//! * `fleet_golden_specs.txt` — every `specs/*.json` machine on both of
+//!   its fabric arms for seeds 1–3 under a churn-heavy profile, plus one
+//!   jobless (pure failure/repair) run per spec. Each run also pins a
+//!   digest over its whole recorded event log (time bits, kind, busy
+//!   chips, down hosts), so every trace bit of every run is covered.
 //!
 //! Any change to event ordering, RNG stream layout, placement policy or
 //! metric arithmetic shows up here as a bit diff. If the change is
@@ -10,13 +20,13 @@
 //! FLEET_GOLDEN_REGEN=1 cargo test -p tpu-sched --test fleet_golden
 //! ```
 //!
-//! and commit the new fixture alongside the change that explains it.
+//! and commit the new fixtures alongside the change that explains it.
 
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
-use tpu_sched::{FleetSim, FleetTrace};
+use tpu_sched::{FleetSim, FleetTrace, TraceEvent, TraceKind};
 use tpu_spec::{FabricKind, FleetSpec, MachineSpec};
 
 /// True when the build's `rand` is the offline SplitMix64 shim — the
@@ -29,11 +39,30 @@ fn rng_is_the_shim_stream() -> bool {
     rng.random::<u64>() == 0xBEEB_8DA1_658E_EC67
 }
 
-fn fixture_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/fleet_golden_v4.txt"
-    ))
+fn fixture_path(file: &str) -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures")).join(file)
+}
+
+fn committed_specs() -> Vec<(String, MachineSpec)> {
+    let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs"));
+    let mut paths: Vec<PathBuf> = fs::read_dir(&dir)
+        .expect("specs/ directory exists")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .collect();
+    paths.sort();
+    assert!(
+        paths.len() >= 5,
+        "expected the committed spec corpus, found {paths:?}"
+    );
+    paths
+        .into_iter()
+        .map(|p| {
+            let name = p.file_stem().unwrap().to_string_lossy().into_owned();
+            let text = fs::read_to_string(&p).expect("readable spec");
+            (name, MachineSpec::from_json(&text).expect("valid spec"))
+        })
+        .collect()
 }
 
 /// The pinned run: short enough to stay fast in debug builds, hot
@@ -101,6 +130,141 @@ fn render(map: &BTreeMap<String, String>) -> String {
     out
 }
 
+/// FNV-1a 64 over every recorded event: `t.to_bits()`, a kind tag and
+/// the kind's fields, `busy_chips` and `down_hosts`, each as
+/// little-endian `u64` words.
+fn log_digest(log: &[TraceEvent]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for byte in w.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for e in log {
+        word(e.t.to_bits());
+        let (tag, id, chips, production) = match e.kind {
+            TraceKind::Arrival { job } => (0, job, 0, false),
+            TraceKind::Rejected { job } => (1, job, 0, false),
+            TraceKind::Placed {
+                job,
+                chips,
+                production,
+            } => (2, job, chips, production),
+            TraceKind::Completed { job } => (3, job, 0, false),
+            TraceKind::Preempted { job } => (4, job, 0, false),
+            TraceKind::FailureKill { job } => (5, job, 0, false),
+            TraceKind::HostFailure { host } => (6, host, 0, false),
+            TraceKind::HostRepair { host } => (7, host, 0, false),
+        };
+        word(tag);
+        word(u64::from(id));
+        word(chips);
+        word(u64::from(production));
+        word(e.busy_chips);
+        word(u64::from(e.down_hosts));
+    }
+    h
+}
+
+/// A churn-heavy profile: offered load high enough to queue and
+/// preempt, failures frequent enough that capacity probes, kills and
+/// repairs all see real traffic within a short horizon.
+fn hot_profile() -> FleetSpec {
+    FleetSpec {
+        arrival_interval_s: 30.0,
+        mean_duration_s: 200.0,
+        mtbf_h: 4.0,
+        mttr_h: 0.2,
+        repair_slo_h: Some(1.0),
+    }
+}
+
+/// Both fabric arms a spec supports.
+fn arms(spec: &MachineSpec) -> [FabricKind; 2] {
+    if spec.torus_dims == 0 {
+        [FabricKind::Static, FabricKind::Switched]
+    } else {
+        [FabricKind::Static, FabricKind::Ocs]
+    }
+}
+
+/// Every pinned per-spec run, keyed `spec/arm/seedN` (hot profile) or
+/// `spec/arm/jobless` (arrivals disabled), each snapshot carrying the
+/// event-log digest.
+fn spec_runs() -> BTreeMap<String, BTreeMap<String, String>> {
+    let mut runs = BTreeMap::new();
+    let mut pin = |id: String, trace: FleetTrace| {
+        let mut snap = snapshot(&trace);
+        snap.insert("log_digest".to_string(), log_digest(&trace.log).to_string());
+        runs.insert(id, snap);
+    };
+    for (name, spec) in committed_specs() {
+        // Bigger machines churn more per second; keep debug-mode
+        // runtime bounded the way occupancy_equivalence does.
+        let (units, _, _) = spec.scheduling_units();
+        let horizon = if units > 256 { 4_000.0 } else { 12_000.0 };
+        for seed in [1u64, 2, 3] {
+            for fabric in arms(&spec) {
+                let trace = FleetSim::for_spec(&spec, horizon, seed)
+                    .with_profile(hot_profile())
+                    .with_recording(true)
+                    .run(fabric);
+                pin(format!("{name}/{}/seed{seed}", fabric.label()), trace);
+            }
+        }
+        let jobless = FleetSpec {
+            arrival_interval_s: f64::INFINITY,
+            ..hot_profile()
+        };
+        let fabric = arms(&spec)[1];
+        let trace = FleetSim::for_spec(&spec, 20_000.0, 9)
+            .with_profile(jobless)
+            .with_recording(true)
+            .run(fabric);
+        pin(format!("{name}/{}/jobless", fabric.label()), trace);
+    }
+    runs
+}
+
+fn render_runs(runs: &BTreeMap<String, BTreeMap<String, String>>) -> String {
+    let mut out = String::from(
+        "# Pinned fleet-DES golden traces: every specs/*.json x both arms x seeds 1-3\n\
+         # (hot profile) plus one jobless run per spec.\n\
+         # Regenerate with FLEET_GOLDEN_REGEN=1 (see fleet_golden.rs).\n",
+    );
+    for (id, snap) in runs {
+        out.push_str(&format!("[{id}]\n"));
+        for (k, v) in snap {
+            out.push_str(&format!("{k}={v}\n"));
+        }
+    }
+    out
+}
+
+fn parse_runs(text: &str) -> BTreeMap<String, BTreeMap<String, String>> {
+    let mut runs: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
+    let mut current = None;
+    for line in text.lines() {
+        if line.starts_with('#') || line.trim().is_empty() {
+            continue;
+        }
+        if let Some(id) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            runs.insert(id.to_string(), BTreeMap::new());
+            current = Some(id.to_string());
+            continue;
+        }
+        let id = current
+            .as_ref()
+            .expect("key=value lines follow a [run] header");
+        let (k, v) = line.split_once('=').expect("key=value fixture lines");
+        runs.get_mut(id)
+            .unwrap()
+            .insert(k.to_string(), v.to_string());
+    }
+    runs
+}
+
 #[test]
 fn pinned_seed_trace_matches_the_committed_fixture_exactly() {
     let observed = snapshot(&golden_run());
@@ -113,7 +277,7 @@ fn pinned_seed_trace_matches_the_committed_fixture_exactly() {
         eprintln!("non-shim rand stream detected; skipped the fixture comparison");
         return;
     }
-    let path = fixture_path();
+    let path = fixture_path("fleet_golden_v4.txt");
     if std::env::var_os("FLEET_GOLDEN_REGEN").is_some() {
         fs::create_dir_all(path.parent().unwrap()).unwrap();
         fs::write(&path, render(&observed)).unwrap();
@@ -138,4 +302,32 @@ fn pinned_seed_trace_matches_the_committed_fixture_exactly() {
     assert!(n > 1_000, "golden run too quiet: {n} events");
     assert!(observed["preemptions"].parse::<u64>().unwrap() > 0);
     assert!(observed["failure_kills"].parse::<u64>().unwrap() > 0);
+}
+
+#[test]
+fn every_spec_arm_and_seed_matches_the_committed_fixture_exactly() {
+    if !rng_is_the_shim_stream() {
+        eprintln!("non-shim rand stream detected; skipped the fixture comparison");
+        return;
+    }
+    let observed = spec_runs();
+    let path = fixture_path("fleet_golden_specs.txt");
+    if std::env::var_os("FLEET_GOLDEN_REGEN").is_some() {
+        fs::write(&path, render_runs(&observed)).unwrap();
+        return;
+    }
+    let committed = fs::read_to_string(&path)
+        .expect("committed fixture exists; regenerate with FLEET_GOLDEN_REGEN=1");
+    let expected = parse_runs(&committed);
+    assert_eq!(
+        expected.keys().collect::<Vec<_>>(),
+        observed.keys().collect::<Vec<_>>(),
+        "the pinned run roster changed"
+    );
+    for (id, snap) in &observed {
+        assert_eq!(
+            &expected[id], snap,
+            "{id}: the pinned trace drifted; if intentional, regenerate the fixture"
+        );
+    }
 }
