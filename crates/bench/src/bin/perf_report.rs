@@ -11,8 +11,7 @@
 //!
 //! Every bench runs a 4096-chip fleet: the v4 torus through both Figure 4
 //! arms (OCS plugboard submit, static contiguous packing) plus the v4-ib
-//! switched fleet, the discrete-event cluster sim on both v4 arms, and
-//! the fleet DES on both arms. The output is a JSON array of
+//! switched fleet, and the fleet DES on both v4 arms. The output is a JSON array of
 //! `{bench, config, wall_s, trials_per_s, git_describe}` rows (format:
 //! DESIGN.md §11); `--check` re-parses an emitted file, validates that
 //! schema, requires the full bench roster, and asserts the relative
@@ -24,7 +23,7 @@
 //! from a dirty tree is refused unless `--allow-dirty` is passed.
 
 use std::time::Instant;
-use tpu_sched::{ClusterSim, FleetSim, GoodputSim};
+use tpu_sched::{FleetSim, GoodputSim};
 use tpu_serve::{client, QueryCache, Server, ServiceState, SpecStore};
 use tpu_spec::json::{self, JsonValue};
 use tpu_spec::{FabricKind, FleetSpec, MachineSpec};
@@ -72,39 +71,11 @@ fn time_goodput(
     }
 }
 
-fn time_cluster(
-    bench: &'static str,
-    spec: &MachineSpec,
-    fabric: FabricKind,
-    trials: u32,
-    threads: usize,
-) -> BenchRow {
-    let (horizon, arrival, duration) = (2000.0, 1.2, 8.0);
-    let sim = ClusterSim::for_spec(spec, horizon, arrival, duration, 2023).with_threads(threads);
-    let start = Instant::now();
-    let report = sim.run_trials(fabric, trials);
-    let wall_s = start.elapsed().as_secs_f64();
-    assert!(report.completed > 0, "{bench}: no jobs completed");
-    BenchRow {
-        bench,
-        config: format!(
-            "{} horizon={horizon}, arrival={arrival}, duration={duration}, \
-             trials={trials}, threads={threads}",
-            spec.generation
-        ),
-        wall_s,
-        trials,
-    }
-}
-
 /// A fleet-DES throughput row: one seeded v4 run under a hot job mix,
 /// reported in *events per second* (`trials` is the processed
 /// event-queue count). At the default `--trials 1000` the horizon is
 /// 30 simulated days, which clears a million events; CI smoke scales
-/// the horizon down linearly. The static arm doubles as the
-/// probe-memo row (`fleet_des_probe_memo`): static capacity reprobes
-/// recur on identical health bitsets far more often than OCS ones, so
-/// its throughput tracks the memo hit path.
+/// the horizon down linearly.
 fn time_fleet(
     bench: &'static str,
     spec: &MachineSpec,
@@ -276,14 +247,12 @@ fn git_describe() -> String {
 }
 
 /// Every bench a complete report must carry, in emission order.
-const ROSTER: [&str; 11] = [
+const ROSTER: [&str; 9] = [
     "goodput_v4_ocs",
     "goodput_v4_static",
     "goodput_v4ib_switched",
-    "cluster_v4_ocs",
-    "cluster_v4_static",
     "fleet_des_v4_ocs",
-    "fleet_des_probe_memo",
+    "fleet_des_v4_static",
     "serve_whatif_cold",
     "serve_whatif_cached",
     "serve_whatif_keepalive",
@@ -436,9 +405,6 @@ fn main() {
     let trials: u32 = flag("--trials")
         .map(|v| v.parse().expect("--trials takes a positive integer"))
         .unwrap_or(1000);
-    // Cluster trials are whole discrete-event runs (~1700 jobs each), so
-    // they tick at a much coarser grain than goodput trials.
-    let cluster_trials = (trials / 125).clamp(2, 16);
     let threads: usize = flag("--threads")
         .map(|v| v.parse().expect("--threads takes an integer (0 = auto)"))
         .unwrap_or(0);
@@ -474,22 +440,8 @@ fn main() {
             trials,
             threads,
         ),
-        time_cluster(
-            "cluster_v4_ocs",
-            &v4,
-            FabricKind::Ocs,
-            cluster_trials,
-            threads,
-        ),
-        time_cluster(
-            "cluster_v4_static",
-            &v4,
-            FabricKind::Static,
-            cluster_trials,
-            threads,
-        ),
         time_fleet("fleet_des_v4_ocs", &v4, FabricKind::Ocs, trials),
-        time_fleet("fleet_des_probe_memo", &v4, FabricKind::Static, trials),
+        time_fleet("fleet_des_v4_static", &v4, FabricKind::Static, trials),
         serve_cold,
         serve_cached,
         serve_keepalive,

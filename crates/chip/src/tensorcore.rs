@@ -51,17 +51,6 @@ impl TensorCore {
         TensorCore::for_spec(&spec)
     }
 
-    /// The TPU v4 TensorCore (Table 4 / §2.2).
-    ///
-    /// Deprecated alias for `for_generation(&Generation::V4)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use TensorCore::for_generation(&Generation::V4) or TensorCore::for_spec"
-    )]
-    pub fn tpu_v4() -> TensorCore {
-        TensorCore::for_generation(&Generation::V4)
-    }
-
     /// The TPU v3 TensorCore (two MXUs).
     ///
     /// Convenience alias; prefer [`TensorCore::for_generation`] or

@@ -303,17 +303,6 @@ pub struct Supercomputer {
 }
 
 impl Supercomputer {
-    /// The full 4096-chip machine.
-    ///
-    /// Deprecated alias for `for_generation(Generation::V4)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Supercomputer::for_generation(Generation::V4) or Supercomputer::for_spec"
-    )]
-    pub fn tpu_v4() -> Supercomputer {
-        Supercomputer::for_generation(Generation::V4)
-    }
-
     /// The fleet-scale machine a spec describes.
     ///
     /// Dispatches on the spec's `fabric` discriminator. `FabricKind::Ocs`

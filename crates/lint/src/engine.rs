@@ -318,7 +318,6 @@ pub fn lint_source(
     rules::unit_hygiene(&ctx, &mut raw);
     rules::panic_policy(&ctx, &mut raw);
     rules::citation(&ctx, resolver, &mut raw);
-    rules::deprecation(&ctx, &mut raw);
 
     // Apply suppressions: a finding on a suppression's target (or
     // comment) line for a named rule is silenced; each suppression must

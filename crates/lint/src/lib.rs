@@ -14,8 +14,6 @@
 //!   in library code.
 //! * [`rules::citation`] — `DESIGN.md §N` and `docs/…` references in
 //!   comments must resolve.
-//! * [`rules::deprecation`] — no internal use of the deprecated
-//!   `tpu_v4()` alias family.
 //!
 //! Plus the [`bench_schema`] check on committed `BENCH_*.json` perf
 //! reports. Findings are suppressed inline with

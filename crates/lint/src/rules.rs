@@ -9,13 +9,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Every suppressible rule name, in catalog order.
-pub const RULE_NAMES: [&str; 5] = [
-    "determinism",
-    "unit-hygiene",
-    "panic-policy",
-    "citation",
-    "deprecation",
-];
+pub const RULE_NAMES: [&str; 4] = ["determinism", "unit-hygiene", "panic-policy", "citation"];
 
 fn diag(ctx: &FileContext<'_>, tok: &Token<'_>, rule: &'static str, message: String) -> Diagnostic {
     Diagnostic {
@@ -55,18 +49,17 @@ fn path_sep_then(tokens: &[Token<'_>], i: usize, name: &str) -> bool {
 /// `net`, `sched`, `ocs`) may not use nondeterministically-ordered or
 /// wall-clock-dependent constructs in library code: `HashMap`/`HashSet`
 /// (random iteration order), `Instant`/`SystemTime` (wall clock),
-/// `thread_rng` (OS-seeded), bare `std::thread::spawn`, and raw
+/// `thread_rng` (OS-seeded), bare `std::thread::spawn`, and
 /// `BinaryHeap` (pops same-key ties in unspecified order). The one
 /// allowlisted spawn site is `tpu_sched::trials`, whose scatter-gather
-/// reduces chunks in deterministic order; the one allowlisted heap
-/// owner is `tpu_sched::equeue`, whose `(time, rank, seq)` keys make
-/// the pop order total (DESIGN.md §15).
+/// reduces chunks in deterministic order. A heap is allowed only under
+/// a suppression whose reason says why its keys are total, as the
+/// fleet DES's `(time, rank, seq)` keys are (DESIGN.md §12).
 pub fn determinism(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     if !ctx.sim_crate || ctx.kind == FileKind::TestCode {
         return;
     }
     let spawn_allowed = ctx.rel_path == "crates/sched/src/trials.rs";
-    let heap_allowed = ctx.rel_path == "crates/sched/src/equeue.rs";
     for (i, tok) in code_tokens(ctx) {
         if tok.kind != TokenKind::Ident {
             continue;
@@ -81,10 +74,9 @@ pub fn determinism(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
                 "{} reads the wall clock; simulation time must come from the event engine",
                 tok.text
             )),
-            "BinaryHeap" if !heap_allowed => Some(
-                "BinaryHeap pops same-key ties in unspecified order; route events through \
-                 tpu_sched::equeue::EventQueue, whose (time, rank, seq) keys make the order \
-                 total — or suppress with proof that your keys never tie"
+            "BinaryHeap" => Some(
+                "BinaryHeap pops same-key ties in unspecified order; make the keys total \
+                 (e.g. a unique sequence number) and suppress, stating why they never tie"
                     .to_string(),
             ),
             "thread_rng" => Some(
@@ -352,49 +344,6 @@ fn check_docs_refs(
     }
 }
 
-/// The `#[deprecated]` alias family (PR 4): associated functions kept
-/// only so external callers keep compiling.
-const DEPRECATED_PATHS: [(&str, &str); 8] = [
-    ("Supercomputer", "tpu_v4"),
-    ("Fabric", "tpu_v4"),
-    ("GoodputSim", "tpu_v4"),
-    ("ClusterSim", "tpu_v4"),
-    ("TensorCore", "tpu_v4"),
-    ("ScGeneration", "tpu_v4"),
-    ("EmbeddingSystem", "tpu_v4_slice"),
-    ("AlphaBeta", "tpu_v4_ici"),
-];
-
-/// # Rule `deprecation`
-///
-/// Internal code may not call the `#[deprecated]` `tpu_v4()` alias
-/// family — `for_generation`/`for_spec` are the supported constructors.
-/// Clippy already denies *warned* uses; this rule also catches uses
-/// hidden under `#[allow(deprecated)]`.
-pub fn deprecation(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    if ctx.kind == FileKind::TestCode {
-        return;
-    }
-    for (i, tok) in code_tokens(ctx) {
-        if tok.kind != TokenKind::Ident {
-            continue;
-        }
-        for (recv, method) in DEPRECATED_PATHS {
-            if tok.text == recv && path_sep_then(ctx.tokens, i + 1, method) {
-                out.push(diag(
-                    ctx,
-                    tok,
-                    "deprecation",
-                    format!(
-                        "{recv}::{method} is a deprecated alias; use \
-                         {recv}::for_generation or {recv}::for_spec"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,11 +384,13 @@ mod tests {
 
     #[test]
     fn determinism_heap_allowlist() {
-        let src = "use std::collections::BinaryHeap;\n";
-        assert!(run("crates/sched/src/equeue.rs", src).is_empty());
-        let found = run("crates/sched/src/cluster.rs", src);
+        let bare = "use std::collections::BinaryHeap;\n";
+        let found = run("crates/sched/src/fleet.rs", bare);
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].contains("BinaryHeap"), "{found:?}");
+        let suppressed = "// tpu-lint: allow(determinism) -- keys are total: seq is unique\n\
+                          use std::collections::BinaryHeap;\n";
+        assert!(run("crates/sched/src/fleet.rs", suppressed).is_empty());
     }
 
     #[test]
@@ -525,25 +476,5 @@ mod tests {
         assert!(dangling[0].contains("docs/missing.md"));
         // Citations are checked in test files too.
         assert_eq!(run("crates/net/tests/x.rs", "// DESIGN.md §42\n").len(), 1);
-    }
-
-    #[test]
-    fn deprecation_catches_alias_family() {
-        let src = "fn f() { let m = Supercomputer::tpu_v4(); }\n";
-        let found = run("crates/workloads/src/x.rs", src);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].contains("deprecated alias"));
-        // ChipSpec::tpu_v4 is NOT deprecated (plain data constructor).
-        assert!(run(
-            "crates/workloads/src/x.rs",
-            "fn f() { ChipSpec::tpu_v4(); }\n"
-        )
-        .is_empty());
-        // The defining `pub fn tpu_v4()` does not match the path shape.
-        assert!(run(
-            "crates/core/src/machine.rs",
-            "impl Supercomputer { pub fn tpu_v4() -> Self { todo!() } }\n"
-        )
-        .is_empty());
     }
 }

@@ -76,7 +76,6 @@ fn violation_fixtures_produce_the_seeded_findings() {
         ("violation_unit_hygiene", "unit-hygiene"),
         ("violation_panic_policy", "panic-policy"),
         ("violation_citation", "citation"),
-        ("violation_deprecation", "deprecation"),
         ("violation_suppression", "bad-suppression"),
     ];
     for (stem, rule) in cases {

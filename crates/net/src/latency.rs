@@ -33,19 +33,6 @@ impl AlphaBeta {
         AlphaBeta { alpha_s, rate }
     }
 
-    /// ICI-class defaults: ~1 µs per hop (§8 notes each chip keeps "tens
-    /// of thousands of outstanding memory requests" precisely to hide
-    /// this latency).
-    ///
-    /// Deprecated alias for `for_spec(&MachineSpec::v4())`.
-    #[deprecated(since = "0.1.0", note = "use AlphaBeta::for_spec(&MachineSpec::v4())")]
-    pub fn tpu_v4_ici() -> AlphaBeta {
-        AlphaBeta {
-            alpha_s: tpu_spec::LatencySpec::reference().ici_hop_s,
-            rate: LinkRate::TPU_V4_ICI,
-        }
-    }
-
     /// The alpha-beta model at a machine spec's ICI link rate and the
     /// spec's declared per-hop latency (the DESIGN.md §7 reference when
     /// the spec omits the `latency` block).

@@ -41,10 +41,10 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Default estimates for the 2020 TPU v4 deployment. Unlike the
-    /// `tpu_v4()` machine aliases elsewhere, this is not derived from a
-    /// [`MachineSpec`](tpu_spec::MachineSpec) — the <5%-of-capex numbers
-    /// of §2.10 are deployment estimates the paper publishes directly.
+    /// Default estimates for the 2020 TPU v4 deployment. This is not
+    /// derived from a [`MachineSpec`](tpu_spec::MachineSpec) — the
+    /// <5%-of-capex numbers of §2.10 are deployment estimates the paper
+    /// publishes directly.
     pub fn tpu_v4_estimates() -> CostModel {
         CostModel {
             system_cost_per_chip: 25_000.0,

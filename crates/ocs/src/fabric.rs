@@ -157,17 +157,6 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// A full TPU v4 fabric: 64 deployed blocks (4096 chips), 48 OCSes.
-    ///
-    /// Deprecated alias for `for_generation(&Generation::V4)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Fabric::for_generation(&Generation::V4) or Fabric::for_spec"
-    )]
-    pub fn tpu_v4() -> Fabric {
-        Fabric::for_generation(&Generation::V4)
-    }
-
     /// The fleet-scale fabric a machine spec describes: one deployed
     /// block per `fleet_blocks()`. Generations without an OCS layer get
     /// the Palomar switch complement — the fabric then models the §2.7

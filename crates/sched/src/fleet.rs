@@ -1,11 +1,11 @@
 //! The discrete-event fleet simulator: months of Palomar-scale
 //! operation as one event script.
 //!
-//! [`GoodputSim`] and [`ClusterSim`] each answer one closed-form
-//! question (capacity under i.i.d. failures; queueing under a job mix).
-//! [`FleetSim`] generalizes both into a single event-driven simulation
-//! of a full fleet — the 4096-chip machine of the paper — running
-//! simulated months of operation:
+//! [`GoodputSim`] answers one closed-form question (capacity under
+//! i.i.d. failures). [`FleetSim`] generalizes it into a single
+//! event-driven simulation of a full fleet — the 4096-chip machine of
+//! the paper — running simulated months of operation, which also covers
+//! the §2.5 scheduling benefit (queueing under the Table 2 job mix):
 //!
 //! * **Job arrivals/departures**: Poisson arrivals drawn from the
 //!   Table 2 slice mix ([`SliceMix::table2`]), exponential durations,
@@ -39,19 +39,16 @@
 //! seeding, so replicated runs are bit-identical for any worker-thread
 //! count (DESIGN.md §12).
 //!
-//! # Performance engineering (DESIGN.md §15)
+//! # Memory and speed (DESIGN.md §15)
 //!
-//! Three hot-path optimizations keep million-event runs fast while
-//! provably changing nothing: the event queue is a calendar queue
-//! popping in the exact heap order ([`crate::equeue`]), capacity
-//! probes are memoized on the healthy-unit bitset (the
-//! alternating-renewal churn revisits a small set of health states),
-//! and the job stream is drawn lazily — one job ahead of the newest
-//! arrival, from the same dedicated RNG stream in the same per-job
-//! order as an eager pre-draw, so memory is O(live jobs), not
-//! O(horizon). The naive implementations remain available behind
-//! `with_reference_engine` and the `fleet_fastpath_equivalence` test
-//! holds both engines bit-identical on every committed spec.
+//! The job stream is drawn lazily — one job ahead of the newest
+//! arrival — and running jobs live in a map that drops each entry when
+//! the job ends or is evicted, so memory tracks live jobs, not the
+//! horizon. The plugboard arm places with deferred OCS wiring
+//! ([`Supercomputer::set_deferred_wiring`]): admission runs in full,
+//! circuit programming is skipped. The `fleet_golden` fixtures pin the
+//! traces of every committed spec, and `tpu-core`'s `deferred_wiring`
+//! test proves deferred admission equals eager admission.
 //!
 //! # Proven against the closed forms
 //!
@@ -65,9 +62,7 @@
 //!
 //! [`GoodputSim`]: crate::GoodputSim
 //! [`GoodputSim::goodput`]: crate::GoodputSim::goodput
-//! [`ClusterSim`]: crate::ClusterSim
 
-use crate::equeue::EventQueue;
 use crate::goodput::{place_reconfigurable, place_static, slice_geometry};
 use crate::model::PlannerModel;
 use crate::slice_mix::SliceMix;
@@ -75,6 +70,7 @@ use crate::trials::{chunk_seed, run_chunks};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use tpu_core::{JobId, JobSpec, StaticCluster, Supercomputer};
@@ -104,7 +100,6 @@ pub struct FleetSim {
     preemption: bool,
     record_events: bool,
     threads: usize,
-    reference: bool,
     units: u32,
     hosts_per_unit: u32,
     chips_per_unit: u32,
@@ -139,7 +134,6 @@ impl FleetSim {
             preemption: true,
             record_events: false,
             threads: 0,
-            reference: false,
             units,
             hosts_per_unit,
             chips_per_unit,
@@ -196,20 +190,6 @@ impl FleetSim {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> FleetSim {
         self.threads = threads;
-        self
-    }
-
-    /// Runs the engine on the naive reference implementations — a
-    /// binary-heap event queue, an eagerly pre-drawn job stream and
-    /// memo-less capacity probes — instead of the optimized calendar
-    /// queue / lazy stream / probe-memo paths. The two engines are
-    /// held bit-identical on every committed spec by the
-    /// `fleet_fastpath_equivalence` test; this toggle exists for that
-    /// proof, not for callers.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_reference_engine(mut self, on: bool) -> FleetSim {
-        self.reference = on;
         self
     }
 
@@ -531,94 +511,13 @@ struct DrawnJob {
 
 /// The lazy job-stream state: the dedicated jobs RNG plus the cursor
 /// of the next undrawn job. Jobs are drawn one ahead of the newest
-/// arrival (so the next arrival event can always be scheduled),
-/// consuming the RNG in exactly the per-job order an eager pre-draw
-/// would — the reference engine pre-draws the whole stream through
-/// this same state and gets the identical sequence.
+/// arrival, so the next arrival event can always be scheduled.
 struct JobDraw {
     rng: StdRng,
     mix: SliceMix,
     next_idx: u32,
     t: f64,
     done: bool,
-}
-
-/// Bounded memo capacity: enough for the health-state working set of
-/// a month-scale run, small enough that the linear LRU scan stays
-/// cheap.
-const PROBE_MEMO_CAPACITY: usize = 512;
-
-/// A bounded memo of capacity-probe results keyed by the packed
-/// healthy-unit bitset. The alternating-renewal host churn revisits a
-/// small set of block-health states, so most reprobes hit. FNV-1a
-/// over the bitset pre-filters; the full key is compared before a hit
-/// counts, so a hash collision costs a recompute, never a wrong
-/// answer. Storage is a linear-scan LRU `Vec` — deterministic
-/// iteration, no hashing containers (the sim-crate determinism rule).
-struct ProbeMemo {
-    entries: Vec<MemoEntry>,
-    tick: u64,
-}
-
-struct MemoEntry {
-    hash: u64,
-    key: Vec<u64>,
-    placed_blocks: u32,
-    last_used: u64,
-}
-
-impl ProbeMemo {
-    fn new() -> ProbeMemo {
-        ProbeMemo {
-            entries: Vec::new(),
-            tick: 0,
-        }
-    }
-
-    fn lookup(&mut self, hash: u64, key: &[u64]) -> Option<u32> {
-        self.tick += 1;
-        for entry in &mut self.entries {
-            if entry.hash == hash && entry.key == key {
-                entry.last_used = self.tick;
-                return Some(entry.placed_blocks);
-            }
-        }
-        None
-    }
-
-    fn insert(&mut self, hash: u64, key: Vec<u64>, placed_blocks: u32) {
-        self.tick += 1;
-        if self.entries.len() >= PROBE_MEMO_CAPACITY {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-            {
-                self.entries.swap_remove(oldest);
-            }
-        }
-        self.entries.push(MemoEntry {
-            hash,
-            key,
-            placed_blocks,
-            last_used: self.tick,
-        });
-    }
-}
-
-/// FNV-1a over the bitset words — the same constants as
-/// [`tpu_spec::hash`], applied per little-endian byte.
-fn fnv1a_words(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Looks up a live (queued or running) job by stream index. A free
@@ -646,8 +545,7 @@ enum Hold {
     Capacity(JobId),
 }
 
-/// A running (placed) job. Slots are never reused, so a stale
-/// `JobEnd` after preemption finds `None` and is ignored.
+/// A running (placed) job.
 struct Running {
     idx: u32,
     chips: u64,
@@ -655,8 +553,11 @@ struct Running {
     placed_t: f64,
     reconfig_s: f64,
     remaining_at_start: f64,
-    order: u64,
 }
+
+/// The event queue: a min-heap on `(t.to_bits(), rank, seq, event)`.
+// tpu-lint: allow(determinism) -- keys are total: seq is unique per push, so no two entries tie
+type EventHeap = std::collections::BinaryHeap<Reverse<(u64, u8, u64, Ev)>>;
 
 /// The main fabric arm.
 enum Arm {
@@ -683,7 +584,7 @@ struct Engine<'a> {
     jobs: BTreeMap<u32, DrawnJob>,
     draw: JobDraw,
     health_rng: StdRng,
-    queue: EventQueue<Ev>,
+    queue: EventHeap,
     seq: u64,
     now: f64,
     up: Vec<bool>,
@@ -693,16 +594,13 @@ struct Engine<'a> {
     busy_chips: u64,
     deliverable_chips: u64,
     probe_dirty: bool,
-    slab: Vec<Option<Running>>,
-    /// Placement-ordered index of the currently running slots, so
-    /// eviction scans touch live jobs only (the slab is append-only).
-    running_by_order: BTreeMap<u64, u32>,
+    /// Running jobs by slot. A slot is the job's placement index, so
+    /// slot order is placement order; slots are never reused, so a
+    /// stale `JobEnd` (its job was evicted meanwhile) finds no entry.
+    running: BTreeMap<u32, Running>,
     queues: [VecDeque<Queued>; 2],
     preempt_exhausted: bool,
-    order: u64,
     healthy_scratch: Vec<bool>,
-    bitset_scratch: Vec<u64>,
-    memo: ProbeMemo,
     trace: FleetTrace,
 }
 
@@ -713,22 +611,16 @@ const BEST_EFFORT: usize = 1;
 impl<'a> Engine<'a> {
     fn new(sim: &'a FleetSim, fabric: FabricKind, seed: u64) -> Engine<'a> {
         let profile = &sim.profile;
-        let mut arm = if fabric == FabricKind::Static {
+        let arm = if fabric == FabricKind::Static {
             Arm::Fixed(sim.model.static_arm().clone())
         } else {
-            Arm::Reconfigurable(sim.model.reconfigurable_arm().clone())
+            // The DES only ever asks the plugboard *whether and where*
+            // a slice fits, never which circuits carry it, so it skips
+            // programming OCS switch state per placement.
+            let mut machine = sim.model.reconfigurable_arm().clone();
+            machine.set_deferred_wiring(true);
+            Arm::Reconfigurable(machine)
         };
-        // The DES only ever asks the plugboard *whether and where* a
-        // slice fits, never which circuits carry it, so the optimized
-        // engine skips programming OCS switch state per placement
-        // (`Fabric::set_deferred_wiring`). The reference engine keeps
-        // eager wiring — `fleet_fastpath_equivalence` then proves the
-        // shortcut changes no trace bit.
-        if !sim.reference {
-            if let Arm::Reconfigurable(machine) = &mut arm {
-                machine.set_deferred_wiring(true);
-            }
-        }
         // The probe arm is a pristine twin of the main arm: it never
         // holds jobs, so feeding it the live block health through the
         // exact GoodputSim placement functions yields the capacity the
@@ -756,34 +648,13 @@ impl<'a> Engine<'a> {
 
         // The job stream draws on its own RNG stream: Poisson arrivals
         // over the slice mix, exponential durations, Bernoulli tier
-        // draws (`draw_next_job`). The optimized engine draws one job
-        // ahead of the newest arrival; the reference engine pre-draws
-        // everything up front. Both consume the stream identically.
+        // draws (`draw_next_job`), one job ahead of the newest arrival.
         let draw = JobDraw {
             rng: StdRng::seed_from_u64(chunk_seed(seed, STREAM_JOBS)),
             mix: SliceMix::table2(),
             next_idx: 0,
             t: 0.0,
             done: !profile.arrival_interval_s.is_finite(),
-        };
-
-        // Calendar-queue bucket width targeting ~1 event per bucket:
-        // each job contributes an arrival and an end, each host a
-        // failure and a repair per renewal cycle. Derived from the
-        // profile only, so it is deterministic per run configuration.
-        let job_rate = if profile.arrival_interval_s.is_finite() {
-            2.0 / profile.arrival_interval_s
-        } else {
-            0.0
-        };
-        let host_rate =
-            sim.total_hosts() as f64 * 2.0 / ((profile.mtbf_h + profile.mttr_h) * 3600.0);
-        // tpu-lint: allow(unit-hygiene) -- divide-by-zero floor on an event rate, not a unit conversion
-        let width = 1.0 / (job_rate + host_rate).max(1e-9);
-        let queue = if sim.reference {
-            EventQueue::reference()
-        } else {
-            EventQueue::calendar(width)
         };
 
         let hosts = sim.total_hosts() as u32;
@@ -829,7 +700,7 @@ impl<'a> Engine<'a> {
             jobs: BTreeMap::new(),
             draw,
             health_rng: StdRng::seed_from_u64(chunk_seed(seed, STREAM_HEALTH)),
-            queue,
+            queue: EventHeap::new(),
             seq: 0,
             now: 0.0,
             up: vec![true; hosts as usize],
@@ -839,33 +710,21 @@ impl<'a> Engine<'a> {
             busy_chips: 0,
             deliverable_chips: 0,
             probe_dirty: true,
-            slab: Vec::new(),
-            running_by_order: BTreeMap::new(),
+            running: BTreeMap::new(),
             queues: [VecDeque::new(), VecDeque::new()],
             preempt_exhausted: false,
-            order: 0,
             healthy_scratch: Vec::with_capacity(sim.units as usize),
-            bitset_scratch: Vec::new(),
-            memo: ProbeMemo::new(),
             trace,
         };
-        if sim.reference {
-            while !engine.draw.done {
-                engine.draw_next_job();
-            }
-        } else {
-            engine.draw_next_job();
-        }
+        engine.draw_next_job();
         engine.init_hosts();
         engine
     }
 
-    /// Draws the next job from the job stream into the live map —
-    /// exactly the draws (gap, shape, duration, tier) the former
-    /// eager pre-draw loop made per job, in the same order. A gap
+    /// Draws the next job from the job stream into the live map: the
+    /// gap, shape, duration and tier draws, in that order. A gap
     /// crossing the horizon ends the stream having consumed only the
-    /// gap draw, as the eager loop's `break` did. Sub-unit requests
-    /// round up to one block/island.
+    /// gap draw. Sub-unit requests round up to one block/island.
     fn draw_next_job(&mut self) {
         if self.draw.done {
             return;
@@ -979,7 +838,8 @@ impl<'a> Engine<'a> {
 
     fn push(&mut self, at: f64, ev: Ev) {
         self.seq += 1;
-        self.queue.push((at.to_bits(), ev.rank(), self.seq, ev));
+        self.queue
+            .push(Reverse((at.to_bits(), ev.rank(), self.seq, ev)));
     }
 
     fn drive(&mut self) {
@@ -987,7 +847,7 @@ impl<'a> Engine<'a> {
             let at = first.arrival;
             self.push(at, Ev::JobArrival { idx: 0 });
         }
-        while let Some((bits, _, _, ev)) = self.queue.peek() {
+        while let Some(&Reverse((bits, _, _, ev))) = self.queue.peek() {
             let t = f64::from_bits(bits);
             if t > self.sim.horizon_s {
                 break;
@@ -1022,25 +882,8 @@ impl<'a> Engine<'a> {
 
     /// Recomputes deliverable capacity by running the *pristine* probe
     /// arm, with the live block health, through the exact placement
-    /// functions `GoodputSim` uses. The optimized engine first
-    /// consults the [`ProbeMemo`] keyed by the healthy-unit bitset; a
-    /// hit still counts in `trace.probes` (the counter tracks health
-    /// transitions, not work — the golden fixture pins it).
+    /// functions `GoodputSim` uses.
     fn reprobe(&mut self) {
-        let memo_miss_hash = if self.sim.reference {
-            None
-        } else {
-            self.pack_health_bitset();
-            let hash = fnv1a_words(&self.bitset_scratch);
-            if let Some(placed_blocks) = self.memo.lookup(hash, &self.bitset_scratch) {
-                self.deliverable_chips =
-                    u64::from(placed_blocks) * u64::from(self.sim.chips_per_unit);
-                self.probe_dirty = false;
-                self.trace.probes += 1;
-                return;
-            }
-            Some(hash)
-        };
         self.healthy_scratch.clear();
         for &down in &self.down_in_unit {
             self.healthy_scratch.push(down == 0);
@@ -1061,26 +904,9 @@ impl<'a> Engine<'a> {
                 self.probe_blocks,
             )
         };
-        if let Some(hash) = memo_miss_hash {
-            self.memo
-                .insert(hash, self.bitset_scratch.clone(), placed_blocks);
-        }
         self.deliverable_chips = u64::from(placed_blocks) * u64::from(self.sim.chips_per_unit);
         self.probe_dirty = false;
         self.trace.probes += 1;
-    }
-
-    /// Packs the block-health vector into `bitset_scratch` (bit set =
-    /// unit fully healthy), the probe-memo key.
-    fn pack_health_bitset(&mut self) {
-        let words = self.down_in_unit.len().div_ceil(64);
-        self.bitset_scratch.clear();
-        self.bitset_scratch.resize(words, 0);
-        for (unit, &down) in self.down_in_unit.iter().enumerate() {
-            if down == 0 {
-                self.bitset_scratch[unit / 64] |= 1 << (unit % 64);
-            }
-        }
     }
 
     fn handle(&mut self, t: f64, ev: Ev) {
@@ -1119,7 +945,7 @@ impl<'a> Engine<'a> {
                 if machine.is_switched() {
                     let healthy = machine.switched().expect("switched arm").healthy_chips(); // tpu-lint: allow(panic-policy) -- unreachable: switched arm
                     while self.busy_chips > healthy {
-                        let Some(slot) = self.newest_running(|_| true) else {
+                        let Some(slot) = self.newest_running(false) else {
                             break;
                         };
                         self.evict(t, slot, EvictReason::FailureKill);
@@ -1153,12 +979,10 @@ impl<'a> Engine<'a> {
     }
 
     fn job_end(&mut self, t: f64, slot: u32) {
-        // Slots are never reused; a preempted or killed job left None
-        // behind and its end event is stale.
-        let Some(running) = self.slab[slot as usize].take() else {
+        // A preempted or killed job left no entry; its end is stale.
+        let Some(running) = self.running.remove(&slot) else {
             return;
         };
-        self.running_by_order.remove(&running.order);
         self.release_hold(running.hold);
         self.busy_chips -= running.chips;
         self.trace.completions += 1;
@@ -1170,8 +994,8 @@ impl<'a> Engine<'a> {
     fn job_arrival(&mut self, t: f64, idx: u32) {
         self.trace.arrivals += 1;
         // Extend the lazy stream by one: job idx+1 is drawn exactly
-        // when job idx arrives (a no-op for the pre-drawn reference
-        // engine or once the stream crossed the horizon).
+        // when job idx arrives (a no-op once the stream crossed the
+        // horizon).
         self.draw_next_job();
         if let Some(next) = self.jobs.get(&(idx + 1)) {
             let at = next.arrival;
@@ -1243,30 +1067,22 @@ impl<'a> Engine<'a> {
         let needed = job_of(&self.jobs, head_idx).chips;
         let mut freed = 0u64;
         while freed < needed {
-            let Some(slot) = self.newest_running(|r| !r.production) else {
+            let Some(slot) = self.newest_running(true) else {
                 break;
             };
-            freed += self.slab[slot].as_ref().expect("running").chips; // tpu-lint: allow(panic-policy) -- unreachable: running
-            self.evict(t, slot, EvictReason::Preempted);
+            freed += self.evict(t, slot, EvictReason::Preempted);
         }
     }
 
-    /// The newest (latest-placed) running job matching a predicate on
-    /// `(production)` — the eviction order of preemption and switched
-    /// displacement. Walks the placement-ordered index of *running*
-    /// jobs, not the append-only slab, so million-event runs stay
-    /// linear.
-    fn newest_running(&self, keep: impl Fn(&RunningView) -> bool) -> Option<usize> {
-        for (_, &slot) in self.running_by_order.iter().rev() {
-            let r = self.slab[slot as usize].as_ref().expect("indexed jobs run"); // tpu-lint: allow(panic-policy) -- unreachable: indexed jobs run
-            let view = RunningView {
-                production: job_of(&self.jobs, r.idx).production,
-            };
-            if keep(&view) {
-                return Some(slot as usize);
-            }
-        }
-        None
+    /// The newest (latest-placed) running job, optionally only among
+    /// best-effort jobs — the eviction order of preemption and switched
+    /// displacement.
+    fn newest_running(&self, best_effort_only: bool) -> Option<u32> {
+        self.running
+            .iter()
+            .rev()
+            .find(|(_, r)| !best_effort_only || !job_of(&self.jobs, r.idx).production)
+            .map(|(&slot, _)| slot)
     }
 
     /// Kills every running job with a block on the failed unit
@@ -1274,17 +1090,16 @@ impl<'a> Engine<'a> {
     /// handled by capacity displacement instead). Returns the kill
     /// count.
     fn kill_jobs_for_failure(&mut self, t: f64, unit: u32) -> u64 {
-        let victims: Vec<usize> = self
-            .running_by_order
-            .values()
-            .filter_map(|&slot| {
-                let r = self.slab[slot as usize].as_ref().expect("indexed jobs run"); // tpu-lint: allow(panic-policy) -- unreachable: indexed jobs run
+        let victims: Vec<u32> = self
+            .running
+            .iter()
+            .filter_map(|(&slot, r)| {
                 let on_unit = match &r.hold {
                     Hold::Blocks(blocks) => blocks.contains(&unit),
                     Hold::Slice(_, blocks) => blocks.contains(&unit),
                     Hold::Capacity(_) => false,
                 };
-                on_unit.then_some(slot as usize)
+                on_unit.then_some(slot)
             })
             .collect();
         let killed = victims.len() as u64;
@@ -1296,10 +1111,9 @@ impl<'a> Engine<'a> {
 
     /// Removes a running job from the fabric and re-queues its
     /// remainder at the front of its tier (checkpoint semantics: the
-    /// compute already done is kept).
-    fn evict(&mut self, t: f64, slot: usize, reason: EvictReason) {
-        let running = self.slab[slot].take().expect("evicting a running job"); // tpu-lint: allow(panic-policy) -- unreachable: evicting a running job
-        self.running_by_order.remove(&running.order);
+    /// compute already done is kept). Returns the chips freed.
+    fn evict(&mut self, t: f64, slot: u32, reason: EvictReason) -> u64 {
+        let running = self.running.remove(&slot).expect("evicting a running job"); // tpu-lint: allow(panic-policy) -- unreachable: callers pass running slots
         self.release_hold(running.hold);
         self.busy_chips -= running.chips;
         let compute_done = (t - running.placed_t - running.reconfig_s).max(0.0);
@@ -1321,6 +1135,7 @@ impl<'a> Engine<'a> {
             enqueued_t: t,
         });
         self.record(t, kind);
+        running.chips
     }
 
     /// Tries to place the head of one tier queue; on success pops it,
@@ -1355,7 +1170,7 @@ impl<'a> Engine<'a> {
         let chips = job.chips;
         let production = job.production;
         self.busy_chips += chips;
-        self.order += 1;
+        let slot = self.trace.placements as u32;
         let wait = t - queued.enqueued_t;
         self.trace.placements += 1;
         if tier == PRODUCTION {
@@ -1366,17 +1181,17 @@ impl<'a> Engine<'a> {
             self.trace.wait_best_effort_s += wait;
         }
         self.trace.reconfig_chip_s += chips as f64 * self.reconfig_s;
-        let slot = self.slab.len() as u32;
-        self.slab.push(Some(Running {
-            idx: queued.idx,
-            chips,
-            hold,
-            placed_t: t,
-            reconfig_s: self.reconfig_s,
-            remaining_at_start: queued.remaining,
-            order: self.order,
-        }));
-        self.running_by_order.insert(self.order, slot);
+        self.running.insert(
+            slot,
+            Running {
+                idx: queued.idx,
+                chips,
+                hold,
+                placed_t: t,
+                reconfig_s: self.reconfig_s,
+                remaining_at_start: queued.remaining,
+            },
+        );
         let end_at = t + self.reconfig_s + queued.remaining;
         self.push(end_at, Ev::JobEnd { slot });
         self.record(
@@ -1448,11 +1263,6 @@ enum EvictReason {
     FailureKill,
 }
 
-/// The predicate view [`Engine::newest_running`] exposes.
-struct RunningView {
-    production: bool,
-}
-
 fn tier_of(production: bool) -> usize {
     if production {
         PRODUCTION
@@ -1514,6 +1324,78 @@ mod tests {
             ocs.goodput,
             m.goodput
         );
+    }
+
+    /// The §2.5 scheduling benefit, with host failures pushed past the
+    /// horizon so placement alone separates the arms. Each case runs
+    /// both arms on one seed; every run conserves jobs (each arrival is
+    /// rejected, queued, running or completed at the horizon).
+    #[test]
+    fn ocs_scheduling_beats_contiguous_placement() {
+        type Check = fn(&FleetTrace, &FleetTrace);
+        let cases: [(&str, MachineSpec, f64, f64, f64, u64, Check); 3] = [
+            // §2.6 benefit 6, "simplified scheduling to improve
+            // utilization": v4 near saturation. Table 2's cigar shapes
+            // (4x4x192 -> 1x1x48 blocks) are no contiguous box at all.
+            (
+                "v4 loaded",
+                MachineSpec::v4(),
+                2_000.0,
+                1.2,
+                8.0,
+                42,
+                |ocs, fixed| {
+                    let (u_ocs, u_fixed) = (ocs.metrics().utilization, fixed.metrics().utilization);
+                    assert!(u_ocs > u_fixed, "utilization {u_ocs} <= {u_fixed}");
+                    assert!(u_ocs > 0.5, "utilization {u_ocs}");
+                    assert!(ocs.completions > fixed.completions);
+                    assert!(ocs.completions > ocs.arrivals / 2, "most jobs run");
+                    assert_eq!(ocs.rejected, 0);
+                    assert!(fixed.rejected > 0, "cigar shapes are never offerable");
+                },
+            ),
+            // Light load: both arms place every offerable job on arrival.
+            (
+                "v4 light",
+                MachineSpec::v4(),
+                2_000.0,
+                40.0,
+                5.0,
+                7,
+                |ocs, fixed| {
+                    assert_eq!(ocs.placements, fixed.placements + fixed.rejected);
+                    assert_eq!(ocs.metrics().mean_wait_s, 0.0);
+                    assert_eq!(fixed.metrics().mean_wait_s, 0.0);
+                },
+            ),
+            // The real statically-cabled generation; its OCS arm is the
+            // §2.7 counterfactual.
+            ("v3", MachineSpec::v3(), 500.0, 2.0, 6.0, 9, |ocs, fixed| {
+                assert!(ocs.completions >= fixed.completions);
+                assert!(fixed.rejected >= ocs.rejected);
+            }),
+        ];
+        for (name, spec, horizon_s, arrival_interval_s, mean_duration_s, seed, check) in cases {
+            let sim = FleetSim::for_spec(&spec, horizon_s, seed).with_profile(FleetSpec {
+                arrival_interval_s,
+                mean_duration_s,
+                mtbf_h: 1.0e9,
+                ..FleetSpec::reference()
+            });
+            let (ocs, fixed) = (sim.run(FabricKind::Ocs), sim.run(FabricKind::Static));
+            for t in [&ocs, &fixed] {
+                assert_eq!(
+                    t.host_failures, 0,
+                    "{name}: failures must stay past the horizon"
+                );
+                assert_eq!(
+                    t.arrivals,
+                    t.rejected + t.left_in_queue + t.placements - t.preemptions - t.failure_kills,
+                    "{name}: jobs not conserved"
+                );
+            }
+            check(&ocs, &fixed);
+        }
     }
 
     #[test]

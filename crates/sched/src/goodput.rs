@@ -50,17 +50,6 @@ pub struct GoodputSim {
 }
 
 impl GoodputSim {
-    /// The TPU v4 machine: 64 blocks in a 4×4×4 grid, 16 hosts per block.
-    ///
-    /// Deprecated alias for `for_generation(&Generation::V4, ..)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use GoodputSim::for_generation(&Generation::V4, ..) or GoodputSim::for_spec"
-    )]
-    pub fn tpu_v4(trials: u32, seed: u64) -> GoodputSim {
-        GoodputSim::for_generation(&Generation::V4, trials, seed)
-    }
-
     /// The fleet a machine spec describes.
     ///
     /// Goodput is pure capacity accounting, so the spec's optional

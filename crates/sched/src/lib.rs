@@ -23,6 +23,9 @@
 //!   Palomar-scale operation (job arrivals, host failures/repairs, OCS
 //!   reconfiguration windows, priority preemption) as one deterministic
 //!   event script, cross-checked against the closed-form models above.
+//!   It also reproduces the §2.5 scheduling benefit: under the Table 2
+//!   job mix the plugboard arm keeps more chips busy than contiguous
+//!   static placement.
 //!
 //! # Example
 //!
@@ -39,16 +42,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod deploy;
-pub mod equeue;
 pub mod fleet;
 pub mod goodput;
 pub mod model;
 pub mod slice_mix;
 pub mod trials;
 
-pub use cluster::{ClusterReport, ClusterSim};
 pub use deploy::DeploymentModel;
 pub use fleet::{FleetMetrics, FleetSim, FleetTrace, TraceEvent, TraceKind};
 pub use goodput::GoodputSim;

@@ -163,7 +163,6 @@ mod tests {
         assert_send_sync::<StaticCluster>();
         assert_send_sync::<Supercomputer>();
         assert_send_sync::<crate::GoodputSim>();
-        assert_send_sync::<crate::ClusterSim>();
         assert_send_sync::<crate::FleetSim>();
     }
 

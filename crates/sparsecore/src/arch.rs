@@ -185,18 +185,6 @@ impl ScGeneration {
         ScGeneration::for_spec(&tpu_spec::MachineSpec::v3()).expect("v3 has SparseCores")
     }
 
-    /// TPU v4's SparseCore (Figure 7).
-    ///
-    /// Deprecated alias for `for_spec(&MachineSpec::v4())`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ScGeneration::for_spec(&MachineSpec::v4())"
-    )]
-    pub fn tpu_v4() -> ScGeneration {
-        // tpu-lint: allow(panic-policy) -- built-in v2/v3/v4 specs all carry SparseCores
-        ScGeneration::for_spec(&tpu_spec::MachineSpec::v4()).expect("v4 has SparseCores")
-    }
-
     /// Aggregate lookup throughput per chip, lookups/s.
     pub fn lookups_per_second(&self) -> f64 {
         f64::from(self.sc_per_chip) * f64::from(self.tiles_per_sc) * self.clock_hz

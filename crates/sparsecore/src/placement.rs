@@ -195,17 +195,6 @@ impl EmbeddingSystem {
         EmbeddingSystem::for_spec(&spec, chips)
     }
 
-    /// A TPU v4 slice of `chips` chips on its canonical 3D torus.
-    ///
-    /// Deprecated alias for `for_generation(&Generation::V4, chips)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use EmbeddingSystem::for_generation(&Generation::V4, chips) or for_spec"
-    )]
-    pub fn tpu_v4_slice(chips: u64) -> EmbeddingSystem {
-        EmbeddingSystem::for_generation(&Generation::V4, chips)
-    }
-
     /// A TPU v3 slice of `chips` chips on its 2D torus.
     ///
     /// Convenience alias; prefer [`EmbeddingSystem::for_generation`] or
