@@ -27,6 +27,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 use tpu_sched::{FleetSim, FleetTrace, TraceEvent, TraceKind};
+use tpu_spec::hash::fnv1a_64;
 use tpu_spec::{FabricKind, FleetSpec, MachineSpec};
 
 /// True when the build's `rand` is the offline SplitMix64 shim — the
@@ -131,18 +132,11 @@ fn render(map: &BTreeMap<String, String>) -> String {
 }
 
 /// FNV-1a 64 over every recorded event: `t.to_bits()`, a kind tag and
-/// the kind's fields, `busy_chips` and `down_hosts`, each as
-/// little-endian `u64` words.
+/// the kind's fields, `busy_chips` and `down_hosts`, each as a
+/// little-endian `u64` word.
 fn log_digest(log: &[TraceEvent]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut word = |w: u64| {
-        for byte in w.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut bytes = Vec::with_capacity(log.len() * 7 * 8);
     for e in log {
-        word(e.t.to_bits());
         let (tag, id, chips, production) = match e.kind {
             TraceKind::Arrival { job } => (0, job, 0, false),
             TraceKind::Rejected { job } => (1, job, 0, false),
@@ -157,14 +151,19 @@ fn log_digest(log: &[TraceEvent]) -> u64 {
             TraceKind::HostFailure { host } => (6, host, 0, false),
             TraceKind::HostRepair { host } => (7, host, 0, false),
         };
-        word(tag);
-        word(u64::from(id));
-        word(chips);
-        word(u64::from(production));
-        word(e.busy_chips);
-        word(u64::from(e.down_hosts));
+        for word in [
+            e.t.to_bits(),
+            tag,
+            u64::from(id),
+            chips,
+            u64::from(production),
+            e.busy_chips,
+            u64::from(e.down_hosts),
+        ] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
     }
-    h
+    fnv1a_64(&bytes)
 }
 
 /// A churn-heavy profile: offered load high enough to queue and
