@@ -8,9 +8,10 @@
 //!   was introduced.
 //! * `fleet_golden_specs.txt` — every `specs/*.json` machine on both of
 //!   its fabric arms for seeds 1–3 under a churn-heavy profile, plus one
-//!   jobless (pure failure/repair) run per spec. Each run also pins a
-//!   digest over its whole recorded event log (time bits, kind, busy
-//!   chips, down hosts), so every trace bit of every run is covered.
+//!   preemption-off run per spec and arm (seed 1) and one jobless (pure
+//!   failure/repair) run per spec. Each run also pins a digest over its
+//!   whole recorded event log (time bits, kind, busy chips, down hosts),
+//!   so every trace bit of every run is covered.
 //!
 //! Any change to event ordering, RNG stream layout, placement policy or
 //! metric arithmetic shows up here as a bit diff. If the change is
@@ -188,7 +189,8 @@ fn arms(spec: &MachineSpec) -> [FabricKind; 2] {
     }
 }
 
-/// Every pinned per-spec run, keyed `spec/arm/seedN` (hot profile) or
+/// Every pinned per-spec run, keyed `spec/arm/seedN` (hot profile),
+/// `spec/arm/nopreempt` (hot profile, seed 1, preemption off) or
 /// `spec/arm/jobless` (arrivals disabled), each snapshot carrying the
 /// event-log digest.
 fn spec_runs() -> BTreeMap<String, BTreeMap<String, String>> {
@@ -212,6 +214,16 @@ fn spec_runs() -> BTreeMap<String, BTreeMap<String, String>> {
                 pin(format!("{name}/{}/seed{seed}", fabric.label()), trace);
             }
         }
+        // Without preemption a blocked production head stays blocked
+        // until capacity changes: the scheduling pass's other branch.
+        for fabric in arms(&spec) {
+            let trace = FleetSim::for_spec(&spec, horizon, 1)
+                .with_profile(hot_profile())
+                .with_preemption(false)
+                .with_recording(true)
+                .run(fabric);
+            pin(format!("{name}/{}/nopreempt", fabric.label()), trace);
+        }
         let jobless = FleetSpec {
             arrival_interval_s: f64::INFINITY,
             ..hot_profile()
@@ -230,6 +242,7 @@ fn render_runs(runs: &BTreeMap<String, BTreeMap<String, String>>) -> String {
     let mut out = String::from(
         "# Pinned fleet-DES golden traces: every specs/*.json x both arms x seeds 1-3\n\
          # (hot profile) plus one jobless run per spec.\n\
+         # Also one preemption-off run per spec x arm (hot profile, seed 1).\n\
          # Regenerate with FLEET_GOLDEN_REGEN=1 (see fleet_golden.rs).\n",
     );
     for (id, snap) in runs {
