@@ -462,7 +462,6 @@ impl Supercomputer {
     /// for a twisted request on a switched machine (a switched fabric has
     /// no torus to twist).
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobId> {
-        let in_use = self.chips_in_use();
         let placement = match &mut self.fabric {
             MachineFabric::Torus(fabric) => Placement::Torus(fabric.allocate(spec.slice())?),
             MachineFabric::StaticTorus(cluster) => {
@@ -499,7 +498,8 @@ impl Supercomputer {
                     });
                 }
                 let needed = spec.slice().shape().volume();
-                let available = cluster.healthy_chips().saturating_sub(in_use);
+                let healthy = cluster.healthy_chips();
+                let available = healthy.saturating_sub(self.chips_in_use());
                 if needed > available {
                     return Err(SupercomputerError::InsufficientChips { needed, available });
                 }
@@ -938,7 +938,13 @@ mod tests {
         let err = sc
             .submit(JobSpec::new("big", SliceSpec::regular(shape(16, 17, 16))))
             .unwrap_err();
-        assert!(matches!(err, SupercomputerError::InsufficientChips { .. }));
+        assert_eq!(
+            err,
+            SupercomputerError::InsufficientChips {
+                needed: 4352,
+                available: 4216
+            }
+        );
 
         // Down an island: 4 fewer healthy chips, so the exact full
         // machine (8×17×31 = 4216 chips) no longer fits.
@@ -947,7 +953,29 @@ mod tests {
         let err = sc
             .submit(JobSpec::new("full", SliceSpec::regular(shape(8, 17, 31))))
             .unwrap_err();
-        assert!(matches!(err, SupercomputerError::InsufficientChips { .. }));
+        assert_eq!(
+            err,
+            SupercomputerError::InsufficientChips {
+                needed: 4216,
+                available: 4212
+            }
+        );
+        // A running job's chips are not available either: 4212 healthy
+        // minus 64 in use.
+        let small = sc
+            .submit(JobSpec::new("small", SliceSpec::regular(shape(4, 4, 4))))
+            .unwrap();
+        let err = sc
+            .submit(JobSpec::new("full", SliceSpec::regular(shape(8, 17, 31))))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SupercomputerError::InsufficientChips {
+                needed: 4216,
+                available: 4148
+            }
+        );
+        sc.finish(small).unwrap();
         sc.repair_host(BlockId::new(0), 0).unwrap();
         assert!(sc
             .submit(JobSpec::new("full", SliceSpec::regular(shape(8, 17, 31))))

@@ -286,11 +286,16 @@ impl Fabric {
 
     /// Healthy, unallocated blocks — what the scheduler can draw on.
     pub fn free_healthy_blocks(&self) -> Vec<BlockId> {
+        self.free_healthy().collect()
+    }
+
+    /// Healthy, unallocated blocks in index order, without collecting
+    /// them.
+    fn free_healthy(&self) -> impl Iterator<Item = BlockId> + '_ {
         self.blocks
             .iter()
             .filter(|b| b.is_healthy() && !self.in_use[b.id().index()])
             .map(Block::id)
-            .collect()
     }
 
     /// Allocates and programs a slice from any free healthy blocks
@@ -304,14 +309,12 @@ impl Fabric {
     ///   whole blocks.
     pub fn allocate(&mut self, spec: &SliceSpec) -> Result<MaterializedSlice, OcsError> {
         let needed = spec.blocks_needed()? as usize;
-        let free = self.free_healthy_blocks();
-        if free.len() < needed {
-            return Err(OcsError::InsufficientBlocks {
-                needed,
-                available: free.len(),
-            });
+        // Count first, so a refusal allocates nothing.
+        let available = self.free_healthy().count();
+        if available < needed {
+            return Err(OcsError::InsufficientBlocks { needed, available });
         }
-        let chosen: Vec<BlockId> = free.into_iter().take(needed).collect();
+        let chosen: Vec<BlockId> = self.free_healthy().take(needed).collect();
         self.allocate_on(spec, chosen)
     }
 
@@ -615,6 +618,36 @@ mod tests {
             .allocate(&SliceSpec::regular(SliceShape::new(4, 4, 4).unwrap()))
             .unwrap();
         assert_eq!(slice.blocks(), &[BlockId::new(1)]);
+    }
+
+    #[test]
+    fn refusals_count_only_free_healthy_blocks() {
+        let mut fabric = Fabric::with_blocks(5);
+        let one_block = SliceSpec::regular(SliceShape::new(4, 4, 4).unwrap());
+        let held = fabric.allocate(&one_block).unwrap();
+        assert_eq!(held.blocks(), &[BlockId::new(0)]);
+        fabric.set_host_up(BlockId::new(1), 7, false).unwrap();
+        assert_eq!(
+            fabric.free_healthy_blocks(),
+            vec![BlockId::new(2), BlockId::new(3), BlockId::new(4)]
+        );
+        // Block 0 is in use and block 1 has a failed host: three of the
+        // five blocks are available.
+        let err = fabric
+            .allocate(&SliceSpec::regular(SliceShape::new(4, 4, 16).unwrap()))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            OcsError::InsufficientBlocks {
+                needed: 4,
+                available: 3
+            }
+        );
+        // A slice that fits takes the lowest-indexed free healthy blocks.
+        let slice = fabric
+            .allocate(&SliceSpec::regular(SliceShape::new(4, 4, 8).unwrap()))
+            .unwrap();
+        assert_eq!(slice.blocks(), &[BlockId::new(2), BlockId::new(3)]);
     }
 
     #[test]

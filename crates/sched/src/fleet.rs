@@ -499,38 +499,42 @@ impl Ev {
     }
 }
 
-/// One drawn job.
-struct DrawnJob {
-    arrival: f64,
+/// What a job asks of the fabric. It is copied into the job's queue
+/// and running entries, so the engine keeps no other record of a job.
+#[derive(Clone, Copy)]
+struct Request {
+    /// The box in blocks (islands), what the static arm places.
     blocks_box: (u32, u32, u32),
+    /// The chip shape submitted to the reconfigurable arm.
     shape: SliceShape,
     chips: u64,
-    duration: f64,
     production: bool,
 }
 
-/// The lazy job-stream state: the dedicated jobs RNG plus the cursor
-/// of the next undrawn job. Jobs are drawn one ahead of the newest
-/// arrival, so the next arrival event can always be scheduled.
+/// One drawn job.
+struct DrawnJob {
+    arrival: f64,
+    duration: f64,
+    request: Request,
+}
+
+/// The lazy job-stream state: the dedicated jobs RNG plus the one job
+/// drawn ahead of the newest arrival, so the next arrival event can
+/// always be scheduled.
 struct JobDraw {
     rng: StdRng,
     mix: SliceMix,
-    next_idx: u32,
+    next: Option<DrawnJob>,
     t: f64,
     done: bool,
 }
 
-/// Looks up a live (queued or running) job by stream index. A free
-/// function over the map field so callers can hold disjoint borrows
-/// of other engine fields.
-fn job_of(jobs: &BTreeMap<u32, DrawnJob>, idx: u32) -> &DrawnJob {
-    jobs.get(&idx).expect("queued/running jobs stay drawn") // tpu-lint: allow(panic-policy) -- unreachable: entries live until completion/rejection
-}
-
 /// A queued placement request (initially the drawn job; after a
-/// preemption or failure kill, the remainder of it).
+/// preemption or failure kill, the remainder of it). It carries the
+/// job's request, so the queue is the only record of a waiting job.
 struct Queued {
     idx: u32,
+    request: Request,
     remaining: f64,
     enqueued_t: f64,
 }
@@ -539,16 +543,15 @@ struct Queued {
 enum Hold {
     /// Contiguous blocks on the static arm.
     Blocks(Vec<u32>),
-    /// An OCS-fabric job and the block indices its slice stitched.
-    Slice(JobId, Vec<u32>),
-    /// A switched-fabric job (capacity only, no unit pinning).
-    Capacity(JobId),
+    /// A job on the reconfigurable arm (OCS plugboard or switched
+    /// islands). The machine records its blocks, if it has any.
+    Job(JobId),
 }
 
-/// A running (placed) job.
+/// A running (placed) job, with the request it re-queues on eviction.
 struct Running {
     idx: u32,
-    chips: u64,
+    request: Request,
     hold: Hold,
     placed_t: f64,
     reconfig_s: f64,
@@ -578,10 +581,6 @@ struct Engine<'a> {
     mtbf_s: f64,
     mttr_s: f64,
     slo_s: Option<f64>,
-    /// Live (queued or running) jobs by stream index; entries are
-    /// removed at completion/rejection, so memory tracks concurrency,
-    /// not the horizon.
-    jobs: BTreeMap<u32, DrawnJob>,
     draw: JobDraw,
     health_rng: StdRng,
     queue: EventHeap,
@@ -652,7 +651,7 @@ impl<'a> Engine<'a> {
         let draw = JobDraw {
             rng: StdRng::seed_from_u64(chunk_seed(seed, STREAM_JOBS)),
             mix: SliceMix::table2(),
-            next_idx: 0,
+            next: None,
             t: 0.0,
             done: !profile.arrival_interval_s.is_finite(),
         };
@@ -697,7 +696,6 @@ impl<'a> Engine<'a> {
             mtbf_s: profile.mtbf_h * 3600.0,
             mttr_s: profile.mttr_h * 3600.0,
             slo_s: profile.repair_slo_h.map(|s| s * 3600.0),
-            jobs: BTreeMap::new(),
             draw,
             health_rng: StdRng::seed_from_u64(chunk_seed(seed, STREAM_HEALTH)),
             queue: EventHeap::new(),
@@ -721,7 +719,7 @@ impl<'a> Engine<'a> {
         engine
     }
 
-    /// Draws the next job from the job stream into the live map: the
+    /// Draws the next job from the job stream into `draw.next`: the
     /// gap, shape, duration and tier draws, in that order. A gap
     /// crossing the horizon ends the stream having consumed only the
     /// gap draw. Sub-unit requests round up to one block/island.
@@ -767,18 +765,16 @@ impl<'a> Engine<'a> {
         };
         let duration = -profile.mean_duration_s * (1.0 - rng.random::<f64>()).ln();
         let production = rng.random::<f64>() < self.sim.production_share;
-        self.jobs.insert(
-            self.draw.next_idx,
-            DrawnJob {
-                arrival: self.draw.t,
+        self.draw.next = Some(DrawnJob {
+            arrival: self.draw.t,
+            duration,
+            request: Request {
                 blocks_box,
                 shape: submit_shape,
                 chips,
-                duration,
                 production,
             },
-        );
-        self.draw.next_idx += 1;
+        });
     }
 
     /// Draws every host's initial state from the *stationary*
@@ -843,7 +839,7 @@ impl<'a> Engine<'a> {
     }
 
     fn drive(&mut self) {
-        if let Some(first) = self.jobs.get(&0) {
+        if let Some(first) = &self.draw.next {
             let at = first.arrival;
             self.push(at, Ev::JobArrival { idx: 0 });
         }
@@ -984,41 +980,59 @@ impl<'a> Engine<'a> {
             return;
         };
         self.release_hold(running.hold);
-        self.busy_chips -= running.chips;
+        self.busy_chips -= running.request.chips;
         self.trace.completions += 1;
         self.record(t, TraceKind::Completed { job: running.idx });
-        self.jobs.remove(&running.idx);
         self.pass(t, true);
     }
 
     fn job_arrival(&mut self, t: f64, idx: u32) {
         self.trace.arrivals += 1;
+        // The one arrival event in the heap is always the job drawn
+        // ahead.
+        // tpu-lint: allow(panic-policy) -- unreachable: arrivals are scheduled only for drawn jobs
+        let job = self.draw.next.take().expect("the arriving job was drawn");
         // Extend the lazy stream by one: job idx+1 is drawn exactly
         // when job idx arrives (a no-op once the stream crossed the
         // horizon).
         self.draw_next_job();
-        if let Some(next) = self.jobs.get(&(idx + 1)) {
+        if let Some(next) = &self.draw.next {
             let at = next.arrival;
             self.push(at, Ev::JobArrival { idx: idx + 1 });
         }
-        let job = job_of(&self.jobs, idx);
+        let request = job.request;
         let offerable = match &self.arm {
-            Arm::Fixed(cluster) => cluster.fits(job.blocks_box),
-            Arm::Reconfigurable(_) => job.chips <= self.sim.total_chips(),
+            Arm::Fixed(cluster) => cluster.fits(request.blocks_box),
+            Arm::Reconfigurable(_) => request.chips <= self.sim.total_chips(),
         };
-        let (tier, remaining) = (tier_of(job.production), job.duration);
         self.record(t, TraceKind::Arrival { job: idx });
-        if offerable {
-            self.queues[tier].push_back(Queued {
-                idx,
-                remaining,
-                enqueued_t: t,
-            });
-            self.pass(t, false);
-        } else {
+        if !offerable {
             self.trace.rejected += 1;
             self.record(t, TraceKind::Rejected { job: idx });
-            self.jobs.remove(&idx);
+            return;
+        }
+        let queue = &mut self.queues[tier_of(request.production)];
+        let becomes_head = queue.is_empty();
+        queue.push_back(Queued {
+            idx,
+            request,
+            remaining: job.duration,
+            enqueued_t: t,
+        });
+        // A job that queues behind an existing head cannot change the
+        // pass's outcome, so it runs no pass. Every handler ends with a
+        // pass, after which each non-empty queue's head has just been
+        // refused on the current arm state, and a non-empty production
+        // queue means preemption is off or already exhausted. Queueing
+        // behind a head changes neither arm, neither head and not
+        // `preempt_exhausted`, and a refused attempt mutates nothing
+        // the trace can see: `StaticCluster::allocate` at most rebuilds
+        // its summed-area cache, `Supercomputer::submit` and
+        // `Fabric::allocate` return before any mutation, and job ids
+        // advance only on success. The skipped pass would refuse both
+        // heads again and record nothing.
+        if becomes_head {
+            self.pass(t, false);
         }
     }
 
@@ -1032,13 +1046,13 @@ impl<'a> Engine<'a> {
         loop {
             let mut progressed = false;
             while let Some(head) = self.queues[PRODUCTION].front() {
-                let idx = head.idx;
+                let chips = head.request.chips;
                 if self.try_place_head(t, PRODUCTION) {
                     progressed = true;
                     continue;
                 }
                 if self.sim.preemption && !self.preempt_exhausted {
-                    self.preempt_for(t, idx);
+                    self.preempt_for(t, chips);
                     self.preempt_exhausted = true;
                     if self.try_place_head(t, PRODUCTION) {
                         progressed = true;
@@ -1061,10 +1075,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Evicts the newest best-effort jobs until the chips freed could
-    /// cover the blocked production job, then stops — placement is
-    /// retried by the caller (geometry may still refuse).
-    fn preempt_for(&mut self, t: f64, head_idx: u32) {
-        let needed = job_of(&self.jobs, head_idx).chips;
+    /// cover the blocked production job's `needed` chips, then stops —
+    /// placement is retried by the caller (geometry may still refuse).
+    fn preempt_for(&mut self, t: f64, needed: u64) {
         let mut freed = 0u64;
         while freed < needed {
             let Some(slot) = self.newest_running(true) else {
@@ -1081,12 +1094,12 @@ impl<'a> Engine<'a> {
         self.running
             .iter()
             .rev()
-            .find(|(_, r)| !best_effort_only || !job_of(&self.jobs, r.idx).production)
+            .find(|(_, r)| !best_effort_only || !r.request.production)
             .map(|(&slot, _)| slot)
     }
 
     /// Kills every running job with a block on the failed unit
-    /// (torus arms — switched holds have no unit pinning and are
+    /// (torus arms — switched jobs have no unit pinning and are
     /// handled by capacity displacement instead). Returns the kill
     /// count.
     fn kill_jobs_for_failure(&mut self, t: f64, unit: u32) -> u64 {
@@ -1094,10 +1107,14 @@ impl<'a> Engine<'a> {
             .running
             .iter()
             .filter_map(|(&slot, r)| {
-                let on_unit = match &r.hold {
-                    Hold::Blocks(blocks) => blocks.contains(&unit),
-                    Hold::Slice(_, blocks) => blocks.contains(&unit),
-                    Hold::Capacity(_) => false,
+                let on_unit = match (&self.arm, &r.hold) {
+                    (Arm::Fixed(_), Hold::Blocks(blocks)) => blocks.contains(&unit),
+                    (Arm::Reconfigurable(machine), Hold::Job(id)) => machine
+                        .job(*id)
+                        .ok()
+                        .and_then(|j| j.slice())
+                        .is_some_and(|s| s.blocks().iter().any(|b| b.index() == unit as usize)),
+                    _ => unreachable!("hold kind always matches the arm"),
                 };
                 on_unit.then_some(slot)
             })
@@ -1115,10 +1132,9 @@ impl<'a> Engine<'a> {
     fn evict(&mut self, t: f64, slot: u32, reason: EvictReason) -> u64 {
         let running = self.running.remove(&slot).expect("evicting a running job"); // tpu-lint: allow(panic-policy) -- unreachable: callers pass running slots
         self.release_hold(running.hold);
-        self.busy_chips -= running.chips;
+        self.busy_chips -= running.request.chips;
         let compute_done = (t - running.placed_t - running.reconfig_s).max(0.0);
         let remaining = (running.remaining_at_start - compute_done).max(0.0);
-        let job = job_of(&self.jobs, running.idx);
         let kind = match reason {
             EvictReason::Preempted => {
                 self.trace.preemptions += 1;
@@ -1129,46 +1145,34 @@ impl<'a> Engine<'a> {
                 TraceKind::FailureKill { job: running.idx }
             }
         };
-        self.queues[tier_of(job.production)].push_front(Queued {
+        self.queues[tier_of(running.request.production)].push_front(Queued {
             idx: running.idx,
+            request: running.request,
             remaining,
             enqueued_t: t,
         });
         self.record(t, kind);
-        running.chips
+        running.request.chips
     }
 
     /// Tries to place the head of one tier queue; on success pops it,
     /// schedules its end, and accounts the wait.
     fn try_place_head(&mut self, t: f64, tier: usize) -> bool {
-        let head = self.queues[tier].front().expect("caller checked"); // tpu-lint: allow(panic-policy) -- unreachable: caller checked
-        let job = job_of(&self.jobs, head.idx);
+        let request = self.queues[tier].front().expect("caller checked").request; // tpu-lint: allow(panic-policy) -- unreachable: caller checked
         let hold = match &mut self.arm {
-            Arm::Fixed(cluster) => match cluster.allocate(job.blocks_box) {
+            Arm::Fixed(cluster) => match cluster.allocate(request.blocks_box) {
                 Ok(blocks) => Hold::Blocks(blocks),
                 Err(_) => return false,
             },
             Arm::Reconfigurable(machine) => {
-                match machine.submit(JobSpec::new("fleet", SliceSpec::regular(job.shape))) {
-                    Ok(id) => {
-                        let slice_blocks: Option<Vec<u32>> = machine
-                            .job(id)
-                            .ok()
-                            .and_then(|j| j.slice())
-                            .map(|s| s.blocks().iter().map(|b| b.index() as u32).collect());
-                        match slice_blocks {
-                            Some(blocks) => Hold::Slice(id, blocks),
-                            None => Hold::Capacity(id),
-                        }
-                    }
+                match machine.submit(JobSpec::new("fleet", SliceSpec::regular(request.shape))) {
+                    Ok(id) => Hold::Job(id),
                     Err(_) => return false,
                 }
             }
         };
         let queued = self.queues[tier].pop_front().expect("caller checked"); // tpu-lint: allow(panic-policy) -- unreachable: caller checked
-        let job = job_of(&self.jobs, queued.idx);
-        let chips = job.chips;
-        let production = job.production;
+        let chips = request.chips;
         self.busy_chips += chips;
         let slot = self.trace.placements as u32;
         let wait = t - queued.enqueued_t;
@@ -1185,7 +1189,7 @@ impl<'a> Engine<'a> {
             slot,
             Running {
                 idx: queued.idx,
-                chips,
+                request,
                 hold,
                 placed_t: t,
                 reconfig_s: self.reconfig_s,
@@ -1199,7 +1203,7 @@ impl<'a> Engine<'a> {
             TraceKind::Placed {
                 job: queued.idx,
                 chips,
-                production,
+                production: request.production,
             },
         );
         true
@@ -1208,7 +1212,7 @@ impl<'a> Engine<'a> {
     fn release_hold(&mut self, hold: Hold) {
         match (&mut self.arm, hold) {
             (Arm::Fixed(cluster), Hold::Blocks(blocks)) => cluster.release(&blocks),
-            (Arm::Reconfigurable(machine), Hold::Slice(id, _) | Hold::Capacity(id)) => {
+            (Arm::Reconfigurable(machine), Hold::Job(id)) => {
                 machine.finish(id).expect("job is running"); // tpu-lint: allow(panic-policy) -- unreachable: job is running
             }
             _ => unreachable!("hold kind always matches the arm"),
