@@ -42,13 +42,17 @@
 //! # Memory and speed (DESIGN.md §15)
 //!
 //! The job stream is drawn lazily — one job ahead of the newest
-//! arrival — and running jobs live in a map that drops each entry when
-//! the job ends or is evicted, so memory tracks live jobs, not the
-//! horizon. The plugboard arm places with deferred OCS wiring
-//! ([`Supercomputer::set_deferred_wiring`]): admission runs in full,
-//! circuit programming is skipped. The `fleet_golden` fixtures pin the
-//! traces of every committed spec, and `tpu-core`'s `deferred_wiring`
-//! test proves deferred admission equals eager admission.
+//! arrival — and after that a job lives only in its queue entry or its
+//! running entry, each carrying the job's request. Running entries
+//! drop when the job ends or is evicted, so memory tracks live jobs,
+//! not the horizon. An arriving job runs a scheduling pass only when
+//! it becomes the head of its tier queue: behind a head that was just
+//! refused, a pass could not place anything. The plugboard arm places
+//! with deferred OCS wiring ([`Supercomputer::set_deferred_wiring`]):
+//! admission runs in full, circuit programming is skipped. The
+//! `fleet_golden` fixtures pin the traces of every committed spec, and
+//! `tpu-core`'s `deferred_wiring` test proves deferred admission equals
+//! eager admission.
 //!
 //! # Proven against the closed forms
 //!
