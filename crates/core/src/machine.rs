@@ -498,8 +498,7 @@ impl Supercomputer {
                     });
                 }
                 let needed = spec.slice().shape().volume();
-                let healthy = cluster.healthy_chips();
-                let available = healthy.saturating_sub(self.chips_in_use());
+                let available = cluster.healthy_chips().saturating_sub(self.chips_in_use());
                 if needed > available {
                     return Err(SupercomputerError::InsufficientChips { needed, available });
                 }
