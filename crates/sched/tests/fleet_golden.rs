@@ -13,9 +13,14 @@
 //!   whole recorded event log (time bits, kind, busy chips, down hosts),
 //!   so every trace bit of every run is covered.
 //!
+//! Beside them, [`GOODPUT_DIGESTS`] pins the Figure 4 goodput bits of
+//! every committed spec on both arms, inline and without a regenerate
+//! path: the fleet runs probe one slice size, the digests cover the
+//! whole slice axis.
+//!
 //! Any change to event ordering, RNG stream layout, placement policy or
-//! metric arithmetic shows up here as a bit diff. If the change is
-//! intentional, regenerate with:
+//! metric arithmetic shows up here as a bit diff. If the change to a
+//! fleet trace is intentional, regenerate the fixtures with:
 //!
 //! ```text
 //! FLEET_GOLDEN_REGEN=1 cargo test -p tpu-sched --test fleet_golden
@@ -27,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
-use tpu_sched::{FleetSim, FleetTrace, TraceEvent, TraceKind};
+use tpu_sched::{FleetSim, FleetTrace, GoodputSim, TraceEvent, TraceKind};
 use tpu_spec::hash::fnv1a_64;
 use tpu_spec::{FabricKind, FleetSpec, MachineSpec};
 
@@ -314,6 +319,97 @@ fn pinned_seed_trace_matches_the_committed_fixture_exactly() {
     assert!(n > 1_000, "golden run too quiet: {n} events");
     assert!(observed["preemptions"].parse::<u64>().unwrap() > 0);
     assert!(observed["failure_kills"].parse::<u64>().unwrap() > 0);
+}
+
+/// The static-arm and reconfigurable-arm goodput bits, pinned per
+/// committed spec: FNV-1a 64 over `GoodputSim::goodput(..).to_bits()`
+/// (little-endian) at 32 trials, seed 2023, for each slice size of
+/// [`goodput_slices`] × [`GOODPUT_AVAILABILITIES`] in that order. Written
+/// once from the allocate-until-refused static trial and never
+/// regenerated: any placement change on either arm shows up here.
+const GOODPUT_DIGESTS: [(&str, &str, u64); 18] = [
+    ("a100", "static", 0x3BAE77CC25AC1943),
+    ("a100", "switched", 0x0B187CFF58D72518),
+    ("h100", "static", 0x8583857ADEF8E9D4),
+    ("h100", "switched", 0x908147225FF1A446),
+    ("ipu-bow", "static", 0xC243238E8017A3B2),
+    ("ipu-bow", "switched", 0xFE09DD4A1E3BF967),
+    ("v2", "ocs", 0xAFA4D9317A9A3AC3),
+    ("v2", "static", 0xB941E92938E5F1E7),
+    ("v3", "ocs", 0x76609EA55876B3FB),
+    ("v3", "static", 0x457F5F9E7CCFFA29),
+    ("v3-ocs", "ocs", 0x76609EA55876B3FB),
+    ("v3-ocs", "static", 0x457F5F9E7CCFFA29),
+    ("v4", "ocs", 0x372467A321033759),
+    ("v4", "static", 0x5DE4E894EE189082),
+    ("v4-half", "ocs", 0xC99BC9B99138A3D4),
+    ("v4-half", "static", 0xEED55D2F0E80639A),
+    ("v4-ib", "static", 0xF34C8AFF4A8F9A48),
+    ("v4-ib", "switched", 0x0B1F550A498B74FD),
+];
+
+const GOODPUT_AVAILABILITIES: [f64; 4] = [0.97, 0.99, 0.995, 0.999];
+
+/// Every point of the Figure 4 slice axis on grids of at most 64
+/// blocks; on the larger island grids (a100's 1 054-island rail,
+/// v4-ib's 8×8×8) the points from 1/32 of the machine up, every other
+/// one plus the full machine, so a debug build stays fast.
+fn goodput_slices(sim: &GoodputSim) -> Vec<u64> {
+    let axis = sim.slice_axis();
+    let chips_per_block = u64::from(sim.model().chips_per_block());
+    let blocks = u64::from(sim.model().blocks());
+    if blocks <= 64 {
+        return axis;
+    }
+    let big: Vec<u64> = axis
+        .into_iter()
+        .filter(|&chips| chips / chips_per_block * 32 >= blocks)
+        .collect();
+    let mut picked: Vec<u64> = big.iter().step_by(2).copied().collect();
+    if picked.last() != big.last() {
+        picked.extend(big.last());
+    }
+    picked
+}
+
+/// One digest per `(spec, arm)`, keyed by spec name and arm label.
+fn goodput_digests() -> BTreeMap<(String, String), u64> {
+    let mut out = BTreeMap::new();
+    for (name, spec) in committed_specs() {
+        let sim = GoodputSim::for_spec(&spec, 32, 2023);
+        let slices = goodput_slices(&sim);
+        for fabric in arms(&spec) {
+            let mut bytes = Vec::new();
+            for &chips in &slices {
+                for availability in GOODPUT_AVAILABILITIES {
+                    let g = sim.goodput(chips, availability, fabric);
+                    bytes.extend_from_slice(&g.to_bits().to_le_bytes());
+                }
+            }
+            out.insert((name.clone(), fabric.label().to_string()), fnv1a_64(&bytes));
+        }
+    }
+    out
+}
+
+#[test]
+fn every_spec_goodput_on_both_arms_matches_the_pinned_digests() {
+    let observed = goodput_digests();
+    if !rng_is_the_shim_stream() {
+        // Foreign RNG (registry rand): the pinned bits don't apply, but
+        // the sweep must still be self-deterministic.
+        assert_eq!(observed, goodput_digests());
+        eprintln!("non-shim rand stream detected; skipped the digest comparison");
+        return;
+    }
+    let expected: BTreeMap<(String, String), u64> = GOODPUT_DIGESTS
+        .iter()
+        .map(|&(name, arm, d)| ((name.to_string(), arm.to_string()), d))
+        .collect();
+    assert_eq!(
+        expected, observed,
+        "goodput bits drifted from the pinned digests"
+    );
 }
 
 #[test]
