@@ -37,11 +37,15 @@ pub struct StaticCluster {
     /// it is skipped on the wire and excluded from equality.
     #[serde(skip)]
     occ: OccupancyIndex,
+    /// Working memory of [`StaticCluster::count_first_fit`], reused
+    /// across calls — pure cache, like `occ`.
+    #[serde(skip)]
+    pack: PackScratch,
 }
 
-/// Equality is over the logical cluster state; the occupancy cache is
-/// derived and deliberately excluded (a cluster that has built its index
-/// still equals one that has not).
+/// Equality is over the logical cluster state; the occupancy and pack
+/// caches are derived and deliberately excluded (a cluster that has
+/// built them still equals one that has not).
 impl PartialEq for StaticCluster {
     fn eq(&self, other: &StaticCluster) -> bool {
         self.grid == other.grid
@@ -53,45 +57,25 @@ impl PartialEq for StaticCluster {
     }
 }
 
-/// Boxes of at least this many cells are tested with the summed-area
-/// query; smaller boxes walk the free bitset directly. The SAT rebuild
-/// costs O(8·blocks) and a mutation invalidates it, so for the small
-/// boxes Monte Carlo packing requests most (a v4 1024-chip slice is 16
-/// blocks) the direct walk — O(volume) with early abort over a bitset
-/// that is *always* fresh — is the faster exact test; the SAT earns its
-/// rebuild on big boxes (long rail runs, near-machine slices) where a
-/// cell walk per anchor would dominate.
-const SAT_MIN_VOLUME: u32 = 32;
-
 /// The incremental occupancy structure behind [`StaticCluster::allocate`]:
-/// a flat free bitset (`free[i]` ⇔ block `i` is healthy and unallocated)
-/// maintained **incrementally** on every mutation, plus a lazily-rebuilt
-/// 3-D summed-area table over the 2×-tiled grid, so a large candidate
-/// box — wraparound included — is accepted or rejected with one
-/// 8-corner prefix-sum query instead of an O(box-volume) cell walk.
+/// a word-packed free bitset over the blocks in linear (x-fastest)
+/// order, its population count, and per-block down-host counters, all
+/// maintained **incrementally** on every mutation.
 ///
-/// Invariants:
-/// * when `dirty == false` (every moment after the first probe; `dirty`
-///   only marks a fresh or freshly-deserialized cluster):
-///   `free.len() == gx·gy·gz`, `free[i] == block_healthy(i) && !in_use[i]`,
-///   and `free_total == free.iter().filter(|f| **f).count()` — mutations
-///   keep these exact via [`OccupancyIndex::set_free`], O(1) per block;
-/// * when additionally `sat_dirty == false`: `sat` holds inclusive
-///   prefix sums of the free bitset tiled twice along each axis (dims
-///   `2gx × 2gy × 2gz`, 1-padded), so the free count of
-///   `[x, x+bx) × [y, y+by) × [z, z+bz)` with `b ≤ g` is exact even when
-///   the box wraps. Any `set_free` change sets `sat_dirty`; the next
-///   large-box `allocate` rebuilds in O(8·blocks).
+/// Invariant, whenever `dirty == false` (every moment after the first
+/// probe; `dirty` only marks a fresh or freshly-deserialized cluster):
+/// `free.len() == blocks.div_ceil(64)`, bit `i % 64` of `free[i / 64]`
+/// is set ⇔ `block_healthy(i) && !in_use[i]`, the bits past the last
+/// block are clear, and `free_total` counts the set bits — mutations
+/// keep these exact via [`OccupancyIndex::set_free`], O(1) per block.
 #[derive(Debug, Clone)]
 struct OccupancyIndex {
-    free: Vec<bool>,
+    free: Vec<u64>,
     free_total: u32,
     /// Down-host count per block — the O(1) health probe the hot paths
     /// (`set_host_up`, `release`) use instead of a `BTreeSet` range scan.
     down: Vec<u16>,
-    sat: Vec<u32>,
     dirty: bool,
-    sat_dirty: bool,
 }
 
 impl Default for OccupancyIndex {
@@ -100,9 +84,7 @@ impl Default for OccupancyIndex {
             free: Vec::new(),
             free_total: 0,
             down: Vec::new(),
-            sat: Vec::new(),
             dirty: true,
-            sat_dirty: true,
         }
     }
 }
@@ -119,81 +101,44 @@ impl OccupancyIndex {
             self.down[block as usize] += 1;
         }
         self.free.clear();
-        self.free.resize(blocks, false);
-        for (i, slot) in self.free.iter_mut().enumerate() {
-            *slot = !in_use[i] && self.down[i] == 0;
+        self.free.resize(blocks.div_ceil(64), 0);
+        for (i, &used) in in_use.iter().enumerate() {
+            if !used && self.down[i] == 0 {
+                self.free[i / 64] |= 1 << (i % 64);
+            }
         }
-        self.free_total = self.free.iter().filter(|f| **f).count() as u32;
+        self.free_total = self.free.iter().map(|w| w.count_ones()).sum();
         self.dirty = false;
-        self.sat_dirty = true;
     }
 
-    /// Point update of one block's free bit, keeping `free_total` exact
-    /// and invalidating the summed-area table when the bit changes.
+    /// Point update of one block's free bit, keeping `free_total` exact.
     fn set_free(&mut self, block: usize, free: bool) {
-        if self.free[block] != free {
-            self.free[block] = free;
+        let (word, bit) = (&mut self.free[block / 64], 1u64 << (block % 64));
+        if (*word & bit != 0) != free {
+            *word ^= bit;
             if free {
                 self.free_total += 1;
             } else {
                 self.free_total -= 1;
             }
-            self.sat_dirty = true;
         }
     }
+}
 
-    /// Rebuilds the summed-area table from the (fresh) free bitset.
-    fn rebuild_sat(&mut self, grid: (u32, u32, u32)) {
-        let (gx, gy, gz) = (grid.0 as usize, grid.1 as usize, grid.2 as usize);
-        let (tx, ty, tz) = (2 * gx, 2 * gy, 2 * gz);
-        // 1-padded inclusive prefix sums over the tiled grid.
-        self.sat.clear();
-        self.sat.resize((tx + 1) * (ty + 1) * (tz + 1), 0);
-        let stride_y = tx + 1;
-        let stride_z = (tx + 1) * (ty + 1);
-        for z in 1..=tz {
-            for y in 1..=ty {
-                let row = z * stride_z + y * stride_y;
-                let src_row = ((z - 1) % gz) * gy * gx + ((y - 1) % gy) * gx;
-                for x in 1..=tx {
-                    let cell = u32::from(self.free[src_row + (x - 1) % gx]);
-                    self.sat[row + x] = cell
-                        .wrapping_add(self.sat[row + x - 1])
-                        .wrapping_add(self.sat[row - stride_y + x])
-                        .wrapping_add(self.sat[row - stride_z + x])
-                        .wrapping_sub(self.sat[row - stride_y + x - 1])
-                        .wrapping_sub(self.sat[row - stride_z + x - 1])
-                        .wrapping_sub(self.sat[row - stride_z - stride_y + x])
-                        .wrapping_add(self.sat[row - stride_z - stride_y + x - 1]);
-                }
-            }
-        }
-        self.sat_dirty = false;
-    }
-
-    /// Free-cell count of the (possibly wrapping) box anchored at
-    /// `(x, y, z)` with extents `(bx, by, bz)`, extents ≤ grid dims.
-    fn box_free_count(
-        &self,
-        grid: (u32, u32, u32),
-        anchor: (u32, u32, u32),
-        b: (u32, u32, u32),
-    ) -> u32 {
-        let (gx, gy) = (grid.0 as usize, grid.1 as usize);
-        let stride_y = 2 * gx + 1;
-        let stride_z = (2 * gx + 1) * (2 * gy + 1);
-        let (x0, y0, z0) = (anchor.0 as usize, anchor.1 as usize, anchor.2 as usize);
-        let (x1, y1, z1) = (x0 + b.0 as usize, y0 + b.1 as usize, z0 + b.2 as usize);
-        let s = |x: usize, y: usize, z: usize| self.sat[z * stride_z + y * stride_y + x];
-        s(x1, y1, z1)
-            .wrapping_sub(s(x0, y1, z1))
-            .wrapping_sub(s(x1, y0, z1))
-            .wrapping_sub(s(x1, y1, z0))
-            .wrapping_add(s(x0, y0, z1))
-            .wrapping_add(s(x0, y1, z0))
-            .wrapping_add(s(x1, y0, z0))
-            .wrapping_sub(s(x0, y0, z0))
-    }
+/// Working memory of the pack query: the one-word mask table of the
+/// last request (grids of at most 64 blocks) and the multi-word pass's
+/// copy of the free words.
+#[derive(Debug, Clone, Default)]
+struct PackScratch {
+    /// The request `masks` was built for; `(0, 0, 0)` (never a
+    /// placeable request) until the first build.
+    bbox: (u32, u32, u32),
+    /// `masks[o * blocks + a]`: bit `i` set ⇔ block `i` is a cell of the
+    /// box in the request's `o`-th grid-fitting orientation anchored at
+    /// block `a`.
+    masks: Vec<u64>,
+    /// The multi-word pass's copy of the free words.
+    words: Vec<u64>,
 }
 
 impl StaticCluster {
@@ -225,6 +170,7 @@ impl StaticCluster {
             down_hosts: BTreeSet::new(),
             in_use: vec![false; blocks as usize],
             occ: OccupancyIndex::default(),
+            pack: PackScratch::default(),
         }
     }
 
@@ -279,12 +225,27 @@ impl StaticCluster {
     /// Whether a box of blocks could *ever* be placed in this grid (some
     /// axis orientation fits), regardless of health or occupancy — the
     /// "can the scheduler even advertise this topology" check that
-    /// rejects Table 2's OCS-only cigar shapes on static machines.
+    /// rejects Table 2's OCS-only cigar shapes on static machines. A box
+    /// with a zero extent holds nothing and never fits.
     pub fn fits(&self, bbox: (u32, u32, u32)) -> bool {
+        !self.candidates(bbox).as_slice().is_empty()
+    }
+
+    /// The orientations of `bbox` that fit the grid, in first-occurrence
+    /// order — the ones first-fit tries at every anchor. Empty for a box
+    /// with a zero extent.
+    fn candidates(&self, bbox: (u32, u32, u32)) -> Orientations {
         let (gx, gy, gz) = self.grid;
-        orientations(bbox)
-            .iter()
-            .any(|&(x, y, z)| x <= gx && y <= gy && z <= gz)
+        let mut out = Orientations::default();
+        if bbox.0 == 0 || bbox.1 == 0 || bbox.2 == 0 {
+            return out;
+        }
+        for &(x, y, z) in orientations(bbox).iter() {
+            if x <= gx && y <= gy && z <= gz {
+                out.push((x, y, z));
+            }
+        }
+        out
     }
 
     /// Failure and repair are tracked per host, so a block with two
@@ -342,119 +303,129 @@ impl StaticCluster {
     ///
     /// Placements are identical to a greedy cell-by-cell scan over
     /// `BTreeSet` health probes (the anchor/orientation order is
-    /// unchanged); only the candidate test changed, to the always-fresh
-    /// free bitset of the internal `OccupancyIndex` — walked directly
-    /// for small boxes, answered by one O(1) summed-area query for
-    /// boxes of `SAT_MIN_VOLUME` cells and up (DESIGN.md §11).
+    /// unchanged); only the candidate test changed, to contiguous runs
+    /// of the always-fresh word-packed free bitset (DESIGN.md §11). A
+    /// refusal changes nothing.
     ///
     /// # Errors
     ///
     /// [`SupercomputerError::NoContiguousSlice`] when no placement
-    /// exists — including when the box cannot fit the grid at all.
+    /// exists — including when the box cannot fit the grid at all or
+    /// has a zero extent.
     pub fn allocate(&mut self, bbox: (u32, u32, u32)) -> Result<Vec<u32>> {
-        let (gx, gy, gz) = self.grid;
-        let orients = orientations(bbox);
-        self.ensure_free();
-        let wanted = u64::from(bbox.0) * u64::from(bbox.1) * u64::from(bbox.2);
-        if wanted > u64::from(self.occ.free_total) {
-            return Err(SupercomputerError::NoContiguousSlice {
-                needed_blocks: bbox,
-            });
-        }
-        // Fits in u32: it is bounded by the free-block count just checked.
-        let volume = wanted as u32;
-        let use_sat = volume >= SAT_MIN_VOLUME;
-        if use_sat && self.occ.sat_dirty {
-            self.occ.rebuild_sat(self.grid);
-        }
-        // Anchors scan in linear index order (x fastest), so the index
-        // is a running counter — no per-anchor coordinate arithmetic.
-        let mut anchor_idx = 0usize;
-        for z in 0..gz {
-            for y in 0..gy {
-                for x in 0..gx {
-                    let idx = anchor_idx;
-                    anchor_idx += 1;
-                    // The anchor cell belongs to every orientation's box,
-                    // so an occupied anchor rejects all of them at once.
-                    if !self.occ.free[idx] {
-                        continue;
-                    }
-                    for &(bx, by, bz) in orients.iter() {
-                        if bx > gx || by > gy || bz > gz {
-                            continue;
-                        }
-                        if let Some(cells) = self.try_box((x, y, z), (bx, by, bz), volume, use_sat)
-                        {
-                            for &i in &cells {
-                                self.in_use[i as usize] = true;
-                                self.occ.set_free(i as usize, false);
-                            }
-                            return Ok(cells);
-                        }
-                    }
-                }
-            }
-        }
-        Err(SupercomputerError::NoContiguousSlice {
+        let refused = SupercomputerError::NoContiguousSlice {
             needed_blocks: bbox,
-        })
+        };
+        let orients = self.candidates(bbox);
+        if orients.as_slice().is_empty() {
+            return Err(refused);
+        }
+        self.ensure_free();
+        // Every candidate fits the grid, so the volume fits in u32.
+        let volume = bbox.0 * bbox.1 * bbox.2;
+        if volume > self.occ.free_total {
+            return Err(refused);
+        }
+        let (grid, free, orients) = (self.grid, &self.occ.free, orients.as_slice());
+        let fit = first_fit(free, grid, 0, orients.len(), |_, anchor, o| {
+            box_runs(grid, anchor, orients[o], |start, end| {
+                run_is_set(free, start, end)
+            })
+        });
+        let Some((_, anchor, o)) = fit else {
+            return Err(refused);
+        };
+        let cells: Vec<u32> = box_cells(grid, anchor, orients[o]).collect();
+        for &i in &cells {
+            self.in_use[i as usize] = true;
+            self.occ.set_free(i as usize, false);
+        }
+        Ok(cells)
     }
 
-    /// Tests one candidate box and, when every cell is free, returns its
-    /// cells in placement (dz/dy/dx) order. The SAT path answers with a
-    /// single prefix-sum query before walking the accepted box; the
-    /// direct path checks each grid row of the box as at most two
-    /// contiguous runs of the free bitset (the second when the row wraps
-    /// in x) with early abort — both are exact, so which one runs never
-    /// changes the placement.
-    fn try_box(
-        &self,
-        anchor: (u32, u32, u32),
-        b: (u32, u32, u32),
-        volume: u32,
-        use_sat: bool,
-    ) -> Option<Vec<u32>> {
-        let (gx, gy, gz) = self.grid;
-        let (x, y, z) = anchor;
-        if use_sat {
-            if self.occ.box_free_count(self.grid, anchor, b) != volume {
-                return None;
+    /// How many boxes repeated [`StaticCluster::allocate`] calls would
+    /// place, until the first refusal, with every block that `healthy`
+    /// marks down also failed — without touching the cluster. Blocks
+    /// already allocated or with a failed host stay unavailable. A box
+    /// with a zero extent counts 0.
+    ///
+    /// One first-fit pass over a copy of the free bitset: after a
+    /// placement at anchor `a` the pass resumes at `a + 1`, which is
+    /// exact because cells only ever become occupied during the fill —
+    /// a candidate refused earlier stays refused, and every candidate at
+    /// `a` now holds a taken cell. On grids of at most 64 blocks each
+    /// candidate is one AND against a per-request table of one-word
+    /// masks, cached between calls; larger grids use `allocate`'s run
+    /// test (DESIGN.md §11).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `healthy` does not hold exactly one flag per block.
+    pub fn count_first_fit(&mut self, healthy: &[bool], bbox: (u32, u32, u32)) -> u32 {
+        let blocks = self.in_use.len();
+        if healthy.len() != blocks {
+            // tpu-lint: allow(panic-policy) -- callers size `healthy` from this cluster's block count; any other length is a caller bug
+            panic!("{} health flags for {blocks} blocks", healthy.len());
+        }
+        let orients = self.candidates(bbox);
+        if orients.as_slice().is_empty() {
+            return 0;
+        }
+        self.ensure_free();
+        let (grid, orients) = (self.grid, orients.as_slice());
+        // Every candidate fits the grid, so the volume fits in u32.
+        let volume = bbox.0 * bbox.1 * bbox.2;
+        let mut placed = 0;
+        let mut from = 0;
+        if blocks <= 64 {
+            if self.pack.bbox != bbox {
+                self.pack.build_masks(grid, bbox, orients);
             }
-        } else {
-            // Reject before the cells Vec exists: candidates fail far
-            // more often than they succeed, and a heap allocation (or a
-            // modulo per cell) on every rejected box would dominate the
-            // scan itself.
-            let (xu, gxu) = (x as usize, gx as usize);
-            let end = xu + b.0 as usize;
-            let split = end.min(gxu);
-            for dz in 0..b.2 {
-                let zi = (z + dz) % gz;
-                for dy in 0..b.1 {
-                    let yi = (y + dy) % gy;
-                    let row = (gx * (yi + gy * zi)) as usize;
-                    if !self.occ.free[row + xu..row + split].iter().all(|&f| f) {
-                        return None;
-                    }
-                    if end > gxu && !self.occ.free[row..row + end - gxu].iter().all(|&f| f) {
-                        return None;
-                    }
+            let masks = &self.pack.masks;
+            let mut free = self.occ.free[0];
+            for (i, &up) in healthy.iter().enumerate() {
+                if !up {
+                    free &= !(1 << i);
                 }
             }
+            while volume <= free.count_ones() {
+                let fit = first_fit(&[free], grid, from, orients.len(), |a, _, o| {
+                    let mask = masks[o * blocks + a];
+                    free & mask == mask
+                });
+                let Some((a, _, o)) = fit else { break };
+                free &= !masks[o * blocks + a];
+                placed += 1;
+                from = a + 1;
+            }
+            return placed;
         }
-        let mut cells = Vec::with_capacity(volume as usize);
-        for dz in 0..b.2 {
-            let zi = (z + dz) % gz;
-            for dy in 0..b.1 {
-                let yi = (y + dy) % gy;
-                let row = gx * (yi + gy * zi);
-                for dx in 0..b.0 {
-                    cells.push(row + (x + dx) % gx);
-                }
+        let mut words = std::mem::take(&mut self.pack.words);
+        words.clear();
+        words.extend_from_slice(&self.occ.free);
+        for (i, &up) in healthy.iter().enumerate() {
+            if !up {
+                words[i / 64] &= !(1 << (i % 64));
             }
         }
-        Some(cells)
+        let mut left: u32 = words.iter().map(|w| w.count_ones()).sum();
+        while volume <= left {
+            let fit = first_fit(&words, grid, from, orients.len(), |_, anchor, o| {
+                box_runs(grid, anchor, orients[o], |start, end| {
+                    run_is_set(&words, start, end)
+                })
+            });
+            let Some((a, anchor, o)) = fit else { break };
+            box_runs(grid, anchor, orients[o], |start, end| {
+                clear_run(&mut words, start, end);
+                true
+            });
+            left -= volume;
+            placed += 1;
+            from = a + 1;
+        }
+        self.pack.words = words;
+        placed
     }
 
     /// Releases a previously allocated set of blocks.
@@ -475,16 +446,175 @@ impl StaticCluster {
     }
 }
 
+impl PackScratch {
+    /// Builds the one-word mask table of `bbox` from the cell walk
+    /// `allocate` returns its cells by.
+    fn build_masks(
+        &mut self,
+        grid: (u32, u32, u32),
+        bbox: (u32, u32, u32),
+        orients: &[(u32, u32, u32)],
+    ) {
+        let blocks = (grid.0 * grid.1 * grid.2) as usize;
+        self.masks.clear();
+        for &b in orients {
+            for a in 0..blocks {
+                let anchor = coordinates(grid, a);
+                let mask = box_cells(grid, anchor, b).fold(0u64, |m, i| m | 1 << i);
+                self.masks.push(mask);
+            }
+        }
+        self.bbox = bbox;
+    }
+}
+
+/// The grid coordinates of the block at linear index `a` (x fastest).
+fn coordinates(grid: (u32, u32, u32), a: usize) -> (u32, u32, u32) {
+    let (gx, gy) = (grid.0 as usize, grid.1 as usize);
+    (
+        (a % gx) as u32,
+        (a / gx % gy) as u32,
+        (a / (gx * gy)) as u32,
+    )
+}
+
+/// The first-fit scan `allocate` and `count_first_fit` share: anchors in
+/// linear index order (x fastest) from `from`, and at each anchor the
+/// `orients` candidate orientations in order; returns the first
+/// `(anchor index, anchor coordinates, orientation index)` that `fits`
+/// accepts. An anchor whose own bit is clear in `words` is skipped
+/// without a test — the anchor cell belongs to every orientation's box.
+fn first_fit(
+    words: &[u64],
+    grid: (u32, u32, u32),
+    from: usize,
+    orients: usize,
+    mut fits: impl FnMut(usize, (u32, u32, u32), usize) -> bool,
+) -> Option<(usize, (u32, u32, u32), usize)> {
+    let (gx, gy, gz) = grid;
+    let blocks = (gx * gy * gz) as usize;
+    if from >= blocks {
+        return None;
+    }
+    // Anchor coordinates advance with the index — no division per anchor.
+    let (mut x, mut y, mut z) = coordinates(grid, from);
+    for a in from..blocks {
+        if words[a / 64] >> (a % 64) & 1 == 1 {
+            if let Some(o) = (0..orients).find(|&o| fits(a, (x, y, z), o)) {
+                return Some((a, (x, y, z), o));
+            }
+        }
+        x += 1;
+        if x == gx {
+            x = 0;
+            y += 1;
+            if y == gy {
+                y = 0;
+                z += 1;
+            }
+        }
+    }
+    None
+}
+
+/// The cells of the box `b` anchored at `anchor`, wraparound included,
+/// in placement (dz/dy/dx) order — what `allocate` returns.
+fn box_cells(
+    grid: (u32, u32, u32),
+    anchor: (u32, u32, u32),
+    b: (u32, u32, u32),
+) -> impl Iterator<Item = u32> {
+    let (gx, gy, gz) = grid;
+    let (x, y, z) = anchor;
+    (0..b.2).flat_map(move |dz| {
+        let zi = (z + dz) % gz;
+        (0..b.1).flat_map(move |dy| {
+            let row = gx * ((y + dy) % gy + gy * zi);
+            (0..b.0).map(move |dx| row + (x + dx) % gx)
+        })
+    })
+}
+
+/// Visits the box `b` anchored at `anchor` as contiguous runs
+/// `[start, end)` of the linear block order, calling `run` on each until
+/// it returns false; returns whether every call returned true. There is
+/// one x-run per row; a box spanning the grid in x covers whole rows,
+/// so each plane's rows merge into one run, and a box spanning x and y
+/// likewise merges whole planes. A run that wraps splits in two.
+fn box_runs(
+    grid: (u32, u32, u32),
+    anchor: (u32, u32, u32),
+    b: (u32, u32, u32),
+    mut run: impl FnMut(usize, usize) -> bool,
+) -> bool {
+    let (gx, gy, gz) = (grid.0 as usize, grid.1 as usize, grid.2 as usize);
+    let (x, y, z) = (anchor.0 as usize, anchor.1 as usize, anchor.2 as usize);
+    let (bx, by, bz) = (b.0 as usize, b.1 as usize, b.2 as usize);
+    // `len` cells from `offset` within the period starting at `base`.
+    let mut wrapped = |base: usize, period: usize, offset: usize, len: usize| {
+        let end = offset + len;
+        if end <= period {
+            run(base + offset, base + end)
+        } else {
+            run(base + offset, base + period) && run(base, base + end - period)
+        }
+    };
+    let plane = gx * gy;
+    if bx < gx {
+        (0..bz).all(|dz| {
+            let zi = (z + dz) % gz;
+            (0..by).all(|dy| wrapped(gx * ((y + dy) % gy + gy * zi), gx, x, bx))
+        })
+    } else if by < gy {
+        (0..bz).all(|dz| wrapped(plane * ((z + dz) % gz), plane, gx * y, gx * by))
+    } else {
+        wrapped(0, plane * gz, plane * z, plane * bz)
+    }
+}
+
+/// Whether every bit of `[start, end)` is set (`start < end`).
+fn run_is_set(words: &[u64], start: usize, end: usize) -> bool {
+    let (first, last) = (start / 64, (end - 1) / 64);
+    let head = u64::MAX << (start % 64);
+    let tail = u64::MAX >> (63 - (end - 1) % 64);
+    if first == last {
+        return words[first] & head & tail == head & tail;
+    }
+    words[first] & head == head
+        && words[first + 1..last].iter().all(|&w| w == u64::MAX)
+        && words[last] & tail == tail
+}
+
+/// Clears every bit of `[start, end)` (`start < end`).
+fn clear_run(words: &mut [u64], start: usize, end: usize) {
+    let (first, last) = (start / 64, (end - 1) / 64);
+    let head = u64::MAX << (start % 64);
+    let tail = u64::MAX >> (63 - (end - 1) % 64);
+    if first == last {
+        words[first] &= !(head & tail);
+        return;
+    }
+    words[first] &= !head;
+    words[first + 1..last].fill(0);
+    words[last] &= !tail;
+}
+
 /// The distinct axis orientations of a box, inline (at most 6, no heap
 /// allocation — `allocate` computes this once per call inside the Monte
 /// Carlo packing loop).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Orientations {
     items: [(u32, u32, u32); 6],
     len: usize,
 }
 
 impl Orientations {
+    /// Appends one orientation (at most six ever are).
+    fn push(&mut self, o: (u32, u32, u32)) {
+        self.items[self.len] = o;
+        self.len += 1;
+    }
+
     /// The distinct orientations, in first-occurrence order.
     fn as_slice(&self) -> &[(u32, u32, u32)] {
         &self.items[..self.len]
@@ -508,14 +638,10 @@ fn orientations(b: (u32, u32, u32)) -> Orientations {
         (b.2, b.0, b.1),
         (b.2, b.1, b.0),
     ];
-    let mut out = Orientations {
-        items: [(0, 0, 0); 6],
-        len: 0,
-    };
+    let mut out = Orientations::default();
     for o in all {
         if !out.as_slice().contains(&o) {
-            out.items[out.len] = o;
-            out.len += 1;
+            out.push(o);
         }
     }
     out
@@ -597,9 +723,14 @@ mod tests {
         let mut c = StaticCluster::for_spec(&MachineSpec::v3());
         assert!(c.fits((4, 1, 1)));
         assert_eq!(c.allocate((4, 1, 1)).unwrap().len(), 4);
-        // A 1x1x5 cigar can never fit.
+        // A 1x1x5 cigar can never fit, nor can a box whose volume
+        // overflows u32.
         assert!(!c.fits((1, 1, 5)));
         assert!(c.allocate((1, 1, 5)).is_err());
+        let huge = (u32::MAX, u32::MAX, 2);
+        assert!(!c.fits(huge));
+        assert!(c.allocate(huge).is_err());
+        assert_eq!(c.count_first_fit(&[true; 16], huge), 0);
     }
 
     #[test]
@@ -648,6 +779,100 @@ mod tests {
             c.set_host_up(0, 16, false),
             Err(SupercomputerError::UnknownBlockHost { block: 0, host: 16 })
         ));
+    }
+
+    #[test]
+    fn zero_extent_boxes_never_place() {
+        let mut c = v4_static();
+        let before = c.clone();
+        let healthy = vec![true; 64];
+        for bbox in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0)] {
+            assert!(!c.fits(bbox), "{bbox:?}");
+            assert!(
+                matches!(
+                    c.allocate(bbox),
+                    Err(SupercomputerError::NoContiguousSlice { needed_blocks }) if needed_blocks == bbox
+                ),
+                "{bbox:?}"
+            );
+            assert_eq!(c.count_first_fit(&healthy, bbox), 0, "{bbox:?}");
+        }
+        assert_eq!(c, before);
+    }
+
+    /// Repeated `allocate` on a copy with `healthy`'s failures injected.
+    fn allocate_until_refused(c: &StaticCluster, healthy: &[bool], bbox: (u32, u32, u32)) -> u32 {
+        let mut copy = c.clone();
+        for (b, &up) in healthy.iter().enumerate() {
+            if !up {
+                copy.set_host_up(b as u32, 0, false).unwrap();
+            }
+        }
+        let mut placed = 0;
+        while copy.allocate(bbox).is_ok() {
+            placed += 1;
+        }
+        placed
+    }
+
+    #[test]
+    fn count_first_fit_counts_what_allocate_places_and_mutates_nothing() {
+        // v4 (64 blocks, one-word masks) and v4-ib (512 islands, runs),
+        // each with a job in place and a host already down.
+        for spec in [MachineSpec::v4(), MachineSpec::v4_ib_hybrid()] {
+            let mut c = StaticCluster::for_spec(&spec);
+            let job = c.allocate((2, 2, 2)).unwrap();
+            c.set_host_up(job[0] + 3, 1, false).unwrap();
+            let before = c.clone();
+            let n = c.blocks() as usize;
+            let healthy: Vec<bool> = (0..n).map(|i| i % 7 != 3).collect();
+            let (gx, gy, gz) = c.grid();
+            for bbox in [
+                (1, 1, 1),
+                (2, 2, 2),
+                (1, 2, 3),
+                (gx, gy, 1),
+                (gx, 1, gz),
+                (gx, gy, gz),
+            ] {
+                let want = allocate_until_refused(&before, &healthy, bbox);
+                assert_eq!(c.count_first_fit(&healthy, bbox), want, "{bbox:?}");
+                assert_eq!(c, before, "{bbox:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "63 health flags for 64 blocks")]
+    fn count_first_fit_rejects_a_health_vector_of_the_wrong_length() {
+        v4_static().count_first_fit(&[true; 63], (1, 1, 1));
+    }
+
+    #[test]
+    fn runs_are_tested_and_cleared_across_word_boundaries() {
+        for (start, end) in [
+            (0, 1),
+            (5, 6),
+            (0, 64),
+            (60, 70),
+            (63, 129),
+            (64, 128),
+            (0, 192),
+        ] {
+            let mut words = vec![u64::MAX; 3];
+            assert!(run_is_set(&words, start, end));
+            clear_run(&mut words, start, end);
+            for i in 0..192 {
+                let set = words[i / 64] >> (i % 64) & 1 == 1;
+                assert_eq!(set, !(start..end).contains(&i), "[{start}, {end}) bit {i}");
+            }
+            assert!(!run_is_set(&words, start, end));
+            // One clear bit anywhere in the run refuses it.
+            let mut one = vec![u64::MAX; 3];
+            one[(end - 1) / 64] &= !(1 << ((end - 1) % 64));
+            assert!(!run_is_set(&one, start, end));
+            assert!(start == 0 || run_is_set(&one, 0, start));
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property test: the summed-area-table allocator in
+//! Property test: the word-bitset allocator in
 //! [`StaticCluster::allocate`] must place **exactly** the blocks the old
 //! greedy cell-by-cell scan placed — same cells, same order, same
 //! failures — under randomized health and occupancy churn, for every
@@ -173,7 +173,7 @@ fn churn(spec: &MachineSpec, seed: u64, ops: u32) {
 }
 
 #[test]
-fn sat_allocator_matches_naive_greedy_scan_on_every_spec() {
+fn bitset_allocator_matches_naive_greedy_scan_on_every_spec() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
     let mut paths: Vec<_> = std::fs::read_dir(dir)
         .expect("specs directory")

@@ -1029,9 +1029,8 @@ impl<'a> Engine<'a> {
         // refused on the current arm state, and a non-empty production
         // queue means preemption is off or already exhausted. Queueing
         // behind a head changes neither arm, neither head and not
-        // `preempt_exhausted`, and a refused attempt mutates nothing
-        // the trace can see: `StaticCluster::allocate` at most rebuilds
-        // its summed-area cache, `Supercomputer::submit` and
+        // `preempt_exhausted`, and a refused attempt mutates nothing:
+        // `StaticCluster::allocate`, `Supercomputer::submit` and
         // `Fabric::allocate` return before any mutation, and job ids
         // advance only on success. The skipped pass would refuse both
         // heads again and record nothing.

@@ -6,14 +6,21 @@
 //! healthy sub-box of the fixed 4×4×4 block grid.
 //!
 //! Goodput = expected fraction of the machine's chips deliverable as
-//! slices of the requested size. Each Monte Carlo trial draws per-host
-//! health, injects the failures into a real machine —
-//! [`Supercomputer::for_spec`] with the fabric kind under test — and
-//! counts how many slices actually `submit`, so both arms of the Figure 4
-//! comparison run the same placement code production would
-//! (`tpu_core::Fabric` allocation on the OCS arm,
-//! [`tpu_core::StaticCluster`] contiguous packing on the static arm),
-//! not a private closed-form curve.
+//! slices of the requested size. Each Monte Carlo trial draws block
+//! health and counts how many slices the machine places with the down
+//! blocks failed, through the placement rules production uses rather
+//! than a private curve:
+//!
+//! * the static arm counts with [`StaticCluster::count_first_fit`]: one
+//!   first-fit pass in the anchor order and with the box test of
+//!   [`StaticCluster::allocate`], so exactly the slices an
+//!   allocate-until-refused loop would place, without touching the
+//!   cluster;
+//! * the OCS plugboard arm counts in closed form (any healthy blocks
+//!   form a slice), held by a test to the submit-until-refused loop
+//!   through the production `tpu_core::Fabric`;
+//! * switched islands `submit` through a real [`Supercomputer`] until
+//!   it refuses.
 
 use crate::model::PlannerModel;
 use crate::trials::{chunk_seed, run_chunks};
@@ -168,9 +175,9 @@ impl GoodputSim {
 
         // Trials run in fixed-size chunks, each on its own RNG stream
         // derived from (seed, chunk); every worker thread clones the
-        // lazily-cached pristine arm and resets it between trials
-        // (finish every job, repair every host), so per-trial work is
-        // only the failures and submissions themselves.
+        // lazily-cached pristine arm once, and every trial leaves it as
+        // it found it (the static and plugboard counts touch nothing;
+        // the switched loop finishes every job and repairs every host).
         let prototype = self.arm_prototype(fabric);
         let n_chunks = self.trials.div_ceil(TRIALS_PER_CHUNK) as usize;
         let chunk_sums = run_chunks(
@@ -256,9 +263,8 @@ impl GoodputSim {
     }
 }
 
-/// One goodput arm: built lazily once per sim, cloned per worker
-/// thread, and reused (reset between trials) across that worker's
-/// Monte Carlo chunks.
+/// One goodput arm: built lazily once per model, cloned per worker
+/// thread, and reused across that worker's Monte Carlo chunks.
 #[derive(Clone)]
 enum FabricArm {
     /// The statically-cabled grid (the machine itself for static specs,
@@ -382,10 +388,13 @@ pub fn place_reconfigurable_naive(
     placed
 }
 
-/// One trial of the statically-cabled arm: greedy first-fit of
-/// contiguous boxes through the core [`StaticCluster`] (which also
-/// serves as the static *counterfactual* grid for switched specs, one
-/// "block" per island), released and repaired for the next trial. Like
+/// One trial of the statically-cabled arm: how many slices greedy
+/// first-fit of contiguous boxes places on the core [`StaticCluster`]
+/// (which also serves as the static *counterfactual* grid for switched
+/// specs, one "block" per island) with the blocks `healthy` marks down
+/// failed, in blocks. A pure query — one pass of
+/// [`StaticCluster::count_first_fit`], with no failure injected, slice
+/// allocated, released or repaired on the cluster. Like
 /// [`place_reconfigurable`], doubles as the fleet DES capacity probe.
 #[doc(hidden)]
 pub fn place_static(
@@ -394,30 +403,7 @@ pub fn place_static(
     slice_box: (u32, u32, u32),
     blocks_needed: u32,
 ) -> u32 {
-    for (b, up) in healthy.iter().enumerate() {
-        if !up {
-            cluster
-                .set_host_up(b as u32, 0, false)
-                .expect("block indices are in range"); // tpu-lint: allow(panic-policy) -- unreachable: block indices are in range
-        }
-    }
-    let mut placed = 0;
-    let mut held = Vec::new();
-    while let Ok(blocks) = cluster.allocate(slice_box) {
-        placed += blocks_needed;
-        held.push(blocks);
-    }
-    for blocks in held {
-        cluster.release(&blocks);
-    }
-    for (b, up) in healthy.iter().enumerate() {
-        if !up {
-            cluster
-                .set_host_up(b as u32, 0, true)
-                .expect("block indices are in range"); // tpu-lint: allow(panic-policy) -- unreachable: block indices are in range
-        }
-    }
-    placed
+    cluster.count_first_fit(healthy, slice_box) * blocks_needed
 }
 
 #[cfg(test)]
@@ -649,6 +635,22 @@ mod tests {
         let any = sim.goodput(512, 0.99, FabricKind::Switched);
         assert!(fixed > 0.0, "static arm must place something");
         assert!(any >= fixed - 1e-9, "switched {any} < static {fixed}");
+    }
+
+    #[test]
+    fn place_static_repairs_no_host_it_did_not_fail() {
+        // Block 3's host 0 is down before the query, and `healthy` marks
+        // block 3 down too: the query must leave that host down and the
+        // cluster exactly as it found it.
+        let mut cluster = StaticCluster::for_spec(&MachineSpec::v4());
+        cluster.set_host_up(3, 0, false).unwrap();
+        let before = cluster.clone();
+        let mut healthy = vec![true; 64];
+        healthy[3] = false;
+        let placed = place_static(&mut cluster, &healthy, (2, 2, 2), 8);
+        assert!(placed > 0);
+        assert!(!cluster.block_healthy(3));
+        assert_eq!(cluster, before);
     }
 
     #[test]
