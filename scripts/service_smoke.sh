@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The CI service-smoke gate (DESIGN.md §14): start tpu-serve over the
 # committed specs/ corpus, then prove — byte for byte — that the HTTP
-# answer for every spec's what-if query equals the offline answer from
-# `tpu-serve --oneshot` (which builds its simulator through the same
-# GoodputSim::for_spec path as `repro --spec` and the test suite).
+# answer for every spec's what-if query, on its default fabric and on
+# the static arm, equals the offline answer from `tpu-serve --oneshot`
+# (which builds its simulator through the same GoodputSim::for_spec
+# path as `repro --spec` and the test suite).
 # Also checks every served spec body round-trips the committed file.
 #
 # Usage: scripts/service_smoke.sh [HOST:PORT]
@@ -47,6 +48,17 @@ for spec in specs/*.json; do
     echo "ok $name: HTTP == offline ($(cat "$workdir/$name.http.json"))"
   else
     echo "FAIL $name: HTTP response differs from offline --oneshot"
+    fail=1
+  fi
+
+  # No spec's default fabric is the static arm, so ask for it as well:
+  # the statically-cabled machine, or a switched spec's counterfactual.
+  curl -sf "http://$ADDR/specs/$name/whatif?$QUERY&fabric=static" >"$workdir/$name.static.http.json"
+  "$BIN" --oneshot "$spec" "whatif?$QUERY&fabric=static" >"$workdir/$name.static.offline.json"
+  if diff -u "$workdir/$name.static.offline.json" "$workdir/$name.static.http.json"; then
+    echo "ok $name: static-arm HTTP == offline ($(cat "$workdir/$name.static.http.json"))"
+  else
+    echo "FAIL $name: static-arm HTTP response differs from offline --oneshot"
     fail=1
   fi
 done
