@@ -388,14 +388,13 @@ pub fn place_reconfigurable_naive(
     placed
 }
 
-/// One trial of the statically-cabled arm: how many slices greedy
+/// One trial of the statically-cabled arm: the blocks that greedy
 /// first-fit of contiguous boxes places on the core [`StaticCluster`]
 /// (which also serves as the static *counterfactual* grid for switched
 /// specs, one "block" per island) with the blocks `healthy` marks down
-/// failed, in blocks. A pure query — one pass of
-/// [`StaticCluster::count_first_fit`], with no failure injected, slice
-/// allocated, released or repaired on the cluster. Like
-/// [`place_reconfigurable`], doubles as the fleet DES capacity probe.
+/// failed. One pass of [`StaticCluster::count_first_fit`], which leaves
+/// the cluster as it found it. Like [`place_reconfigurable`], doubles
+/// as the fleet DES capacity probe.
 #[doc(hidden)]
 pub fn place_static(
     cluster: &mut StaticCluster,
