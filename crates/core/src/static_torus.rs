@@ -493,9 +493,6 @@ fn first_fit(
 ) -> Option<(usize, (u32, u32, u32), usize)> {
     let (gx, gy, gz) = grid;
     let blocks = (gx * gy * gz) as usize;
-    if from >= blocks {
-        return None;
-    }
     // Anchor coordinates advance with the index — no division per anchor.
     let (mut x, mut y, mut z) = coordinates(grid, from);
     for a in from..blocks {
@@ -600,8 +597,8 @@ fn clear_run(words: &mut [u64], start: usize, end: usize) {
 }
 
 /// The distinct axis orientations of a box, inline (at most 6, no heap
-/// allocation — `allocate` computes this once per call inside the Monte
-/// Carlo packing loop).
+/// allocation — `allocate` and `count_first_fit` compute them once per
+/// call, and the Monte Carlo packing loop calls the latter every trial).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Orientations {
     items: [(u32, u32, u32); 6],
