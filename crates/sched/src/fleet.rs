@@ -86,6 +86,9 @@ use tpu_topology::SliceShape;
 const STREAM_JOBS: u64 = 1;
 /// Stream discriminator for the host-health RNG.
 const STREAM_HEALTH: u64 = 2;
+/// Share of arriving jobs in the production tier; the rest are
+/// best-effort.
+const PRODUCTION_SHARE: f64 = 0.25;
 
 /// The discrete-event fleet simulator (see the module docs).
 ///
@@ -99,7 +102,6 @@ pub struct FleetSim {
     horizon_s: f64,
     seed: u64,
     profile: FleetSpec,
-    production_share: f64,
     probe_slice_chips: u64,
     preemption: bool,
     record_events: bool,
@@ -133,7 +135,6 @@ impl FleetSim {
             model,
             horizon_s,
             seed,
-            production_share: 0.25,
             probe_slice_chips: u64::from(quarter_blocks) * u64::from(chips_per_unit),
             preemption: true,
             record_events: false,
@@ -151,15 +152,6 @@ impl FleetSim {
     #[must_use]
     pub fn with_profile(mut self, profile: FleetSpec) -> FleetSim {
         self.profile = profile;
-        self
-    }
-
-    /// Sets the share of arriving jobs in the production tier (the rest
-    /// are best-effort). Must be in [0, 1].
-    #[must_use]
-    pub fn with_production_share(mut self, share: f64) -> FleetSim {
-        assert!((0.0..=1.0).contains(&share), "share must be in [0, 1]");
-        self.production_share = share;
         self
     }
 
@@ -576,8 +568,9 @@ enum Arm {
 struct Engine<'a> {
     sim: &'a FleetSim,
     arm: Arm,
+    /// The static arm's probe twin; `None` on the reconfigurable arm,
+    /// whose probe reads the model's pristine machine.
     probe_static: Option<StaticCluster>,
-    probe_reconf: Option<Supercomputer>,
     probe_box: (u32, u32, u32),
     probe_shape: SliceShape,
     probe_blocks: u32,
@@ -624,13 +617,15 @@ impl<'a> Engine<'a> {
             machine.set_deferred_wiring(true);
             Arm::Reconfigurable(machine)
         };
-        // The probe arm is a pristine twin of the main arm: it never
-        // holds jobs, so feeding it the live block health through the
-        // exact GoodputSim placement functions yields the capacity the
-        // closed-form model would report for this instant.
-        let (probe_static, probe_reconf) = match &arm {
-            Arm::Fixed(c) => (Some(c.clone()), None),
-            Arm::Reconfigurable(m) => (None, Some(m.clone())),
+        // The probe never holds jobs, so feeding the live block health
+        // through the exact GoodputSim placement functions yields the
+        // capacity the closed-form model would report for this instant.
+        // The reconfigurable count only reads the model's pristine
+        // machine; the static pack query needs scratch space, so that
+        // arm keeps a pristine twin.
+        let probe_static = match &arm {
+            Arm::Fixed(c) => Some(c.clone()),
+            Arm::Reconfigurable(_) => None,
         };
         let (probe_box, probe_shape, probe_blocks) =
             slice_geometry(sim.model.spec(), sim.chips_per_unit, sim.probe_slice_chips);
@@ -692,7 +687,6 @@ impl<'a> Engine<'a> {
             sim,
             arm,
             probe_static,
-            probe_reconf,
             probe_box,
             probe_shape,
             probe_blocks,
@@ -768,7 +762,7 @@ impl<'a> Engine<'a> {
             SliceShape::new(1, 1, chips as u32).expect("positive chip count")
         };
         let duration = -profile.mean_duration_s * (1.0 - rng.random::<f64>()).ln();
-        let production = rng.random::<f64>() < self.sim.production_share;
+        let production = rng.random::<f64>() < PRODUCTION_SHARE;
         self.draw.next = Some(DrawnJob {
             arrival: self.draw.t,
             duration,
@@ -880,29 +874,27 @@ impl<'a> Engine<'a> {
         self.now = to;
     }
 
-    /// Recomputes deliverable capacity by running the *pristine* probe
-    /// arm, with the live block health, through the exact placement
+    /// Recomputes deliverable capacity by running a *pristine* arm,
+    /// with the live block health, through the exact placement
     /// functions `GoodputSim` uses.
     fn reprobe(&mut self) {
         self.healthy_scratch.clear();
         for &down in &self.down_in_unit {
             self.healthy_scratch.push(down == 0);
         }
-        let placed_blocks = if let Some(cluster) = self.probe_static.as_mut() {
-            place_static(
+        let placed_blocks = match self.probe_static.as_mut() {
+            Some(cluster) => place_static(
                 cluster,
                 &self.healthy_scratch,
                 self.probe_box,
                 self.probe_blocks,
-            )
-        } else {
-            let machine = self.probe_reconf.as_mut().expect("one probe arm"); // tpu-lint: allow(panic-policy) -- unreachable: one probe arm
-            place_reconfigurable(
-                machine,
+            ),
+            None => place_reconfigurable(
+                self.sim.model.reconfigurable_arm(),
                 &self.healthy_scratch,
                 self.probe_shape,
                 self.probe_blocks,
-            )
+            ),
         };
         self.deliverable_chips = u64::from(placed_blocks) * u64::from(self.sim.chips_per_unit);
         self.probe_dirty = false;

@@ -16,19 +16,19 @@
 //!   [`StaticCluster::allocate`], so exactly the slices an
 //!   allocate-until-refused loop would place, without touching the
 //!   cluster;
-//! * the OCS plugboard arm counts in closed form (any healthy blocks
-//!   form a slice), held by a test to the submit-until-refused loop
-//!   through the production `tpu_core::Fabric`;
-//! * switched islands `submit` through a real [`Supercomputer`] until
-//!   it refuses.
+//! * the reconfigurable arm counts in closed form on both of its
+//!   fabrics: behind the OCS plugboard any healthy blocks form a slice,
+//!   and behind the switched fat tree any healthy islands do, so a
+//!   trial places ⌊healthy chips / slice chips⌋ slices. A test holds
+//!   the count to the submit-until-refused loop through the production
+//!   [`Supercomputer`].
 
 use crate::model::PlannerModel;
 use crate::trials::{chunk_seed, run_chunks};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use tpu_core::{JobSpec, StaticCluster, Supercomputer};
-use tpu_ocs::{BlockId, SliceSpec};
+use tpu_core::{StaticCluster, Supercomputer};
 use tpu_spec::{FabricKind, Generation, MachineSpec};
 use tpu_topology::{most_cubic_box, SliceShape};
 
@@ -129,13 +129,14 @@ impl GoodputSim {
     /// fleet-fabric kind.
     ///
     /// `FabricKind::Ocs` models the reconfigurable machine (any healthy
-    /// blocks form a slice, through `Supercomputer::submit` on the OCS
-    /// fabric); `FabricKind::Static` the statically-cabled one (greedy
-    /// first-fit contiguous packing through [`StaticCluster`], wraparound
-    /// placements allowed). For a `torus_dims == 0` spec,
-    /// `FabricKind::Switched` and `FabricKind::Ocs` both mean "the
-    /// machine's own switched fabric" — islands are interchangeable
-    /// behind the fat tree exactly like blocks behind the plugboard.
+    /// blocks form a slice, counted in closed form by
+    /// [`place_reconfigurable`]); `FabricKind::Static` the
+    /// statically-cabled one (greedy first-fit contiguous packing
+    /// through [`StaticCluster`], wraparound placements allowed). For a
+    /// `torus_dims == 0` spec, `FabricKind::Switched` and
+    /// `FabricKind::Ocs` both mean "the machine's own switched fabric" —
+    /// islands are interchangeable behind the fat tree exactly like
+    /// blocks behind the plugboard.
     ///
     /// Trials run in fixed-size chunks across worker threads (see
     /// [`GoodputSim::with_threads`] and [`crate::trials`]); for a given
@@ -174,16 +175,14 @@ impl GoodputSim {
         let p_block = availability.powi(self.model.hosts_per_block() as i32);
 
         // Trials run in fixed-size chunks, each on its own RNG stream
-        // derived from (seed, chunk); every worker thread clones the
-        // lazily-cached pristine arm once, and every trial leaves it as
-        // it found it (the static and plugboard counts touch nothing;
-        // the switched loop finishes every job and repairs every host).
-        let prototype = self.arm_prototype(fabric);
+        // derived from (seed, chunk). Each worker thread takes its arm
+        // from the model's lazily-cached pristine ones once, and every
+        // trial leaves it as it found it.
         let n_chunks = self.trials.div_ceil(TRIALS_PER_CHUNK) as usize;
         let chunk_sums = run_chunks(
             n_chunks,
             self.threads,
-            || (prototype.clone(), Vec::with_capacity(total_blocks)),
+            || (self.worker_arm(fabric), Vec::with_capacity(total_blocks)),
             |chunk, (arm, healthy)| {
                 let mut rng = StdRng::seed_from_u64(chunk_seed(self.seed, chunk as u64));
                 let chunk_trials =
@@ -211,13 +210,14 @@ impl GoodputSim {
         chunk_sums.into_iter().sum::<f64>() / f64::from(self.trials)
     }
 
-    /// The pristine arm for a fabric kind, built once per *model* (not
-    /// per sim, not per call) and cloned per worker thread afterwards.
-    fn arm_prototype(&self, fabric: FabricKind) -> FabricArm {
+    /// One worker's arm for a fabric kind. The pristine arms are built
+    /// once per *model* (not per sim, not per call); the static grid is
+    /// cloned per worker, the reconfigurable machine only borrowed.
+    fn worker_arm(&self, fabric: FabricKind) -> FabricArm<'_> {
         match fabric {
             FabricKind::Static => FabricArm::Static(self.model.static_arm().clone()),
             FabricKind::Ocs | FabricKind::Switched => {
-                FabricArm::Reconfigurable(self.model.reconfigurable_arm().clone())
+                FabricArm::Reconfigurable(self.model.reconfigurable_arm())
             }
         }
     }
@@ -263,16 +263,17 @@ impl GoodputSim {
     }
 }
 
-/// One goodput arm: built lazily once per model, cloned per worker
-/// thread, and reused across that worker's Monte Carlo chunks.
-#[derive(Clone)]
-enum FabricArm {
-    /// The statically-cabled grid (the machine itself for static specs,
-    /// the counterfactual otherwise).
+/// One worker thread's goodput arm, reused across that worker's Monte
+/// Carlo chunks.
+enum FabricArm<'a> {
+    /// A copy of the statically-cabled grid (the machine itself for
+    /// static specs, the counterfactual otherwise): the pack query needs
+    /// scratch space.
     Static(StaticCluster),
-    /// A real [`Supercomputer`] on the spec's any-healthy-capacity
-    /// fabric (OCS plugboard / switched islands).
-    Reconfigurable(Supercomputer),
+    /// The model's pristine [`Supercomputer`] on the spec's
+    /// any-healthy-capacity fabric (OCS plugboard / switched islands):
+    /// the count only reads it.
+    Reconfigurable(&'a Supercomputer),
 }
 
 /// The spec whose fabric backs the "reconfigurable" arm: torus fleets
@@ -320,72 +321,43 @@ pub fn slice_geometry(
     (slice_box, shape, blocks_needed)
 }
 
-/// One trial of the reconfigurable arm. Also the capacity probe of the
-/// discrete-event fleet simulator ([`crate::fleet`]): the DES hands
-/// its *current* block health to this exact function, so its goodput
+/// One trial of the reconfigurable arm: the blocks (or islands) a
+/// pristine `machine` places as slices of `shape` when the units that
+/// `healthy` marks down have failed. Also the capacity probe of the
+/// discrete-event fleet simulator ([`crate::fleet`]): the DES hands its
+/// *current* block health to this exact function, so its goodput
 /// generalizes — never diverges from — the closed-form arm.
 ///
-/// On the OCS plugboard the count is closed-form: `Fabric::allocate`
-/// takes the first `blocks_needed` free healthy blocks with *no*
-/// geometric constraint (any healthy blocks form a slice — the
-/// plugboard property the whole experiment measures), so every
-/// `blocks_needed` healthy blocks host exactly one slice and the
-/// machine is never touched. [`place_reconfigurable_naive`] keeps the
-/// submit-until-refused loop through the production fabric as the
-/// reference; the `fleet_fastpath_equivalence` test holds the
-/// arithmetic to it on every committed spec. Switched islands go
-/// through the naive path: their capacity check depends on per-island
-/// chip counts the machine owns.
+/// Both reconfigurable fabrics admit any healthy units: the OCS
+/// plugboard takes any free healthy blocks for a slice, and the
+/// switched fat tree admits a slice while it fits in healthy chips
+/// minus chips in use. So submit-until-refused on the pristine machine
+/// places ⌊healthy chips / slice chips⌋ slices, and this function is
+/// that arithmetic: it reads the machine and mutates nothing. Every
+/// unit is full except, on a switched machine whose fleet is not a
+/// multiple of the island size, the last island. The
+/// `fleet_fastpath_equivalence` test holds the count to the
+/// submit-until-refused loop on every committed spec.
 #[doc(hidden)]
 pub fn place_reconfigurable(
-    machine: &mut Supercomputer,
+    machine: &Supercomputer,
     healthy: &[bool],
     shape: SliceShape,
     blocks_needed: u32,
 ) -> u32 {
-    if !machine.is_switched() {
-        let healthy_blocks = healthy.iter().filter(|&&up| up).count() as u32;
-        return (healthy_blocks / blocks_needed) * blocks_needed;
-    }
-    place_reconfigurable_naive(machine, healthy, shape, blocks_needed)
-}
-
-/// The reference trial of the reconfigurable arm: inject the drawn
-/// failures, submit slices until the machine refuses, then finish
-/// every job and repair every host so the next trial starts clean.
-#[doc(hidden)]
-pub fn place_reconfigurable_naive(
-    machine: &mut Supercomputer,
-    healthy: &[bool],
-    shape: SliceShape,
-    blocks_needed: u32,
-) -> u32 {
-    for (b, up) in healthy.iter().enumerate() {
-        if !up {
-            machine
-                .inject_host_failure(BlockId::new(b as u32), 0)
-                .expect("block indices are in range"); // tpu-lint: allow(panic-policy) -- unreachable: block indices are in range
-        }
-    }
-    let mut placed = 0;
-    while machine
-        .submit(JobSpec::new("goodput", SliceSpec::regular(shape)))
-        .is_ok()
-    {
-        placed += blocks_needed;
-    }
-    let jobs: Vec<_> = machine.jobs().map(|j| j.id()).collect();
-    for id in jobs {
-        machine.finish(id).expect("job is running"); // tpu-lint: allow(panic-policy) -- unreachable: job is running
-    }
-    for (b, up) in healthy.iter().enumerate() {
-        if !up {
-            machine
-                .repair_host(BlockId::new(b as u32), 0)
-                .expect("block indices are in range"); // tpu-lint: allow(panic-policy) -- unreachable: block indices are in range
-        }
-    }
-    placed
+    let total = machine.total_chips();
+    let units = healthy.len() as u64;
+    let unit_chips = machine
+        .switched()
+        .map_or(total / units.max(1), |c| u64::from(c.island_chips()));
+    let up = healthy.iter().filter(|&&up| up).count() as u64;
+    let last_shortfall = if healthy.last() == Some(&true) {
+        units * unit_chips - total
+    } else {
+        0
+    };
+    let healthy_chips = up * unit_chips - last_shortfall;
+    (healthy_chips / shape.volume()) as u32 * blocks_needed
 }
 
 /// One trial of the statically-cabled arm: the blocks that greedy
@@ -611,8 +583,8 @@ mod tests {
 
     #[test]
     fn repeated_goodput_calls_reuse_the_cached_arm() {
-        // Same sim, same query, twice: the second call runs on a clone
-        // of the cached pristine arm and must agree exactly (a dirty
+        // Same sim, same query, twice: the second call runs on the
+        // cached pristine arm again and must agree exactly (a dirty
         // prototype would skew every later sweep point).
         let s = GoodputSim::for_generation(&Generation::V4, 60, 11);
         for fabric in [FabricKind::Ocs, FabricKind::Static] {
