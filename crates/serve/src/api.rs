@@ -868,17 +868,13 @@ fn parse_u64(params: &[(String, String)], key: &'static str) -> Result<Option<u6
 
 /// The default fabric is the machine's reconfigurable arm: its own
 /// switched fabric for `torus_dims == 0` specs, the OCS plugboard
-/// otherwise; `switched` is rejected on torus specs exactly as in
+/// otherwise. On a `torus_dims == 0` spec `ocs` names that same arm, so
+/// it canonicalizes to `switched`: one question, one cache key, one
+/// body. `switched` is rejected on torus specs exactly as in
 /// `GoodputSim::goodput`.
 fn parse_fabric(params: &[(String, String)], model: &PlannerModel) -> Result<FabricKind, ApiError> {
     let fabric = match get(params, "fabric") {
-        None => {
-            if model.spec().torus_dims == 0 {
-                FabricKind::Switched
-            } else {
-                FabricKind::Ocs
-            }
-        }
+        None => FabricKind::Ocs,
         Some(raw) => FabricKind::from_label(raw).ok_or_else(|| {
             ApiError::bad_request(
                 "bad_fabric",
@@ -886,13 +882,15 @@ fn parse_fabric(params: &[(String, String)], model: &PlannerModel) -> Result<Fab
             )
         })?,
     };
-    if fabric == FabricKind::Switched && model.spec().torus_dims != 0 {
-        return Err(ApiError::bad_request(
+    let islands = model.spec().torus_dims == 0;
+    match fabric {
+        FabricKind::Ocs if islands => Ok(FabricKind::Switched),
+        FabricKind::Switched if !islands => Err(ApiError::bad_request(
             "bad_fabric",
             "fabric=switched is only defined for torus_dims == 0 specs".into(),
-        ));
+        )),
+        other => Ok(other),
     }
-    Ok(fabric)
 }
 
 /// IEEE-754 bit pattern of a result, for wire-level bit-identity

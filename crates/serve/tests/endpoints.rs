@@ -116,6 +116,37 @@ fn whatif_over_http_hits_the_cache_second_time() {
 }
 
 #[test]
+fn ocs_and_switched_spell_one_question_on_island_specs() {
+    // On a torus_dims == 0 spec, fabric=ocs computes the switched arm,
+    // so it canonicalizes to switched: one cache entry, one body.
+    let server = start_server();
+    let query = "availability=0.99&slice_chips=512&trials=30&seed=7";
+    let first = get(&server, &format!("/specs/a100/whatif?fabric=ocs&{query}"));
+    assert_eq!(first.status, 200, "{}", first.body);
+    assert_eq!(first.header("x-cache"), Some("miss"));
+    assert!(
+        first.body.contains("\"fabric\":\"switched\""),
+        "{}",
+        first.body
+    );
+    for target in [
+        format!("/specs/a100/whatif?fabric=switched&{query}"),
+        format!("/specs/a100/whatif?{query}"),
+    ] {
+        let again = get(&server, &target);
+        assert_eq!(again.header("x-cache"), Some("hit"), "{target}");
+        assert_eq!(again.body, first.body, "{target}");
+    }
+    let sweep = get(
+        &server,
+        &format!("/specs/a100/whatif/sweep?fabric=ocs&{query}"),
+    );
+    assert_eq!(sweep.header("x-cache"), Some("hit"), "{}", sweep.body);
+    assert_eq!(sweep.body, format!("[{}]\n", first.body.trim_end()));
+    server.shutdown();
+}
+
+#[test]
 fn collective_and_fleet_over_http() {
     let server = start_server();
     let quote = get(
