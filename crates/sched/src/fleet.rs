@@ -568,8 +568,8 @@ enum Arm {
 struct Engine<'a> {
     sim: &'a FleetSim,
     arm: Arm,
-    /// The static arm's probe twin; `None` on the reconfigurable arm,
-    /// whose probe reads the model's pristine machine.
+    /// The static arm's pristine probe twin (`None` on the
+    /// reconfigurable arm).
     probe_static: Option<StaticCluster>,
     probe_box: (u32, u32, u32),
     probe_shape: SliceShape,
