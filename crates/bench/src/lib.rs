@@ -8,9 +8,7 @@
 //! cargo run --release -p tpu-bench --bin repro
 //! ```
 //!
-//! or a single experiment with `--only fig6` etc. Criterion benchmarks of
-//! the same generators (plus the DESIGN.md ablations) live under
-//! `benches/`.
+//! or a single experiment with `--only fig6` etc.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

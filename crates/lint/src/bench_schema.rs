@@ -1,7 +1,7 @@
 //! Schema validation for committed `BENCH_*.json` perf reports.
 //!
-//! `perf_report` (and the criterion shim's `BENCH_JSON` mode) emit a
-//! JSON array of rows with exactly the five documented keys —
+//! `perf_report` emits a JSON array of rows with exactly the five
+//! documented keys —
 //! `bench`, `config`, `wall_s`, `trials_per_s`, `git_describe`
 //! (DESIGN.md §11). The perf trajectory is only comparable across PRs if
 //! every committed row keeps that shape, so the lint pass validates the

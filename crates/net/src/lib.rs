@@ -20,10 +20,11 @@
 //! `ring`/`tree`/`auto` selection of `tpu_spec::CollectiveSpec` choosing
 //! between algorithms per payload and scale (DESIGN.md §10).
 //!
-//! The InfiniBand alternative of §7.3 is modelled in [`fattree`]; the
+//! The InfiniBand fat tree of §7.3 is modelled in [`fattree`]; the
 //! general switched (NVLink-island + fat-tree) backend that machines with
 //! `torus_dims == 0` dispatch to — and the [`CollectiveBackend`] selector
-//! the upper layers share — live in [`switched`].
+//! the upper layers share — live in [`switched`], together with the §7.3
+//! hybrid ICI/IB network and its comparison against the torus.
 //!
 //! # Example
 //!
@@ -56,7 +57,7 @@ mod units;
 
 pub use collectives::{mesh_all_reduce_time, torus_all_gather_time, torus_all_reduce_time};
 pub use event::{FlowSim, SimReport};
-pub use fattree::{FatTree, HybridIciIb, IbComparison};
+pub use fattree::FatTree;
 pub use flows::{all_to_all_flows, ring_all_reduce_flows, Flow};
 pub use latency::{torus_diameter_hops, AlphaBeta};
 pub use load::{AllToAll, LinkLoads};

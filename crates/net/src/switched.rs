@@ -607,10 +607,14 @@ mod tests {
             assert_eq!(fabric.all_to_all_time(1, 1e9), 0.0);
             assert_eq!(fabric.all_reduce_time(0, 1e9), 0.0);
         }
+        // One §7.3 island uses no IB, but its ICI torus still costs time.
+        assert!(SwitchedFabric::v4_ib_reference().all_reduce_time(8, 1e9) > 0.0);
     }
 
     #[test]
     fn all_reduce_is_monotone_in_chips_and_bytes() {
+        let ib = SwitchedFabric::v4_ib_reference();
+        assert!(ib.all_reduce_time(4096, 1e9) >= ib.all_reduce_time(512, 1e9));
         let f = SwitchedFabric::nvlink_a100();
         let t512 = f.all_reduce_time(512, 1e9);
         let t4096 = f.all_reduce_time(4096, 1e9);
@@ -751,15 +755,26 @@ mod tests {
 
     #[test]
     fn v4_ib_comparison_lands_in_paper_bands() {
-        // §7.3: all-reduce 1.8x–2.4x slower, all-to-all 1.2x–2.4x slower.
+        // §7.3: all-reduce 1.8x–2.4x slower, all-to-all 1.2x–2.4x slower,
+        // depending on the slice size. Every shape stays inside a wider
+        // band, and some shape lands in each published one.
         let v4 = MachineSpec::v4();
         let ib = MachineSpec::v4_ib_hybrid();
         let mut ar = Vec::new();
         let mut a2a = Vec::new();
-        for s in [shape(8, 8, 8), shape(8, 8, 16), shape(8, 16, 16)] {
+        for s in [
+            shape(4, 4, 8),
+            shape(8, 8, 8),
+            shape(8, 8, 16),
+            shape(8, 16, 16),
+            shape(16, 16, 16),
+        ] {
             let cmp = BackendComparison::between(&v4, &ib, s, 1e9, 4096.0);
-            ar.push(cmp.all_reduce_slowdown);
-            a2a.push(cmp.all_to_all_slowdown);
+            let (r, a) = (cmp.all_reduce_slowdown, cmp.all_to_all_slowdown);
+            assert!(r > 1.4 && r < 3.0, "{s:?}: all-reduce {r}");
+            assert!(a > 1.0 && a < 3.2, "{s:?}: all-to-all {a}");
+            ar.push(r);
+            a2a.push(a);
         }
         assert!(ar.iter().any(|&s| (1.8..=2.4).contains(&s)), "{ar:?}");
         assert!(a2a.iter().any(|&s| (1.2..=2.4).contains(&s)), "{a2a:?}");

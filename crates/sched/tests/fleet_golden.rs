@@ -28,23 +28,12 @@
 //!
 //! and commit the new fixtures alongside the change that explains it.
 
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 use tpu_sched::{FleetSim, FleetTrace, GoodputSim, TraceEvent, TraceKind};
 use tpu_spec::hash::fnv1a_64;
 use tpu_spec::{FabricKind, FleetSpec, MachineSpec};
-
-/// True when the build's `rand` is the offline SplitMix64 shim — the
-/// stream the committed fixture was generated under. The required
-/// real-deps CI job swaps in registry rand, whose `StdRng` (ChaCha12)
-/// draws a different stream; there the exact-bits comparison is
-/// meaningless and the test degrades to internal-determinism checks.
-fn rng_is_the_shim_stream() -> bool {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    rng.random::<u64>() == 0xBEEB_8DA1_658E_EC67
-}
 
 fn fixture_path(file: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures")).join(file)
@@ -285,15 +274,6 @@ fn parse_runs(text: &str) -> BTreeMap<String, BTreeMap<String, String>> {
 #[test]
 fn pinned_seed_trace_matches_the_committed_fixture_exactly() {
     let observed = snapshot(&golden_run());
-    if !rng_is_the_shim_stream() {
-        // Foreign RNG (registry rand): the fixture's bits don't apply,
-        // but the run must still be self-deterministic and hot.
-        assert_eq!(observed, snapshot(&golden_run()));
-        let n: u64 = observed["events"].parse().unwrap();
-        assert!(n > 1_000, "golden run too quiet: {n} events");
-        eprintln!("non-shim rand stream detected; skipped the fixture comparison");
-        return;
-    }
     let path = fixture_path("fleet_golden_v4.txt");
     if std::env::var_os("FLEET_GOLDEN_REGEN").is_some() {
         fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -395,13 +375,6 @@ fn goodput_digests() -> BTreeMap<(String, String), u64> {
 #[test]
 fn every_spec_goodput_on_both_arms_matches_the_pinned_digests() {
     let observed = goodput_digests();
-    if !rng_is_the_shim_stream() {
-        // Foreign RNG (registry rand): the pinned bits don't apply, but
-        // the sweep must still be self-deterministic.
-        assert_eq!(observed, goodput_digests());
-        eprintln!("non-shim rand stream detected; skipped the digest comparison");
-        return;
-    }
     let expected: BTreeMap<(String, String), u64> = GOODPUT_DIGESTS
         .iter()
         .map(|&(name, arm, d)| ((name.to_string(), arm.to_string()), d))
@@ -414,10 +387,6 @@ fn every_spec_goodput_on_both_arms_matches_the_pinned_digests() {
 
 #[test]
 fn every_spec_arm_and_seed_matches_the_committed_fixture_exactly() {
-    if !rng_is_the_shim_stream() {
-        eprintln!("non-shim rand stream detected; skipped the fixture comparison");
-        return;
-    }
     let observed = spec_runs();
     let path = fixture_path("fleet_golden_specs.txt");
     if std::env::var_os("FLEET_GOLDEN_REGEN").is_some() {

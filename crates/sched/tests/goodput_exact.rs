@@ -12,14 +12,19 @@
 //!   block is up).
 //!
 //! So E = E[⌊H/b⌋·b]/n, and σ is that per-trial quantity's standard
-//! deviation. Every check asserts |MC − E| ≤ 4σ/√trials. The golden
-//! digests in `fleet_golden` pin whatever bits the code produces; this
-//! test checks that they are the right bits, with a bound that does not
-//! depend on the RNG stream.
+//! deviation. On grids of at most 16 blocks (v2, v3, v3-ocs) the static
+//! arm has an exact answer at every slice size too: all 2ⁿ block-health
+//! states go through `place_static`, each weighted by pᵘᵖ(1 − p)ᵈᵒʷⁿ.
+//!
+//! Every check asserts |MC − E| ≤ 4σ/√trials. The golden digests in
+//! `fleet_golden` pin whatever bits the code produces; this test checks
+//! that they are the right bits, with a bound that does not depend on
+//! the RNG stream.
 
 use std::fs;
 use std::path::PathBuf;
-use tpu_sched::GoodputSim;
+use tpu_sched::goodput::{place_static, slice_geometry};
+use tpu_sched::{GoodputSim, PlannerModel};
 use tpu_spec::{FabricKind, MachineSpec};
 
 const TRIALS: u32 = 1000;
@@ -62,14 +67,50 @@ fn binomial_pmf(n: u64, p: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Mean and standard deviation of ⌊H/b⌋·b/n for H ~ `pmf`.
-fn exact_moments(pmf: &[f64], b: u64) -> (f64, f64) {
-    let n = (pmf.len() - 1) as f64;
+/// The share of the n units placed for a slice of b units when h are
+/// up, as (share, share²) for h = 0..=n: ⌊h/b⌋·b/n whichever units are up.
+fn floor_shares(n: u64, b: u64) -> Vec<(f64, f64)> {
+    (0..=n)
+        .map(|h| {
+            let share = (h / b * b) as f64 / n as f64;
+            (share, share * share)
+        })
+        .collect()
+}
+
+/// The static arm's share on a grid small enough to enumerate: every one
+/// of the 2ⁿ block-health states through `place_static`, with the share
+/// and its square averaged over the states that have h blocks up.
+fn enumerated_static_shares(model: &PlannerModel, slice_chips: u64) -> Vec<(f64, f64)> {
+    let n = model.blocks() as usize;
+    let (slice_box, _, blocks_needed) =
+        slice_geometry(model.spec(), model.chips_per_block(), slice_chips);
+    let mut cluster = model.static_arm().clone();
+    let mut healthy = vec![false; n];
+    let mut sums = vec![(0.0, 0.0, 0u32); n + 1];
+    for state in 0u32..1 << n {
+        for (i, up) in healthy.iter_mut().enumerate() {
+            *up = state >> i & 1 == 1;
+        }
+        let placed = place_static(&mut cluster, &healthy, slice_box, blocks_needed);
+        let share = f64::from(placed) / n as f64;
+        let (sum, square, states) = &mut sums[state.count_ones() as usize];
+        *sum += share;
+        *square += share * share;
+        *states += 1;
+    }
+    sums.into_iter()
+        .map(|(sum, square, states)| (sum / f64::from(states), square / f64::from(states)))
+        .collect()
+}
+
+/// Mean and standard deviation of the placed share for H ~ `pmf`, given
+/// each count's mean (share, share²).
+fn exact_moments(pmf: &[f64], shares: &[(f64, f64)]) -> (f64, f64) {
     let (mut mean, mut square) = (0.0, 0.0);
-    for (h, &w) in pmf.iter().enumerate() {
-        let share = (h as u64 / b * b) as f64 / n;
+    for (&w, &(share, share_sq)) in pmf.iter().zip(shares) {
         mean += w * share;
-        square += w * share * share;
+        square += w * share_sq;
     }
     (mean, (square - mean * mean).max(0.0).sqrt())
 }
@@ -91,18 +132,29 @@ fn every_spec_matches_the_binomial_answer_within_four_sigma() {
         } else {
             FabricKind::Ocs
         };
+        let axis: Vec<u64> = sim
+            .slice_axis()
+            .into_iter()
+            .map(|chips| chips / chips_per_unit)
+            .collect();
+        let mut points: Vec<(FabricKind, u64, Vec<(f64, f64)>)> = axis
+            .iter()
+            .map(|&b| (reconfigurable, b, floor_shares(n, b)))
+            .collect();
+        if n <= 16 {
+            points.extend(axis.iter().map(|&b| {
+                let shares = enumerated_static_shares(model, b * chips_per_unit);
+                (FabricKind::Static, b, shares)
+            }));
+        } else {
+            points.extend([1, n].map(|b| (FabricKind::Static, b, floor_shares(n, b))));
+        }
         for availability in AVAILABILITIES {
             let p = availability.powi(model.hosts_per_block() as i32);
             let pmf = binomial_pmf(n, p);
-            let mut points: Vec<(FabricKind, u64)> = sim
-                .slice_axis()
-                .into_iter()
-                .map(|chips| (reconfigurable, chips / chips_per_unit))
-                .collect();
-            points.extend([(FabricKind::Static, 1), (FabricKind::Static, n)]);
-            for (fabric, b) in points {
-                let mc = sim.goodput(b * chips_per_unit, availability, fabric);
-                let (exact, sigma) = exact_moments(&pmf, b);
+            for (fabric, b, shares) in &points {
+                let mc = sim.goodput(b * chips_per_unit, availability, *fabric);
+                let (exact, sigma) = exact_moments(&pmf, shares);
                 let bound = 4.0 * sigma / f64::from(TRIALS).sqrt();
                 let at = format!(
                     "{name} {} {b} of {n} units at {availability}",
@@ -132,9 +184,9 @@ fn binomial_moments_match_closed_forms() {
     let (n, p) = (64, 0.9);
     let pmf = binomial_pmf(n, p);
     assert!((pmf.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    let (mean, sigma) = exact_moments(&pmf, 1);
+    let (mean, sigma) = exact_moments(&pmf, &floor_shares(n, 1));
     assert!((mean - p).abs() < 1e-12);
     assert!((sigma - (p * (1.0 - p) / n as f64).sqrt()).abs() < 1e-12);
-    let (all, _) = exact_moments(&pmf, n);
+    let (all, _) = exact_moments(&pmf, &floor_shares(n, n));
     assert!((all - p.powi(n as i32)).abs() < 1e-15);
 }

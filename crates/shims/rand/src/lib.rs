@@ -1,12 +1,12 @@
-//! Offline stand-in for the `rand` crate (0.9-style API).
+//! The workspace's random-number generator, with a rand-0.9-style API.
 //!
 //! Implements exactly the slice the workspace uses — `StdRng`,
 //! `SeedableRng::seed_from_u64`, `Rng::random::<f64>()` and
 //! `Rng::random_range(..)` over integer ranges — on top of a SplitMix64
-//! generator. Deterministic for a given seed, which is all the Monte
-//! Carlo models here require; it is NOT a cryptographic generator and its
-//! streams differ from the real `StdRng` (ChaCha12), so numeric
-//! expectations in tests are statistical, not stream-exact.
+//! generator. Every Monte Carlo stream in the workspace, and so every
+//! golden fixture and goodput digest, is defined by this generator: a
+//! change to its output is a change to every pinned result. It is NOT a
+//! cryptographic generator.
 
 #![forbid(unsafe_code)]
 

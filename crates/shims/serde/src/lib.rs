@@ -1,11 +1,10 @@
-//! Offline stand-in for the `serde` facade.
+//! No-op stand-in for the `serde` facade.
 //!
 //! Exposes `Serialize`/`Deserialize` as marker traits and re-exports the
 //! matching no-op derive macros so `use serde::{Deserialize, Serialize}`
 //! plus `#[derive(Serialize, Deserialize)]` compile unchanged across the
 //! workspace. No serializer exists here; structured output is produced by
-//! `tpu_spec::json` instead. Point the workspace `serde` dependency back
-//! at crates.io to restore the real thing.
+//! `tpu_spec::json` instead.
 
 #![forbid(unsafe_code)]
 

@@ -1,13 +1,10 @@
 //! No-op `#[derive(Serialize)]` / `#[derive(Deserialize)]` macros.
 //!
-//! The build environment has no registry access, so this crate stands in
-//! for the real `serde_derive`. The derives expand to nothing: the
-//! annotated types gain no trait impls, which is sufficient because the
-//! workspace only *marks* types as serializable and never calls a serde
-//! serializer. Real wire formats go through `tpu_spec::json`, which is
-//! hand-rolled. Swapping the workspace `serde`/`serde_derive` entries
-//! back to crates.io versions restores full serde behaviour without any
-//! source change.
+//! This crate stands in for the real `serde_derive`. The derives expand
+//! to nothing: the annotated types gain no trait impls, which is
+//! sufficient because the workspace only *marks* types as serializable
+//! and never calls a serde serializer. Real wire formats go through
+//! `tpu_spec::json`, which is hand-rolled.
 
 use proc_macro::TokenStream;
 

@@ -4,11 +4,11 @@
 use tpuv4::chip::ChipSpec;
 use tpuv4::embedding::DlrmConfig;
 use tpuv4::energy::carbon::{CarbonModel, Datacenter};
-use tpuv4::net::fattree::IbComparison;
+use tpuv4::net::BackendComparison;
 use tpuv4::ocs::CostModel;
 use tpuv4::sched::{GoodputSim, SliceMix};
 use tpuv4::sparsecore::{EmbeddingSystem, Placement};
-use tpuv4::spec::{FabricKind, Generation};
+use tpuv4::spec::{FabricKind, Generation, MachineSpec};
 use tpuv4::topology::SliceShape;
 use tpuv4::workloads::suite::ProductionSuite;
 
@@ -73,7 +73,13 @@ fn headline_twisted_tori_in_production() {
 #[test]
 fn headline_ib_worse_than_ocs() {
     // §7.3: replacing OCS/ICI with InfiniBand slows collectives.
-    let cmp = IbComparison::compare(SliceShape::new(8, 8, 8).unwrap(), 1e9, 4096.0);
+    let cmp = BackendComparison::between(
+        &MachineSpec::v4(),
+        &MachineSpec::v4_ib_hybrid(),
+        SliceShape::new(8, 8, 8).unwrap(),
+        1e9,
+        4096.0,
+    );
     assert!(cmp.all_reduce_slowdown > 1.5, "{}", cmp.all_reduce_slowdown);
     assert!(cmp.all_to_all_slowdown > 1.0, "{}", cmp.all_to_all_slowdown);
 }
