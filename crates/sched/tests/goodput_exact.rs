@@ -137,7 +137,7 @@ fn every_spec_matches_the_binomial_answer_within_four_sigma() {
             .into_iter()
             .map(|chips| chips / chips_per_unit)
             .collect();
-        let mut points: Vec<(FabricKind, u64, Vec<(f64, f64)>)> = axis
+        let mut points: Vec<_> = axis
             .iter()
             .map(|&b| (reconfigurable, b, floor_shares(n, b)))
             .collect();
