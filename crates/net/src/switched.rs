@@ -757,7 +757,7 @@ mod tests {
     fn v4_ib_comparison_lands_in_paper_bands() {
         // §7.3: all-reduce 1.8x–2.4x slower, all-to-all 1.2x–2.4x slower,
         // depending on the slice size. Every shape stays inside a wider
-        // band, and some shape lands in each published one.
+        // band.
         let v4 = MachineSpec::v4();
         let ib = MachineSpec::v4_ib_hybrid();
         let mut ar = Vec::new();
@@ -776,8 +776,13 @@ mod tests {
             ar.push(r);
             a2a.push(a);
         }
-        assert!(ar.iter().any(|&s| (1.8..=2.4).contains(&s)), "{ar:?}");
-        assert!(a2a.iter().any(|&s| (1.2..=2.4).contains(&s)), "{a2a:?}");
+        // Some shape from 8x8x8 to 8x16x16 lands in the published
+        // all-reduce band, and 8x8x8 or 8x8x16 in the all-to-all one.
+        assert!(ar[1..4].iter().any(|&s| (1.8..=2.4).contains(&s)), "{ar:?}");
+        assert!(
+            a2a[1..3].iter().any(|&s| (1.2..=2.4).contains(&s)),
+            "{a2a:?}"
+        );
     }
 
     #[test]

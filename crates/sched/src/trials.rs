@@ -13,8 +13,8 @@ use std::num::NonZeroUsize;
 /// The RNG seed of one trial chunk: a SplitMix64 finalizer over the base
 /// seed offset by the chunk index. Without the finalizer, neighbouring
 /// chunks would draw overlapping streams: the workspace generator is
-/// itself a SplitMix64, so seeds one increment apart yield the same
-/// stream shifted by one draw.
+/// itself a SplitMix64, so seeds one SplitMix64 gamma (the per-chunk
+/// offset below) apart yield the same stream shifted by one draw.
 pub fn chunk_seed(seed: u64, chunk: u64) -> u64 {
     let mut z = seed.wrapping_add(chunk.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -141,13 +141,12 @@ fn every_spec_matches_the_binomial_answer_within_four_sigma() {
             .iter()
             .map(|&b| (reconfigurable, b, floor_shares(n, b)))
             .collect();
+        points.extend([1, n].map(|b| (FabricKind::Static, b, floor_shares(n, b))));
         if n <= 16 {
             points.extend(axis.iter().map(|&b| {
                 let shares = enumerated_static_shares(model, b * chips_per_unit);
                 (FabricKind::Static, b, shares)
             }));
-        } else {
-            points.extend([1, n].map(|b| (FabricKind::Static, b, floor_shares(n, b))));
         }
         for availability in AVAILABILITIES {
             let p = availability.powi(model.hosts_per_block() as i32);

@@ -261,16 +261,16 @@ mod tests {
     #[test]
     fn twist_spec_rejects_oversized_offset() {
         let shape = SliceShape::new(4, 4, 8).unwrap();
-        let err = TwistSpec::new(
-            shape,
-            [
-                Coord3::new(0, 0, 9), // z extent is 8
-                Coord3::default(),
-                Coord3::default(),
-            ],
-        )
-        .unwrap_err();
-        assert_eq!(err, TopologyError::InconsistentTwist);
+        // z extent is 8: an offset as long as the ring it shifts is not a
+        // twist either.
+        for z in [8, 9] {
+            let err = TwistSpec::new(
+                shape,
+                [Coord3::new(0, 0, z), Coord3::default(), Coord3::default()],
+            )
+            .unwrap_err();
+            assert_eq!(err, TopologyError::InconsistentTwist, "offset {z}");
+        }
     }
 
     #[test]
