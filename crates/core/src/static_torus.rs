@@ -23,7 +23,7 @@ use tpu_topology::most_cubic_box;
 /// per-host health and per-block occupancy. The allocation unit is one
 /// block (4³ chips on the TPU generations); for `torus_dims == 0` specs
 /// used counterfactually the unit is one glueless island.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StaticCluster {
     grid: (u32, u32, u32),
     block_edge: u32,
@@ -32,29 +32,15 @@ pub struct StaticCluster {
     down_hosts: BTreeSet<(u32, u32)>,
     in_use: Vec<bool>,
     /// Occupancy acceleration structure, derived from
-    /// `down_hosts`/`in_use` (the sources of truth): built on first use,
-    /// then maintained incrementally by every mutation — pure cache, so
-    /// it is skipped on the wire and excluded from equality.
+    /// `down_hosts`/`in_use` (the sources of truth): built by
+    /// [`StaticCluster::for_spec`], then maintained incrementally by
+    /// every mutation, so it always equals what the sources imply.
     #[serde(skip)]
     occ: OccupancyIndex,
-    /// Working memory of [`StaticCluster::count_first_fit`], reused
-    /// across calls — pure cache, like `occ`.
+    /// The grid as one word when it has at most 64 blocks (`None`
+    /// above): the pack query's erosion arithmetic, derived from `grid`.
     #[serde(skip)]
-    pack: PackScratch,
-}
-
-/// Equality is over the logical cluster state; the occupancy and pack
-/// caches are derived and deliberately excluded (a cluster that has
-/// built them still equals one that has not).
-impl PartialEq for StaticCluster {
-    fn eq(&self, other: &StaticCluster) -> bool {
-        self.grid == other.grid
-            && self.block_edge == other.block_edge
-            && self.chips_per_block == other.chips_per_block
-            && self.hosts_per_block == other.hosts_per_block
-            && self.down_hosts == other.down_hosts
-            && self.in_use == other.in_use
-    }
+    word_grid: Option<WordGrid>,
 }
 
 /// The incremental occupancy structure behind [`StaticCluster::allocate`]:
@@ -62,53 +48,33 @@ impl PartialEq for StaticCluster {
 /// order, its population count, and per-block down-host counters, all
 /// maintained **incrementally** on every mutation.
 ///
-/// Invariant, whenever `dirty == false` (every moment after the first
-/// probe; `dirty` only marks a fresh or freshly-deserialized cluster):
-/// `free.len() == blocks.div_ceil(64)`, bit `i % 64` of `free[i / 64]`
-/// is set ⇔ `block_healthy(i) && !in_use[i]`, the bits past the last
-/// block are clear, and `free_total` counts the set bits — mutations
-/// keep these exact via [`OccupancyIndex::set_free`], O(1) per block.
-#[derive(Debug, Clone)]
+/// Invariant: `free.len() == blocks.div_ceil(64)`, bit `i % 64` of
+/// `free[i / 64]` is set ⇔ `block_healthy(i) && !in_use[i]`, the bits
+/// past the last block are clear, and `free_total` counts the set bits
+/// — mutations keep these exact via [`OccupancyIndex::set_free`], O(1)
+/// per block.
+#[derive(Debug, Clone, PartialEq)]
 struct OccupancyIndex {
     free: Vec<u64>,
     free_total: u32,
     /// Down-host count per block — the O(1) health probe the hot paths
     /// (`set_host_up`, `release`) use instead of a `BTreeSet` range scan.
     down: Vec<u16>,
-    dirty: bool,
-}
-
-impl Default for OccupancyIndex {
-    fn default() -> OccupancyIndex {
-        OccupancyIndex {
-            free: Vec::new(),
-            free_total: 0,
-            down: Vec::new(),
-            dirty: true,
-        }
-    }
 }
 
 impl OccupancyIndex {
-    /// Rebuilds the free bitset and down-host counts from the sources of
-    /// truth (only needed on a fresh or freshly-deserialized cluster —
-    /// afterwards both are maintained incrementally).
-    fn rebuild_free(&mut self, down_hosts: &BTreeSet<(u32, u32)>, in_use: &[bool]) {
-        let blocks = in_use.len();
-        self.down.clear();
-        self.down.resize(blocks, 0);
-        for &(block, _) in down_hosts {
-            self.down[block as usize] += 1;
+    /// The index of `blocks` free, healthy blocks: whole words of ones
+    /// and one partial word, no per-block loop.
+    fn all_free(blocks: usize) -> OccupancyIndex {
+        let mut free = vec![u64::MAX; blocks / 64];
+        if !blocks.is_multiple_of(64) {
+            free.push(u64::MAX >> (64 - blocks % 64));
         }
-        self.free.clear();
-        self.free.resize(blocks.div_ceil(64), 0);
-        for (i, &used) in in_use.iter().enumerate() {
-            if !used && self.down[i] == 0 {
-                self.free[i / 64] |= 1 << (i % 64);
-            }
+        OccupancyIndex {
+            free,
+            free_total: blocks as u32,
+            down: vec![0; blocks],
         }
-        self.free_total = self.free.iter().map(|w| w.count_ones()).sum();
-        self.dirty = false;
     }
 
     /// Point update of one block's free bit, keeping `free_total` exact.
@@ -123,22 +89,6 @@ impl OccupancyIndex {
             }
         }
     }
-}
-
-/// Working memory of the pack query: the one-word mask table of the
-/// last request (grids of at most 64 blocks) and the multi-word pass's
-/// copy of the free words.
-#[derive(Debug, Clone, Default)]
-struct PackScratch {
-    /// The request `masks` was built for; `(0, 0, 0)` (never a
-    /// placeable request) until the first build.
-    bbox: (u32, u32, u32),
-    /// `masks[o * blocks + a]`: bit `i` set ⇔ block `i` is a cell of the
-    /// box in the request's `o`-th grid-fitting orientation anchored at
-    /// block `a`.
-    masks: Vec<u64>,
-    /// The multi-word pass's copy of the free words.
-    words: Vec<u64>,
 }
 
 impl StaticCluster {
@@ -169,8 +119,8 @@ impl StaticCluster {
             hosts_per_block,
             down_hosts: BTreeSet::new(),
             in_use: vec![false; blocks as usize],
-            occ: OccupancyIndex::default(),
-            pack: PackScratch::default(),
+            occ: OccupancyIndex::all_free(blocks as usize),
+            word_grid: WordGrid::new(grid),
         }
     }
 
@@ -274,7 +224,7 @@ impl StaticCluster {
         } else {
             self.down_hosts.insert((block, host))
         };
-        if changed && !self.occ.dirty {
+        if changed {
             let b = block as usize;
             if up {
                 self.occ.down[b] -= 1;
@@ -285,15 +235,6 @@ impl StaticCluster {
             self.occ.set_free(b, free);
         }
         Ok(())
-    }
-
-    /// Makes the free bitset valid (a no-op except on a fresh or
-    /// freshly-deserialized cluster; every mutation afterwards keeps it
-    /// exact incrementally).
-    fn ensure_free(&mut self) {
-        if self.occ.dirty {
-            self.occ.rebuild_free(&self.down_hosts, &self.in_use);
-        }
     }
 
     /// Allocates the first contiguous box of healthy free blocks that
@@ -320,14 +261,13 @@ impl StaticCluster {
         if orients.as_slice().is_empty() {
             return Err(refused);
         }
-        self.ensure_free();
         // Every candidate fits the grid, so the volume fits in u32.
         let volume = bbox.0 * bbox.1 * bbox.2;
         if volume > self.occ.free_total {
             return Err(refused);
         }
         let (grid, free, orients) = (self.grid, &self.occ.free, orients.as_slice());
-        let fit = first_fit(free, grid, 0, orients.len(), |_, anchor, o| {
+        let fit = first_fit(free, grid, 0, orients.len(), |anchor, o| {
             box_runs(grid, anchor, orients[o], |start, end| {
                 run_is_set(free, start, end)
             })
@@ -345,72 +285,72 @@ impl StaticCluster {
 
     /// How many boxes repeated [`StaticCluster::allocate`] calls would
     /// place, until the first refusal, with every block that `healthy`
-    /// marks down also failed — without touching the cluster. Blocks
-    /// already allocated or with a failed host stay unavailable. A box
-    /// with a zero extent counts 0.
+    /// marks down also failed — without touching the cluster. `healthy`
+    /// holds one bit per block, 64 to a word: bit `i % 64` of
+    /// `healthy[i / 64]` is set ⇔ block `i` is up; bits past the last
+    /// block are ignored. Blocks already allocated or with a failed host
+    /// stay unavailable. A box with a zero extent counts 0.
     ///
-    /// One first-fit pass over a copy of the free bitset: after a
-    /// placement at anchor `a` the pass resumes at `a + 1`, which is
-    /// exact because cells only ever become occupied during the fill —
-    /// a candidate refused earlier stays refused, and every candidate at
-    /// `a` now holds a taken cell. On grids of at most 64 blocks each
-    /// candidate is one AND against a per-request table of one-word
-    /// masks, cached between calls; larger grids use `allocate`'s run
-    /// test (DESIGN.md §11).
+    /// One first-fit pass over the free words ANDed with `healthy`:
+    /// after a placement at anchor `a` the pass resumes at `a + 1`,
+    /// which is exact because cells only ever become occupied during the
+    /// fill — a candidate refused earlier stays refused, and every
+    /// candidate at `a` now holds a taken cell. On grids of at most 64
+    /// blocks the pass finds each anchor by bit-parallel erosion of the
+    /// free word; larger grids use `allocate`'s run test (DESIGN.md §11).
     ///
     /// # Panics
     ///
-    /// Panics if `healthy` does not hold exactly one flag per block.
-    pub fn count_first_fit(&mut self, healthy: &[bool], bbox: (u32, u32, u32)) -> u32 {
+    /// Panics if `healthy` does not hold exactly one word per 64 blocks.
+    pub fn count_first_fit(&self, healthy: &[u64], bbox: (u32, u32, u32)) -> u32 {
         let blocks = self.in_use.len();
-        if healthy.len() != blocks {
+        if healthy.len() != blocks.div_ceil(64) {
             // tpu-lint: allow(panic-policy) -- callers size `healthy` from this cluster's block count; any other length is a caller bug
-            panic!("{} health flags for {blocks} blocks", healthy.len());
+            panic!("{} health words for {blocks} blocks", healthy.len());
         }
         let orients = self.candidates(bbox);
         if orients.as_slice().is_empty() {
             return 0;
         }
-        self.ensure_free();
         let (grid, orients) = (self.grid, orients.as_slice());
         // Every candidate fits the grid, so the volume fits in u32.
         let volume = bbox.0 * bbox.1 * bbox.2;
         let mut placed = 0;
-        let mut from = 0;
-        if blocks <= 64 {
-            if self.pack.bbox != bbox {
-                self.pack.build_masks(grid, bbox, orients);
-            }
-            let masks = &self.pack.masks;
-            let mut free = self.occ.free[0];
-            for (i, &up) in healthy.iter().enumerate() {
-                if !up {
-                    free &= !(1 << i);
-                }
-            }
+        if let Some(g) = self.word_grid {
+            let mut free = self.occ.free[0] & healthy[0];
+            let mut from = 0;
             while volume <= free.count_ones() {
-                let fit = first_fit(&[free], grid, from, orients.len(), |a, _, o| {
-                    let mask = masks[o * blocks + a];
-                    free & mask == mask
-                });
-                let Some((a, _, o)) = fit else { break };
-                free &= !masks[o * blocks + a];
+                // The lowest free anchor at or after `from` over every
+                // orientation; on a tie the earlier orientation wins, as
+                // in `allocate`'s scan.
+                let ahead = u64::MAX.checked_shl(from).unwrap_or(0);
+                let (mut a, mut b) = (64, orients[0]);
+                for &o in orients {
+                    let first = (g.erode(free, o) & ahead).trailing_zeros();
+                    if first < a {
+                        (a, b) = (first, o);
+                    }
+                }
+                if a == 64 {
+                    break;
+                }
+                free &= !g.dilate(1 << a, b);
                 placed += 1;
                 from = a + 1;
             }
             return placed;
         }
-        let mut words = std::mem::take(&mut self.pack.words);
-        words.clear();
-        words.extend_from_slice(&self.occ.free);
-        for (i, &up) in healthy.iter().enumerate() {
-            if !up {
-                words[i / 64] &= !(1 << (i % 64));
-            }
-        }
+        let mut words: Vec<u64> = self
+            .occ
+            .free
+            .iter()
+            .zip(healthy)
+            .map(|(f, h)| f & h)
+            .collect();
         let mut left: u32 = words.iter().map(|w| w.count_ones()).sum();
+        let mut from = 0;
         while volume <= left {
-            let fit = first_fit(&words, grid, from, orients.len(), |_, anchor, o| {
+            let fit = first_fit(&words, grid, from, orients.len(), |anchor, o| {
                 box_runs(grid, anchor, orients[o], |start, end| {
                     run_is_set(&words, start, end)
                 })
@@ -424,7 +364,6 @@ impl StaticCluster {
             placed += 1;
             from = a + 1;
         }
-        self.pack.words = words;
         placed
     }
 
@@ -435,36 +374,103 @@ impl StaticCluster {
                 *slot = false;
             }
         }
-        if !self.occ.dirty {
-            for &b in blocks {
-                if (b as usize) < self.in_use.len() {
-                    let free = self.occ.down[b as usize] == 0;
-                    self.occ.set_free(b as usize, free);
-                }
+        for &b in blocks {
+            if (b as usize) < self.in_use.len() {
+                let free = self.occ.down[b as usize] == 0;
+                self.occ.set_free(b as usize, free);
             }
         }
     }
 }
 
-impl PackScratch {
-    /// Builds the one-word mask table of `bbox` from the cell walk
-    /// `allocate` returns its cells by.
-    fn build_masks(
-        &mut self,
-        grid: (u32, u32, u32),
-        bbox: (u32, u32, u32),
-        orients: &[(u32, u32, u32)],
-    ) {
-        let blocks = (grid.0 * grid.1 * grid.2) as usize;
-        self.masks.clear();
-        for &b in orients {
-            for a in 0..blocks {
-                let anchor = coordinates(grid, a);
-                let mask = box_cells(grid, anchor, b).fold(0u64, |m, i| m | 1 << i);
-                self.masks.push(mask);
+/// A grid of at most 64 blocks as one word, bit `i` for block `i` in
+/// linear (x-fastest) order. Moving every cell's bit a few steps along
+/// one axis, cyclically, is two shifts and two masks, so the anchors at
+/// which a box lies wholly in a free word take a handful of word
+/// operations (bit-parallel erosion), and so do the box's cells.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct WordGrid {
+    /// Cells per step along x, y and z: 1, gx and gx·gy.
+    step: [u32; 3],
+    /// The grid's extent along x, y and z.
+    len: [u32; 3],
+    /// One bit at the first cell of every period of an axis: every
+    /// x-row, every xy-plane, and (for z) the grid itself.
+    rep: [u64; 3],
+    /// Every cell of the grid.
+    cells: u64,
+}
+
+/// The word of the `k` lowest bits (`1 ≤ k ≤ 64`).
+fn low_bits(k: u32) -> u64 {
+    u64::MAX >> (64 - k)
+}
+
+impl WordGrid {
+    /// The word form of `grid`, or `None` past 64 blocks. Word
+    /// arithmetic only: one division per axis, no per-cell loop.
+    fn new(grid: (u32, u32, u32)) -> Option<WordGrid> {
+        let (gx, gy, gz) = grid;
+        let n = u64::from(gx) * u64::from(gy) * u64::from(gz);
+        if n == 0 || n > 64 {
+            return None;
+        }
+        let cells = low_bits(n as u32);
+        let step = [1, gx, gx * gy];
+        let len = [gx, gy, gz];
+        let rep = [0, 1, 2].map(|axis| cells / low_bits(step[axis] * len[axis]));
+        Some(WordGrid {
+            step,
+            len,
+            rep,
+            cells,
+        })
+    }
+
+    /// The cells whose neighbour `d` steps on along `axis` does not wrap
+    /// (`0 < d < len`): those whose coordinate is below `len − d`.
+    fn unwrapped(&self, axis: usize, d: u32) -> u64 {
+        self.rep[axis] * low_bits((self.len[axis] - d) * self.step[axis])
+    }
+
+    /// Bit `a` of the result is the bit of `word` at the cell `d` steps
+    /// on from `a` along `axis`, wrapping around the torus.
+    fn pull(&self, word: u64, axis: usize, d: u32) -> u64 {
+        let (step, lo) = (self.step[axis], self.unwrapped(axis, d));
+        (word >> (d * step) & lo) | (word << ((self.len[axis] - d) * step) & (self.cells ^ lo))
+    }
+
+    /// The mirror of [`WordGrid::pull`]: every set bit of `word` moves
+    /// `d` steps on along `axis`, wrapping around the torus.
+    fn push(&self, word: u64, axis: usize, d: u32) -> u64 {
+        let (step, lo) = (self.step[axis], self.unwrapped(axis, d));
+        (word & lo) << (d * step) | (word & (self.cells ^ lo)) >> ((self.len[axis] - d) * step)
+    }
+
+    /// The anchors at which box `b` lies wholly in `free`: `free` ANDed
+    /// with itself pulled along x, then the result along y, then z.
+    fn erode(&self, free: u64, b: (u32, u32, u32)) -> u64 {
+        let mut e = free;
+        for (axis, extent) in [b.0, b.1, b.2].into_iter().enumerate() {
+            let base = e;
+            for d in 1..extent {
+                e &= self.pull(base, axis, d);
             }
         }
-        self.bbox = bbox;
+        e
+    }
+
+    /// The cells of box `b` anchored at the one set bit of `anchor`: the
+    /// mirrored dilation, pushing along x, then y, then z.
+    fn dilate(&self, anchor: u64, b: (u32, u32, u32)) -> u64 {
+        let mut cells = anchor;
+        for (axis, extent) in [b.0, b.1, b.2].into_iter().enumerate() {
+            let base = cells;
+            for d in 1..extent {
+                cells |= self.push(base, axis, d);
+            }
+        }
+        cells
     }
 }
 
@@ -478,18 +484,19 @@ fn coordinates(grid: (u32, u32, u32), a: usize) -> (u32, u32, u32) {
     )
 }
 
-/// The first-fit scan `allocate` and `count_first_fit` share: anchors in
-/// linear index order (x fastest) from `from`, and at each anchor the
-/// `orients` candidate orientations in order; returns the first
-/// `(anchor index, anchor coordinates, orientation index)` that `fits`
-/// accepts. An anchor whose own bit is clear in `words` is skipped
-/// without a test — the anchor cell belongs to every orientation's box.
+/// The first-fit scan of `allocate` and of `count_first_fit` on grids
+/// above 64 blocks: anchors in linear index order (x fastest) from
+/// `from`, and at each anchor the `orients` candidate orientations in
+/// order; returns the first `(anchor index, anchor coordinates,
+/// orientation index)` that `fits` accepts. An anchor whose own bit is
+/// clear in `words` is skipped without a test — the anchor cell belongs
+/// to every orientation's box.
 fn first_fit(
     words: &[u64],
     grid: (u32, u32, u32),
     from: usize,
     orients: usize,
-    mut fits: impl FnMut(usize, (u32, u32, u32), usize) -> bool,
+    mut fits: impl FnMut((u32, u32, u32), usize) -> bool,
 ) -> Option<(usize, (u32, u32, u32), usize)> {
     let (gx, gy, gz) = grid;
     let blocks = (gx * gy * gz) as usize;
@@ -497,7 +504,7 @@ fn first_fit(
     let (mut x, mut y, mut z) = coordinates(grid, from);
     for a in from..blocks {
         if words[a / 64] >> (a % 64) & 1 == 1 {
-            if let Some(o) = (0..orients).find(|&o| fits(a, (x, y, z), o)) {
+            if let Some(o) = (0..orients).find(|&o| fits((x, y, z), o)) {
                 return Some((a, (x, y, z), o));
             }
         }
@@ -727,7 +734,7 @@ mod tests {
         let huge = (u32::MAX, u32::MAX, 2);
         assert!(!c.fits(huge));
         assert!(c.allocate(huge).is_err());
-        assert_eq!(c.count_first_fit(&[true; 16], huge), 0);
+        assert_eq!(c.count_first_fit(&[u64::MAX], huge), 0);
     }
 
     #[test]
@@ -782,7 +789,7 @@ mod tests {
     fn zero_extent_boxes_never_place() {
         let mut c = v4_static();
         let before = c.clone();
-        let healthy = vec![true; 64];
+        let healthy = [u64::MAX];
         for bbox in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0)] {
             assert!(!c.fits(bbox), "{bbox:?}");
             assert!(
@@ -795,6 +802,15 @@ mod tests {
             assert_eq!(c.count_first_fit(&healthy, bbox), 0, "{bbox:?}");
         }
         assert_eq!(c, before);
+    }
+
+    /// Health flags packed 64 to a word, as `count_first_fit` reads them.
+    fn words(healthy: &[bool]) -> Vec<u64> {
+        let mut out = vec![0u64; healthy.len().div_ceil(64)];
+        for (i, &up) in healthy.iter().enumerate() {
+            out[i / 64] |= u64::from(up) << (i % 64);
+        }
+        out
     }
 
     /// Repeated `allocate` on a copy with `healthy`'s failures injected.
@@ -814,8 +830,8 @@ mod tests {
 
     #[test]
     fn count_first_fit_counts_what_allocate_places_and_mutates_nothing() {
-        // v4 (64 blocks, one-word masks) and v4-ib (512 islands, runs),
-        // each with a job in place and a host already down.
+        // v4 (64 blocks, erosion) and v4-ib (512 islands, runs), each
+        // with a job in place and a host already down.
         for spec in [MachineSpec::v4(), MachineSpec::v4_ib_hybrid()] {
             let mut c = StaticCluster::for_spec(&spec);
             let job = c.allocate((2, 2, 2)).unwrap();
@@ -833,16 +849,68 @@ mod tests {
                 (gx, gy, gz),
             ] {
                 let want = allocate_until_refused(&before, &healthy, bbox);
-                assert_eq!(c.count_first_fit(&healthy, bbox), want, "{bbox:?}");
+                assert_eq!(c.count_first_fit(&words(&healthy), bbox), want, "{bbox:?}");
                 assert_eq!(c, before, "{bbox:?}");
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "63 health flags for 64 blocks")]
+    #[should_panic(expected = "2 health words for 64 blocks")]
     fn count_first_fit_rejects_a_health_vector_of_the_wrong_length() {
-        v4_static().count_first_fit(&[true; 63], (1, 1, 1));
+        v4_static().count_first_fit(&[u64::MAX; 2], (1, 1, 1));
+    }
+
+    #[test]
+    fn erosion_and_dilation_match_the_cell_walk_on_small_grids() {
+        // Every grid shape of at most 64 blocks that a spec can produce
+        // (most cubic boxes, and the 1×1×n rail), plus lopsided ones:
+        // for every box that fits, erosion sets exactly the anchors whose
+        // cells are all free, and dilation of one anchor is its cells.
+        let mut grids: Vec<(u32, u32, u32)> = (1..=64).map(most_cubic_box).collect();
+        grids.extend((1..=64).map(|n| (1, 1, n)));
+        grids.extend([
+            (4, 1, 1),
+            (3, 5, 2),
+            (8, 2, 4),
+            (2, 8, 4),
+            (64, 1, 1),
+            (1, 64, 1),
+        ]);
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        for grid in grids {
+            let g = WordGrid::new(grid).expect("at most 64 blocks");
+            let n = (grid.0 * grid.1 * grid.2) as usize;
+            for bx in 1..=grid.0.min(5) {
+                for by in 1..=grid.1.min(5) {
+                    for bz in 1..=grid.2.min(5) {
+                        let b = (bx, by, bz);
+                        for round in 0..4 {
+                            // The all-free word, then dense xorshift64 words.
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            let dense = if round == 0 {
+                                u64::MAX
+                            } else {
+                                state | state.rotate_left(11)
+                            };
+                            let free = dense & g.cells;
+                            let eroded = g.erode(free, b);
+                            for a in 0..n {
+                                let cells: u64 = box_cells(grid, coordinates(grid, a), b)
+                                    .fold(0, |m, i| m | 1 << i);
+                                assert_eq!(g.dilate(1 << a, b), cells, "{grid:?} {b:?} @{a}");
+                                let fits = free & cells == cells;
+                                assert_eq!(eroded >> a & 1 == 1, fits, "{grid:?} {b:?} @{a}");
+                            }
+                            assert_eq!(eroded & !g.cells, 0, "{grid:?} {b:?}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(WordGrid::new((4, 4, 5)).is_none());
     }
 
     #[test]

@@ -66,13 +66,15 @@ pub fn classify(rel_path: &str) -> FileKind {
 }
 
 /// True for files in the simulation crates whose lib code must stay
-/// deterministic.
+/// deterministic — the workspace generator among them, since every
+/// Monte Carlo stream and golden is its output.
 pub fn is_sim_crate(rel_path: &str) -> bool {
     [
         "crates/core/src/",
         "crates/net/src/",
         "crates/sched/src/",
         "crates/ocs/src/",
+        "crates/shims/rand/src/",
     ]
     .iter()
     .any(|p| rel_path.starts_with(p))
@@ -365,13 +367,19 @@ pub fn lint_source(
     diags
 }
 
-/// Directories never walked: build output, VCS metadata, `crates/shims`
-/// (the no-op serde derives and the workspace `rand` generator, which
-/// stays unlinted until it can move out of there, a move that changes
-/// perfbench's lock), and the lint crate's own deliberately-violating
-/// fixtures.
+/// Directories never walked: build output, VCS metadata, the no-op
+/// serde derives under `crates/shims` (the workspace `rand` generator
+/// beside them is walked), and the lint crate's own
+/// deliberately-violating fixtures.
 fn skip_dir(rel: &str) -> bool {
-    rel == "target" || rel == ".git" || rel == "crates/shims" || rel == "crates/lint/tests/fixtures"
+    matches!(
+        rel,
+        "target"
+            | ".git"
+            | "crates/shims/serde"
+            | "crates/shims/serde_derive"
+            | "crates/lint/tests/fixtures"
+    )
 }
 
 /// Collects every workspace `.rs` file, sorted by relative path.
@@ -447,6 +455,8 @@ mod tests {
     fn sim_crates_and_unit_modules() {
         assert!(is_sim_crate("crates/net/src/flows.rs"));
         assert!(is_sim_crate("crates/ocs/src/wiring.rs"));
+        assert!(is_sim_crate("crates/shims/rand/src/lib.rs"));
+        assert!(!is_sim_crate("crates/shims/serde/src/lib.rs"));
         assert!(!is_sim_crate("crates/chip/src/memory.rs"));
         // The HTTP service is I/O-bound library code, not a simulator:
         // it may spawn threads and take wall-clock timestamps, but its
@@ -457,6 +467,18 @@ mod tests {
         assert!(is_unit_module("crates/net/src/units.rs"));
         assert!(is_unit_module("crates/spec/src/consts.rs"));
         assert!(!is_unit_module("crates/net/src/latency.rs"));
+    }
+
+    #[test]
+    fn walk_reads_the_generator_and_skips_the_serde_derives() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files: Vec<String> = workspace_files(&root)
+            .unwrap()
+            .iter()
+            .map(|p| rel_path(&root, p))
+            .collect();
+        assert!(files.iter().any(|f| f == "crates/shims/rand/src/lib.rs"));
+        assert!(!files.iter().any(|f| f.starts_with("crates/shims/serde")));
     }
 
     #[test]

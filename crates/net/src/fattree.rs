@@ -10,9 +10,13 @@
 //! traffic is collision-free on a Clos; protocol processing is excluded,
 //! matching the paper's simulator which "ignores protocol processing on
 //! the CPU") and 0.80 for all-to-all (ECMP collisions under uniform
-//! random traffic). These are the only tuned values; the 1.8×–2.4×
-//! all-reduce and 1.2×–2.4× all-to-all slowdown ranges then emerge from
-//! the bandwidth arithmetic alone.
+//! random traffic). These are the only tuned values; the rest is
+//! bandwidth arithmetic. Against the paper's §7.3 ranges (1.8×–2.4×
+//! all-reduce, 1.2×–2.4× all-to-all), v4 vs v4-ib at 1 GB all-reduce
+//! and 4 KiB all-to-all reads 2.29×–2.36× all-reduce on 4×4×8 through
+//! 16×16×16, inside its band, and 1.367×, 1.930×, 1.137×, 1.178× and
+//! 1.206× all-to-all on 4×4×8, 8×8×8, 8×8×16, 8×16×16 and 16×16×16:
+//! 8×8×16 and 8×16×16 fall below the 1.2× band.
 
 use crate::units::LinkRate;
 use serde::{Deserialize, Serialize};

@@ -757,22 +757,26 @@ mod tests {
     fn v4_ib_comparison_lands_in_paper_bands() {
         // §7.3: all-reduce 1.8x–2.4x slower, all-to-all 1.2x–2.4x slower,
         // depending on the slice size. Every shape stays inside a wider
-        // band.
+        // band, and each slowdown is pinned to 1%. All-reduce lands in
+        // the band on every shape; all-to-all does not on 8x8x16
+        // (1.137x) and 8x16x16 (1.178x), below the paper's 1.2x.
         let v4 = MachineSpec::v4();
         let ib = MachineSpec::v4_ib_hybrid();
         let mut ar = Vec::new();
         let mut a2a = Vec::new();
-        for s in [
-            shape(4, 4, 8),
-            shape(8, 8, 8),
-            shape(8, 8, 16),
-            shape(8, 16, 16),
-            shape(16, 16, 16),
+        for (s, pinned) in [
+            (shape(4, 4, 8), (2.294, 1.367)),
+            (shape(8, 8, 8), (2.359, 1.930)),
+            (shape(8, 8, 16), (2.360, 1.137)),
+            (shape(8, 16, 16), (2.353, 1.178)),
+            (shape(16, 16, 16), (2.347, 1.206)),
         ] {
             let cmp = BackendComparison::between(&v4, &ib, s, 1e9, 4096.0);
             let (r, a) = (cmp.all_reduce_slowdown, cmp.all_to_all_slowdown);
             assert!(r > 1.4 && r < 3.0, "{s:?}: all-reduce {r}");
             assert!(a > 1.0 && a < 3.2, "{s:?}: all-to-all {a}");
+            assert!((r / pinned.0 - 1.0).abs() <= 0.01, "{s:?}: all-reduce {r}");
+            assert!((a / pinned.1 - 1.0).abs() <= 0.01, "{s:?}: all-to-all {a}");
             ar.push(r);
             a2a.push(a);
         }

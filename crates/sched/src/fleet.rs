@@ -60,14 +60,14 @@
 //! generalize (the `fleet_equivalence` integration test): measured host
 //! availability converges to [`tpu_spec::FleetSpec::steady_availability`]
 //! (renewal-reward), and measured goodput — a capacity probe through
-//! the *identical* `place_reconfigurable`/`place_static` functions
-//! [`GoodputSim`] uses, fed the DES's live block health — converges to
-//! [`GoodputSim::goodput`] at the same availability.
+//! the *identical* placement counts [`GoodputSim`] uses, on the model's
+//! pristine arms, fed the DES's live block health as health words —
+//! converges to [`GoodputSim::goodput`] at the same availability.
 //!
 //! [`GoodputSim`]: crate::GoodputSim
 //! [`GoodputSim::goodput`]: crate::GoodputSim::goodput
 
-use crate::goodput::{place_reconfigurable, place_static, slice_geometry};
+use crate::goodput::{place_reconfigurable_words, place_static_words, slice_geometry};
 use crate::model::PlannerModel;
 use crate::slice_mix::SliceMix;
 use crate::trials::{chunk_seed, run_chunks};
@@ -568,9 +568,6 @@ enum Arm {
 struct Engine<'a> {
     sim: &'a FleetSim,
     arm: Arm,
-    /// The static arm's pristine probe twin (`None` on the
-    /// reconfigurable arm).
-    probe_static: Option<StaticCluster>,
     probe_box: (u32, u32, u32),
     probe_shape: SliceShape,
     probe_blocks: u32,
@@ -596,7 +593,8 @@ struct Engine<'a> {
     running: BTreeMap<u32, Running>,
     queues: [VecDeque<Queued>; 2],
     preempt_exhausted: bool,
-    healthy_scratch: Vec<bool>,
+    /// Live unit health as the probe reads it, 64 units to a word.
+    health: Vec<u64>,
     trace: FleetTrace,
 }
 
@@ -616,16 +614,6 @@ impl<'a> Engine<'a> {
             let mut machine = sim.model.reconfigurable_arm().clone();
             machine.set_deferred_wiring(true);
             Arm::Reconfigurable(machine)
-        };
-        // The probe never holds jobs, so feeding the live block health
-        // through the exact GoodputSim placement functions yields the
-        // capacity the closed-form model would report for this instant.
-        // The reconfigurable count only reads the model's pristine
-        // machine; the static pack query needs scratch space, so that
-        // arm keeps a pristine twin.
-        let probe_static = match &arm {
-            Arm::Fixed(c) => Some(c.clone()),
-            Arm::Reconfigurable(_) => None,
         };
         let (probe_box, probe_shape, probe_blocks) =
             slice_geometry(sim.model.spec(), sim.chips_per_unit, sim.probe_slice_chips);
@@ -686,7 +674,6 @@ impl<'a> Engine<'a> {
         let mut engine = Engine {
             sim,
             arm,
-            probe_static,
             probe_box,
             probe_shape,
             probe_blocks,
@@ -709,7 +696,7 @@ impl<'a> Engine<'a> {
             running: BTreeMap::new(),
             queues: [VecDeque::new(), VecDeque::new()],
             preempt_exhausted: false,
-            healthy_scratch: Vec::with_capacity(sim.units as usize),
+            health: vec![0; sim.units.div_ceil(64) as usize],
             trace,
         };
         engine.draw_next_job();
@@ -874,24 +861,27 @@ impl<'a> Engine<'a> {
         self.now = to;
     }
 
-    /// Recomputes deliverable capacity by running a *pristine* arm,
-    /// with the live block health, through the exact placement
-    /// functions `GoodputSim` uses.
+    /// Recomputes deliverable capacity by running the model's
+    /// *pristine* arm, with the live block health, through the exact
+    /// placement counts `GoodputSim` uses. The probe never holds jobs,
+    /// so this is the capacity the closed-form model would report for
+    /// this instant; both counts only read the arm they borrow.
     fn reprobe(&mut self) {
-        self.healthy_scratch.clear();
-        for &down in &self.down_in_unit {
-            self.healthy_scratch.push(down == 0);
+        self.health.fill(0);
+        for (i, &down) in self.down_in_unit.iter().enumerate() {
+            self.health[i / 64] |= u64::from(down == 0) << (i % 64);
         }
-        let placed_blocks = match self.probe_static.as_mut() {
-            Some(cluster) => place_static(
-                cluster,
-                &self.healthy_scratch,
+        let placed_blocks = match self.arm {
+            Arm::Fixed(_) => place_static_words(
+                self.sim.model.static_arm(),
+                &self.health,
                 self.probe_box,
                 self.probe_blocks,
             ),
-            None => place_reconfigurable(
+            Arm::Reconfigurable(_) => place_reconfigurable_words(
                 self.sim.model.reconfigurable_arm(),
-                &self.healthy_scratch,
+                &self.health,
+                self.down_in_unit.len(),
                 self.probe_shape,
                 self.probe_blocks,
             ),

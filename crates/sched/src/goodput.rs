@@ -172,34 +172,40 @@ impl GoodputSim {
         // when all of its hosts are, i.e. with probability
         // availability^hosts — the per-host draws the old stream spent
         // are statistically redundant.
-        let p_block = availability.powi(self.model.hosts_per_block() as i32);
+        let up_below = bernoulli_threshold(availability.powi(self.model.hosts_per_block() as i32));
 
         // Trials run in fixed-size chunks, each on its own RNG stream
-        // derived from (seed, chunk). Each worker thread takes its arm
-        // from the model's lazily-cached pristine ones once, and every
-        // trial leaves it as it found it.
+        // derived from (seed, chunk). Every worker borrows the model's
+        // lazily-cached pristine arm: neither count mutates it.
+        let arm = match fabric {
+            FabricKind::Static => FabricArm::Static(self.model.static_arm()),
+            FabricKind::Ocs | FabricKind::Switched => {
+                FabricArm::Reconfigurable(self.model.reconfigurable_arm())
+            }
+        };
         let n_chunks = self.trials.div_ceil(TRIALS_PER_CHUNK) as usize;
         let chunk_sums = run_chunks(
             n_chunks,
             self.threads,
-            || (self.worker_arm(fabric), Vec::with_capacity(total_blocks)),
-            |chunk, (arm, healthy)| {
+            || vec![0u64; total_blocks.div_ceil(64)],
+            |chunk, health| {
                 let mut rng = StdRng::seed_from_u64(chunk_seed(self.seed, chunk as u64));
                 let chunk_trials =
                     TRIALS_PER_CHUNK.min(self.trials - chunk as u32 * TRIALS_PER_CHUNK);
                 let mut sum = 0.0;
                 for _ in 0..chunk_trials {
-                    healthy.clear();
-                    for _ in 0..total_blocks {
-                        healthy.push(rng.random::<f64>() < p_block);
-                    }
+                    draw_health(&mut rng, up_below, total_blocks, health);
                     let placed_blocks = match arm {
                         FabricArm::Static(cluster) => {
-                            place_static(cluster, healthy, slice_box, blocks_needed)
+                            place_static_words(cluster, health, slice_box, blocks_needed)
                         }
-                        FabricArm::Reconfigurable(machine) => {
-                            place_reconfigurable(machine, healthy, shape, blocks_needed)
-                        }
+                        FabricArm::Reconfigurable(machine) => place_reconfigurable_words(
+                            machine,
+                            health,
+                            total_blocks,
+                            shape,
+                            blocks_needed,
+                        ),
                     };
                     sum += placed_blocks as f64 / total_blocks as f64;
                 }
@@ -208,18 +214,6 @@ impl GoodputSim {
         );
         // Reduce in chunk order: bit-identical for any thread count.
         chunk_sums.into_iter().sum::<f64>() / f64::from(self.trials)
-    }
-
-    /// One worker's arm for a fabric kind. The pristine arms are built
-    /// once per *model* (not per sim, not per call); the static grid is
-    /// cloned per worker, the reconfigurable machine only borrowed.
-    fn worker_arm(&self, fabric: FabricKind) -> FabricArm<'_> {
-        match fabric {
-            FabricKind::Static => FabricArm::Static(self.model.static_arm().clone()),
-            FabricKind::Ocs | FabricKind::Switched => {
-                FabricArm::Reconfigurable(self.model.reconfigurable_arm())
-            }
-        }
     }
 
     /// The Figure 4 slice-size axis for this machine, in chips:
@@ -263,17 +257,49 @@ impl GoodputSim {
     }
 }
 
-/// One worker thread's goodput arm, reused across that worker's Monte
-/// Carlo chunks.
+/// The model's pristine arm a goodput query counts on; every worker
+/// borrows it, since neither count mutates it.
+#[derive(Clone, Copy)]
 enum FabricArm<'a> {
-    /// A copy of the statically-cabled grid (the machine itself for
-    /// static specs, the counterfactual otherwise): the pack query needs
-    /// scratch space.
-    Static(StaticCluster),
-    /// The model's pristine [`Supercomputer`] on the spec's
-    /// any-healthy-capacity fabric (OCS plugboard / switched islands):
-    /// the count only reads it.
+    /// The statically-cabled grid (the machine itself for static specs,
+    /// the counterfactual otherwise).
+    Static(&'a StaticCluster),
+    /// The [`Supercomputer`] on the spec's any-healthy-capacity fabric
+    /// (OCS plugboard / switched islands).
     Reconfigurable(&'a Supercomputer),
+}
+
+/// The integer form of the Bernoulli draw `rng.random::<f64>() < p`:
+/// that draw is `(z >> 11)·2⁻⁵³ < p` for the generator's raw output `z`,
+/// and since `p·2⁵³` is exact in f64 and `z >> 11` is an integer, it
+/// holds exactly when `(z >> 11) < ⌈p·2⁵³⌉` — the same draw, the same
+/// outcome, no float conversion per block.
+pub(crate) fn bernoulli_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Draws one trial's health for `units` units into `words`, one
+/// Bernoulli per unit in unit order (the stream the `Vec<bool>` loop
+/// drew): bit `i % 64` of `words[i / 64]` is set ⇔ unit `i` is up, and
+/// the bits past the last unit are clear.
+fn draw_health(rng: &mut StdRng, up_below: u64, units: usize, words: &mut [u64]) {
+    for (w, word) in words.iter_mut().enumerate() {
+        let mut bits = 0;
+        for i in 0..(units - 64 * w).min(64) {
+            bits |= u64::from((rng.random::<u64>() >> 11) < up_below) << i;
+        }
+        *word = bits;
+    }
+}
+
+/// Per-unit health flags packed 64 to a word, the form the counts read:
+/// bit `i % 64` of word `i / 64` is set ⇔ `healthy[i]`.
+fn health_words(healthy: &[bool]) -> Vec<u64> {
+    let mut words = vec![0u64; healthy.len().div_ceil(64)];
+    for (i, &up) in healthy.iter().enumerate() {
+        words[i / 64] |= u64::from(up) << (i % 64);
+    }
+    words
 }
 
 /// The spec whose fabric backs the "reconfigurable" arm: torus fleets
@@ -325,7 +351,7 @@ pub fn slice_geometry(
 /// pristine `machine` places as slices of `shape` when the units that
 /// `healthy` marks down have failed. Also the capacity probe of the
 /// discrete-event fleet simulator ([`crate::fleet`]): the DES hands its
-/// *current* block health to this exact function, so its goodput
+/// *current* block health to the same count, so its goodput
 /// generalizes — never diverges from — the closed-form arm.
 ///
 /// Both reconfigurable fabrics admit any healthy units: the OCS
@@ -345,14 +371,30 @@ pub fn place_reconfigurable(
     shape: SliceShape,
     blocks_needed: u32,
 ) -> u32 {
+    let words = health_words(healthy);
+    place_reconfigurable_words(machine, &words, healthy.len(), shape, blocks_needed)
+}
+
+/// [`place_reconfigurable`] over health words ([`health_words`]) of
+/// `units` units: popcounts give the healthy units, and the last unit's
+/// bit decides the partial-island shortfall.
+pub(crate) fn place_reconfigurable_words(
+    machine: &Supercomputer,
+    health: &[u64],
+    units: usize,
+    shape: SliceShape,
+    blocks_needed: u32,
+) -> u32 {
     let total = machine.total_chips();
-    let units = healthy.len() as u64;
     let unit_chips = machine
         .switched()
-        .map_or(total / units.max(1), |c| u64::from(c.island_chips()));
-    let up = healthy.iter().filter(|&&up| up).count() as u64;
-    let last_shortfall = if healthy.last() == Some(&true) {
-        units * unit_chips - total
+        .map_or(total / (units as u64).max(1), |c| {
+            u64::from(c.island_chips())
+        });
+    let up: u64 = health.iter().map(|w| u64::from(w.count_ones())).sum();
+    let last_up = units > 0 && health[(units - 1) / 64] >> ((units - 1) % 64) & 1 == 1;
+    let last_shortfall = if last_up {
+        units as u64 * unit_chips - total
     } else {
         0
     };
@@ -364,17 +406,27 @@ pub fn place_reconfigurable(
 /// first-fit of contiguous boxes places on the core [`StaticCluster`]
 /// (which also serves as the static *counterfactual* grid for switched
 /// specs, one "block" per island) with the blocks `healthy` marks down
-/// failed. One pass of [`StaticCluster::count_first_fit`], which leaves
-/// the cluster as it found it. Like [`place_reconfigurable`], doubles
-/// as the fleet DES capacity probe.
+/// failed. One pass of [`StaticCluster::count_first_fit`], which reads
+/// the cluster and mutates nothing. Like [`place_reconfigurable`],
+/// doubles as the fleet DES capacity probe.
 #[doc(hidden)]
 pub fn place_static(
-    cluster: &mut StaticCluster,
+    cluster: &StaticCluster,
     healthy: &[bool],
     slice_box: (u32, u32, u32),
     blocks_needed: u32,
 ) -> u32 {
-    cluster.count_first_fit(healthy, slice_box) * blocks_needed
+    place_static_words(cluster, &health_words(healthy), slice_box, blocks_needed)
+}
+
+/// [`place_static`] over health words ([`health_words`]).
+pub(crate) fn place_static_words(
+    cluster: &StaticCluster,
+    health: &[u64],
+    slice_box: (u32, u32, u32),
+    blocks_needed: u32,
+) -> u32 {
+    cluster.count_first_fit(health, slice_box) * blocks_needed
 }
 
 #[cfg(test)]
@@ -383,6 +435,108 @@ mod tests {
 
     fn sim() -> GoodputSim {
         GoodputSim::for_generation(&Generation::V4, 300, 42)
+    }
+
+    /// A generator whose next `random::<u64>()` returns `z`.
+    /// SplitMix64's output is an invertible mix of its state, and
+    /// `seed_from_u64` steps the state once before the first draw.
+    fn rng_emitting(z: u64) -> StdRng {
+        const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+        let unshift = |y: u64, s: u32| (s..64).step_by(s as usize).fold(y, |x, k| x ^ y >> k);
+        let inverse = |c: u64| {
+            (0..5).fold(c, |i, _| {
+                i.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(i)))
+            })
+        };
+        let mut state = unshift(z, 31).wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+        state = unshift(state, 27).wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+        state = unshift(state, 30);
+        let rng = StdRng::seed_from_u64(state.wrapping_sub(GAMMA.wrapping_mul(2)));
+        assert_eq!(rng.clone().random::<u64>(), z, "generator inversion");
+        rng
+    }
+
+    /// Whether the integer draw agrees with `rng.random::<f64>() < p` on
+    /// a generator whose next 53-bit draw is `m` (low bits `low`).
+    fn agrees(p: f64, m: u64, low: u64) -> bool {
+        let mut rng = rng_emitting(m << 11 | low);
+        let float = rng.clone().random::<f64>() < p;
+        float == ((rng.random::<u64>() >> 11) < bernoulli_threshold(p))
+    }
+
+    #[test]
+    fn integer_bernoulli_draw_equals_the_float_draw() {
+        const TOP: u64 = 1 << 53;
+        let scale = TOP as f64;
+        // The 53-bit draws around p·2⁵³ and the two low-bit extremes.
+        let check = |p: f64, ms: &[i64]| {
+            let base = (p * scale).floor() as i64;
+            for &dm in ms {
+                let m = base + dm;
+                if !(0..TOP as i64).contains(&m) {
+                    continue;
+                }
+                for low in [0, 0x7FF] {
+                    assert!(
+                        agrees(p, m as u64, low),
+                        "p {p:e} ({:#x}), m {m}",
+                        p.to_bits()
+                    );
+                }
+            }
+        };
+        // p = k·2⁻⁵³ and both of its f64 neighbours.
+        for k in [1, 2, 3, 1 << 20, (1 << 52) - 1, 1 << 52, TOP - 2, TOP - 1] {
+            let p = k as f64 / scale;
+            for p in [p.next_down(), p, p.next_up()] {
+                check(p, &[-1, 0, 1, 2]);
+            }
+        }
+        // Certainty, a tiny p and subnormal ones.
+        assert_eq!(bernoulli_threshold(1.0), TOP);
+        for p in [1e-300, f64::MIN_POSITIVE / 4.0, 5e-324] {
+            assert_eq!(bernoulli_threshold(p), 1, "{p:e}");
+        }
+        for p in [1.0, 1e-300, f64::MIN_POSITIVE / 4.0, 5e-324] {
+            check(p, &[0, 1]);
+            for m in [0, 1, 2, TOP / 2, TOP - 1] {
+                assert!(agrees(p, m, 0x155), "p {p:e}, m {m}");
+            }
+        }
+        // availability^hosts for every committed spec at the
+        // availabilities the benchmark's cold and hot queries send
+        // (and the service default, 0.99).
+        let dir = std::path::PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs"));
+        let mut ps = Vec::new();
+        for entry in std::fs::read_dir(dir).expect("specs/ directory exists") {
+            let path = entry.expect("readable entry").path();
+            if path.extension().is_some_and(|e| e == "json") {
+                let text = std::fs::read_to_string(&path).expect("readable spec");
+                let spec = MachineSpec::from_json(&text).expect("valid spec");
+                let hosts = spec.scheduling_units().2 as i32;
+                for availability in [0.99f64, 0.993, 0.995, 0.996, 0.999] {
+                    ps.push(availability.powi(hosts));
+                }
+            }
+        }
+        assert!(ps.len() >= 40, "{} spec probabilities", ps.len());
+        for &p in &ps {
+            check(p, &[-2, -1, 0, 1, 2]);
+        }
+        // Two generators on one stream, 1M draws, across those p.
+        let mut float = StdRng::seed_from_u64(2023);
+        let mut int = float.clone();
+        let thresholds: Vec<u64> = ps.iter().map(|&p| bernoulli_threshold(p)).collect();
+        for i in 0..1_000_000 {
+            let j = i % ps.len();
+            let want = float.random::<f64>() < ps[j];
+            assert_eq!(
+                (int.random::<u64>() >> 11) < thresholds[j],
+                want,
+                "draw {i}, p {}",
+                ps[j]
+            );
+        }
     }
 
     #[test]
@@ -618,7 +772,7 @@ mod tests {
         let before = cluster.clone();
         let mut healthy = vec![true; 64];
         healthy[3] = false;
-        let placed = place_static(&mut cluster, &healthy, (2, 2, 2), 8);
+        let placed = place_static(&cluster, &healthy, (2, 2, 2), 8);
         assert!(placed > 0);
         assert!(!cluster.block_healthy(3));
         assert_eq!(cluster, before);

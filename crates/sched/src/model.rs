@@ -8,12 +8,13 @@
 //! geometry, the canonical identity hash, and the pristine fabric-arm
 //! prototypes — lives here, immutable after construction and therefore
 //! `Send + Sync`, shared across worker threads behind one `Arc`. The
-//! per-query mutable state (RNG streams, injected failures, running
-//! jobs) stays in worker-local *clones* of the cached prototypes, so
+//! per-query mutable state (RNG streams, health words, running jobs)
+//! stays worker-local: Monte Carlo counts only read the cached
+//! prototypes, and a fleet DES run admits jobs on its own *clone*, so
 //! concurrent queries can never observe each other.
 //!
 //! Determinism under concurrency follows from two facts: the prototypes
-//! are only ever read (cloned) after their `OnceLock` init, and every
+//! are only ever read (borrowed or cloned) after their `OnceLock` init, and every
 //! Monte Carlo trial derives its RNG stream from `(seed, chunk)` alone
 //! ([`crate::trials`]) — no shared mutable state exists for thread
 //! interleaving to perturb.
@@ -23,7 +24,7 @@ use tpu_core::{StaticCluster, Supercomputer};
 use tpu_spec::{FabricKind, Generation, MachineSpec};
 
 /// Cached pristine fabric-arm prototypes: built on first use, never
-/// mutated afterwards (trials mutate worker-local clones), so sharing
+/// mutated afterwards (DES runs mutate their own clones), so sharing
 /// them across threads is free.
 #[derive(Debug, Default)]
 pub(crate) struct ArmCache {
@@ -113,7 +114,8 @@ impl PlannerModel {
 
     /// The pristine statically-cabled arm (the machine itself for static
     /// specs, the counterfactual grid otherwise). Built once, then
-    /// borrowed for cloning by every query.
+    /// borrowed by every goodput query and DES probe, and cloned by
+    /// every DES run.
     pub fn static_arm(&self) -> &StaticCluster {
         self.arms
             .fixed

@@ -38,12 +38,13 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// `threads` OS threads (resolved via [`resolve_threads`]) and returns
 /// the per-chunk results **in chunk order**.
 ///
-/// Each worker gets its own scratch state from `init` (e.g. a cloned
-/// fabric arm) and walks chunks in a fixed stride, so no two workers
-/// ever touch the same chunk; results land in a chunk-indexed vector,
-/// making the output independent of scheduling. With one effective
-/// thread the chunks run inline on the caller's thread — same chunks,
-/// same seeds, same answer.
+/// Each worker gets its own scratch state from `init` (e.g. a health
+/// buffer) and walks chunks in a fixed stride, so no two workers ever
+/// touch the same chunk; results land in a chunk-indexed vector, making
+/// the output independent of scheduling. The calling thread walks
+/// stride 0 itself and spawns only `threads − 1` workers, so with one
+/// effective thread nothing is spawned — same chunks, same seeds, same
+/// answer.
 pub fn run_chunks<T, S, FS, FC>(n_chunks: usize, threads: usize, init: FS, run: FC) -> Vec<T>
 where
     T: Send,
@@ -52,38 +53,36 @@ where
     FC: Fn(usize, &mut S) -> T + Sync,
 {
     let threads = resolve_threads(threads).min(n_chunks).max(1);
-    if threads == 1 {
+    // One worker's stride: chunks first, first + threads, ...
+    let stride = |first: usize| {
         let mut state = init();
-        return (0..n_chunks).map(|c| run(c, &mut state)).collect();
+        (first..n_chunks)
+            .step_by(threads)
+            .map(|c| run(c, &mut state))
+            .collect::<Vec<T>>()
+    };
+    if threads == 1 {
+        return stride(0);
     }
-    let mut out: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let init = &init;
-        let run = &run;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut state = init();
-                    let mut results = Vec::new();
-                    let mut c = t;
-                    while c < n_chunks {
-                        results.push((c, run(c, &mut state)));
-                        c += threads;
-                    }
-                    results
-                })
-            })
+    let mut strides: Vec<std::vec::IntoIter<T>> = std::thread::scope(|scope| {
+        let stride = &stride;
+        let handles: Vec<_> = (1..threads)
+            .map(|first| scope.spawn(move || stride(first)))
             .collect();
+        let mut strides = vec![stride(0).into_iter()];
         for handle in handles {
             // tpu-lint: allow(panic-policy) -- re-raises a worker panic; swallowing it would hide trial bugs
-            for (c, value) in handle.join().expect("trial worker panicked") {
-                out[c] = Some(value);
-            }
+            strides.push(handle.join().expect("trial worker panicked").into_iter());
         }
+        strides
     });
-    out.into_iter()
-        .map(|v| v.expect("stride covers every chunk")) // tpu-lint: allow(panic-policy) -- chunk striding assigns every index exactly once by construction
-        .collect()
+    // Round k takes the k-th result of every stride that has one:
+    // chunks k·threads, k·threads + 1, ..., in chunk order.
+    let mut out = Vec::with_capacity(n_chunks);
+    for _ in 0..n_chunks.div_ceil(threads) {
+        out.extend(strides.iter_mut().filter_map(Iterator::next));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -85,14 +85,14 @@ fn enumerated_static_shares(model: &PlannerModel, slice_chips: u64) -> Vec<(f64,
     let n = model.blocks() as usize;
     let (slice_box, _, blocks_needed) =
         slice_geometry(model.spec(), model.chips_per_block(), slice_chips);
-    let mut cluster = model.static_arm().clone();
+    let cluster = model.static_arm();
     let mut healthy = vec![false; n];
     let mut sums = vec![(0.0, 0.0, 0u32); n + 1];
     for state in 0u32..1 << n {
         for (i, up) in healthy.iter_mut().enumerate() {
             *up = state >> i & 1 == 1;
         }
-        let placed = place_static(&mut cluster, &healthy, slice_box, blocks_needed);
+        let placed = place_static(cluster, &healthy, slice_box, blocks_needed);
         let share = f64::from(placed) / n as f64;
         let (sum, square, states) = &mut sums[state.count_ones() as usize];
         *sum += share;

@@ -3,8 +3,8 @@
 //! allocate-until-refused trial placed: inject the drawn failures with
 //! `set_host_up`, `allocate` until the cluster refuses, then release
 //! every slice and repair every injected failure. Checked on every
-//! committed spec — so on both sides of the one-word mask table (grids
-//! of at most 64 blocks) and the run test (v4-ib's 512 islands, a100's
+//! committed spec — so on both sides of bit-parallel erosion (grids of
+//! at most 64 blocks) and the run test (v4-ib's 512 islands, a100's
 //! 1 054-island rail) — at every `slice_axis()` point, under random
 //! health at availabilities from 0.97 to 1.0, on pristine clusters and
 //! on clusters that already hold jobs and failed hosts.
@@ -103,10 +103,9 @@ fn pack_query_matches_the_allocate_until_refused_trial_on_every_spec() {
         let axis = sim.slice_axis();
         let pristine = model.static_arm().clone();
         let busy = busy_cluster(&pristine, &mut rng);
-        for (state, mut cluster) in [("pristine", pristine), ("busy", busy)] {
+        for (state, cluster) in [("pristine", pristine), ("busy", busy)] {
             let before = cluster.clone();
-            // One cluster answers every query in turn, so its cached
-            // mask table is rebuilt whenever the slice changes.
+            // One cluster answers every query in turn.
             for availability in AVAILABILITIES {
                 let p_block = availability.powi(model.hosts_per_block() as i32);
                 for &chips in &axis {
@@ -115,7 +114,7 @@ fn pack_query_matches_the_allocate_until_refused_trial_on_every_spec() {
                         .map(|_| rng.random::<f64>() < p_block)
                         .collect();
                     let want = place_static_naive(&mut cluster.clone(), &healthy, bbox, needed);
-                    let got = place_static(&mut cluster, &healthy, bbox, needed);
+                    let got = place_static(&cluster, &healthy, bbox, needed);
                     assert_eq!(
                         got, want,
                         "{name} ({state}) slice {chips} chips at availability {availability}"

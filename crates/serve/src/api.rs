@@ -440,6 +440,14 @@ pub fn whatif_body(name: &str, sim: &GoodputSim, q: &WhatIfQuery) -> String {
     ]))
 }
 
+/// The sim a what-if or sweep miss runs on: its Monte Carlo runs on
+/// the worker that took the request. The other workers already keep
+/// the CPUs busy, so fanning one query's trials out would only add
+/// thread spawns; results never depend on the thread count.
+fn serving_sim(model: &Arc<PlannerModel>, q: &WhatIfQuery) -> GoodputSim {
+    GoodputSim::for_model(Arc::clone(model), q.trials, q.seed).with_threads(1)
+}
+
 fn whatif(state: &ServiceState, name: &str, query: &str) -> Result<ApiResponse, ApiError> {
     let entry = lookup(state, name)?;
     let q = WhatIfQuery::parse(&entry.model, query)?;
@@ -452,7 +460,7 @@ fn whatif(state: &ServiceState, name: &str, query: &str) -> Result<ApiResponse, 
             x_cache: Some("hit"),
         });
     }
-    let sim = GoodputSim::for_model(Arc::clone(&entry.model), q.trials, q.seed);
+    let sim = serving_sim(&entry.model, &q);
     let body = whatif_body(&entry.name, &sim, &q);
     state.cache.insert(hash, &key, body.clone());
     Ok(ApiResponse {
@@ -550,9 +558,7 @@ fn whatif_sweep(state: &ServiceState, name: &str, query: &str) -> Result<ApiResp
         all_hits = false;
         // Every point shares trials and seed, so the first miss's sim
         // serves the rest — the amortization the endpoint exists for.
-        let sim = sim.get_or_insert_with(|| {
-            GoodputSim::for_model(Arc::clone(&entry.model), q.trials, q.seed)
-        });
+        let sim = sim.get_or_insert_with(|| serving_sim(&entry.model, q));
         let body = whatif_body(&entry.name, sim, q);
         state.cache.insert(hash, &key, body.clone());
         bodies.push(body);
