@@ -274,7 +274,7 @@ enum FabricArm<'a> {
 /// and since `p·2⁵³` is exact in f64 and `z >> 11` is an integer, it
 /// holds exactly when `(z >> 11) < ⌈p·2⁵³⌉` — the same draw, the same
 /// outcome, no float conversion per block.
-pub(crate) fn bernoulli_threshold(p: f64) -> u64 {
+fn bernoulli_threshold(p: f64) -> u64 {
     (p * (1u64 << 53) as f64).ceil() as u64
 }
 

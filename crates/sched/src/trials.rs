@@ -40,8 +40,8 @@ pub fn resolve_threads(requested: usize) -> usize {
 ///
 /// Each worker gets its own scratch state from `init` (e.g. a health
 /// buffer) and walks chunks in a fixed stride, so no two workers ever
-/// touch the same chunk; results land in a chunk-indexed vector, making
-/// the output independent of scheduling. The calling thread walks
+/// touch the same chunk; the strides' results are merged back in chunk
+/// order, making the output independent of scheduling. The calling thread walks
 /// stride 0 itself and spawns only `threads − 1` workers, so with one
 /// effective thread nothing is spawned — same chunks, same seeds, same
 /// answer.
