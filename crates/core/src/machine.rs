@@ -6,10 +6,11 @@
 //! needs an axis-aligned contiguous healthy sub-torus, so a dead host
 //! fragments capacity instead of being routed around), and switched
 //! NVLink-island + fat-tree clusters (the Table 5 A100 and the §7.3
-//! `"v4-ib"` counterfactual). `submit`, failure injection and
-//! `collective_time` dispatch on the family; torus-only operations
-//! return [`SupercomputerError::TorusOnly`] on switched machines, and
-//! OCS-only operations (twists, in-place reconfiguration) return
+//! `"v4-ib"` counterfactual). `submit` and failure injection dispatch on
+//! the family, and `collective_time` prices every family through the
+//! spec's [`tpu_net::CollectiveBackend`]; torus-only operations return
+//! [`SupercomputerError::TorusOnly`] on switched machines, and OCS-only
+//! operations (twists, in-place reconfiguration) return
 //! [`SupercomputerError::OcsOnly`] on static ones.
 
 use crate::StaticCluster;
@@ -17,10 +18,9 @@ use crate::{Result, SupercomputerError};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use tpu_net::{torus_diameter_hops, AllToAll, AlphaBeta, LinkRate, SwitchedFabric, TorusPaths};
+use tpu_net::CollectiveBackend;
 use tpu_ocs::{BlockId, Fabric, MaterializedSlice, SliceSpec};
-use tpu_spec::{CollectiveSpec, FabricKind, Generation, LatencySpec, MachineSpec};
-use tpu_topology::Torus;
+use tpu_spec::{FabricKind, Generation, MachineSpec};
 
 /// Identifier of a running job.
 #[derive(
@@ -162,13 +162,11 @@ pub enum Collective {
 }
 
 /// A switched (NVLink-island + fat-tree) machine's allocatable state:
-/// the collective model plus island health. Islands are interchangeable
-/// behind the full-bisection fat tree, so allocation is pure chip
-/// accounting — the contrast the paper draws with slice geometry on the
-/// torus machine.
+/// island health. Islands are interchangeable behind the
+/// full-bisection fat tree, so allocation is pure chip accounting — the
+/// contrast the paper draws with slice geometry on the torus machine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SwitchedCluster {
-    model: SwitchedFabric,
     islands: u64,
     island_chips: u32,
     hosts_per_island: u32,
@@ -182,15 +180,16 @@ pub struct SwitchedCluster {
 }
 
 impl SwitchedCluster {
-    /// The cluster a `torus_dims == 0` spec describes, or `None` for a
-    /// torus machine. A fleet that is not a multiple of the island size
-    /// gets one partial last island, so capacity always equals
-    /// `fleet_chips` exactly.
+    /// The cluster a switched spec describes, or `None` for a torus
+    /// machine (OCS-stitched or statically cabled). A fleet that is not
+    /// a multiple of the island size gets one partial last island, so
+    /// capacity always equals `fleet_chips` exactly.
     pub fn for_spec(spec: &MachineSpec) -> Option<SwitchedCluster> {
-        let model = SwitchedFabric::for_spec(spec)?;
+        if spec.fabric != FabricKind::Switched {
+            return None;
+        }
         let (islands, island_chips, hosts_per_island) = spec.scheduling_units();
         Some(SwitchedCluster {
-            model,
             islands,
             island_chips,
             hosts_per_island,
@@ -198,11 +197,6 @@ impl SwitchedCluster {
             down_hosts: BTreeSet::new(),
             down_chips: 0,
         })
-    }
-
-    /// The collective-performance model.
-    pub fn model(&self) -> &SwitchedFabric {
-        &self.model
     }
 
     /// Islands (DGX-style boxes) in the cluster; the last may be
@@ -297,40 +291,35 @@ pub struct Supercomputer {
     fabric: MachineFabric,
     jobs: BTreeMap<JobId, RunningJob>,
     next_id: u64,
-    link_rate_gbps: f64,
-    ici_alpha_s: f64,
-    collective: CollectiveSpec,
+    collectives: CollectiveBackend,
 }
 
 impl Supercomputer {
     /// The fleet-scale machine a spec describes.
     ///
     /// Dispatches on the spec's `fabric` discriminator. `FabricKind::Ocs`
-    /// specs get an OCS fabric holding `fleet_blocks()` blocks with
-    /// collectives at the spec's ICI link rate (the `"v3-ocs"`
-    /// counterfactual models a pre-OCS fleet behind the reconfigurable
-    /// fabric this way). `FabricKind::Static` specs — the real TPU v2/v3
-    /// machines — get a [`StaticCluster`] with contiguous-placement
-    /// semantics. `FabricKind::Switched` specs (the Table 5 A100, the
-    /// §7.3 `"v4-ib"` hybrid) get the switched island + fat-tree
-    /// backend. `submit` → `collective_time` runs end-to-end on every
-    /// built-in machine.
+    /// specs get an OCS fabric holding `fleet_blocks()` blocks (the
+    /// `"v3-ocs"` counterfactual models a pre-OCS fleet behind the
+    /// reconfigurable fabric this way). `FabricKind::Static` specs — the
+    /// real TPU v2/v3 machines — get a [`StaticCluster`] with
+    /// contiguous-placement semantics. `FabricKind::Switched` specs (the
+    /// Table 5 A100, the §7.3 `"v4-ib"` hybrid) get a switched island
+    /// cluster. Collectives are priced by the spec's
+    /// [`CollectiveBackend`]. `submit` → `collective_time` runs
+    /// end-to-end on every built-in machine.
     pub fn for_spec(spec: &MachineSpec) -> Supercomputer {
-        let fabric = match spec.fabric {
-            FabricKind::Switched => MachineFabric::Switched(
-                SwitchedCluster::for_spec(spec)
-                    .expect("FabricKind::Switched implies torus_dims == 0"), // tpu-lint: allow(panic-policy) -- unreachable: FabricKind::Switched implies torus_dims == 0
-            ),
-            FabricKind::Static => MachineFabric::StaticTorus(StaticCluster::for_spec(spec)),
-            FabricKind::Ocs => MachineFabric::Torus(Fabric::for_spec(spec)),
+        let fabric = match SwitchedCluster::for_spec(spec) {
+            Some(cluster) => MachineFabric::Switched(cluster),
+            None if spec.fabric == FabricKind::Static => {
+                MachineFabric::StaticTorus(StaticCluster::for_spec(spec))
+            }
+            None => MachineFabric::Torus(Fabric::for_spec(spec)),
         };
         Supercomputer {
             fabric,
             jobs: BTreeMap::new(),
             next_id: 0,
-            link_rate_gbps: LinkRate::for_spec(spec).gb_per_s(),
-            ici_alpha_s: spec.collective_latency().ici_hop_s,
-            collective: spec.collective_schedule(),
+            collectives: CollectiveBackend::for_spec(spec),
         }
     }
 
@@ -343,19 +332,6 @@ impl Supercomputer {
         let spec = MachineSpec::for_generation(&generation)
             .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")); // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
         Supercomputer::for_spec(&spec)
-    }
-
-    /// A machine over a custom OCS fabric (e.g. partially deployed), at
-    /// the v4 ICI link rate.
-    pub fn with_fabric(fabric: Fabric) -> Supercomputer {
-        Supercomputer {
-            fabric: MachineFabric::Torus(fabric),
-            jobs: BTreeMap::new(),
-            next_id: 0,
-            link_rate_gbps: LinkRate::TPU_V4_ICI.gb_per_s(),
-            ici_alpha_s: LatencySpec::reference().ici_hop_s,
-            collective: CollectiveSpec::reference(),
-        }
     }
 
     /// The interconnect backing the machine.
@@ -648,85 +624,36 @@ impl Supercomputer {
         }
     }
 
-    /// Steady-state time of a collective on a job's slice, seconds —
-    /// latency-aware on both fabric families (DESIGN.md §7 alphas),
-    /// through the collective-schedule IR: the spec's `ring`/`tree`/
-    /// `auto` policy selects a schedule and this method prices it
-    /// (DESIGN.md §10).
+    /// Steady-state time of a collective on a job's slice, seconds,
+    /// priced by the spec's [`CollectiveBackend`] — latency-aware on
+    /// every fabric family (DESIGN.md §7 alphas), through the
+    /// collective-schedule IR: the spec's `ring`/`tree`/`auto` policy
+    /// selects a schedule and the backend prices it (DESIGN.md §10).
     ///
-    /// On a torus machine — OCS-stitched or statically cabled; static
-    /// cabling changes placement, not steady-state link performance
-    /// (DESIGN.md §9) — all-reduce uses the analytic multi-ring torus
-    /// schedule (with per-hop alpha on every ring step) and all-to-all
-    /// the per-link load model over the job's chip graph (the actual,
-    /// possibly twisted, materialized graph on OCS machines; the regular
-    /// torus of the request's shape on static ones) plus the slice
-    /// diameter's pipeline latency. On a switched machine both dispatch
-    /// to the hierarchical island + fat-tree schedules of
-    /// [`tpu_net::switched`] — the §7.3 comparison is these arms.
+    /// Every all-reduce, and the all-to-all of static and switched
+    /// slices, is priced by the request's shape alone: static cabling
+    /// changes placement, not steady-state link performance (DESIGN.md
+    /// §9), and a switched slice has no geometry. An OCS slice's
+    /// all-to-all is priced on its materialized, possibly twisted, chip
+    /// graph ([`CollectiveBackend::all_to_all_time_on`]).
     ///
     /// # Errors
     ///
     /// Returns [`SupercomputerError::UnknownJob`] if absent.
     pub fn collective_time(&self, id: JobId, op: Collective) -> Result<f64> {
         let job = self.job(id)?;
-        match (&self.fabric, job.placement()) {
-            (
-                MachineFabric::Torus(_) | MachineFabric::StaticTorus(_),
-                placement @ (Placement::Torus(_) | Placement::Static { .. }),
-            ) => {
-                // One torus cost model for both cabling styles — static
-                // cabling changes placement, not the links. Only the
-                // all-to-all graph differs: the materialized (possibly
-                // twisted) graph on OCS slices, the plain torus of the
-                // request's shape on static ones (always regularly wired).
-                let rate = LinkRate::from_gb_per_s(self.link_rate_gbps);
-                let link = AlphaBeta::new(self.ici_alpha_s, rate);
-                let shape = job.spec().slice().shape();
-                match op {
-                    Collective::AllReduce { bytes } => {
-                        // The spec's ring/tree/auto policy selects the
-                        // schedule; the IR prices it (on a torus, auto
-                        // resolves to the multi-path ring).
-                        let (_, schedule) = link.torus_all_reduce_schedule(
-                            shape,
-                            bytes as f64,
-                            TorusPaths::MultiPath,
-                            self.collective,
-                        );
-                        Ok(schedule.time())
-                    }
-                    Collective::AllToAll { bytes_per_pair } => {
-                        let analysis = match placement {
-                            Placement::Torus(slice) => {
-                                AllToAll::analyze(slice.chip_graph(), bytes_per_pair, rate)
-                            }
-                            _ => AllToAll::analyze(
-                                &Torus::new(shape).into_graph(),
-                                bytes_per_pair,
-                                rate,
-                            ),
-                        };
-                        // The twist changes link loads, not the pipeline
-                        // depth: the alpha term is the shape diameter.
-                        Ok(analysis.completion_time()
-                            + f64::from(torus_diameter_hops(shape)) * link.alpha_s)
-                    }
-                }
+        let shape = job.spec().slice().shape();
+        Ok(match (op, job.placement()) {
+            (Collective::AllReduce { bytes }, _) => {
+                self.collectives.all_reduce_time(shape, bytes as f64)
             }
-            (MachineFabric::Switched(cluster), placement) => {
-                let chips = placement.chips();
-                match op {
-                    Collective::AllReduce { bytes } => {
-                        Ok(cluster.model().all_reduce_time(chips, bytes as f64))
-                    }
-                    Collective::AllToAll { bytes_per_pair } => Ok(cluster
-                        .model()
-                        .all_to_all_time(chips, bytes_per_pair as f64)),
-                }
-            }
-            _ => unreachable!("each fabric family only creates its own placements"),
-        }
+            (Collective::AllToAll { bytes_per_pair }, Placement::Torus(slice)) => self
+                .collectives
+                .all_to_all_time_on(shape, slice.chip_graph(), bytes_per_pair as f64),
+            (Collective::AllToAll { bytes_per_pair }, _) => self
+                .collectives
+                .all_to_all_time(shape, bytes_per_pair as f64),
+        })
     }
 }
 

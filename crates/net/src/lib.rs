@@ -2,9 +2,10 @@
 //!
 //! Three layers, from cheap to detailed:
 //!
-//! 1. **Analytic collectives** ([`collectives`]) — closed-form ring /
-//!    torus all-reduce and bisection-bound all-to-all costs, the models the
-//!    paper's architects reason with (§3.6, §7.3).
+//! 1. **Analytic collectives** ([`CollectiveBackend`]) — alpha-beta
+//!    all-reduce schedules on tori and switched fabrics, and all-to-all
+//!    priced by the load model below, the models the paper's architects
+//!    reason with (§3.6, §7.3).
 //! 2. **Per-link load assignment** ([`load`]) — uniform traffic split over
 //!    all shortest paths (edge betweenness); exact for steady-state
 //!    bandwidth-bound operation and the engine behind the Figure 6
@@ -44,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod collectives;
 pub mod event;
 pub mod fattree;
 pub mod flows;
@@ -55,7 +55,6 @@ pub mod schedule;
 pub mod switched;
 mod units;
 
-pub use collectives::{mesh_all_reduce_time, torus_all_gather_time, torus_all_reduce_time};
 pub use event::{FlowSim, SimReport};
 pub use fattree::FatTree;
 pub use flows::{all_to_all_flows, ring_all_reduce_flows, Flow};

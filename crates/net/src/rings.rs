@@ -4,7 +4,7 @@
 //! the structure that makes all-reduce "map well to 2D and 3D tori"
 //! (§1). This module enumerates those rings and compiles multi-ring
 //! all-reduces into flows for the event simulator, validating the
-//! analytic schedule of [`crate::collectives`].
+//! analytic torus schedule of [`crate::schedule::torus_all_reduce`].
 
 use crate::flows::{ring_all_reduce_flows, Flow};
 use serde::{Deserialize, Serialize};

@@ -326,29 +326,6 @@ fn torus_passes(
     schedule
 }
 
-/// Builds the all-gather schedule of `bytes` on a torus (half an
-/// all-reduce: no reduce-scatter pass).
-pub fn torus_all_gather(
-    shape: SliceShape,
-    bytes: f64,
-    rate: LinkRate,
-    alpha_s: f64,
-) -> CollectiveSchedule {
-    let extents = [shape.x(), shape.y(), shape.z()];
-    let mut schedule = CollectiveSchedule::empty();
-    let mut volume = bytes;
-    for &k in extents.iter().filter(|&&k| k > 1) {
-        schedule.push(all_gather_phase(
-            u64::from(k),
-            volume,
-            2.0 * rate.bytes_per_s(),
-            alpha_s,
-        ));
-        volume /= f64::from(k);
-    }
-    schedule
-}
-
 /// Applies a spec's `ring`/`tree`/`auto` policy to a (ring, tree)
 /// schedule pair for an all-reduce of `payload_bytes`, returning the
 /// chosen algorithm and its schedule. Candidates are built lazily: a
@@ -409,6 +386,12 @@ mod tests {
         assert_eq!(s.total_steps(), 0);
         assert_eq!(ring_all_reduce(1, 1e9, WIRE, ALPHA).time(), 0.0);
         assert_eq!(tree_all_reduce(1, 1e9, WIRE, ALPHA).time(), 0.0);
+        let single = SliceShape::new(1, 1, 1).unwrap();
+        let rate = LinkRate::from_gb_per_s(50.0);
+        for paths in [TorusPaths::Sequential, TorusPaths::MultiPath] {
+            let torus = torus_all_reduce(single, 1e9, rate, ALPHA, paths, ScheduleAlgorithm::Ring);
+            assert_eq!(torus.time(), 0.0);
+        }
     }
 
     #[test]
@@ -463,6 +446,14 @@ mod tests {
         composed.push(reduce_scatter_phase(p, bytes, WIRE, ALPHA));
         composed.push(all_gather_phase(p, bytes, WIRE, ALPHA));
         assert_eq!(composed, ring_all_reduce(p, bytes, WIRE, ALPHA));
+        // A torus with one non-degenerate dimension is that ring, on
+        // both directions of each link.
+        let line = SliceShape::new(4, 1, 1).unwrap();
+        let rate = LinkRate::from_bytes_per_s(WIRE / 2.0);
+        for paths in [TorusPaths::Sequential, TorusPaths::MultiPath] {
+            let torus = torus_all_reduce(line, bytes, rate, ALPHA, paths, ScheduleAlgorithm::Ring);
+            assert_eq!(torus, ring_all_reduce(4, bytes, WIRE, ALPHA));
+        }
     }
 
     #[test]
@@ -489,6 +480,32 @@ mod tests {
         assert!((ratio - 3.0).abs() < 1e-12, "{ratio}");
         assert_eq!(seq.alpha_seconds(), par.alpha_seconds());
         assert_eq!(seq.total_steps(), par.total_steps());
+        // Sequentially, the first dimension's ring dominates: the later
+        // ones move a payload 8x and 64x smaller.
+        let first = ring_all_reduce(8, 1e9, 2.0 * rate.bytes_per_s(), ALPHA);
+        assert!(
+            seq.time() > first.time(),
+            "{} vs {}",
+            seq.time(),
+            first.time()
+        );
+        assert!(
+            seq.time() < 1.3 * first.time(),
+            "{} vs {}",
+            seq.time(),
+            first.time()
+        );
+        // The bandwidth term is linear in the payload.
+        let double = torus_all_reduce(
+            shape,
+            2e9,
+            rate,
+            ALPHA,
+            TorusPaths::Sequential,
+            ScheduleAlgorithm::Ring,
+        );
+        let ratio = double.bandwidth_seconds() / seq.bandwidth_seconds();
+        assert!((ratio - 2.0).abs() < 1e-12, "{ratio}");
     }
 
     #[test]

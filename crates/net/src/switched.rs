@@ -5,11 +5,13 @@
 //! inside a DGX box, or the 8-chip ICI islands of the §7.3 thought
 //! experiment) joined by a 3-level InfiniBand fat tree. This module models
 //! that family of machines behind one type, [`SwitchedFabric`], and
-//! exposes [`CollectiveBackend`] — the single dispatch point every layer
-//! above (`tpu-core`, `tpu-workloads`, `tpu-bench`) uses, keyed off the
-//! spec's `fabric` discriminator (`FabricKind::Switched`; OCS-stitched
-//! and statically-cabled tori both take the torus arm, since static
-//! cabling changes placement, not steady-state link performance).
+//! exposes [`CollectiveBackend`] — the one collective pricer: every
+//! `Supercomputer::collective_time` quote, the `tpu-workloads`
+//! interconnect models and the `tpu-bench` §7 tables go through it. It
+//! is keyed off the spec's `fabric` discriminator (`FabricKind::Switched`
+//! takes the switched arm; OCS-stitched and statically-cabled tori both
+//! take the torus arm, since static cabling changes placement, not
+//! steady-state link performance).
 //!
 //! Calibration (see `DESIGN.md` §6): islands are non-blocking internally;
 //! the fat tree is full-bisection with all-reduce utilization 1.0 and
@@ -34,7 +36,7 @@ use crate::schedule::{self, CollectiveSchedule, ScheduleAlgorithm, TorusPaths};
 use crate::units::LinkRate;
 use serde::{Deserialize, Serialize};
 use tpu_spec::{CollectiveSpec, FabricKind, LatencySpec, MachineSpec, ProcessorStyle};
-use tpu_topology::{SliceShape, Torus};
+use tpu_topology::{LinkGraph, SliceShape, Torus};
 
 /// How the chips inside one glueless island are wired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -315,15 +317,13 @@ impl SwitchedFabric {
         }
         match self.island_kind {
             IslandKind::Torus => {
-                // Fractional per-pair payloads stay fractional (the load
-                // model is linear): a sub-byte pair budget must not round
-                // to a free collective while the crossbar/NIC branches
-                // charge for it.
                 let shape = island_shape(chips);
-                let graph = Torus::new(shape).into_graph();
-                AllToAll::analyze_fractional(&graph, bytes_per_pair, self.island_rate)
-                    .completion_time()
-                    + f64::from(torus_diameter_hops(shape)) * self.island_alpha_s
+                torus_all_to_all_time(
+                    AlphaBeta::new(self.island_alpha_s, self.island_rate),
+                    shape,
+                    &Torus::new(shape).into_graph(),
+                    bytes_per_pair,
+                )
             }
             IslandKind::Crossbar => {
                 bytes_per_pair * (f64::from(chips) - 1.0) / self.island_injection()
@@ -366,6 +366,23 @@ impl SwitchedFabric {
     }
 }
 
+/// Uniform all-to-all time with `bytes_per_pair` between every ordered
+/// pair of a torus chip graph of `shape`, at per-link `link`: the
+/// per-link load model's completion time plus the shape diameter's
+/// pipeline depth in hops. A twisted graph changes the link loads, not
+/// that depth. Fractional per-pair payloads stay fractional (the load
+/// model is linear): a sub-byte pair budget must not round to a free
+/// collective while the crossbar/NIC branches charge for it.
+fn torus_all_to_all_time(
+    link: AlphaBeta,
+    shape: SliceShape,
+    graph: &LinkGraph,
+    bytes_per_pair: f64,
+) -> f64 {
+    AllToAll::analyze_fractional(graph, bytes_per_pair, link.rate).completion_time()
+        + f64::from(torus_diameter_hops(shape)) * link.alpha_s
+}
+
 /// The natural ICI island geometry for a handful of chips: the compact
 /// power-of-two box (8 → 2×2×2), or a 1×1×n ring for any other count —
 /// every count gets a torus of exactly `chips` chips, so island
@@ -395,9 +412,12 @@ pub(crate) fn island_shape(chips: u32) -> SliceShape {
 
 /// The collective-performance backend a machine spec selects: the
 /// analytic torus models for ICI machines, [`SwitchedFabric`] for
-/// `torus_dims == 0`. This is the one code path behind
+/// switched ones. This is the one code path behind
 /// `Supercomputer::collective_time`, the workload interconnect models and
-/// the `tpu-bench` §7 tables.
+/// the `tpu-bench` §7 tables. A `Supercomputer` prices an OCS slice's
+/// all-to-all on the slice's materialized wiring
+/// ([`CollectiveBackend::all_to_all_time_on`]); everything else prices a
+/// slice by its shape alone.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum CollectiveBackend {
     /// An ICI torus at a per-link alpha-beta (OCS-stitched or statically
@@ -471,15 +491,37 @@ impl CollectiveBackend {
     }
 
     /// Uniform all-to-all time with `bytes_per_pair` between every
-    /// ordered pair of chips in a slice of `shape`. Fractional per-pair
-    /// payloads are kept fractional on every branch (torus, crossbar and
-    /// NIC); the torus alpha term is the slice diameter's pipeline depth.
+    /// ordered pair of chips in a slice of `shape`: on a torus,
+    /// [`CollectiveBackend::all_to_all_time_on`] over the regular torus
+    /// of `shape`. Fractional per-pair payloads are kept fractional on
+    /// every branch (torus, crossbar and NIC).
     pub fn all_to_all_time(&self, shape: SliceShape, bytes_per_pair: f64) -> f64 {
         match self {
+            CollectiveBackend::Torus { .. } => {
+                self.all_to_all_time_on(shape, &Torus::new(shape).into_graph(), bytes_per_pair)
+            }
+            CollectiveBackend::Switched(fabric) => {
+                fabric.all_to_all_time(shape.volume(), bytes_per_pair)
+            }
+        }
+    }
+
+    /// Uniform all-to-all time with `bytes_per_pair` between every
+    /// ordered pair of a slice of `shape` wired as the chip graph
+    /// `graph` — an OCS slice's materialized, possibly twisted, torus.
+    /// On a torus: the per-link load model over `graph` plus the shape
+    /// diameter's pipeline latency (a twist changes link loads, not the
+    /// pipeline depth). A switched slice has no geometry: the switched
+    /// backend prices `shape`'s chip count and ignores `graph`.
+    pub fn all_to_all_time_on(
+        &self,
+        shape: SliceShape,
+        graph: &LinkGraph,
+        bytes_per_pair: f64,
+    ) -> f64 {
+        match self {
             CollectiveBackend::Torus { link, .. } => {
-                let graph = Torus::new(shape).into_graph();
-                AllToAll::analyze_fractional(&graph, bytes_per_pair, link.rate).completion_time()
-                    + f64::from(torus_diameter_hops(shape)) * link.alpha_s
+                torus_all_to_all_time(*link, shape, graph, bytes_per_pair)
             }
             CollectiveBackend::Switched(fabric) => {
                 fabric.all_to_all_time(shape.volume(), bytes_per_pair)
@@ -675,11 +717,9 @@ mod tests {
         let s = shape(8, 8, 8);
         let torus = CollectiveBackend::for_spec(&MachineSpec::v4());
         assert!(!torus.is_switched());
-        let direct = AlphaBeta::for_spec(&MachineSpec::v4()).torus_all_reduce_time(
-            s,
-            1e9,
-            TorusPaths::MultiPath,
-        );
+        let direct = AlphaBeta::for_spec(&MachineSpec::v4())
+            .torus_ring_schedule(s, 1e9, TorusPaths::MultiPath)
+            .time();
         assert_eq!(torus.all_reduce_time(s, 1e9), direct);
 
         let switched = CollectiveBackend::for_spec(&MachineSpec::a100());

@@ -3,9 +3,11 @@
 //! * [`goodput`] — the Figure 4 experiment: Monte Carlo goodput of slice
 //!   scheduling under CPU-host failures, with the OCS plugboard (any
 //!   healthy blocks form a slice) versus a statically-cabled machine
-//!   (slices need contiguous healthy sub-boxes). Both arms run through
-//!   the core fabric (`Supercomputer` submissions / `StaticCluster`
-//!   contiguous packing), selected by `tpu_spec::FabricKind`.
+//!   (slices need contiguous healthy sub-boxes), selected by
+//!   `tpu_spec::FabricKind`. The static arm counts placements with
+//!   `StaticCluster::count_first_fit`; the reconfigurable arm counts in
+//!   closed form over the model's pristine machine (any healthy blocks
+//!   or islands form a slice).
 //! * [`slice_mix`] — the Table 2 production slice distribution, its
 //!   sampler, and the §2.9 twist-adoption statistics.
 //! * [`deploy`] — the §2.4 incremental-deployment benefit: OCS-attached

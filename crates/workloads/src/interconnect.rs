@@ -1,6 +1,9 @@
 //! Per-step interconnect demand of the production workload classes, timed
-//! through the same [`CollectiveBackend`] dispatch the `Supercomputer`
-//! uses — the code path behind the §7.2–§7.3 TPU-vs-A100 tables.
+//! through the same [`CollectiveBackend`] the `Supercomputer` prices
+//! every collective with — the code path behind the §7.2–§7.3
+//! TPU-vs-A100 tables. Slices here are priced by shape, so an
+//! all-to-all runs on the regular torus of that shape; a `Supercomputer`
+//! OCS slice's all-to-all runs on its materialized wiring instead.
 //!
 //! Each workload class contributes a gradient all-reduce (data-parallel
 //! weight sync) and, for embedding models, a uniform all-to-all (the
@@ -47,7 +50,7 @@ impl StepCollectives {
     }
 
     /// Seconds per step spent in collectives on a slice of `shape` of the
-    /// machine `spec` describes, via the backend `torus_dims` selects.
+    /// machine `spec` describes, via the backend its `fabric` selects.
     pub fn step_time(&self, spec: &MachineSpec, shape: SliceShape) -> f64 {
         let backend = CollectiveBackend::for_spec(spec);
         let mut t = backend.all_reduce_time(shape, self.all_reduce_bytes);
