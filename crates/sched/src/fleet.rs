@@ -106,9 +106,6 @@ pub struct FleetSim {
     preemption: bool,
     record_events: bool,
     threads: usize,
-    units: u32,
-    hosts_per_unit: u32,
-    chips_per_unit: u32,
 }
 
 impl FleetSim {
@@ -126,22 +123,16 @@ impl FleetSim {
     /// A fleet simulation over an already-shared [`PlannerModel`] — no
     /// spec clone, no fabric construction.
     pub fn for_model(model: Arc<PlannerModel>, horizon_s: f64, seed: u64) -> FleetSim {
-        let units = model.blocks();
-        let hosts_per_unit = model.hosts_per_block();
-        let chips_per_unit = model.chips_per_block();
-        let quarter_blocks = (units / 4).max(1);
+        let quarter_blocks = (model.blocks() / 4).max(1);
         FleetSim {
             profile: model.spec().fleet_profile(),
+            probe_slice_chips: u64::from(quarter_blocks) * u64::from(model.chips_per_block()),
             model,
             horizon_s,
             seed,
-            probe_slice_chips: u64::from(quarter_blocks) * u64::from(chips_per_unit),
             preemption: true,
             record_events: false,
             threads: 0,
-            units,
-            hosts_per_unit,
-            chips_per_unit,
         }
     }
 
@@ -191,12 +182,12 @@ impl FleetSim {
 
     /// Total chips in the machine (whole blocks/islands).
     pub fn total_chips(&self) -> u64 {
-        u64::from(self.units) * u64::from(self.chips_per_unit)
+        self.model.total_chips()
     }
 
     /// Total CPU hosts.
     pub fn total_hosts(&self) -> u64 {
-        u64::from(self.units) * u64::from(self.hosts_per_unit)
+        self.model.total_hosts()
     }
 
     /// Runs one simulation on a fleet-fabric arm and returns its trace.
@@ -259,7 +250,7 @@ impl FleetSim {
             fabric != FabricKind::Switched || self.model.spec().torus_dims == 0,
             "FabricKind::Switched is only defined for torus_dims == 0 specs"
         );
-        let block = u64::from(self.chips_per_unit);
+        let block = u64::from(self.model.chips_per_block());
         assert!(
             self.probe_slice_chips > 0
                 && self.probe_slice_chips.is_multiple_of(block)
@@ -580,7 +571,6 @@ struct Engine<'a> {
     queue: EventHeap,
     seq: u64,
     now: f64,
-    up: Vec<bool>,
     down_in_unit: Vec<u32>,
     up_hosts: u32,
     healthy_units: u32,
@@ -615,8 +605,11 @@ impl<'a> Engine<'a> {
             machine.set_deferred_wiring(true);
             Arm::Reconfigurable(machine)
         };
-        let (probe_box, probe_shape, probe_blocks) =
-            slice_geometry(sim.model.spec(), sim.chips_per_unit, sim.probe_slice_chips);
+        let (probe_box, probe_shape, probe_blocks) = slice_geometry(
+            sim.model.spec(),
+            sim.model.chips_per_block(),
+            sim.probe_slice_chips,
+        );
         // The plugboard spends reconfig_ms programming circuits per
         // placement; static cabling and packet-switched fabrics have no
         // such window.
@@ -644,6 +637,7 @@ impl<'a> Engine<'a> {
         };
 
         let hosts = sim.total_hosts() as u32;
+        let units = sim.model.blocks();
         let trace = FleetTrace {
             horizon_s: sim.horizon_s,
             total_chips: sim.total_chips(),
@@ -686,17 +680,16 @@ impl<'a> Engine<'a> {
             queue: EventHeap::new(),
             seq: 0,
             now: 0.0,
-            up: vec![true; hosts as usize],
-            down_in_unit: vec![0; sim.units as usize],
+            down_in_unit: vec![0; units as usize],
             up_hosts: hosts,
-            healthy_units: sim.units,
+            healthy_units: units,
             busy_chips: 0,
             deliverable_chips: 0,
             probe_dirty: true,
             running: BTreeMap::new(),
             queues: [VecDeque::new(), VecDeque::new()],
             preempt_exhausted: false,
-            health: vec![0; sim.units.div_ceil(64) as usize],
+            health: vec![0; units.div_ceil(64) as usize],
             trace,
         };
         engine.draw_next_job();
@@ -714,7 +707,7 @@ impl<'a> Engine<'a> {
         }
         let profile = &self.sim.profile;
         let edge = self.sim.model.spec().block.edge.max(1);
-        let chips_per_unit = u64::from(self.sim.chips_per_unit);
+        let chips_per_unit = u64::from(self.sim.model.chips_per_block());
         let geometric = u64::from(edge).pow(3) == chips_per_unit;
         let rng = &mut self.draw.rng;
         self.draw.t += -profile.arrival_interval_s * (1.0 - rng.random::<f64>()).ln();
@@ -771,15 +764,14 @@ impl<'a> Engine<'a> {
     /// match the steady state from t = 0 — no warm-up transient to cut.
     fn init_hosts(&mut self) {
         let availability = self.sim.profile.steady_availability();
-        for host in 0..self.up.len() as u32 {
+        for host in 0..self.sim.total_hosts() as u32 {
             if self.health_rng.random::<f64>() < availability {
                 let residual = self.draw_up_time();
                 self.push(residual, Ev::HostFailure { host });
             } else {
                 let residual = self.draw_equilibrium_repair();
-                self.up[host as usize] = false;
                 self.up_hosts -= 1;
-                let unit = host / self.sim.hosts_per_unit;
+                let unit = host / self.sim.model.hosts_per_block();
                 self.down_in_unit[unit as usize] += 1;
                 if self.down_in_unit[unit as usize] == 1 {
                     self.healthy_units -= 1;
@@ -855,7 +847,7 @@ impl<'a> Engine<'a> {
             self.trace.busy_chip_s += self.busy_chips as f64 * dt;
             self.trace.up_host_s += f64::from(self.up_hosts) * dt;
             self.trace.healthy_chip_s +=
-                f64::from(self.healthy_units) * f64::from(self.sim.chips_per_unit) * dt;
+                f64::from(self.healthy_units) * f64::from(self.sim.model.chips_per_block()) * dt;
             self.trace.deliverable_chip_s += self.deliverable_chips as f64 * dt;
         }
         self.now = to;
@@ -886,7 +878,8 @@ impl<'a> Engine<'a> {
                 self.probe_blocks,
             ),
         };
-        self.deliverable_chips = u64::from(placed_blocks) * u64::from(self.sim.chips_per_unit);
+        self.deliverable_chips =
+            u64::from(placed_blocks) * u64::from(self.sim.model.chips_per_block());
         self.probe_dirty = false;
         self.trace.probes += 1;
     }
@@ -903,11 +896,10 @@ impl<'a> Engine<'a> {
 
     fn host_failure(&mut self, t: f64, host: u32) {
         self.trace.host_failures += 1;
-        self.up[host as usize] = false;
         self.up_hosts -= 1;
         let repair_at = t + self.draw_repair_time();
         self.push(repair_at, Ev::HostRepair { host });
-        let unit = host / self.sim.hosts_per_unit;
+        let unit = host / self.sim.model.hosts_per_block();
         self.down_in_unit[unit as usize] += 1;
         // Recorded before its consequences (kills) so a replayed ledger
         // sees cause before effect.
@@ -944,11 +936,10 @@ impl<'a> Engine<'a> {
 
     fn host_repair(&mut self, t: f64, host: u32) {
         self.trace.host_repairs += 1;
-        self.up[host as usize] = true;
         self.up_hosts += 1;
         let fail_at = t + self.draw_up_time();
         self.push(fail_at, Ev::HostFailure { host });
-        let unit = host / self.sim.hosts_per_unit;
+        let unit = host / self.sim.model.hosts_per_block();
         self.down_in_unit[unit as usize] -= 1;
         let recovered = self.down_in_unit[unit as usize] == 0;
         if recovered {
@@ -1229,7 +1220,7 @@ impl<'a> Engine<'a> {
 
     fn record(&mut self, t: f64, kind: TraceKind) {
         if self.sim.record_events {
-            let down_hosts = self.up.len() as u32 - self.up_hosts;
+            let down_hosts = self.sim.total_hosts() as u32 - self.up_hosts;
             self.trace.log.push(TraceEvent {
                 t,
                 kind,
