@@ -153,6 +153,7 @@ fn route(state: &ServiceState, req: &Request) -> Result<ApiResponse, ApiError> {
             | ["healthz"]
             | ["stats"]
             | ["specs"]
+            | ["specs", _]
             | ["specs", _, "whatif" | "collective" | "fleet"]
             | ["specs", _, "whatif", "sweep"],
         ) => Err(ApiError {
@@ -160,12 +161,8 @@ fn route(state: &ServiceState, req: &Request) -> Result<ApiResponse, ApiError> {
             code: "method_not_allowed",
             message: format!("{} is not supported on {}", req.method, req.path),
         }),
-        ("GET" | "PUT" | "DELETE", ["specs", ..]) | (_, ["specs", _]) => Err(ApiError {
-            status: if matches!(req.method.as_str(), "GET" | "PUT" | "DELETE") {
-                404
-            } else {
-                405
-            },
+        ("GET" | "PUT" | "DELETE", ["specs", ..]) => Err(ApiError {
+            status: 404,
             code: "unknown_path",
             message: format!("no such endpoint: {}", req.path),
         }),
@@ -942,10 +939,16 @@ mod tests {
     #[test]
     fn unknown_paths_are_404() {
         let state = state_with_v4();
-        for path in ["/nope", "/specs/v4/unknown", "/specs/v4/whatif/extra"] {
-            let resp = handle(&state, &get_req(path));
-            assert_eq!(resp.status, 404, "{path}");
-            assert!(resp.body.contains("not_found") || resp.body.contains("unknown_path"));
+        for method in ["GET", "PUT", "DELETE"] {
+            for path in ["/nope", "/specs/v4/unknown", "/specs/v4/whatif/extra"] {
+                let req = Request {
+                    method: method.into(),
+                    ..get_req(path)
+                };
+                let resp = handle(&state, &req);
+                assert_eq!(resp.status, 404, "{method} {path}");
+                assert!(resp.body.contains("not_found") || resp.body.contains("unknown_path"));
+            }
         }
     }
 
@@ -968,6 +971,19 @@ mod tests {
             keep_alive: false,
         };
         assert_eq!(handle(&state, &sweep).status, 405);
+        for method in ["POST", "PATCH"] {
+            let req = Request {
+                method: method.into(),
+                ..get_req("/specs/v4")
+            };
+            let resp = handle(&state, &req);
+            assert_eq!(resp.status, 405, "{method}: {}", resp.body);
+            assert!(
+                resp.body.contains("method_not_allowed"),
+                "{method}: {}",
+                resp.body
+            );
+        }
     }
 
     #[test]
