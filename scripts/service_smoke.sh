@@ -4,7 +4,8 @@
 # answer for every spec's what-if query, on its default fabric and on
 # the static arm, equals the offline answer from `tpu-serve --oneshot`
 # (which builds its simulator through the same GoodputSim::for_spec
-# path as `repro --spec` and the test suite).
+# path as `repro --spec` and the test suite). The same holds for one
+# collective quote per op and one short fleet run per arm.
 # Also checks every served spec body round-trips the committed file.
 #
 # Usage: scripts/service_smoke.sh [HOST:PORT]
@@ -14,6 +15,7 @@ cd "$(dirname "$0")/.."
 ADDR="${1:-127.0.0.1:17471}"
 BIN=target/release/tpu-serve
 QUERY='availability=0.992&trials=120&seed=7'
+FLEET='horizon_days=0.25&trials=1'
 
 cargo build --release -p tpu-serve
 
@@ -61,6 +63,21 @@ for spec in specs/*.json; do
     echo "FAIL $name: static-arm HTTP response differs from offline --oneshot"
     fail=1
   fi
+
+  # One collective quote per op (the default 4x4x4 shape places on
+  # every committed spec) and one short fleet run per arm.
+  for endpoint in collective?op=all_reduce collective?op=all_to_all \
+    "fleet?$FLEET" "fleet?$FLEET&fabric=static"; do
+    label=$(printf '%s' "$endpoint" | tr -c 'a-z0-9_' '.')
+    curl -sf "http://$ADDR/specs/$name/$endpoint" >"$workdir/$name.$label.http.json"
+    "$BIN" --oneshot "$spec" "$endpoint" >"$workdir/$name.$label.offline.json"
+    if diff -u "$workdir/$name.$label.offline.json" "$workdir/$name.$label.http.json"; then
+      echo "ok $name: $endpoint HTTP == offline"
+    else
+      echo "FAIL $name: $endpoint HTTP response differs from offline --oneshot"
+      fail=1
+    fi
+  done
 done
 
 # Keep-alive: one curl invocation with several URLs reuses one
@@ -119,4 +136,4 @@ if [ "$fail" -ne 0 ]; then
   echo "service smoke FAILED"
   exit 1
 fi
-echo "service smoke passed: every spec byte-identical HTTP vs offline"
+echo "service smoke passed: every spec and endpoint byte-identical HTTP vs offline"
