@@ -366,13 +366,11 @@ impl SwitchedFabric {
     }
 }
 
-/// Uniform all-to-all time with `bytes_per_pair` between every ordered
-/// pair of a torus chip graph of `shape`, at per-link `link`: the
-/// per-link load model's completion time plus the shape diameter's
-/// pipeline depth in hops. A twisted graph changes the link loads, not
-/// that depth. Fractional per-pair payloads stay fractional (the load
-/// model is linear): a sub-byte pair budget must not round to a free
-/// collective while the crossbar/NIC branches charge for it.
+/// All-to-all time over a torus chip graph of `shape` at per-link
+/// `link`: the load model's completion time plus the shape diameter's
+/// pipeline depth. Fractional per-pair payloads stay fractional (the
+/// load model is linear): a sub-byte pair budget must not round to a
+/// free collective while the crossbar/NIC branches charge for it.
 fn torus_all_to_all_time(
     link: AlphaBeta,
     shape: SliceShape,
