@@ -244,9 +244,11 @@ impl StaticCluster {
     ///
     /// Placements are identical to a greedy cell-by-cell scan over
     /// `BTreeSet` health probes (the anchor/orientation order is
-    /// unchanged); only the candidate test changed, to contiguous runs
-    /// of the always-fresh word-packed free bitset (DESIGN.md §11). A
-    /// refusal changes nothing.
+    /// unchanged); only the candidate test changed. On grids of at most
+    /// 64 blocks the anchor is the lowest one that bit-parallel erosion
+    /// of the free word leaves, found by the helper `count_first_fit`
+    /// uses; larger grids test contiguous runs of the word-packed free
+    /// bitset (DESIGN.md §11). A refusal changes nothing.
     ///
     /// # Errors
     ///
@@ -267,15 +269,21 @@ impl StaticCluster {
             return Err(refused);
         }
         let (grid, free, orients) = (self.grid, &self.occ.free, orients.as_slice());
-        let fit = first_fit(free, grid, 0, orients.len(), |anchor, o| {
-            box_runs(grid, anchor, orients[o], |start, end| {
-                run_is_set(free, start, end)
+        let fit = match self.word_grid {
+            Some(g) => g
+                .first_fit(free[0], orients, 0)
+                .map(|(a, b)| (coordinates(grid, a as usize), b)),
+            None => first_fit(free, grid, 0, orients.len(), |anchor, o| {
+                box_runs(grid, anchor, orients[o], |start, end| {
+                    run_is_set(free, start, end)
+                })
             })
-        });
-        let Some((_, anchor, o)) = fit else {
+            .map(|(_, anchor, o)| (anchor, orients[o])),
+        };
+        let Some((anchor, b)) = fit else {
             return Err(refused);
         };
-        let cells: Vec<u32> = box_cells(grid, anchor, orients[o]).collect();
+        let cells: Vec<u32> = box_cells(grid, anchor, b).collect();
         for &i in &cells {
             self.in_use[i as usize] = true;
             self.occ.set_free(i as usize, false);
@@ -297,7 +305,8 @@ impl StaticCluster {
     /// fill — a candidate refused earlier stays refused, and every
     /// candidate at `a` now holds a taken cell. On grids of at most 64
     /// blocks the pass finds each anchor by bit-parallel erosion of the
-    /// free word; larger grids use `allocate`'s run test (DESIGN.md §11).
+    /// free word, as `allocate` does; larger grids test contiguous runs
+    /// (DESIGN.md §11).
     ///
     /// # Panics
     ///
@@ -320,20 +329,9 @@ impl StaticCluster {
             let mut free = self.occ.free[0] & healthy[0];
             let mut from = 0;
             while volume <= free.count_ones() {
-                // The lowest free anchor at or after `from` over every
-                // orientation; on a tie the earlier orientation wins, as
-                // in `allocate`'s scan.
-                let ahead = u64::MAX.checked_shl(from).unwrap_or(0);
-                let (mut a, mut b) = (64, orients[0]);
-                for &o in orients {
-                    let first = (g.erode(free, o) & ahead).trailing_zeros();
-                    if first < a {
-                        (a, b) = (first, o);
-                    }
-                }
-                if a == 64 {
+                let Some((a, b)) = g.first_fit(free, orients, from) else {
                     break;
-                }
+                };
                 free &= !g.dilate(1 << a, b);
                 placed += 1;
                 from = a + 1;
@@ -460,6 +458,28 @@ impl WordGrid {
         e
     }
 
+    /// The lowest anchor at or after `from` at which some orientation's
+    /// box lies wholly in `free`, with that orientation; on a tie the
+    /// earlier orientation wins, as in the cell-by-cell scan. The first
+    /// fit of `allocate` and of `count_first_fit` on grids of at most 64
+    /// blocks.
+    fn first_fit(
+        &self,
+        free: u64,
+        orients: &[(u32, u32, u32)],
+        from: u32,
+    ) -> Option<(u32, (u32, u32, u32))> {
+        let ahead = u64::MAX.checked_shl(from).unwrap_or(0);
+        let (mut a, mut b) = (64, orients[0]);
+        for &o in orients {
+            let first = (self.erode(free, o) & ahead).trailing_zeros();
+            if first < a {
+                (a, b) = (first, o);
+            }
+        }
+        (a < 64).then_some((a, b))
+    }
+
     /// The cells of box `b` anchored at the one set bit of `anchor`: the
     /// mirrored dilation, pushing along x, then y, then z.
     fn dilate(&self, anchor: u64, b: (u32, u32, u32)) -> u64 {
@@ -484,7 +504,7 @@ fn coordinates(grid: (u32, u32, u32), a: usize) -> (u32, u32, u32) {
     )
 }
 
-/// The first-fit scan of `allocate` and of `count_first_fit` on grids
+/// The first-fit scan of `allocate` and `count_first_fit` on grids
 /// above 64 blocks: anchors in linear index order (x fastest) from
 /// `from`, and at each anchor the `orients` candidate orientations in
 /// order; returns the first `(anchor index, anchor coordinates,

@@ -1,8 +1,9 @@
 //! Deferred OCS wiring (`Supercomputer::set_deferred_wiring`) skips
 //! programming circuits but must not change a single admission
-//! decision: the fleet DES runs its plugboard arm deferred and relies on
-//! every `submit` accepting, refusing and choosing blocks exactly as an
-//! eager machine would.
+//! decision: every `submit` must accept, refuse and choose blocks
+//! exactly as an eager machine would. The fleet DES's word admission is
+//! held to the deferred machine (`tpu-sched`'s fleet tests), and so
+//! through this test to eager wiring too.
 //!
 //! The proof drives an eager and a deferred machine through one seeded
 //! script of `submit`, `finish`, `inject_host_failure` and

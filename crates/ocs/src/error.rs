@@ -44,7 +44,8 @@ pub enum OcsError {
         /// The offending block.
         block: BlockId,
     },
-    /// A block required by a slice is unhealthy.
+    /// A block chosen for a slice is unhealthy, already in use, or
+    /// chosen twice.
     UnhealthyBlock {
         /// The offending block.
         block: BlockId,
@@ -78,7 +79,9 @@ impl fmt::Display for OcsError {
                 shape.0, shape.1, shape.2
             ),
             OcsError::UnknownBlock { block } => write!(f, "block {block} is not in this fabric"),
-            OcsError::UnhealthyBlock { block } => write!(f, "block {block} is unhealthy"),
+            OcsError::UnhealthyBlock { block } => {
+                write!(f, "block {block} is unhealthy or already taken")
+            }
             OcsError::TwistNotBlockExpressible { offset } => write!(
                 f,
                 "twist offset {offset} chips is not a whole number of blocks"

@@ -147,7 +147,11 @@ impl MaterializedSlice {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fabric {
     blocks: Vec<Block>,
-    in_use: Vec<bool>,
+    /// Healthy blocks that no slice holds, bit `i` for block `i` (a
+    /// fabric has at most 64 blocks): what admission draws on.
+    free: u64,
+    /// Blocks some slice holds, healthy or not.
+    in_use: u64,
     ocses: Vec<OcsSwitch>,
     /// Deferred-wiring mode: allocations validate and reserve blocks but
     /// skip programming circuits. Runtime-only tuning, not fabric state —
@@ -183,21 +187,25 @@ impl Fabric {
     }
 
     /// A fabric with a custom number of deployed blocks (≤ 64, since each
-    /// OCS has 128 usable ports).
+    /// OCS has 128 usable ports; it is also what keeps the free blocks in
+    /// one word).
     ///
     /// # Panics
     ///
     /// Panics if `blocks > 64`.
     pub fn with_blocks(blocks: u32) -> Fabric {
         let max_blocks =
-            u32::from(tpu_spec::consts::PALOMAR_PORTS - tpu_spec::consts::PALOMAR_SPARE_PORTS) / 2;
+            (u32::from(tpu_spec::consts::PALOMAR_PORTS - tpu_spec::consts::PALOMAR_SPARE_PORTS)
+                / 2)
+            .min(u64::BITS);
         assert!(
             blocks <= max_blocks,
             "a {OCS_COUNT}-OCS fabric supports at most {max_blocks} blocks"
         );
         Fabric {
             blocks: (0..blocks).map(|i| Block::new(BlockId::new(i))).collect(),
-            in_use: vec![false; blocks as usize],
+            free: u64::MAX.checked_shr(64 - blocks).unwrap_or(0),
+            in_use: 0,
             ocses: (0..OCS_COUNT).map(|_| OcsSwitch::palomar()).collect(),
             deferred_wiring: false,
         }
@@ -215,12 +223,14 @@ impl Fabric {
     /// and [`Fabric::total_circuits`] counts only physically programmed
     /// circuits, i.e. stays at zero.
     ///
-    /// This exists for placement-rate-bound simulations: the fleet DES
-    /// allocates and releases on the order of a million slices per run
-    /// and only ever asks *whether* and *where* a slice fits, so the
-    /// 48-circuits-per-block program/teardown traffic is pure overhead
-    /// there. Anything that inspects programmed wiring — reconfiguration
-    /// planning over [`MaterializedSlice::circuits`], link-level figures,
+    /// This is for loops that only ask *whether* and *where* a slice
+    /// fits, where the 48-circuits-per-block program/teardown traffic is
+    /// pure overhead. The fleet DES no longer places through a fabric
+    /// (it picks blocks with [`pick_lowest_blocks`] on its own words),
+    /// so the one caller outside tests is the benchmark's admission
+    /// probe, and the mode goes once that probe stops using it. Anything
+    /// that inspects programmed wiring — reconfiguration planning over
+    /// [`MaterializedSlice::circuits`], link-level figures,
     /// switch-utilization counts — must stay in the default eager mode.
     ///
     /// # Panics
@@ -229,7 +239,7 @@ impl Fabric {
     /// live circuits would strand or double-program switch state.
     pub fn set_deferred_wiring(&mut self, deferred: bool) {
         assert!(
-            !self.in_use.iter().any(|&u| u),
+            self.in_use == 0,
             "wiring mode can only change on an idle fabric"
         );
         self.deferred_wiring = deferred;
@@ -281,25 +291,23 @@ impl Fabric {
             .get_mut(id.index())
             .ok_or(OcsError::UnknownBlock { block: id })?;
         block.set_host_up(host, up);
+        let bit = 1u64 << id.index();
+        if block.is_healthy() && self.in_use & bit == 0 {
+            self.free |= bit;
+        } else {
+            self.free &= !bit;
+        }
         Ok(())
     }
 
     /// Healthy, unallocated blocks — what the scheduler can draw on.
     pub fn free_healthy_blocks(&self) -> Vec<BlockId> {
-        self.free_healthy().collect()
-    }
-
-    /// Healthy, unallocated blocks in index order, without collecting
-    /// them.
-    fn free_healthy(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.blocks
-            .iter()
-            .filter(|b| b.is_healthy() && !self.in_use[b.id().index()])
-            .map(Block::id)
+        block_ids(self.free).collect()
     }
 
     /// Allocates and programs a slice from any free healthy blocks
     /// (the OCS "acts like a plugboard": block positions are arbitrary).
+    /// It takes the lowest-indexed ones ([`pick_lowest_blocks`]).
     ///
     /// # Errors
     ///
@@ -309,13 +317,11 @@ impl Fabric {
     ///   whole blocks.
     pub fn allocate(&mut self, spec: &SliceSpec) -> Result<MaterializedSlice, OcsError> {
         let needed = spec.blocks_needed()? as usize;
-        // Count first, so a refusal allocates nothing.
-        let available = self.free_healthy().count();
-        if available < needed {
-            return Err(OcsError::InsufficientBlocks { needed, available });
-        }
-        let chosen: Vec<BlockId> = self.free_healthy().take(needed).collect();
-        self.allocate_on(spec, chosen)
+        let chosen = pick_lowest_blocks(self.free, needed).ok_or(OcsError::InsufficientBlocks {
+            needed,
+            available: self.free.count_ones() as usize,
+        })?;
+        self.allocate_on(spec, block_ids(chosen).collect())
     }
 
     /// Allocates a slice on an explicit set of blocks (ordered by slice
@@ -323,8 +329,10 @@ impl Fabric {
     ///
     /// # Errors
     ///
-    /// As [`Fabric::allocate`], plus [`OcsError::UnknownBlock`] /
-    /// [`OcsError::UnhealthyBlock`] for bad block choices.
+    /// As [`Fabric::allocate`], plus [`OcsError::UnknownBlock`] for a
+    /// block outside the fabric and [`OcsError::UnhealthyBlock`] for one
+    /// that is unhealthy, in use, or named twice. A refusal changes
+    /// nothing.
     pub fn allocate_on(
         &mut self,
         spec: &SliceSpec,
@@ -337,11 +345,16 @@ impl Fabric {
                 available: chosen.len(),
             });
         }
+        // Each block must still be free once the earlier ones are taken,
+        // so a repeated block is refused like one in use.
+        let mut mask = 0u64;
         for &id in &chosen {
-            let b = self.block(id)?;
-            if !b.is_healthy() || self.in_use[id.index()] {
+            self.block(id)?;
+            let bit = 1u64 << id.index();
+            if self.free & !mask & bit == 0 {
                 return Err(OcsError::UnhealthyBlock { block: id });
             }
+            mask |= bit;
         }
 
         let block_shape = spec
@@ -375,9 +388,8 @@ impl Fabric {
             }
         }
 
-        for &id in &chosen {
-            self.in_use[id.index()] = true;
-        }
+        self.in_use |= mask;
+        self.free &= !mask;
         Ok(MaterializedSlice {
             spec: *spec,
             blocks: chosen,
@@ -397,8 +409,12 @@ impl Fabric {
             self.ocses[c.ocs].disconnect(c.plus)?;
         }
         for &id in slice.blocks() {
-            self.block(id)?;
-            self.in_use[id.index()] = false;
+            let healthy = self.block(id)?.is_healthy();
+            let bit = 1u64 << id.index();
+            self.in_use &= !bit;
+            if healthy {
+                self.free |= bit;
+            }
         }
         Ok(())
     }
@@ -407,6 +423,29 @@ impl Fabric {
     pub fn total_circuits(&self) -> usize {
         self.ocses.iter().map(OcsSwitch::circuit_count).sum()
     }
+}
+
+/// The plugboard's block choice: the lowest `needed` blocks of `free`
+/// (bit `i` for block `i`), as a mask, or `None` when fewer are free.
+/// [`Fabric::allocate`] and the fleet DES both pick through it.
+pub fn pick_lowest_blocks(free: u64, needed: usize) -> Option<u64> {
+    if (free.count_ones() as usize) < needed {
+        return None;
+    }
+    let mut rest = free;
+    for _ in 0..needed {
+        rest &= rest - 1;
+    }
+    Some(free ^ rest)
+}
+
+/// The blocks of a mask, in index order.
+fn block_ids(mut mask: u64) -> impl Iterator<Item = BlockId> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros();
+        mask &= mask.wrapping_sub(1);
+        (i < 64).then(|| BlockId::new(i))
+    })
 }
 
 /// Converts a chip-level twist to block units, checking expressibility.
@@ -648,6 +687,49 @@ mod tests {
             .allocate(&SliceSpec::regular(SliceShape::new(4, 4, 8).unwrap()))
             .unwrap();
         assert_eq!(slice.blocks(), &[BlockId::new(2), BlockId::new(3)]);
+    }
+
+    #[test]
+    fn a_repeated_block_is_refused_before_any_state_changes() {
+        // Two slice positions on one 64-chip block: eager wiring used to
+        // program a circuit and then hit a busy port, deferred wiring
+        // used to place 128 chips on it.
+        let spec = SliceSpec::regular(SliceShape::new(4, 4, 8).unwrap());
+        for deferred in [false, true] {
+            let mut fabric = Fabric::with_blocks(4);
+            fabric.set_deferred_wiring(deferred);
+            let free = fabric.free_healthy_blocks();
+            let err = fabric
+                .allocate_on(&spec, vec![BlockId::new(0), BlockId::new(0)])
+                .unwrap_err();
+            assert_eq!(
+                err,
+                OcsError::UnhealthyBlock {
+                    block: BlockId::new(0)
+                },
+                "deferred {deferred}"
+            );
+            assert_eq!(fabric.total_circuits(), 0, "deferred {deferred}");
+            assert_eq!(fabric.free_healthy_blocks(), free, "deferred {deferred}");
+            // The fabric is untouched: two distinct blocks still place.
+            let slice = fabric
+                .allocate_on(&spec, vec![BlockId::new(1), BlockId::new(0)])
+                .unwrap();
+            assert_eq!(slice.blocks(), &[BlockId::new(1), BlockId::new(0)]);
+        }
+    }
+
+    #[test]
+    fn picks_take_the_lowest_free_blocks() {
+        let free = 0b1011_0110;
+        assert_eq!(pick_lowest_blocks(free, 0), Some(0));
+        assert_eq!(pick_lowest_blocks(free, 1), Some(0b0000_0010));
+        assert_eq!(pick_lowest_blocks(free, 3), Some(0b0001_0110));
+        assert_eq!(pick_lowest_blocks(free, 5), Some(free));
+        assert_eq!(pick_lowest_blocks(free, 6), None);
+        assert_eq!(pick_lowest_blocks(u64::MAX, 64), Some(u64::MAX));
+        assert_eq!(pick_lowest_blocks(u64::MAX, 65), None);
+        assert_eq!(pick_lowest_blocks(1 << 63, 1), Some(1 << 63));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod wiring;
 pub use block::{Block, BlockId, HOSTS_PER_BLOCK, TPUS_PER_BLOCK, TPUS_PER_HOST};
 pub use cost::{CostModel, CostReport};
 pub use error::OcsError;
-pub use fabric::{Circuit, Fabric, MaterializedSlice, SliceSpec};
+pub use fabric::{pick_lowest_blocks, Circuit, Fabric, MaterializedSlice, SliceSpec};
 pub use reconfig::ReconfigPlan;
 pub use switch::{OcsSwitch, PortId, OCS_RECONFIG_MS, PALOMAR_PORTS, PALOMAR_SPARE_PORTS};
 

@@ -24,10 +24,15 @@
 //!   the front of their tier with their remaining work (checkpoint
 //!   semantics).
 //!
-//! All three fabric arms run through the same production APIs the rest
-//! of the stack uses: [`Supercomputer::submit`] on the OCS plugboard
-//! and switched-island fabrics, [`StaticCluster::allocate`] contiguous
-//! packing on the static arm.
+//! The static arm packs contiguous boxes through the production
+//! [`StaticCluster::allocate`]. The two reconfigurable arms admit on
+//! occupancy words, by the rules `Supercomputer::submit` applies to the
+//! model's machine: the OCS plugboard takes the lowest free healthy
+//! blocks through [`tpu_ocs::pick_lowest_blocks`], the pick
+//! `Fabric::allocate` makes, and the switched-island fabric admits a
+//! job while its chips fit in the healthy chips less the busy ones.
+//! A unit test here runs both against `Supercomputer::submit`/`finish`
+//! step by step.
 //!
 //! # Determinism
 //!
@@ -47,12 +52,11 @@
 //! drop when the job ends or is evicted, so memory tracks live jobs,
 //! not the horizon. An arriving job runs a scheduling pass only when
 //! it becomes the head of its tier queue: behind a head that was just
-//! refused, a pass could not place anything. The plugboard arm places
-//! with deferred OCS wiring ([`Supercomputer::set_deferred_wiring`]):
-//! admission runs in full, circuit programming is skipped. The
-//! `fleet_golden` fixtures pin the traces of every committed spec, and
-//! `tpu-core`'s `deferred_wiring` test proves deferred admission equals
-//! eager admission.
+//! refused, a pass could not place anything. A running plugboard job
+//! holds its blocks as a mask, so admission, release and failure kills
+//! on the reconfigurable arms are a few word operations, with no
+//! machine cloned and nothing allocated per placement. The
+//! `fleet_golden` fixtures pin the traces of every committed spec.
 //!
 //! # Proven against the closed forms
 //!
@@ -67,7 +71,9 @@
 //! [`GoodputSim`]: crate::GoodputSim
 //! [`GoodputSim::goodput`]: crate::GoodputSim::goodput
 
-use crate::goodput::{place_reconfigurable_words, place_static_words, slice_geometry};
+use crate::goodput::{
+    healthy_chips_words, place_reconfigurable_words, place_static_words, slice_geometry,
+};
 use crate::model::PlannerModel;
 use crate::slice_mix::SliceMix;
 use crate::trials::{chunk_seed, run_chunks};
@@ -77,8 +83,8 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use tpu_core::{JobId, JobSpec, StaticCluster, Supercomputer};
-use tpu_ocs::{BlockId, SliceSpec};
+use tpu_core::StaticCluster;
+use tpu_ocs::pick_lowest_blocks;
 use tpu_spec::{consts, FabricKind, FleetSpec, MachineSpec};
 use tpu_topology::SliceShape;
 
@@ -92,10 +98,10 @@ const PRODUCTION_SHARE: f64 = 0.25;
 
 /// The discrete-event fleet simulator (see the module docs).
 ///
-/// The machine lives in an [`Arc`]-shared [`PlannerModel`]: each run
-/// clones the model's pristine cached arms instead of rebuilding
-/// fabrics, so replicated trials and service queries pay construction
-/// once per machine.
+/// The machine lives in an [`Arc`]-shared [`PlannerModel`]: a static
+/// run clones the model's pristine cluster, and a reconfigurable run
+/// needs only occupancy words, so replicated trials and service queries
+/// pay fabric construction once per machine.
 #[derive(Debug, Clone)]
 pub struct FleetSim {
     model: Arc<PlannerModel>,
@@ -193,10 +199,9 @@ impl FleetSim {
     /// Runs one simulation on a fleet-fabric arm and returns its trace.
     ///
     /// [`FabricKind::Static`] places contiguous boxes on the core
-    /// [`StaticCluster`]; any other kind places through real
-    /// [`Supercomputer::submit`] on the machine's reconfigurable fabric
-    /// (the OCS plugboard for torus specs, the switched island cluster
-    /// for `torus_dims == 0` specs).
+    /// [`StaticCluster`]; any other kind admits on words by the rules of
+    /// the machine's reconfigurable fabric (the OCS plugboard for torus
+    /// specs, the switched island cluster for `torus_dims == 0` specs).
     ///
     /// # Panics
     ///
@@ -492,10 +497,38 @@ impl Ev {
 struct Request {
     /// The box in blocks (islands), what the static arm places.
     blocks_box: (u32, u32, u32),
-    /// The chip shape submitted to the reconfigurable arm.
-    shape: SliceShape,
     chips: u64,
     production: bool,
+}
+
+impl Request {
+    /// The request for a chip shape on the model's units. Geometric
+    /// blocks take the shape's box rounded up to whole blocks;
+    /// geometry-less islands take a run of whole islands, at least one.
+    fn for_shape(model: &PlannerModel, shape: SliceShape, production: bool) -> Request {
+        let edge = model.spec().block.edge.max(1);
+        let chips_per_unit = u64::from(model.chips_per_block());
+        let blocks_box = if u64::from(edge).pow(3) == chips_per_unit {
+            (
+                shape.x().div_ceil(edge),
+                shape.y().div_ceil(edge),
+                shape.z().div_ceil(edge),
+            )
+        } else {
+            let units = shape.volume().div_ceil(chips_per_unit).max(1) as u32;
+            (1, 1, units)
+        };
+        Request {
+            blocks_box,
+            chips: Request::blocks_in(blocks_box) * chips_per_unit,
+            production,
+        }
+    }
+
+    /// Blocks (islands) in a box.
+    fn blocks_in(b: (u32, u32, u32)) -> u64 {
+        u64::from(b.0) * u64::from(b.1) * u64::from(b.2)
+    }
 }
 
 /// One drawn job.
@@ -530,9 +563,10 @@ struct Queued {
 enum Hold {
     /// Contiguous blocks on the static arm.
     Blocks(Vec<u32>),
-    /// A job on the reconfigurable arm (OCS plugboard or switched
-    /// islands). The machine records its blocks, if it has any.
-    Job(JobId),
+    /// Blocks on the OCS plugboard, bit `i` for block `i`.
+    Mask(u64),
+    /// Chips behind the switched fat tree, which pins no unit.
+    Chips,
 }
 
 /// A running (placed) job, with the request it re-queues on eviction.
@@ -551,8 +585,17 @@ type EventHeap = std::collections::BinaryHeap<Reverse<(u64, u8, u64, Ev)>>;
 
 /// The main fabric arm.
 enum Arm {
+    /// Contiguous boxes on a clone of the model's static cluster, which
+    /// learns unit health through the host-0 proxy.
     Fixed(StaticCluster),
-    Reconfigurable(Supercomputer),
+    /// The OCS plugboard: a job takes any free healthy blocks. `taken`
+    /// holds the blocks running jobs hold, one bit each; the healthy
+    /// blocks are the engine's health word (a plugboard fabric has at
+    /// most 64 blocks, so one word covers them).
+    Plugboard { taken: u64 },
+    /// Switched islands behind the fat tree: a job fits while its chips
+    /// fit in the healthy chips less the busy ones.
+    Switched { healthy_chips: u64 },
 }
 
 /// One run's full mutable state.
@@ -574,6 +617,10 @@ struct Engine<'a> {
     down_in_unit: Vec<u32>,
     up_hosts: u32,
     healthy_units: u32,
+    /// Live unit health, 64 units to a word: bit `i % 64` of word
+    /// `i / 64` is set ⇔ unit `i` has every host up. The probe and the
+    /// reconfigurable arms read it; unit transitions keep it current.
+    health: Vec<u64>,
     busy_chips: u64,
     deliverable_chips: u64,
     probe_dirty: bool,
@@ -583,8 +630,6 @@ struct Engine<'a> {
     running: BTreeMap<u32, Running>,
     queues: [VecDeque<Queued>; 2],
     preempt_exhausted: bool,
-    /// Live unit health as the probe reads it, 64 units to a word.
-    health: Vec<u64>,
     trace: FleetTrace,
 }
 
@@ -595,15 +640,23 @@ const BEST_EFFORT: usize = 1;
 impl<'a> Engine<'a> {
     fn new(sim: &'a FleetSim, fabric: FabricKind, seed: u64) -> Engine<'a> {
         let profile = &sim.profile;
+        let units = sim.model.blocks();
+        let health = all_up(units as usize);
+        // The reconfigurable arms admit by the rules of the model's
+        // machine, on words: the DES only asks *whether and where* a job
+        // fits, never which circuits carry it.
         let arm = if fabric == FabricKind::Static {
             Arm::Fixed(sim.model.static_arm().clone())
+        } else if sim.model.spec().torus_dims > 0 {
+            Arm::Plugboard { taken: 0 }
         } else {
-            // The DES only ever asks the plugboard *whether and where*
-            // a slice fits, never which circuits carry it, so it skips
-            // programming OCS switch state per placement.
-            let mut machine = sim.model.reconfigurable_arm().clone();
-            machine.set_deferred_wiring(true);
-            Arm::Reconfigurable(machine)
+            Arm::Switched {
+                healthy_chips: healthy_chips_words(
+                    sim.model.reconfigurable_arm(),
+                    &health,
+                    units as usize,
+                ),
+            }
         };
         let (probe_box, probe_shape, probe_blocks) = slice_geometry(
             sim.model.spec(),
@@ -613,8 +666,7 @@ impl<'a> Engine<'a> {
         // The plugboard spends reconfig_ms programming circuits per
         // placement; static cabling and packet-switched fabrics have no
         // such window.
-        let reconfig_s = if matches!(arm, Arm::Reconfigurable(_)) && sim.model.spec().torus_dims > 0
-        {
+        let reconfig_s = if matches!(arm, Arm::Plugboard { .. }) {
             sim.model
                 .spec()
                 .ocs
@@ -637,7 +689,6 @@ impl<'a> Engine<'a> {
         };
 
         let hosts = sim.total_hosts() as u32;
-        let units = sim.model.blocks();
         let trace = FleetTrace {
             horizon_s: sim.horizon_s,
             total_chips: sim.total_chips(),
@@ -683,13 +734,13 @@ impl<'a> Engine<'a> {
             down_in_unit: vec![0; units as usize],
             up_hosts: hosts,
             healthy_units: units,
+            health,
             busy_chips: 0,
             deliverable_chips: 0,
             probe_dirty: true,
             running: BTreeMap::new(),
             queues: [VecDeque::new(), VecDeque::new()],
             preempt_exhausted: false,
-            health: vec![0; units.div_ceil(64) as usize],
             trace,
         };
         engine.draw_next_job();
@@ -706,9 +757,6 @@ impl<'a> Engine<'a> {
             return;
         }
         let profile = &self.sim.profile;
-        let edge = self.sim.model.spec().block.edge.max(1);
-        let chips_per_unit = u64::from(self.sim.model.chips_per_block());
-        let geometric = u64::from(edge).pow(3) == chips_per_unit;
         let rng = &mut self.draw.rng;
         self.draw.t += -profile.arrival_interval_s * (1.0 - rng.random::<f64>()).ln();
         if self.draw.t >= self.sim.horizon_s {
@@ -716,42 +764,12 @@ impl<'a> Engine<'a> {
             return;
         }
         let shape = self.draw.mix.sample(rng).shape;
-        let blocks_box = if geometric {
-            (
-                shape.x().div_ceil(edge),
-                shape.y().div_ceil(edge),
-                shape.z().div_ceil(edge),
-            )
-        } else {
-            let units = shape.volume().div_ceil(chips_per_unit).max(1) as u32;
-            (1, 1, units)
-        };
-        let chips = u64::from(blocks_box.0)
-            * u64::from(blocks_box.1)
-            * u64::from(blocks_box.2)
-            * chips_per_unit;
-        let submit_shape = if geometric {
-            SliceShape::new(
-                blocks_box.0 * edge,
-                blocks_box.1 * edge,
-                blocks_box.2 * edge,
-            )
-            .expect("boxes are positive") // tpu-lint: allow(panic-policy) -- unreachable: boxes are positive
-        } else {
-            // tpu-lint: allow(panic-policy) -- shape literals are nonzero paper constants
-            SliceShape::new(1, 1, chips as u32).expect("positive chip count")
-        };
         let duration = -profile.mean_duration_s * (1.0 - rng.random::<f64>()).ln();
         let production = rng.random::<f64>() < PRODUCTION_SHARE;
         self.draw.next = Some(DrawnJob {
             arrival: self.draw.t,
             duration,
-            request: Request {
-                blocks_box,
-                shape: submit_shape,
-                chips,
-                production,
-            },
+            request: Request::for_shape(&self.sim.model, shape, production),
         });
     }
 
@@ -774,8 +792,7 @@ impl<'a> Engine<'a> {
                 let unit = host / self.sim.model.hosts_per_block();
                 self.down_in_unit[unit as usize] += 1;
                 if self.down_in_unit[unit as usize] == 1 {
-                    self.healthy_units -= 1;
-                    self.set_arm_unit(unit, false);
+                    self.set_unit(unit, false);
                 }
                 self.push(residual, Ev::HostRepair { host });
             }
@@ -859,10 +876,6 @@ impl<'a> Engine<'a> {
     /// so this is the capacity the closed-form model would report for
     /// this instant; both counts only read the arm they borrow.
     fn reprobe(&mut self) {
-        self.health.fill(0);
-        for (i, &down) in self.down_in_unit.iter().enumerate() {
-            self.health[i / 64] |= u64::from(down == 0) << (i % 64);
-        }
         let placed_blocks = match self.arm {
             Arm::Fixed(_) => place_static_words(
                 self.sim.model.static_arm(),
@@ -870,7 +883,7 @@ impl<'a> Engine<'a> {
                 self.probe_box,
                 self.probe_blocks,
             ),
-            Arm::Reconfigurable(_) => place_reconfigurable_words(
+            Arm::Plugboard { .. } | Arm::Switched { .. } => place_reconfigurable_words(
                 self.sim.model.reconfigurable_arm(),
                 &self.health,
                 self.down_in_unit.len(),
@@ -907,24 +920,19 @@ impl<'a> Engine<'a> {
         let mut killed = 0;
         if self.down_in_unit[unit as usize] == 1 {
             // The block (island) crossed healthy -> down: jobs on it die
-            // and re-queue (checkpoint/restore), the arm learns via the
-            // same host-0 proxy the goodput model uses, and the
+            // and re-queue (checkpoint/restore), the arm learns, and the
             // capacity probe is stale.
-            self.healthy_units -= 1;
             killed = self.kill_jobs_for_failure(t, unit);
-            self.set_arm_unit(unit, false);
-            if let Arm::Reconfigurable(machine) = &self.arm {
-                // Switched fabrics have no job -> unit pinning; the
-                // failure displaces the newest jobs past capacity.
-                if machine.is_switched() {
-                    let healthy = machine.switched().expect("switched arm").healthy_chips(); // tpu-lint: allow(panic-policy) -- unreachable: switched arm
-                    while self.busy_chips > healthy {
-                        let Some(slot) = self.newest_running(false) else {
-                            break;
-                        };
-                        self.evict(t, slot, EvictReason::FailureKill);
-                        killed += 1;
-                    }
+            self.set_unit(unit, false);
+            // Switched fabrics have no job -> unit pinning; the failure
+            // displaces the newest jobs past capacity.
+            if let Arm::Switched { healthy_chips } = self.arm {
+                while self.busy_chips > healthy_chips {
+                    let Some(slot) = self.newest_running(false) else {
+                        break;
+                    };
+                    self.evict(t, slot, EvictReason::FailureKill);
+                    killed += 1;
                 }
             }
             self.probe_dirty = true;
@@ -943,8 +951,7 @@ impl<'a> Engine<'a> {
         self.down_in_unit[unit as usize] -= 1;
         let recovered = self.down_in_unit[unit as usize] == 0;
         if recovered {
-            self.healthy_units += 1;
-            self.set_arm_unit(unit, true);
+            self.set_unit(unit, true);
             self.probe_dirty = true;
         }
         self.record(t, TraceKind::HostRepair { host });
@@ -956,8 +963,7 @@ impl<'a> Engine<'a> {
         let Some(running) = self.running.remove(&slot) else {
             return;
         };
-        self.release_hold(running.hold);
-        self.busy_chips -= running.request.chips;
+        self.release(running.hold, running.request.chips);
         self.trace.completions += 1;
         self.record(t, TraceKind::Completed { job: running.idx });
         self.pass(t, true);
@@ -980,7 +986,7 @@ impl<'a> Engine<'a> {
         let request = job.request;
         let offerable = match &self.arm {
             Arm::Fixed(cluster) => cluster.fits(request.blocks_box),
-            Arm::Reconfigurable(_) => request.chips <= self.sim.total_chips(),
+            Arm::Plugboard { .. } | Arm::Switched { .. } => request.chips <= self.sim.total_chips(),
         };
         self.record(t, TraceKind::Arrival { job: idx });
         if !offerable {
@@ -1003,10 +1009,10 @@ impl<'a> Engine<'a> {
         // queue means preemption is off or already exhausted. Queueing
         // behind a head changes neither arm, neither head and not
         // `preempt_exhausted`, and a refused attempt mutates nothing:
-        // `StaticCluster::allocate`, `Supercomputer::submit` and
-        // `Fabric::allocate` return before any mutation, and job ids
-        // advance only on success. The skipped pass would refuse both
-        // heads again and record nothing.
+        // `StaticCluster::allocate` returns before any mutation, and the
+        // plugboard and switched arms only compare words and counts
+        // (`admit`). The skipped pass would refuse both heads again and
+        // record nothing.
         if becomes_head {
             self.pass(t, false);
         }
@@ -1083,14 +1089,10 @@ impl<'a> Engine<'a> {
             .running
             .iter()
             .filter_map(|(&slot, r)| {
-                let on_unit = match (&self.arm, &r.hold) {
-                    (Arm::Fixed(_), Hold::Blocks(blocks)) => blocks.contains(&unit),
-                    (Arm::Reconfigurable(machine), Hold::Job(id)) => machine
-                        .job(*id)
-                        .ok()
-                        .and_then(|j| j.slice())
-                        .is_some_and(|s| s.blocks().iter().any(|b| b.index() == unit as usize)),
-                    _ => unreachable!("hold kind always matches the arm"),
+                let on_unit = match &r.hold {
+                    Hold::Blocks(blocks) => blocks.contains(&unit),
+                    Hold::Mask(mask) => mask >> unit & 1 == 1,
+                    Hold::Chips => false,
                 };
                 on_unit.then_some(slot)
             })
@@ -1107,8 +1109,7 @@ impl<'a> Engine<'a> {
     /// compute already done is kept). Returns the chips freed.
     fn evict(&mut self, t: f64, slot: u32, reason: EvictReason) -> u64 {
         let running = self.running.remove(&slot).expect("evicting a running job"); // tpu-lint: allow(panic-policy) -- unreachable: callers pass running slots
-        self.release_hold(running.hold);
-        self.busy_chips -= running.request.chips;
+        self.release(running.hold, running.request.chips);
         let compute_done = (t - running.placed_t - running.reconfig_s).max(0.0);
         let remaining = (running.remaining_at_start - compute_done).max(0.0);
         let kind = match reason {
@@ -1135,21 +1136,11 @@ impl<'a> Engine<'a> {
     /// schedules its end, and accounts the wait.
     fn try_place_head(&mut self, t: f64, tier: usize) -> bool {
         let request = self.queues[tier].front().expect("caller checked").request; // tpu-lint: allow(panic-policy) -- unreachable: caller checked
-        let hold = match &mut self.arm {
-            Arm::Fixed(cluster) => match cluster.allocate(request.blocks_box) {
-                Ok(blocks) => Hold::Blocks(blocks),
-                Err(_) => return false,
-            },
-            Arm::Reconfigurable(machine) => {
-                match machine.submit(JobSpec::new("fleet", SliceSpec::regular(request.shape))) {
-                    Ok(id) => Hold::Job(id),
-                    Err(_) => return false,
-                }
-            }
+        let Some(hold) = self.admit(request) else {
+            return false;
         };
         let queued = self.queues[tier].pop_front().expect("caller checked"); // tpu-lint: allow(panic-policy) -- unreachable: caller checked
         let chips = request.chips;
-        self.busy_chips += chips;
         let slot = self.trace.placements as u32;
         let wait = t - queued.enqueued_t;
         self.trace.placements += 1;
@@ -1185,35 +1176,71 @@ impl<'a> Engine<'a> {
         true
     }
 
-    fn release_hold(&mut self, hold: Hold) {
-        match (&mut self.arm, hold) {
-            (Arm::Fixed(cluster), Hold::Blocks(blocks)) => cluster.release(&blocks),
-            (Arm::Reconfigurable(machine), Hold::Job(id)) => {
-                machine.finish(id).expect("job is running"); // tpu-lint: allow(panic-policy) -- unreachable: job is running
+    /// Admits a request on the arm and counts its chips busy, or
+    /// refuses it and changes nothing. The rules are the model machine's
+    /// own: the static arm packs through `StaticCluster::allocate`; the
+    /// plugboard takes the lowest free healthy blocks, the pick
+    /// `Fabric::allocate` makes; a switched job fits while its chips fit
+    /// in healthy chips minus busy chips, as `Supercomputer::submit`
+    /// decides.
+    fn admit(&mut self, request: Request) -> Option<Hold> {
+        let hold = match &mut self.arm {
+            Arm::Fixed(cluster) => Hold::Blocks(cluster.allocate(request.blocks_box).ok()?),
+            Arm::Plugboard { taken } => {
+                let needed = Request::blocks_in(request.blocks_box) as usize;
+                let mask = pick_lowest_blocks(self.health[0] & !*taken, needed)?;
+                *taken |= mask;
+                Hold::Mask(mask)
             }
-            _ => unreachable!("hold kind always matches the arm"),
-        }
+            Arm::Switched { healthy_chips } => {
+                if request.chips > healthy_chips.saturating_sub(self.busy_chips) {
+                    return None;
+                }
+                Hold::Chips
+            }
+        };
+        self.busy_chips += request.chips;
+        Some(hold)
     }
 
-    /// Propagates one block's (island's) health to the main arm via the
-    /// host-0 proxy — the same convention `GoodputSim` injects with, so
-    /// the arm sees exactly the block health the probe measures.
-    fn set_arm_unit(&mut self, unit: u32, healthy: bool) {
+    /// Returns a running job's hold and its chips to the arm.
+    fn release(&mut self, hold: Hold, chips: u64) {
+        match (&mut self.arm, hold) {
+            (Arm::Fixed(cluster), Hold::Blocks(blocks)) => cluster.release(&blocks),
+            (Arm::Plugboard { taken }, Hold::Mask(mask)) => *taken &= !mask,
+            (Arm::Switched { .. }, Hold::Chips) => {}
+            _ => unreachable!("hold kind always matches the arm"),
+        }
+        self.busy_chips -= chips;
+    }
+
+    /// Records one block's (island's) health transition: in the health
+    /// words, in the switched arm's healthy chips, and on the static
+    /// arm's cluster through a host-0 proxy (host 0 of the unit fails
+    /// or is repaired), so every arm sees exactly the block health the
+    /// probe measures.
+    fn set_unit(&mut self, unit: u32, healthy: bool) {
+        let (word, bit) = (&mut self.health[unit as usize / 64], 1u64 << (unit % 64));
+        if healthy {
+            *word |= bit;
+            self.healthy_units += 1;
+        } else {
+            *word &= !bit;
+            self.healthy_units -= 1;
+        }
         match &mut self.arm {
             Arm::Fixed(cluster) => {
                 cluster
                     .set_host_up(unit, 0, healthy)
                     .expect("unit indices are in range"); // tpu-lint: allow(panic-policy) -- unreachable: unit indices are in range
             }
-            Arm::Reconfigurable(machine) => {
-                let block = BlockId::new(unit);
-                if healthy {
-                    machine.repair_host(block, 0).expect("unit in range"); // tpu-lint: allow(panic-policy) -- unreachable: unit in range
-                } else {
-                    machine
-                        .inject_host_failure(block, 0)
-                        .expect("unit in range"); // tpu-lint: allow(panic-policy) -- unreachable: unit in range
-                }
+            Arm::Plugboard { .. } => {}
+            Arm::Switched { healthy_chips } => {
+                *healthy_chips = healthy_chips_words(
+                    self.sim.model.reconfigurable_arm(),
+                    &self.health,
+                    self.down_in_unit.len(),
+                );
             }
         }
     }
@@ -1243,6 +1270,15 @@ enum EvictReason {
     FailureKill,
 }
 
+/// Health words of `units` units, all up: bits past the last unit clear.
+fn all_up(units: usize) -> Vec<u64> {
+    let mut words = vec![u64::MAX; units / 64];
+    if !units.is_multiple_of(64) {
+        words.push(u64::MAX >> (64 - units % 64));
+    }
+    words
+}
+
 fn tier_of(production: bool) -> usize {
     if production {
         PRODUCTION
@@ -1254,6 +1290,7 @@ fn tier_of(production: bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpu_ocs::{BlockId, SliceSpec};
 
     /// A month-scale v4 run small enough for debug-mode tests: higher
     /// offered load and failure rate than the reference profile so
@@ -1456,6 +1493,175 @@ mod tests {
             .filter(|e| matches!(e.kind, TraceKind::Placed { .. }))
             .count() as u64;
         assert_eq!(placed, trace.placements);
+    }
+
+    /// The committed `specs/*.json` machines, by file stem.
+    fn committed_specs() -> Vec<(String, MachineSpec)> {
+        let dir = std::path::PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs"));
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .expect("specs/ directory exists")
+            .map(|entry| entry.expect("readable entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "json"))
+            .collect();
+        paths.sort();
+        paths
+            .into_iter()
+            .map(|p| {
+                let name = p.file_stem().unwrap().to_string_lossy().into_owned();
+                let text = std::fs::read_to_string(&p).expect("readable spec");
+                (name, MachineSpec::from_json(&text).expect("valid spec"))
+            })
+            .collect()
+    }
+
+    /// The chip shape the engine submitted to `Supercomputer` for a
+    /// request before it admitted on words: the block box in chips on
+    /// geometric units, a 1×1×chips rail otherwise.
+    fn submit_shape(model: &PlannerModel, request: &Request) -> SliceShape {
+        let (edge, b) = (model.spec().block.edge.max(1), request.blocks_box);
+        if u64::from(edge).pow(3) == u64::from(model.chips_per_block()) {
+            SliceShape::new(b.0 * edge, b.1 * edge, b.2 * edge).unwrap()
+        } else {
+            SliceShape::new(1, 1, request.chips as u32).unwrap()
+        }
+    }
+
+    /// A request for a row of `units` whole units, through the engine's
+    /// own rounding.
+    fn row_of(model: &PlannerModel, units: u32) -> Request {
+        let edge = model.spec().block.edge.max(1);
+        let shape = if u64::from(edge).pow(3) == u64::from(model.chips_per_block()) {
+            SliceShape::new(edge, edge, edge * units)
+        } else {
+            SliceShape::new(1, 1, model.chips_per_block() * units)
+        };
+        Request::for_shape(model, shape.unwrap(), false)
+    }
+
+    /// The plugboard and switched arms admit on words (`admit`,
+    /// `release`, `set_unit`). A seeded script of unit failures and
+    /// repairs, Table 2 placements, placements sized to the free
+    /// capacity, and releases runs through them and through the code
+    /// they replaced, `Supercomputer::submit`/`finish` with deferred
+    /// wiring and the host-0 proxy, on every committed spec's
+    /// reconfigurable arm and on two switched fleets with a partial last
+    /// island. Every step must accept or refuse alike, and every
+    /// plugboard job must hold the blocks the fabric gave it, which are
+    /// the lowest-indexed blocks with every host up that no job holds.
+    #[test]
+    fn word_admission_decides_like_the_supercomputer() {
+        let mut fleets = committed_specs();
+        assert!(fleets.len() >= 5, "expected the committed spec corpus");
+        let mut a100 = MachineSpec::a100();
+        a100.fleet_chips = 4214;
+        let mut v4_ib = MachineSpec::v4_ib_hybrid();
+        v4_ib.fleet_chips = 4092;
+        fleets.push(("a100-partial".into(), a100));
+        fleets.push(("v4-ib-partial".into(), v4_ib));
+        let mix = SliceMix::table2();
+        for (name, spec) in &fleets {
+            let sim = FleetSim::for_spec(spec, 1.0, 11).with_profile(FleetSpec {
+                arrival_interval_s: f64::INFINITY,
+                mtbf_h: 1.0e12,
+                ..FleetSpec::reference()
+            });
+            let model = &sim.model;
+            let switched = spec.torus_dims == 0;
+            let fabric = if switched {
+                FabricKind::Switched
+            } else {
+                FabricKind::Ocs
+            };
+            let mut engine = Engine::new(&sim, fabric, 11);
+            let units = model.blocks();
+            assert_eq!(engine.healthy_units, units, "{name}: every unit starts up");
+            let mut machine = model.reconfigurable_arm().clone();
+            machine.set_deferred_wiring(true);
+            let mut rng = StdRng::seed_from_u64(0xAD_3175);
+            let mut live: Vec<(tpu_core::JobId, Hold, u64)> = Vec::new();
+            let mut down: Vec<u32> = Vec::new();
+            let (mut admitted, mut refused) = (0, 0);
+            for step in 0..2_000 {
+                let roll = rng.random::<f64>();
+                if roll < 0.5 {
+                    // The reference view of free capacity: per-block host
+                    // flags and the machine's own job table.
+                    let lowest: Vec<BlockId> = machine.fabric().map_or_else(Vec::new, |f| {
+                        let held: Vec<BlockId> = machine
+                            .jobs()
+                            .flat_map(|j| j.slice().unwrap().blocks().to_vec())
+                            .collect();
+                        (0..units)
+                            .map(BlockId::new)
+                            .filter(|b| f.block(*b).unwrap().is_healthy() && !held.contains(b))
+                            .collect()
+                    });
+                    let request = if roll < 0.4 {
+                        Request::for_shape(model, mix.sample(&mut rng).shape, false)
+                    } else {
+                        // The free capacity, give or take a unit: on a
+                        // partial last island only the exact shortfall
+                        // arithmetic decides these.
+                        let free = match machine.switched() {
+                            Some(c) => c
+                                .healthy_chips()
+                                .saturating_sub(machine.chips_in_use())
+                                .div_ceil(u64::from(c.island_chips()))
+                                as u32,
+                            None => lowest.len() as u32,
+                        };
+                        row_of(model, (free + rng.random_range(0..3u32)).max(2) - 1)
+                    };
+                    let slice = SliceSpec::regular(submit_shape(model, &request));
+                    let reference = machine.submit(tpu_core::JobSpec::new("script", slice));
+                    let words = engine.admit(request);
+                    assert_eq!(
+                        reference.is_ok(),
+                        words.is_some(),
+                        "{name} step {step}: {} chips decided differently",
+                        request.chips
+                    );
+                    let (Ok(id), Some(hold)) = (reference, words) else {
+                        refused += 1;
+                        continue;
+                    };
+                    if let Hold::Mask(mask) = hold {
+                        let blocks = machine.job(id).unwrap().slice().unwrap().blocks().to_vec();
+                        let fabric_mask = blocks.iter().fold(0u64, |m, b| m | 1 << b.index());
+                        assert_eq!(mask, fabric_mask, "{name} step {step}: blocks differ");
+                        assert_eq!(blocks, lowest[..blocks.len()], "{name} step {step}");
+                    }
+                    live.push((id, hold, request.chips));
+                    admitted += 1;
+                } else if roll < 0.75 {
+                    if !live.is_empty() {
+                        let (id, hold, chips) = live.swap_remove(rng.random_range(0..live.len()));
+                        machine.finish(id).unwrap();
+                        engine.release(hold, chips);
+                    }
+                } else if roll < 0.85 || down.is_empty() {
+                    let unit = rng.random_range(0..units);
+                    if !down.contains(&unit) {
+                        machine.inject_host_failure(BlockId::new(unit), 0).unwrap();
+                        engine.set_unit(unit, false);
+                        down.push(unit);
+                    }
+                } else {
+                    let unit = down.swap_remove(rng.random_range(0..down.len()));
+                    machine.repair_host(BlockId::new(unit), 0).unwrap();
+                    engine.set_unit(unit, true);
+                }
+                assert_eq!(
+                    engine.busy_chips,
+                    machine.chips_in_use(),
+                    "{name} step {step}"
+                );
+            }
+            assert!(
+                admitted > 100 && refused > 100,
+                "{name}: {admitted} admitted, {refused} refused"
+            );
+        }
     }
 
     #[test]

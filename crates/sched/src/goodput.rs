@@ -376,8 +376,7 @@ pub fn place_reconfigurable(
 }
 
 /// [`place_reconfigurable`] over health words ([`health_words`]) of
-/// `units` units: popcounts give the healthy units, and the last unit's
-/// bit decides the partial-island shortfall.
+/// `units` units.
 pub(crate) fn place_reconfigurable_words(
     machine: &Supercomputer,
     health: &[u64],
@@ -385,6 +384,15 @@ pub(crate) fn place_reconfigurable_words(
     shape: SliceShape,
     blocks_needed: u32,
 ) -> u32 {
+    (healthy_chips_words(machine, health, units) / shape.volume()) as u32 * blocks_needed
+}
+
+/// The chips on the units that health words ([`health_words`]) of
+/// `units` units mark up, on a reconfigurable `machine`: popcounts give
+/// the healthy units, and the last unit's bit decides the partial-island
+/// shortfall. Also the healthy capacity the fleet DES admits switched
+/// jobs against.
+pub(crate) fn healthy_chips_words(machine: &Supercomputer, health: &[u64], units: usize) -> u64 {
     let total = machine.total_chips();
     let unit_chips = machine
         .switched()
@@ -398,8 +406,7 @@ pub(crate) fn place_reconfigurable_words(
     } else {
         0
     };
-    let healthy_chips = up * unit_chips - last_shortfall;
-    (healthy_chips / shape.volume()) as u32 * blocks_needed
+    up * unit_chips - last_shortfall
 }
 
 /// One trial of the statically-cabled arm: the blocks that greedy

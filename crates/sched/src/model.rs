@@ -10,8 +10,9 @@
 //! `Send + Sync`, shared across worker threads behind one `Arc`. The
 //! per-query mutable state (RNG streams, health words, running jobs)
 //! stays worker-local: Monte Carlo counts only read the cached
-//! prototypes, and a fleet DES run admits jobs on its own *clone*, so
-//! concurrent queries can never observe each other.
+//! prototypes, and a fleet DES run admits jobs on its own *clone* of
+//! the static arm or on its own occupancy words, so concurrent queries
+//! can never observe each other.
 //!
 //! Determinism under concurrency follows from two facts: the prototypes
 //! are only ever read (borrowed or cloned) after their `OnceLock` init, and every
@@ -24,8 +25,8 @@ use tpu_core::{StaticCluster, Supercomputer};
 use tpu_spec::{FabricKind, Generation, MachineSpec};
 
 /// Cached pristine fabric-arm prototypes: built on first use, never
-/// mutated afterwards (DES runs mutate their own clones), so sharing
-/// them across threads is free.
+/// mutated afterwards (static DES runs mutate their own clones), so
+/// sharing them across threads is free.
 #[derive(Debug, Default)]
 pub(crate) struct ArmCache {
     fixed: OnceLock<StaticCluster>,
@@ -115,7 +116,7 @@ impl PlannerModel {
     /// The pristine statically-cabled arm (the machine itself for static
     /// specs, the counterfactual grid otherwise). Built once, then
     /// borrowed by every goodput query and DES probe, and cloned by
-    /// every DES run.
+    /// every static-arm DES run.
     pub fn static_arm(&self) -> &StaticCluster {
         self.arms
             .fixed

@@ -12,8 +12,8 @@
 //!
 //! The fleet engine itself has no runtime alternative to compare
 //! against: `fleet_golden` pins its traces on every committed spec, and
-//! `tpu-core`'s `deferred_wiring` test proves the deferred OCS wiring it
-//! places with admits exactly like eager wiring.
+//! a unit test in `fleet.rs` holds its word admission on the
+//! reconfigurable arms to `Supercomputer::submit`/`finish`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

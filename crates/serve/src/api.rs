@@ -7,9 +7,10 @@
 //! indistinguishable from recomputes (the `X-Cache` response *header*
 //! carries hit/miss so the body stays identical either way).
 //!
-//! Monte Carlo endpoints (`whatif`, `fleet`) answer through the LRU
-//! [`QueryCache`] keyed by `(spec_hash, canonical_query)`; closed-form
-//! quotes (`collective`) are cheap enough to always recompute. Numeric
+//! Every computed endpoint (`whatif`, `sweep`, `collective`, `fleet`)
+//! answers through the LRU [`QueryCache`] keyed by
+//! `(spec_hash, canonical_query)`; error answers are never cached.
+//! Numeric
 //! results carry both the JSON number and its IEEE-754 bit pattern
 //! (`*_bits`), making bit-identity with the offline
 //! `GoodputSim::goodput` / `repro --spec` paths checkable from the
@@ -48,7 +49,7 @@ const SECONDS_PER_DAY: f64 = 86_400.0;
 pub struct ServiceState {
     /// Named planner models.
     pub store: SpecStore,
-    /// LRU response cache for the Monte Carlo endpoints.
+    /// LRU response cache for the computed endpoints.
     pub cache: QueryCache,
 }
 
@@ -619,6 +620,14 @@ impl CollectiveQuery {
         };
         Ok(CollectiveQuery { op, bytes, shape })
     }
+
+    /// The canonical cache key (see [`WhatIfQuery::canonical_key`]).
+    pub fn canonical_key(&self) -> String {
+        format!(
+            "collective?bytes={}&op={}&shape={}x{}x{}",
+            self.bytes, self.op, self.shape.0, self.shape.1, self.shape.2
+        )
+    }
 }
 
 fn bad_shape(text: &str) -> ApiError {
@@ -682,12 +691,29 @@ pub fn collective_body(
     ])))
 }
 
+/// Collective quotes go through the cache like the Monte Carlo
+/// endpoints: an all-to-all materializes the slice and runs its load
+/// model on every quote, which takes seconds on the largest shapes.
+/// Refusals (422) are not cached.
 fn collective(state: &ServiceState, name: &str, query: &str) -> Result<ApiResponse, ApiError> {
     let entry = lookup(state, name)?;
     let q = CollectiveQuery::parse(query)?;
-    // Closed-form and sub-millisecond: computed fresh every time, no
-    // cache entry spent on it.
-    Ok(plain(200, collective_body(&entry.name, &entry.model, &q)?))
+    let key = q.canonical_key();
+    let hash = entry.model.spec_hash();
+    if let Some(body) = state.cache.get(hash, &key) {
+        return Ok(ApiResponse {
+            status: 200,
+            body,
+            x_cache: Some("hit"),
+        });
+    }
+    let body = collective_body(&entry.name, &entry.model, &q)?;
+    state.cache.insert(hash, &key, body.clone());
+    Ok(ApiResponse {
+        status: 200,
+        body,
+        x_cache: Some("miss"),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1053,7 +1079,7 @@ mod tests {
     }
 
     #[test]
-    fn collective_quotes_run_closed_form() {
+    fn collective_quotes_answer_and_cache() {
         let state = state_with_v4();
         let resp = handle(
             &state,
@@ -1061,15 +1087,27 @@ mod tests {
         );
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert!(resp.body.contains("\"seconds\":"));
-        assert_eq!(resp.x_cache, None);
+        assert_eq!(resp.x_cache, Some("miss"));
+        // Another spelling of the same quote shares its cache entry.
+        let respelled = handle(
+            &state,
+            &get_req("/specs/v4/collective?shape=04x4x4&bytes=1073741824"),
+        );
+        assert_eq!(respelled.x_cache, Some("hit"));
+        assert_eq!(respelled.body, resp.body);
         // Malformed shapes and ops are 400s.
         for q in ["shape=4x4", "shape=0x4x4", "shape=4x4x4x4", "op=all_gather"] {
             let resp = handle(&state, &get_req(&format!("/specs/v4/collective?{q}")));
             assert_eq!(resp.status, 400, "{q}");
         }
-        // A shape bigger than the machine is 422 unplaceable.
-        let resp = handle(&state, &get_req("/specs/v4/collective?shape=64x64x64"));
-        assert_eq!(resp.status, 422, "{}", resp.body);
+        // A shape bigger than the machine is 422 unplaceable, every time:
+        // refusals are not cached.
+        for _ in 0..2 {
+            let resp = handle(&state, &get_req("/specs/v4/collective?shape=64x64x64"));
+            assert_eq!(resp.status, 422, "{}", resp.body);
+            assert_eq!(resp.x_cache, None);
+        }
+        assert_eq!(state.cache.stats().2, 1, "only the quote is cached");
     }
 
     #[test]

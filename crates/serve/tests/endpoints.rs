@@ -156,6 +156,14 @@ fn collective_and_fleet_over_http() {
     assert_eq!(quote.status, 200, "{}", quote.body);
     assert!(quote.body.contains("\"op\":\"all_to_all\""));
     assert!(quote.body.contains("\"shape\":\"4x4x8\""));
+    // The quote is cached: asking again hits, with the same bytes.
+    assert_eq!(quote.header("x-cache"), Some("miss"));
+    let again = get(
+        &server,
+        "/specs/v4/collective?op=all_to_all&bytes=1048576&shape=4x4x8",
+    );
+    assert_eq!(again.header("x-cache"), Some("hit"));
+    assert_eq!(again.body, quote.body);
 
     let fleet = get(&server, "/specs/v4/fleet?horizon_days=0.25&trials=1&seed=3");
     assert_eq!(fleet.status, 200, "{}", fleet.body);
