@@ -2,13 +2,13 @@
 //! programming circuits but must not change a single admission
 //! decision: every `submit` must accept, refuse and choose blocks
 //! exactly as an eager machine would. The fleet DES's word admission is
-//! held to the deferred machine (`tpu-sched`'s fleet tests), and so
-//! through this test to eager wiring too.
+//! held to the deferred machine (`tpu-sched`'s `word_admission` unit
+//! test), and so through this test to eager wiring too.
 //!
 //! The proof drives an eager and a deferred machine through one seeded
 //! script of `submit`, `finish`, `inject_host_failure` and
 //! `repair_host` on every committed torus spec (as the OCS plugboard
-//! machine the DES places on), asserting the same `Ok`/`Err` for every
+//! machine), asserting the same `Ok`/`Err` for every
 //! call and the same block list for every admitted slice.
 
 use rand::rngs::StdRng;

@@ -12,7 +12,7 @@
 //!
 //! The fleet engine itself has no runtime alternative to compare
 //! against: `fleet_golden` pins its traces on every committed spec, and
-//! a unit test in `fleet.rs` holds its word admission on the
+//! the `word_admission` unit test holds its word admission on the
 //! reconfigurable arms to `Supercomputer::submit`/`finish`.
 
 use rand::rngs::StdRng;
