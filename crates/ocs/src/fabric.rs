@@ -691,9 +691,9 @@ mod tests {
 
     #[test]
     fn a_repeated_block_is_refused_before_any_state_changes() {
-        // Two slice positions on one 64-chip block: eager wiring used to
-        // program a circuit and then hit a busy port, deferred wiring
-        // used to place 128 chips on it.
+        // Two slice positions on one 64-chip block. Unless refused up
+        // front, eager wiring programs a circuit and then hits a busy
+        // port, and deferred wiring places 128 chips on 64.
         let spec = SliceSpec::regular(SliceShape::new(4, 4, 8).unwrap());
         for deferred in [false, true] {
             let mut fabric = Fabric::with_blocks(4);

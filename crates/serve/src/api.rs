@@ -449,18 +449,28 @@ fn serving_sim(model: &Arc<PlannerModel>, q: &WhatIfQuery) -> GoodputSim {
 fn whatif(state: &ServiceState, name: &str, query: &str) -> Result<ApiResponse, ApiError> {
     let entry = lookup(state, name)?;
     let q = WhatIfQuery::parse(&entry.model, query)?;
-    let key = q.canonical_key();
-    let hash = entry.model.spec_hash();
-    if let Some(body) = state.cache.get(hash, &key) {
+    cached(state, entry.model.spec_hash(), &q.canonical_key(), || {
+        Ok(whatif_body(&entry.name, &serving_sim(&entry.model, &q), &q))
+    })
+}
+
+/// Answers from the cache under a query's canonical key, or computes
+/// the body, caches it and answers it. Errors are not cached.
+fn cached(
+    state: &ServiceState,
+    spec_hash: u64,
+    key: &str,
+    compute: impl FnOnce() -> Result<String, ApiError>,
+) -> Result<ApiResponse, ApiError> {
+    if let Some(body) = state.cache.get(spec_hash, key) {
         return Ok(ApiResponse {
             status: 200,
             body,
             x_cache: Some("hit"),
         });
     }
-    let sim = serving_sim(&entry.model, &q);
-    let body = whatif_body(&entry.name, &sim, &q);
-    state.cache.insert(hash, &key, body.clone());
+    let body = compute()?;
+    state.cache.insert(spec_hash, key, body.clone());
     Ok(ApiResponse {
         status: 200,
         body,
@@ -694,25 +704,11 @@ pub fn collective_body(
 /// Collective quotes go through the cache like the Monte Carlo
 /// endpoints: an all-to-all materializes the slice and runs its load
 /// model on every quote, which takes seconds on the largest shapes.
-/// Refusals (422) are not cached.
 fn collective(state: &ServiceState, name: &str, query: &str) -> Result<ApiResponse, ApiError> {
     let entry = lookup(state, name)?;
     let q = CollectiveQuery::parse(query)?;
-    let key = q.canonical_key();
-    let hash = entry.model.spec_hash();
-    if let Some(body) = state.cache.get(hash, &key) {
-        return Ok(ApiResponse {
-            status: 200,
-            body,
-            x_cache: Some("hit"),
-        });
-    }
-    let body = collective_body(&entry.name, &entry.model, &q)?;
-    state.cache.insert(hash, &key, body.clone());
-    Ok(ApiResponse {
-        status: 200,
-        body,
-        x_cache: Some("miss"),
+    cached(state, entry.model.spec_hash(), &q.canonical_key(), || {
+        collective_body(&entry.name, &entry.model, &q)
     })
 }
 
@@ -819,21 +815,8 @@ pub fn fleet_body(name: &str, model: &Arc<PlannerModel>, q: &FleetQuery) -> Stri
 fn fleet(state: &ServiceState, name: &str, query: &str) -> Result<ApiResponse, ApiError> {
     let entry = lookup(state, name)?;
     let q = FleetQuery::parse(&entry.model, query)?;
-    let key = q.canonical_key();
-    let hash = entry.model.spec_hash();
-    if let Some(body) = state.cache.get(hash, &key) {
-        return Ok(ApiResponse {
-            status: 200,
-            body,
-            x_cache: Some("hit"),
-        });
-    }
-    let body = fleet_body(&entry.name, &entry.model, &q);
-    state.cache.insert(hash, &key, body.clone());
-    Ok(ApiResponse {
-        status: 200,
-        body,
-        x_cache: Some("miss"),
+    cached(state, entry.model.spec_hash(), &q.canonical_key(), || {
+        Ok(fleet_body(&entry.name, &entry.model, &q))
     })
 }
 
