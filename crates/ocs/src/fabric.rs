@@ -147,10 +147,8 @@ impl MaterializedSlice {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fabric {
     blocks: Vec<Block>,
-    /// Healthy blocks that no slice holds, bit `i` for block `i` (a
-    /// fabric has at most 64 blocks): what admission draws on.
-    free: u64,
-    /// Blocks some slice holds, healthy or not.
+    /// Blocks some slice holds, bit `i` for block `i` (a fabric has at
+    /// most 64 blocks).
     in_use: u64,
     ocses: Vec<OcsSwitch>,
     /// Deferred-wiring mode: allocations validate and reserve blocks but
@@ -187,8 +185,8 @@ impl Fabric {
     }
 
     /// A fabric with a custom number of deployed blocks (≤ 64, since each
-    /// OCS has 128 usable ports; it is also what keeps the free blocks in
-    /// one word).
+    /// OCS has 128 usable ports; it is also what keeps the blocks in use
+    /// in one word).
     ///
     /// # Panics
     ///
@@ -204,7 +202,6 @@ impl Fabric {
         );
         Fabric {
             blocks: (0..blocks).map(|i| Block::new(BlockId::new(i))).collect(),
-            free: u64::MAX.checked_shr(64 - blocks).unwrap_or(0),
             in_use: 0,
             ocses: (0..OCS_COUNT).map(|_| OcsSwitch::palomar()).collect(),
             deferred_wiring: false,
@@ -291,18 +288,22 @@ impl Fabric {
             .get_mut(id.index())
             .ok_or(OcsError::UnknownBlock { block: id })?;
         block.set_host_up(host, up);
-        let bit = 1u64 << id.index();
-        if block.is_healthy() && self.in_use & bit == 0 {
-            self.free |= bit;
-        } else {
-            self.free &= !bit;
-        }
         Ok(())
     }
 
     /// Healthy, unallocated blocks — what the scheduler can draw on.
     pub fn free_healthy_blocks(&self) -> Vec<BlockId> {
-        block_ids(self.free).collect()
+        block_ids(self.free_mask()).collect()
+    }
+
+    /// Healthy, unallocated blocks as a mask, bit `i` for block `i`.
+    fn free_mask(&self) -> u64 {
+        let healthy = self
+            .blocks
+            .iter()
+            .filter(|b| b.is_healthy())
+            .fold(0u64, |mask, b| mask | 1 << b.id().index());
+        healthy & !self.in_use
     }
 
     /// Allocates and programs a slice from any free healthy blocks
@@ -317,9 +318,10 @@ impl Fabric {
     ///   whole blocks.
     pub fn allocate(&mut self, spec: &SliceSpec) -> Result<MaterializedSlice, OcsError> {
         let needed = spec.blocks_needed()? as usize;
-        let chosen = pick_lowest_blocks(self.free, needed).ok_or(OcsError::InsufficientBlocks {
+        let free = self.free_mask();
+        let chosen = pick_lowest_blocks(free, needed).ok_or(OcsError::InsufficientBlocks {
             needed,
-            available: self.free.count_ones() as usize,
+            available: free.count_ones() as usize,
         })?;
         self.allocate_on(spec, block_ids(chosen).collect())
     }
@@ -347,11 +349,12 @@ impl Fabric {
         }
         // Each block must still be free once the earlier ones are taken,
         // so a repeated block is refused like one in use.
+        let free = self.free_mask();
         let mut mask = 0u64;
         for &id in &chosen {
             self.block(id)?;
             let bit = 1u64 << id.index();
-            if self.free & !mask & bit == 0 {
+            if free & !mask & bit == 0 {
                 return Err(OcsError::UnhealthyBlock { block: id });
             }
             mask |= bit;
@@ -389,7 +392,6 @@ impl Fabric {
         }
 
         self.in_use |= mask;
-        self.free &= !mask;
         Ok(MaterializedSlice {
             spec: *spec,
             blocks: chosen,
@@ -409,12 +411,8 @@ impl Fabric {
             self.ocses[c.ocs].disconnect(c.plus)?;
         }
         for &id in slice.blocks() {
-            let healthy = self.block(id)?.is_healthy();
-            let bit = 1u64 << id.index();
-            self.in_use &= !bit;
-            if healthy {
-                self.free |= bit;
-            }
+            self.block(id)?;
+            self.in_use &= !(1u64 << id.index());
         }
         Ok(())
     }
