@@ -7,10 +7,9 @@
 //! indistinguishable from recomputes (the `X-Cache` response *header*
 //! carries hit/miss so the body stays identical either way).
 //!
-//! Every computed endpoint (`whatif`, `sweep`, `collective`, `fleet`)
-//! answers through the LRU [`QueryCache`] keyed by
-//! `(spec_hash, canonical_query)`; error answers are never cached.
-//! Numeric
+//! Monte Carlo endpoints (`whatif`, `fleet`) answer through the LRU
+//! [`QueryCache`] keyed by `(spec_hash, canonical_query)`; collective
+//! quotes are computed fresh every time. Numeric
 //! results carry both the JSON number and its IEEE-754 bit pattern
 //! (`*_bits`), making bit-identity with the offline
 //! `GoodputSim::goodput` / `repro --spec` paths checkable from the
@@ -18,7 +17,7 @@
 
 use crate::cache::QueryCache;
 use crate::http::{query_params, Request};
-use crate::store::{SpecStore, StoreError};
+use crate::store::{SpecEntry, SpecStore, StoreError};
 use std::sync::Arc;
 use tpu_core::{Collective, JobSpec};
 use tpu_ocs::SliceSpec;
@@ -49,7 +48,7 @@ const SECONDS_PER_DAY: f64 = 86_400.0;
 pub struct ServiceState {
     /// Named planner models.
     pub store: SpecStore,
-    /// LRU response cache for the computed endpoints.
+    /// LRU response cache for the Monte Carlo endpoints.
     pub cache: QueryCache,
 }
 
@@ -305,7 +304,7 @@ fn delete_spec(state: &ServiceState, name: &str) -> Result<ApiResponse, ApiError
     }
 }
 
-fn lookup(state: &ServiceState, name: &str) -> Result<Arc<crate::store::SpecEntry>, ApiError> {
+fn lookup(state: &ServiceState, name: &str) -> Result<Arc<SpecEntry>, ApiError> {
     state
         .store
         .get(name)
@@ -449,33 +448,45 @@ fn serving_sim(model: &Arc<PlannerModel>, q: &WhatIfQuery) -> GoodputSim {
 fn whatif(state: &ServiceState, name: &str, query: &str) -> Result<ApiResponse, ApiError> {
     let entry = lookup(state, name)?;
     let q = WhatIfQuery::parse(&entry.model, query)?;
-    cached(state, entry.model.spec_hash(), &q.canonical_key(), || {
-        Ok(whatif_body(&entry.name, &serving_sim(&entry.model, &q), &q))
-    })
+    Ok(cached(state, &entry, &q.canonical_key(), || {
+        whatif_body(UNNAMED, &serving_sim(&entry.model, &q), &q)
+    }))
+}
+
+/// The `spec` name of a cached body. One spec can be stored under two
+/// names, and both share its hash and so its cache entries: the cache
+/// keeps answers unnamed, and [`named`] puts in the name each request
+/// asked under.
+const UNNAMED: &str = "";
+
+/// A body computed for [`UNNAMED`], as the answer for spec `name`.
+fn named(body: &str, name: &str) -> String {
+    let spec = |name: &str| format!("\"spec\":{}", JsonValue::Str(name.into()));
+    body.replacen(&spec(UNNAMED), &spec(name), 1)
 }
 
 /// Answers from the cache under a query's canonical key, or computes
-/// the body, caches it and answers it. Errors are not cached.
+/// the body for [`UNNAMED`], caches it and answers it.
 fn cached(
     state: &ServiceState,
-    spec_hash: u64,
+    entry: &SpecEntry,
     key: &str,
-    compute: impl FnOnce() -> Result<String, ApiError>,
-) -> Result<ApiResponse, ApiError> {
-    if let Some(body) = state.cache.get(spec_hash, key) {
-        return Ok(ApiResponse {
-            status: 200,
-            body,
-            x_cache: Some("hit"),
-        });
-    }
-    let body = compute()?;
-    state.cache.insert(spec_hash, key, body.clone());
-    Ok(ApiResponse {
+    compute: impl FnOnce() -> String,
+) -> ApiResponse {
+    let hash = entry.model.spec_hash();
+    let (body, x_cache) = match state.cache.get(hash, key) {
+        Some(body) => (body, "hit"),
+        None => {
+            let body = compute();
+            state.cache.insert(hash, key, body.clone());
+            (body, "miss")
+        }
+    };
+    ApiResponse {
         status: 200,
-        body,
-        x_cache: Some("miss"),
-    })
+        body: named(&body, &entry.name),
+        x_cache: Some(x_cache),
+    }
 }
 
 /// Expands a sweep query into its per-point [`WhatIfQuery`]s.
@@ -559,17 +570,20 @@ fn whatif_sweep(state: &ServiceState, name: &str, query: &str) -> Result<ApiResp
     let mut all_hits = true;
     for q in &points {
         let key = q.canonical_key();
-        if let Some(body) = state.cache.get(hash, &key) {
-            bodies.push(body);
-            continue;
-        }
-        all_hits = false;
-        // Every point shares trials and seed, so the first miss's sim
-        // serves the rest — the amortization the endpoint exists for.
-        let sim = sim.get_or_insert_with(|| serving_sim(&entry.model, q));
-        let body = whatif_body(&entry.name, sim, q);
-        state.cache.insert(hash, &key, body.clone());
-        bodies.push(body);
+        let body = match state.cache.get(hash, &key) {
+            Some(body) => body,
+            None => {
+                all_hits = false;
+                // Every point shares trials and seed, so the first
+                // miss's sim serves the rest — the amortization the
+                // endpoint exists for.
+                let sim = sim.get_or_insert_with(|| serving_sim(&entry.model, q));
+                let body = whatif_body(UNNAMED, sim, q);
+                state.cache.insert(hash, &key, body.clone());
+                body
+            }
+        };
+        bodies.push(named(&body, &entry.name));
     }
     Ok(ApiResponse {
         status: 200,
@@ -629,14 +643,6 @@ impl CollectiveQuery {
             _ => return Err(bad_shape(shape_text)),
         };
         Ok(CollectiveQuery { op, bytes, shape })
-    }
-
-    /// The canonical cache key (see [`WhatIfQuery::canonical_key`]).
-    pub fn canonical_key(&self) -> String {
-        format!(
-            "collective?bytes={}&op={}&shape={}x{}x{}",
-            self.bytes, self.op, self.shape.0, self.shape.1, self.shape.2
-        )
     }
 }
 
@@ -701,15 +707,14 @@ pub fn collective_body(
     ])))
 }
 
-/// Collective quotes go through the cache like the Monte Carlo
-/// endpoints: an all-to-all materializes the slice and runs its load
-/// model on every quote, which takes seconds on the largest shapes.
 fn collective(state: &ServiceState, name: &str, query: &str) -> Result<ApiResponse, ApiError> {
     let entry = lookup(state, name)?;
     let q = CollectiveQuery::parse(query)?;
-    cached(state, entry.model.spec_hash(), &q.canonical_key(), || {
-        collective_body(&entry.name, &entry.model, &q)
-    })
+    // Computed fresh every time, no cache entry spent on it. An
+    // all-reduce takes a few milliseconds, but an all-to-all
+    // materializes the slice and runs its load model, which takes
+    // seconds on the largest shapes (docs/service-api.md).
+    Ok(plain(200, collective_body(&entry.name, &entry.model, &q)?))
 }
 
 // ---------------------------------------------------------------------
@@ -815,9 +820,9 @@ pub fn fleet_body(name: &str, model: &Arc<PlannerModel>, q: &FleetQuery) -> Stri
 fn fleet(state: &ServiceState, name: &str, query: &str) -> Result<ApiResponse, ApiError> {
     let entry = lookup(state, name)?;
     let q = FleetQuery::parse(&entry.model, query)?;
-    cached(state, entry.model.spec_hash(), &q.canonical_key(), || {
-        Ok(fleet_body(&entry.name, &entry.model, &q))
-    })
+    Ok(cached(state, &entry, &q.canonical_key(), || {
+        fleet_body(UNNAMED, &entry.model, &q)
+    }))
 }
 
 // ---------------------------------------------------------------------
@@ -1062,7 +1067,7 @@ mod tests {
     }
 
     #[test]
-    fn collective_quotes_answer_and_cache() {
+    fn collective_quotes_are_computed_fresh() {
         let state = state_with_v4();
         let resp = handle(
             &state,
@@ -1070,27 +1075,15 @@ mod tests {
         );
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert!(resp.body.contains("\"seconds\":"));
-        assert_eq!(resp.x_cache, Some("miss"));
-        // Another spelling of the same quote shares its cache entry.
-        let respelled = handle(
-            &state,
-            &get_req("/specs/v4/collective?shape=04x4x4&bytes=1073741824"),
-        );
-        assert_eq!(respelled.x_cache, Some("hit"));
-        assert_eq!(respelled.body, resp.body);
+        assert_eq!(resp.x_cache, None);
         // Malformed shapes and ops are 400s.
         for q in ["shape=4x4", "shape=0x4x4", "shape=4x4x4x4", "op=all_gather"] {
             let resp = handle(&state, &get_req(&format!("/specs/v4/collective?{q}")));
             assert_eq!(resp.status, 400, "{q}");
         }
-        // A shape bigger than the machine is 422 unplaceable, every time:
-        // refusals are not cached.
-        for _ in 0..2 {
-            let resp = handle(&state, &get_req("/specs/v4/collective?shape=64x64x64"));
-            assert_eq!(resp.status, 422, "{}", resp.body);
-            assert_eq!(resp.x_cache, None);
-        }
-        assert_eq!(state.cache.stats().2, 1, "only the quote is cached");
+        // A shape bigger than the machine is 422 unplaceable.
+        let resp = handle(&state, &get_req("/specs/v4/collective?shape=64x64x64"));
+        assert_eq!(resp.status, 422, "{}", resp.body);
     }
 
     #[test]

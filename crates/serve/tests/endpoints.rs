@@ -116,6 +116,37 @@ fn whatif_over_http_hits_the_cache_second_time() {
 }
 
 #[test]
+fn one_spec_under_two_names_answers_each_name_on_a_hit() {
+    // Answers are cached by spec hash and query, and the same spec PUT
+    // under a second name has the same hash: a hit must still carry the
+    // name it was asked under, as a recompute would.
+    let server = start_server();
+    let body = MachineSpec::v4().to_json();
+    let put = client::request(server.local_addr(), "PUT", "/specs/mine", Some(&body)).unwrap();
+    assert_eq!(put.status, 201, "{}", put.body);
+    for query in [
+        "whatif?slice_chips=1024&trials=20&seed=5",
+        "whatif/sweep?slice_chips=512,1024&trials=20&seed=5",
+        "fleet?horizon_days=0.25&trials=1&seed=3",
+    ] {
+        let first = get(&server, &format!("/specs/v4/{query}"));
+        assert_eq!(first.status, 200, "{}", first.body);
+        let second = get(&server, &format!("/specs/mine/{query}"));
+        assert_eq!(second.header("x-cache"), Some("hit"), "{query}");
+        assert!(!second.body.contains("\"spec\":\"v4\""), "{query}");
+        assert_eq!(
+            second.body.replace("\"spec\":\"mine\"", "\"spec\":\"v4\""),
+            first.body,
+            "{query}"
+        );
+        let again = get(&server, &format!("/specs/v4/{query}"));
+        assert_eq!(again.header("x-cache"), Some("hit"), "{query}");
+        assert_eq!(again.body, first.body, "{query}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn ocs_and_switched_spell_one_question_on_island_specs() {
     // On a torus_dims == 0 spec, fabric=ocs computes the switched arm,
     // so it canonicalizes to switched: one cache entry, one body.
@@ -156,14 +187,6 @@ fn collective_and_fleet_over_http() {
     assert_eq!(quote.status, 200, "{}", quote.body);
     assert!(quote.body.contains("\"op\":\"all_to_all\""));
     assert!(quote.body.contains("\"shape\":\"4x4x8\""));
-    // The quote is cached: asking again hits, with the same bytes.
-    assert_eq!(quote.header("x-cache"), Some("miss"));
-    let again = get(
-        &server,
-        "/specs/v4/collective?op=all_to_all&bytes=1048576&shape=4x4x8",
-    );
-    assert_eq!(again.header("x-cache"), Some("hit"));
-    assert_eq!(again.body, quote.body);
 
     let fleet = get(&server, "/specs/v4/fleet?horizon_days=0.25&trials=1&seed=3");
     assert_eq!(fleet.status, 200, "{}", fleet.body);
