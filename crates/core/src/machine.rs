@@ -351,8 +351,8 @@ impl Supercomputer {
     /// Enables (or disables) deferred OCS wiring — see
     /// [`Fabric::set_deferred_wiring`]: allocations keep full admission
     /// control but skip programming circuits, for loops that only ask
-    /// whether and where slices fit. The fleet DES no longer places
-    /// through a machine, so outside tests only the benchmark's
+    /// whether and where slices fit. The fleet DES admits on its own
+    /// occupancy words, so outside tests only the benchmark's
     /// admission probe calls this, and the mode goes once that probe
     /// stops using it. No-op on static and switched machines, which have
     /// no OCS circuits to defer.

@@ -222,7 +222,7 @@ impl Fabric {
     ///
     /// This is for loops that only ask *whether* and *where* a slice
     /// fits, where the 48-circuits-per-block program/teardown traffic is
-    /// pure overhead. The fleet DES no longer places through a fabric
+    /// pure overhead. The fleet DES does not place through a fabric
     /// (it picks blocks with [`pick_lowest_blocks`] on its own words),
     /// so the one caller outside tests is the benchmark's admission
     /// probe, and the mode goes once that probe stops using it. Anything
