@@ -134,7 +134,7 @@ pub fn fig4_fleet() -> String {
     let sim = GoodputSim::for_spec(&spec, trials, 2023);
     let _ = writeln!(
         out,
-        "goodput from fleet simulation (Supercomputer submit / StaticCluster packing):"
+        "goodput from Monte Carlo (OCS arm in closed form / static arm by StaticCluster::count_first_fit):"
     );
     let _ = writeln!(
         out,

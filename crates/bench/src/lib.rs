@@ -78,6 +78,11 @@ pub fn all_experiments() -> Vec<Experiment> {
             run: sections::sec2_9,
         },
         Experiment {
+            id: "sec2_10",
+            title: "Section 2.10: optics share of system cost and power",
+            run: sections::sec2_10,
+        },
+        Experiment {
             id: "fig8",
             title: "Figure 8: bisection ratio and DLRM sensitivity",
             run: figures_sc::fig8,
@@ -217,6 +222,7 @@ mod tests {
             "fig16",
             "fig17",
             "sec2_9",
+            "sec2_10",
             "sec7_2",
             "sec7_3",
             "sec7_6",

@@ -1,12 +1,12 @@
-//! Regenerators for the in-text experiments (§2.9, §7.2, §7.3, §7.6)
-//! and the cross-generation collective sweep.
+//! Regenerators for the in-text experiments (§2.9, §2.10, §7.2, §7.3,
+//! §7.6) and the cross-generation collective sweep.
 
 use std::fmt::Write;
 use tpu_core::{Collective, JobSpec, Supercomputer};
 use tpu_energy::carbon::{CarbonModel, Datacenter};
 use tpu_net::fattree::FatTree;
 use tpu_net::{BackendComparison, CollectiveBackend};
-use tpu_ocs::SliceSpec;
+use tpu_ocs::{CostModel, SliceSpec};
 use tpu_sched::SliceMix;
 use tpu_spec::consts::{GIGA, KILO, MEGA};
 use tpu_spec::{FabricKind, Generation, MachineSpec};
@@ -41,6 +41,25 @@ pub fn sec2_9() -> String {
         out,
         "twisted share of >=4^3 topologies: {:>5.1}%  (paper: 40%)",
         mix.twist_adoption_at_or_above_64() * 100.0
+    );
+    out
+}
+
+/// §2.10: the optical fabric's share of the cost and power of the full
+/// 64-block machine, under the deployment estimates of
+/// [`CostModel::tpu_v4_estimates`].
+pub fn sec2_10() -> String {
+    let report = CostModel::tpu_v4_estimates().evaluate(64);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "optics share of system cost:  {:>5.1}%  (paper: <5%)",
+        report.optics_cost_share() * 100.0
+    );
+    let _ = writeln!(
+        out,
+        "optics share of system power: {:>5.1}%  (paper: <3%)",
+        report.optics_power_share() * 100.0
     );
     out
 }
@@ -512,6 +531,21 @@ mod tests {
         for pct in ["29%", "33%", "28%", "86%", "40%"] {
             assert!(out.contains(pct), "{pct} missing:\n{out}");
         }
+    }
+
+    #[test]
+    fn sec2_10_shares_are_under_the_paper_bounds() {
+        let out = sec2_10();
+        let shares: Vec<f64> = out
+            .lines()
+            .filter_map(|line| {
+                line.split_whitespace()
+                    .find_map(|w| w.strip_suffix('%')?.parse().ok())
+            })
+            .collect();
+        assert_eq!(shares.len(), 2, "{out}");
+        assert!(shares[0] < 5.0, "cost share over the paper's <5%:\n{out}");
+        assert!(shares[1] < 3.0, "power share over the paper's <3%:\n{out}");
     }
 
     #[test]

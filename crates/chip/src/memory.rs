@@ -58,21 +58,6 @@ impl MemorySystem {
         }
     }
 
-    /// HBM bandwidth, bytes/s.
-    pub fn hbm_bandwidth(&self) -> f64 {
-        self.hbm_bytes_per_s
-    }
-
-    /// HBM capacity, bytes.
-    pub fn hbm_capacity(&self) -> f64 {
-        self.hbm_capacity_bytes
-    }
-
-    /// CMEM capacity, bytes (0 when absent).
-    pub fn cmem_capacity(&self) -> f64 {
-        self.cmem_capacity_bytes
-    }
-
     /// Fraction of a working set's traffic served from CMEM: the resident
     /// fraction, assuming the hottest bytes are pinned first (the XLA
     /// compiler allocates CMEM by reuse frequency).
@@ -92,11 +77,6 @@ impl MemorySystem {
         }
         1.0 / (hit / self.cmem_bytes_per_s + (1.0 - hit) / self.hbm_bytes_per_s)
     }
-
-    /// Time to stream `bytes` of a working set once, seconds.
-    pub fn stream_time(&self, bytes: f64, working_set_bytes: f64) -> f64 {
-        bytes / self.effective_bandwidth(working_set_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -114,9 +94,9 @@ mod tests {
     #[test]
     fn capacities_match_spec() {
         let m = v4();
-        assert!((m.hbm_capacity() - 32.0 * GIB).abs() < 1.0);
-        assert!((m.cmem_capacity() - 128.0 * MIB).abs() < 1.0);
-        assert_eq!(m.hbm_bandwidth(), 1.2e12);
+        assert!((m.hbm_capacity_bytes - 32.0 * GIB).abs() < 1.0);
+        assert!((m.cmem_capacity_bytes - 128.0 * MIB).abs() < 1.0);
+        assert_eq!(m.hbm_bytes_per_s, 1.2e12);
     }
 
     #[test]
@@ -163,17 +143,9 @@ mod tests {
     }
 
     #[test]
-    fn stream_time_scales_with_bytes() {
-        let m = v4();
-        let t1 = m.stream_time(1e9, 64.0 * MIB);
-        let t2 = m.stream_time(2e9, 64.0 * MIB);
-        assert!((t2 / t1 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn v3_has_no_cmem() {
         let m = MemorySystem::of_chip(&ChipSpec::tpu_v3());
-        assert_eq!(m.cmem_capacity(), 0.0);
+        assert_eq!(m.cmem_capacity_bytes, 0.0);
         assert_eq!(m.effective_bandwidth(1.0), 0.9e12);
     }
 }

@@ -74,11 +74,6 @@ impl PowerModel {
         }
         ((power_w - self.idle_w) / (self.max_w - self.idle_w)).clamp(0.0, 1.0)
     }
-
-    /// Performance per watt in arbitrary perf units.
-    pub fn perf_per_watt(&self, perf: f64, utilization: f64) -> f64 {
-        perf / self.at_utilization(utilization)
-    }
 }
 
 #[cfg(test)]
@@ -125,8 +120,8 @@ mod tests {
         let v4 = PowerModel::of_chip(&ChipSpec::tpu_v4());
         let v3 = PowerModel::of_chip(&ChipSpec::tpu_v3());
         let perf_ratio = 2.1;
-        let v4_ppw = v4.perf_per_watt(perf_ratio, v4.utilization_for_power(170.0));
-        let v3_ppw = v3.perf_per_watt(1.0, v3.utilization_for_power(220.0));
+        let v4_ppw = perf_ratio / v4.at_utilization(v4.utilization_for_power(170.0));
+        let v3_ppw = 1.0 / v3.at_utilization(v3.utilization_for_power(220.0));
         let gain = v4_ppw / v3_ppw;
         assert!((2.5..2.9).contains(&gain), "perf/W gain {gain}");
     }

@@ -81,11 +81,6 @@ impl Roofline {
     pub fn ridge_oi(&self) -> f64 {
         self.peak_tflops * 1000.0 / self.mem_gbps
     }
-
-    /// Whether a model of operational intensity `oi` is memory-bound.
-    pub fn is_memory_bound(&self, oi: f64) -> bool {
-        oi < self.ridge_oi()
-    }
 }
 
 /// A DNN model plotted on the roofline (Figure 16 shows each model with
@@ -151,8 +146,8 @@ mod tests {
     #[test]
     fn memory_bound_classification() {
         let v4 = Roofline::of_chip(&ChipSpec::tpu_v4());
-        assert!(v4.is_memory_bound(10.0)); // DLRM
-        assert!(!v4.is_memory_bound(400.0)); // CNN
+        assert!(10.0 < v4.ridge_oi()); // DLRM
+        assert!(400.0 > v4.ridge_oi()); // CNN
     }
 
     #[test]
@@ -184,8 +179,8 @@ mod tests {
         let cnn = models.iter().find(|m| m.name == "CNN1").unwrap();
         assert!(dlrm.oi < cnn.oi);
         let v4 = Roofline::of_chip(&ChipSpec::tpu_v4());
-        assert!(v4.is_memory_bound(dlrm.oi));
-        assert!(!v4.is_memory_bound(cnn.oi));
+        assert!(dlrm.oi < v4.ridge_oi());
+        assert!(cnn.oi > v4.ridge_oi());
     }
 
     #[test]

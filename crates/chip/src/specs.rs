@@ -32,9 +32,10 @@ mod tests {
 
     #[test]
     fn table5_thread_counts() {
-        assert_eq!(ChipSpec::a100().total_threads(), 3456);
-        assert_eq!(ChipSpec::ipu_bow().total_threads(), 8832);
-        assert_eq!(ChipSpec::tpu_v4().total_threads(), 2);
+        let threads = |c: ChipSpec| c.processors * c.threads_per_core;
+        assert_eq!(threads(ChipSpec::a100()), 3456);
+        assert_eq!(threads(ChipSpec::ipu_bow()), 8832);
+        assert_eq!(threads(ChipSpec::tpu_v4()), 2);
     }
 
     #[test]
@@ -69,10 +70,11 @@ mod tests {
 
     #[test]
     fn ici_aggregate_bandwidth() {
-        assert_eq!(ChipSpec::tpu_v4().ici_total_gbps(), 300.0);
-        assert_eq!(ChipSpec::tpu_v3().ici_total_gbps(), 280.0);
-        assert_eq!(ChipSpec::a100().ici_total_gbps(), 300.0);
-        assert_eq!(ChipSpec::ipu_bow().ici_total_gbps(), 192.0);
+        let total_gbps = |c: ChipSpec| f64::from(c.ici_links) * c.ici_gbps_per_link;
+        assert_eq!(total_gbps(ChipSpec::tpu_v4()), 300.0);
+        assert_eq!(total_gbps(ChipSpec::tpu_v3()), 280.0);
+        assert_eq!(total_gbps(ChipSpec::a100()), 300.0);
+        assert_eq!(total_gbps(ChipSpec::ipu_bow()), 192.0);
     }
 
     #[test]

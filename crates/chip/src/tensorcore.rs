@@ -68,38 +68,6 @@ impl TensorCore {
             * 2.0
             * self.clock_hz
     }
-
-    /// Times an `m×k · k×n` matmul on this TC's MXUs, returning (cycles,
-    /// efficiency). Tiles pad up to the systolic dimension; the pipeline
-    /// costs one fill per output tile column.
-    pub fn matmul(&self, m: u64, n: u64, k: u64) -> (f64, f64) {
-        if m == 0 || n == 0 || k == 0 {
-            return (0.0, 1.0);
-        }
-        let d = u64::from(self.mxu_dim);
-        let tiles_m = m.div_ceil(d);
-        let tiles_n = n.div_ceil(d);
-        let tiles_k = k.div_ceil(d);
-        // Each (m,n) output tile streams tiles_k * d rows through an MXU:
-        // d cycles per k-tile once the pipe is full, plus a 2d fill.
-        let cycles_per_output_tile = (tiles_k * d + 2 * d) as f64;
-        let total_tiles = (tiles_m * tiles_n) as f64;
-        let cycles = total_tiles * cycles_per_output_tile / f64::from(self.mxus);
-        let useful_flops = 2.0 * (m * n * k) as f64;
-        let peak_flops_in_cycles = cycles * self.peak_flops() / self.clock_hz;
-        (cycles, (useful_flops / peak_flops_in_cycles).min(1.0))
-    }
-
-    /// Operand reuse of the systolic array: each loaded input row is
-    /// reused `mxu_dim` times.
-    pub fn operand_reuse(&self) -> u32 {
-        self.mxu_dim
-    }
-
-    /// VPU element throughput, elements/s.
-    pub fn vpu_elements_per_second(&self) -> f64 {
-        f64::from(self.vpu_lanes) * f64::from(self.alus_per_lane) * self.clock_hz
-    }
 }
 
 #[cfg(test)]
@@ -124,47 +92,10 @@ mod tests {
     }
 
     #[test]
-    fn large_aligned_matmul_is_efficient() {
-        let tc = TensorCore::for_generation(&Generation::V4);
-        let (_, eff) = tc.matmul(4096, 4096, 4096);
-        assert!(eff > 0.9, "efficiency {eff}");
-    }
-
-    #[test]
-    fn tiny_matmul_wastes_the_array() {
-        let tc = TensorCore::for_generation(&Generation::V4);
-        let (_, eff) = tc.matmul(16, 16, 16);
-        assert!(eff < 0.05, "efficiency {eff}");
-    }
-
-    #[test]
-    fn misaligned_matmul_pays_padding() {
-        let tc = TensorCore::for_generation(&Generation::V4);
-        let (_, aligned) = tc.matmul(1024, 1024, 1024);
-        let (_, misaligned) = tc.matmul(1024 + 1, 1024, 1024);
-        assert!(misaligned < aligned, "{misaligned} vs {aligned}");
-    }
-
-    #[test]
     fn reuse_argument_vs_a100() {
         // §7.5: 128x reuse vs the A100's 4x — a 32x ratio.
         let tc = TensorCore::for_generation(&Generation::V4);
-        assert_eq!(tc.operand_reuse(), 128);
-        assert_eq!(tc.operand_reuse() / 4, 32);
-    }
-
-    #[test]
-    fn vpu_throughput() {
-        // 128 lanes x 16 ALUs x 1.05 GHz ≈ 2.15 Telem/s.
-        let tc = TensorCore::for_generation(&Generation::V4);
-        assert!((tc.vpu_elements_per_second() / 1e12 - 2.15).abs() < 0.01);
-    }
-
-    #[test]
-    fn zero_sized_matmul_is_free() {
-        let tc = TensorCore::for_generation(&Generation::V4);
-        let (cycles, eff) = tc.matmul(0, 128, 128);
-        assert_eq!(cycles, 0.0);
-        assert_eq!(eff, 1.0);
+        assert_eq!(tc.mxu_dim, 128);
+        assert_eq!(tc.mxu_dim / 4, 32);
     }
 }

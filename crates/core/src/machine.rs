@@ -10,7 +10,7 @@
 //! the family, and `collective_time` prices every family through the
 //! spec's [`tpu_net::CollectiveBackend`]; torus-only operations return
 //! [`SupercomputerError::TorusOnly`] on switched machines, and OCS-only
-//! operations (twists, in-place reconfiguration) return
+//! operations (twists) return
 //! [`SupercomputerError::OcsOnly`] on static ones.
 
 use crate::StaticCluster;
@@ -334,11 +334,6 @@ impl Supercomputer {
         Supercomputer::for_spec(&spec)
     }
 
-    /// The interconnect backing the machine.
-    pub fn machine_fabric(&self) -> &MachineFabric {
-        &self.fabric
-    }
-
     /// The underlying OCS fabric (`None` on static and switched
     /// machines).
     pub fn fabric(&self) -> Option<&Fabric> {
@@ -367,15 +362,6 @@ impl Supercomputer {
         }
     }
 
-    /// The static cluster (`None` unless this machine is statically
-    /// cabled).
-    pub fn static_cluster(&self) -> Option<&StaticCluster> {
-        match &self.fabric {
-            MachineFabric::StaticTorus(cluster) => Some(cluster),
-            _ => None,
-        }
-    }
-
     /// The switched cluster (`None` on a torus machine).
     pub fn switched(&self) -> Option<&SwitchedCluster> {
         match &self.fabric {
@@ -387,11 +373,6 @@ impl Supercomputer {
     /// Whether this machine runs on the switched (non-torus) backend.
     pub fn is_switched(&self) -> bool {
         matches!(self.fabric, MachineFabric::Switched(_))
-    }
-
-    /// Whether this machine is a statically-cabled torus.
-    pub fn is_static(&self) -> bool {
-        matches!(self.fabric, MachineFabric::StaticTorus(_))
     }
 
     /// Total chips installed.
@@ -520,63 +501,6 @@ impl Supercomputer {
         Ok(())
     }
 
-    /// Reconfigures a running job's topology in place (§2.7: per-job
-    /// configuration "is not a fundamental limitation of the OCS") —
-    /// e.g. switching a 4×4×8 from regular to twisted. The job keeps the
-    /// same blocks; only OCS routing tables change.
-    ///
-    /// # Errors
-    ///
-    /// Fabric errors if the new spec needs a different block count or an
-    /// inexpressible twist; [`SupercomputerError::OcsOnly`] on a static
-    /// machine and [`SupercomputerError::TorusOnly`] on a switched one
-    /// (neither has OCS routing tables to reprogram).
-    pub fn reconfigure(&mut self, id: JobId, new_slice: SliceSpec) -> Result<()> {
-        let job = self
-            .jobs
-            .get(&id)
-            .ok_or(SupercomputerError::UnknownJob { job: id })?;
-        let fabric = match &mut self.fabric {
-            MachineFabric::Torus(fabric) => fabric,
-            MachineFabric::StaticTorus(_) => {
-                return Err(SupercomputerError::OcsOnly {
-                    operation: "reconfigure",
-                })
-            }
-            MachineFabric::Switched(_) => {
-                return Err(SupercomputerError::TorusOnly {
-                    operation: "reconfigure",
-                })
-            }
-        };
-        let slice = job.slice().expect("torus machines hold torus placements"); // tpu-lint: allow(panic-policy) -- unreachable: torus machines hold torus placements
-        let blocks: Vec<BlockId> = slice.blocks().to_vec();
-        fabric.release(slice)?;
-        match fabric.allocate_on(&new_slice, blocks) {
-            Ok(slice) => {
-                let job = self.jobs.get_mut(&id).expect("checked above"); // tpu-lint: allow(panic-policy) -- unreachable: checked above
-                job.spec = JobSpec::new(job.spec.name().to_owned(), new_slice);
-                job.placement = Placement::Torus(slice);
-                Ok(())
-            }
-            Err(e) => {
-                // Roll back: re-materialize the old slice on its blocks.
-                let job = self.jobs.get_mut(&id).expect("checked above"); // tpu-lint: allow(panic-policy) -- unreachable: checked above
-                let old_blocks = job
-                    .slice()
-                    .expect("torus machines hold torus placements") // tpu-lint: allow(panic-policy) -- unreachable: torus machines hold torus placements
-                    .blocks()
-                    .to_vec();
-                job.placement = Placement::Torus(
-                    fabric
-                        .allocate_on(job.spec.slice(), old_blocks)
-                        .expect("rollback to prior slice always succeeds"), // tpu-lint: allow(panic-policy) -- unreachable: rollback to prior slice always succeeds
-                );
-                Err(e.into())
-            }
-        }
-    }
-
     /// A running job by id.
     ///
     /// # Errors
@@ -610,6 +534,7 @@ impl Supercomputer {
     /// # Errors
     ///
     /// Fabric errors for an unknown block/island/host.
+    // tpu-lint: allow(no-caller) -- word_admission and fleet_fastpath_equivalence repair hosts of their reference machine through it
     pub fn repair_host(&mut self, block: BlockId, host: u32) -> Result<()> {
         self.set_host_up(block, host, true)
     }
@@ -765,35 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn reconfigure_to_twisted_keeps_blocks() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
-        let id = sc
-            .submit(JobSpec::new("t", SliceSpec::regular(shape(4, 4, 8))))
-            .unwrap();
-        let before: Vec<BlockId> = sc.job(id).unwrap().slice().unwrap().blocks().to_vec();
-        sc.reconfigure(id, SliceSpec::twisted(shape(4, 4, 8)).unwrap())
-            .unwrap();
-        let after: Vec<BlockId> = sc.job(id).unwrap().slice().unwrap().blocks().to_vec();
-        assert_eq!(before, after, "reconfiguration must keep the same racks");
-        assert!(sc.job(id).unwrap().spec().slice().twist().is_some());
-    }
-
-    #[test]
-    fn reconfigure_rolls_back_on_failure() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
-        let id = sc
-            .submit(JobSpec::new("t", SliceSpec::regular(shape(4, 4, 8))))
-            .unwrap();
-        // New spec needs 8 blocks but the job holds 2: rejected.
-        let err = sc.reconfigure(id, SliceSpec::regular(shape(8, 8, 8)));
-        assert!(err.is_err());
-        // The job still runs on its original slice.
-        assert_eq!(sc.job(id).unwrap().chips(), 128);
-        assert_eq!(sc.chips_in_use(), 128);
-        sc.finish(id).unwrap();
-    }
-
-    #[test]
     fn twisted_all_to_all_beats_regular() {
         let mut sc = Supercomputer::for_generation(Generation::V4);
         let reg = sc
@@ -848,13 +744,6 @@ mod tests {
                 "t",
                 SliceSpec::twisted(shape(4, 4, 8)).unwrap(),
             ))
-            .unwrap_err();
-        assert!(matches!(err, SupercomputerError::TorusOnly { .. }));
-        let id = sc
-            .submit(JobSpec::new("r", SliceSpec::regular(shape(4, 4, 8))))
-            .unwrap();
-        let err = sc
-            .reconfigure(id, SliceSpec::regular(shape(4, 4, 8)))
             .unwrap_err();
         assert!(matches!(err, SupercomputerError::TorusOnly { .. }));
     }
@@ -988,10 +877,7 @@ mod tests {
         // The acceptance flow on the static arm: for_spec(v3) -> submit
         // -> collective_time -> failure handling -> finish.
         let mut sc = Supercomputer::for_spec(&MachineSpec::v3());
-        assert!(sc.is_static());
-        assert!(!sc.is_switched());
-        assert!(sc.fabric().is_none());
-        assert!(sc.static_cluster().is_some());
+        assert!(matches!(sc.fabric, MachineFabric::StaticTorus(_)));
         assert_eq!(sc.total_chips(), 1024);
         let id = sc
             .submit(JobSpec::new("v3", SliceSpec::regular(shape(8, 8, 8))))
@@ -1024,13 +910,6 @@ mod tests {
             ))
             .unwrap_err();
         assert!(matches!(err, SupercomputerError::OcsOnly { .. }));
-        let id = sc
-            .submit(JobSpec::new("r", SliceSpec::regular(shape(4, 4, 8))))
-            .unwrap();
-        let err = sc
-            .reconfigure(id, SliceSpec::regular(shape(4, 4, 8)))
-            .unwrap_err();
-        assert!(matches!(err, SupercomputerError::OcsOnly { .. }));
         // Non-block-aligned shapes fail the same way they do on OCS tori.
         let err = sc
             .submit(JobSpec::new("s", SliceSpec::regular(shape(2, 2, 2))))
@@ -1047,7 +926,7 @@ mod tests {
         // 2x2x2 box (wraparound included) contains one dead corner.
         let mut ocs = Supercomputer::for_spec(&MachineSpec::v4());
         let mut fixed = Supercomputer::for_spec(&MachineSpec::v4().with_fabric(FabricKind::Static));
-        assert!(fixed.is_static());
+        assert!(matches!(fixed.fabric, MachineFabric::StaticTorus(_)));
         assert_eq!(fixed.total_chips(), 4096);
         for z in [0u32, 2] {
             for y in [0u32, 2] {

@@ -57,24 +57,6 @@ impl Batch {
         }
         BatchStats { total, unique }
     }
-
-    /// Total bytes gathered from HBM without deduplication.
-    pub fn gather_bytes(&self, model: &DlrmConfig) -> u64 {
-        self.per_feature
-            .iter()
-            .zip(model.features())
-            .map(|(fb, fs)| fb.lookup_count() as u64 * model.tables()[fs.table].row_bytes())
-            .sum()
-    }
-
-    /// Total bytes gathered with perfect per-feature deduplication.
-    pub fn deduplicated_gather_bytes(&self, model: &DlrmConfig) -> u64 {
-        self.per_feature
-            .iter()
-            .zip(model.features())
-            .map(|(fb, fs)| fb.unique_count() as u64 * model.tables()[fs.table].row_bytes())
-            .sum()
-    }
 }
 
 /// Deduplication statistics of a batch (§3.4: "deduplication of frequent
@@ -211,16 +193,6 @@ mod tests {
             "zipf skew should deduplicate: {}",
             stats.dedup_factor()
         );
-    }
-
-    #[test]
-    fn dedup_reduces_gather_bytes() {
-        let m = DlrmConfig::mlperf_dlrm();
-        let mut g = BatchGenerator::new(&m, 9);
-        let b = g.generate(512);
-        assert!(b.deduplicated_gather_bytes(&m) < b.gather_bytes(&m));
-        // Raw gather: 26 features x 512 examples x 512 B rows.
-        assert_eq!(b.gather_bytes(&m), 26 * 512 * 512);
     }
 
     #[test]

@@ -110,34 +110,6 @@ impl DlrmConfig {
         DlrmConfig::new("DLRM0", 100_000_000, 1, tables, features)
     }
 
-    /// The MLPerf DLRM of §7.9: "<2M FP32 weights … only 26 univalent
-    /// features … and no multivalent features", global batch capped at
-    /// 64 k. Its tables are tiny relative to production.
-    pub fn mlperf_dlrm() -> DlrmConfig {
-        const FEATURES: usize = 26;
-        let tables: Vec<EmbeddingTable> = (0..FEATURES)
-            .map(|i| {
-                // Criteo-like vocab spread: a few huge tables, many small.
-                let vocab = if i < 3 {
-                    10_000_000
-                } else {
-                    10_000 + 1000 * i as u64
-                };
-                EmbeddingTable::new(format!("criteo{i}"), vocab, 128, 4)
-            })
-            .collect();
-        let features = (0..FEATURES)
-            .map(|i| FeatureSpec {
-                name: format!("int{i}"),
-                vocab: tables[i].rows(),
-                valency: Valency::Univalent,
-                popularity: Popularity::Zipf { exponent: 1.0 },
-                table: i,
-            })
-            .collect();
-        DlrmConfig::new("MLPerf-DLRM", 2_000_000, 4, tables, features)
-    }
-
     /// Model name.
     pub fn name(&self) -> &str {
         &self.name
@@ -151,11 +123,6 @@ impl DlrmConfig {
     /// Bytes per dense parameter.
     pub fn dense_bytes_per_param(&self) -> u32 {
         self.dense_bytes_per_param
-    }
-
-    /// Dense weights footprint, bytes.
-    pub fn dense_bytes(&self) -> u64 {
-        self.dense_params * u64::from(self.dense_bytes_per_param)
     }
 
     /// The embedding tables.
@@ -213,6 +180,38 @@ impl DlrmConfig {
     }
 }
 
+/// Test fixture shared by the crate's test modules.
+#[cfg(test)]
+impl DlrmConfig {
+    /// The MLPerf DLRM of §7.9: "<2M FP32 weights … only 26 univalent
+    /// features … and no multivalent features", global batch capped at
+    /// 64 k. Its tables are tiny relative to production.
+    pub(crate) fn mlperf_dlrm() -> DlrmConfig {
+        const FEATURES: usize = 26;
+        let tables: Vec<EmbeddingTable> = (0..FEATURES)
+            .map(|i| {
+                // Criteo-like vocab spread: a few huge tables, many small.
+                let vocab = if i < 3 {
+                    10_000_000
+                } else {
+                    10_000 + 1000 * i as u64
+                };
+                EmbeddingTable::new(format!("criteo{i}"), vocab, 128, 4)
+            })
+            .collect();
+        let features = (0..FEATURES)
+            .map(|i| FeatureSpec {
+                name: format!("int{i}"),
+                vocab: tables[i].rows(),
+                valency: Valency::Univalent,
+                popularity: Popularity::Zipf { exponent: 1.0 },
+                table: i,
+            })
+            .collect();
+        DlrmConfig::new("MLPerf-DLRM", 2_000_000, 4, tables, features)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,21 +243,10 @@ mod tests {
         // far beyond one chip's 32 GiB HBM, forcing model parallelism.
         let m = DlrmConfig::dlrm0();
         assert!(m.embedding_bytes() > 64 << 30);
-        assert_eq!(m.dense_bytes(), 100_000_000);
-    }
-
-    #[test]
-    fn mlperf_dlrm_matches_section_7_9() {
-        let m = DlrmConfig::mlperf_dlrm();
-        assert_eq!(m.features().len(), 26);
-        assert!(m.dense_params() < 2_000_001);
-        assert!(m
-            .features()
-            .iter()
-            .all(|f| matches!(f.valency, Valency::Univalent)));
-        // Production model has ~100x the dense parameters (137M int8 vs
-        // <2M fp32 in §7.9; we carry 100M from Figure 8's caption).
-        assert!(DlrmConfig::dlrm0().dense_params() / m.dense_params() >= 50);
+        assert_eq!(
+            m.dense_params() * u64::from(m.dense_bytes_per_param()),
+            100_000_000
+        );
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl EmbeddingOptimizer {
         4 * (1 + u64::from(self.slots()))
     }
 
-    /// Total training footprint of a model's embeddings, bytes.
-    pub fn embedding_footprint(self, model: &DlrmConfig) -> u64 {
-        model.embedding_param_count() * self.bytes_per_param()
-    }
-
     /// Whether a sharding plan over `chips` leaves room for weights plus
     /// slots in `hbm_bytes_per_chip`, scaling the plan's weight-only
     /// footprint by the slot multiplier.
@@ -67,9 +62,10 @@ mod tests {
     fn dlrm0_training_footprint() {
         // 20B params: 80 GB serving, 160 GB with Adagrad, 240 GB with Adam.
         let m = DlrmConfig::dlrm0();
-        let adagrad = EmbeddingOptimizer::Adagrad.embedding_footprint(&m);
+        let footprint = |opt: EmbeddingOptimizer| m.embedding_param_count() * opt.bytes_per_param();
+        let adagrad = footprint(EmbeddingOptimizer::Adagrad);
         assert!((adagrad as f64 - 160e9).abs() / 160e9 < 0.02, "{adagrad}");
-        let adam = EmbeddingOptimizer::Adam.embedding_footprint(&m);
+        let adam = footprint(EmbeddingOptimizer::Adam);
         assert!(adam > adagrad);
     }
 
@@ -88,7 +84,7 @@ mod tests {
     fn sgd_matches_weight_only_footprint() {
         let m = DlrmConfig::mlperf_dlrm();
         assert_eq!(
-            EmbeddingOptimizer::Sgd.embedding_footprint(&m),
+            m.embedding_param_count() * EmbeddingOptimizer::Sgd.bytes_per_param(),
             m.embedding_bytes()
         );
     }

@@ -66,26 +66,6 @@ impl ShardingPlan {
         self.chips
     }
 
-    /// Assignment for a table index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    pub fn assignment(&self, table: usize) -> Sharding {
-        self.assignments[table]
-    }
-
-    /// The chip owning `row` of `table` (for row/table sharding), or
-    /// `None` when the lookup is chip-local (replicated / column-sharded
-    /// rows live everywhere).
-    pub fn owner_of(&self, table: usize, row: u64) -> Option<u32> {
-        match self.assignments[table] {
-            Sharding::Replicated | Sharding::Column => None,
-            Sharding::Table { home } => Some(home),
-            Sharding::Row => Some((row % u64::from(self.chips)) as u32),
-        }
-    }
-
     /// Memory footprint per chip, bytes.
     pub fn per_chip_bytes(&self, model: &DlrmConfig) -> Vec<u64> {
         let mut per_chip = vec![0u64; self.chips as usize];
@@ -188,17 +168,7 @@ mod tests {
     fn auto_plan_replicates_small_shards_large() {
         let m = tiny_model();
         let plan = ShardingPlan::auto(&m, 4, 1 << 20);
-        assert_eq!(plan.assignment(0), Sharding::Replicated);
-        assert_eq!(plan.assignment(1), Sharding::Row);
-    }
-
-    #[test]
-    fn row_sharding_owner_cycles() {
-        let m = tiny_model();
-        let plan = ShardingPlan::auto(&m, 4, 1 << 20);
-        assert_eq!(plan.owner_of(1, 0), Some(0));
-        assert_eq!(plan.owner_of(1, 5), Some(1));
-        assert_eq!(plan.owner_of(0, 7), None); // replicated
+        assert_eq!(plan.assignments, vec![Sharding::Replicated, Sharding::Row]);
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl EmbeddingTable {
         }
     }
 
-    /// The §3.2 example: 80 k words × 100-wide float vectors.
-    pub fn word_example() -> EmbeddingTable {
-        EmbeddingTable::new("words", 80_000, 100, 4)
-    }
-
     /// Table name.
     pub fn name(&self) -> &str {
         &self.name
@@ -78,14 +73,6 @@ impl EmbeddingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn word_example_sizes() {
-        let t = EmbeddingTable::word_example();
-        assert_eq!(t.param_count(), 8_000_000);
-        assert_eq!(t.row_bytes(), 400);
-        assert_eq!(t.size_bytes(), 32_000_000);
-    }
 
     #[test]
     fn paper_size_range() {

@@ -69,11 +69,6 @@ impl Table6 {
             rows: vec![mk("BERT", 0.93, 1.0), mk("ResNet", 0.55, 1.0)],
         }
     }
-
-    /// Mean A100/TPU power ratio across rows.
-    pub fn mean_ratio(&self) -> f64 {
-        self.rows.iter().map(MlperfPowerRow::ratio).sum::<f64>() / self.rows.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -129,11 +124,5 @@ mod tests {
         for row in Table6::measured().rows() {
             assert!(row.tpu_v4_w > 170.0 && row.tpu_v4_w <= 208.0);
         }
-    }
-
-    #[test]
-    fn mean_ratio() {
-        let t = Table6::measured();
-        assert!((t.mean_ratio() - 1.63).abs() < 0.02);
     }
 }

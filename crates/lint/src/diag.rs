@@ -12,7 +12,7 @@ pub struct Diagnostic {
     /// 1-based byte column.
     pub col: u32,
     /// Stable rule name (`determinism`, `unit-hygiene`, `panic-policy`,
-    /// `citation`, `bench-schema`, `bad-suppression`,
+    /// `citation`, `no-caller`, `bench-schema`, `bad-suppression`,
     /// `unused-suppression`).
     pub rule: &'static str,
     /// Human-readable description of the violation.

@@ -216,8 +216,9 @@ pub struct Suppression {
     pub malformed: Option<String>,
 }
 
-/// Extracts suppressions from a token stream.
-pub fn parse_suppressions(tokens: &[Token<'_>]) -> Vec<Suppression> {
+/// Extracts suppressions from a token stream; `known` holds the rule
+/// names this run can suppress.
+pub fn parse_suppressions(tokens: &[Token<'_>], known: &[&str]) -> Vec<Suppression> {
     let mut out = Vec::new();
     for (idx, tok) in tokens.iter().enumerate() {
         if tok.kind != TokenKind::LineComment || !tok.text.contains("tpu-lint:") {
@@ -242,12 +243,12 @@ pub fn parse_suppressions(tokens: &[Token<'_>]) -> Vec<Suppression> {
                 .map(|t| t.line)
                 .unwrap_or(tok.line + 1)
         };
-        out.push(parse_one_suppression(tok, target_line));
+        out.push(parse_one_suppression(tok, target_line, known));
     }
     out
 }
 
-fn parse_one_suppression(tok: &Token<'_>, target_line: u32) -> Suppression {
+fn parse_one_suppression(tok: &Token<'_>, target_line: u32, known: &[&str]) -> Suppression {
     let mut s = Suppression {
         rules: Vec::new(),
         reason: String::new(),
@@ -270,10 +271,10 @@ fn parse_one_suppression(tok: &Token<'_>, target_line: u32) -> Suppression {
         if name.is_empty() {
             continue;
         }
-        if !rules::RULE_NAMES.contains(&name) {
+        if !known.contains(&name) {
             s.malformed = Some(format!(
                 "unknown rule '{name}' (expected one of: {})",
-                rules::RULE_NAMES.join(", ")
+                known.join(", ")
             ));
             return s;
         }
@@ -298,11 +299,24 @@ fn parse_one_suppression(tok: &Token<'_>, target_line: u32) -> Suppression {
 
 /// Lints one file's source text as if it lived at `rel_path`, resolving
 /// citations against `resolver`. This is the unit the golden fixture
-/// tests drive; [`analyze_workspace`] calls it per file.
+/// tests drive. One file alone says nothing about callers, so
+/// `no-caller` is not among its rules; [`analyze_workspace`] runs it.
+// tpu-lint: allow(no-caller) -- the golden fixture harness lints one file at a time through it
 pub fn lint_source(
     rel_path: &str,
     source: &str,
     resolver: &rules::CitationResolver,
+) -> Vec<Diagnostic> {
+    lint_file(rel_path, source, resolver, None)
+}
+
+/// [`lint_source`], plus `no-caller` when the workspace's `callers`
+/// are given.
+fn lint_file(
+    rel_path: &str,
+    source: &str,
+    resolver: &rules::CitationResolver,
+    callers: Option<&rules::CallerIndex>,
 ) -> Vec<Diagnostic> {
     let tokens = lex(source);
     let spans = test_spans(&tokens);
@@ -320,11 +334,16 @@ pub fn lint_source(
     rules::unit_hygiene(&ctx, &mut raw);
     rules::panic_policy(&ctx, &mut raw);
     rules::citation(&ctx, resolver, &mut raw);
+    let mut known = rules::RULE_NAMES.to_vec();
+    if let Some(callers) = callers {
+        rules::no_caller(&ctx, callers, &mut raw);
+        known.push(rules::NO_CALLER);
+    }
 
     // Apply suppressions: a finding on a suppression's target (or
     // comment) line for a named rule is silenced; each suppression must
     // be well-formed and must silence at least one finding.
-    let sups = parse_suppressions(&tokens);
+    let sups = parse_suppressions(&tokens, &known);
     let mut used = vec![false; sups.len()];
     let mut diags: Vec<Diagnostic> = Vec::new();
     for d in raw {
@@ -416,14 +435,22 @@ pub fn rel_path(root: &Path, path: &Path) -> String {
 
 /// Runs every rule over the whole workspace rooted at `root`, plus the
 /// committed `BENCH_*.json` schema check, returning sorted diagnostics.
+/// A first pass indexes the workspace's callers for `no-caller`.
 pub fn analyze_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let resolver = rules::CitationResolver::from_workspace(root)?;
-    let mut diags = Vec::new();
+    let mut files = Vec::new();
     for path in workspace_files(root)? {
-        let rel = rel_path(root, &path);
         let source = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        diags.extend(lint_source(&rel, &source, &resolver));
+        files.push((rel_path(root, &path), source));
+    }
+    let mut callers = rules::CallerIndex::default();
+    for (rel, source) in &files {
+        callers.add_file(rel, source);
+    }
+    let mut diags = Vec::new();
+    for (rel, source) in &files {
+        diags.extend(lint_file(rel, source, &resolver, Some(&callers)));
     }
     diags.extend(crate::bench_schema::check_workspace(root)?);
     diags.sort_by_key(|d| d.sort_key());
@@ -513,7 +540,7 @@ mod tests {
             "let a = m.get(k).unwrap(); // tpu-lint: allow(panic-policy) -- key inserted above\n\
                    // tpu-lint: allow(determinism) -- order irrelevant, drained via sort\n\
                    let s = HashSet::new();\n";
-        let sups = parse_suppressions(&lex(src));
+        let sups = parse_suppressions(&lex(src), &rules::RULE_NAMES);
         assert_eq!(sups.len(), 2);
         assert_eq!(sups[0].target_line, 1);
         assert!(sups[0].malformed.is_none());
@@ -539,7 +566,7 @@ mod tests {
                 "expected `tpu-lint:",
             ),
         ] {
-            let sups = parse_suppressions(&lex(src));
+            let sups = parse_suppressions(&lex(src), &rules::RULE_NAMES);
             assert_eq!(sups.len(), 1, "{src}");
             let why = sups[0].malformed.as_deref().unwrap_or("");
             assert!(why.contains(needle), "{src} -> {why}");

@@ -14,6 +14,8 @@
 //!   in library code.
 //! * [`rules::citation`] — `DESIGN.md §N` and `docs/…` references in
 //!   comments must resolve.
+//! * [`rules::no_caller`] — every `pub fn` and `pub const` in library
+//!   code has a caller outside tests, comments and `use` items.
 //!
 //! Plus the [`bench_schema`] check on committed `BENCH_*.json` perf
 //! reports. Findings are suppressed inline with

@@ -3,13 +3,16 @@
 //! DESIGN.md §13 and `docs/static-analysis.md`.
 
 use crate::diag::Diagnostic;
-use crate::engine::{FileContext, FileKind};
-use crate::lexer::{Token, TokenKind};
+use crate::engine::{test_spans, FileContext, FileKind};
+use crate::lexer::{lex, Token, TokenKind};
 use std::collections::BTreeSet;
 use std::path::Path;
 
-/// Every suppressible rule name, in catalog order.
+/// The rules that need only the file they lint, in catalog order.
 pub const RULE_NAMES: [&str; 4] = ["determinism", "unit-hygiene", "panic-policy", "citation"];
+
+/// The rule that also needs a [`CallerIndex`] of the whole workspace.
+pub const NO_CALLER: &str = "no-caller";
 
 fn diag(ctx: &FileContext<'_>, tok: &Token<'_>, rule: &'static str, message: String) -> Diagnostic {
     Diagnostic {
@@ -340,6 +343,110 @@ fn check_docs_refs(
                 rule: "citation",
                 message: format!("mentions {path}, which does not exist in the workspace"),
             });
+        }
+    }
+}
+
+/// The identifiers the workspace uses as code, for the `no-caller`
+/// rule. [`crate::analyze_workspace`] builds it in a first pass, as it
+/// builds the [`CitationResolver`].
+#[derive(Debug, Default)]
+pub struct CallerIndex {
+    used: BTreeSet<String>,
+}
+
+impl CallerIndex {
+    /// Records every identifier `source` uses as code. Comments, test
+    /// code (`tests/` directories and `#[cfg(test)]`/`#[test]` items),
+    /// `use` items and the names that `fn` and `const` define add
+    /// nothing. Examples, benches, binaries and `perfbench/src` count
+    /// like library code.
+    pub fn add_file(&mut self, rel_path: &str, source: &str) {
+        if rel_path.starts_with("tests/") || rel_path.contains("/tests/") {
+            return;
+        }
+        let tokens = lex(source);
+        let spans = test_spans(&tokens);
+        let mut prev = "";
+        let mut in_use = false;
+        for tok in tokens.iter().filter(|t| !t.is_comment()) {
+            let before = std::mem::replace(&mut prev, tok.text);
+            if in_use {
+                // A use tree holds no `;` of its own.
+                in_use = tok.text != ";";
+            } else if tok.kind == TokenKind::Ident
+                && !spans.iter().any(|&(a, b)| (a..=b).contains(&tok.line))
+            {
+                if tok.text == "use" {
+                    in_use = true;
+                } else if before != "fn" && before != "const" {
+                    self.used.insert(tok.text.to_string());
+                }
+            }
+        }
+    }
+}
+
+/// True under some `crates/<name>/src/` or the root `src/`.
+fn in_crate_src(rel_path: &str) -> bool {
+    rel_path.starts_with("src/")
+        || rel_path
+            .strip_prefix("crates/")
+            .and_then(|r| r.split_once('/'))
+            .is_some_and(|(_, rest)| rest.starts_with("src/"))
+}
+
+/// # Rule `no-caller`
+///
+/// Code with no caller goes. A `pub fn` or `pub const` in library code
+/// under `crates/*/src` or `src/` is flagged when its name is used as
+/// code nowhere in the workspace (see [`CallerIndex`]): a mention in a
+/// comment, a test, a `use` item or a definition is not a call. Rustc's
+/// `dead_code` sees neither across crates nor `pub` items; `pub(crate)`
+/// and narrower stay its job. The check goes by name, so an item that
+/// shares its name with another item is hidden behind it, and the
+/// findings are a lower bound.
+pub fn no_caller(ctx: &FileContext<'_>, callers: &CallerIndex, out: &mut Vec<Diagnostic>) {
+    if ctx.kind != FileKind::Library || !in_crate_src(ctx.rel_path) {
+        return;
+    }
+    let code: Vec<&Token<'_>> = code_tokens(ctx).map(|(_, t)| t).collect();
+    for (i, tok) in code.iter().enumerate() {
+        if tok.text != "pub" {
+            continue;
+        }
+        // Step over `const`/`async`/`unsafe`/`extern "C"`; `pub(…)`
+        // stops at the parenthesis and is left alone.
+        let mut j = i + 1;
+        let mut saw_const = false;
+        while let Some(t) = code.get(j) {
+            match t.text {
+                "const" => saw_const = true,
+                "async" | "unsafe" | "extern" => {}
+                _ if t.kind == TokenKind::StrLit => {}
+                _ => break,
+            }
+            j += 1;
+        }
+        let (what, name) = match code.get(j) {
+            Some(t) if t.text == "fn" => ("fn", code.get(j + 1)),
+            Some(t) if saw_const => ("const", Some(t)),
+            _ => continue,
+        };
+        let Some(name) = name.filter(|n| n.kind == TokenKind::Ident && n.text != "_") else {
+            continue;
+        };
+        if !callers.used.contains(name.text) {
+            out.push(diag(
+                ctx,
+                name,
+                NO_CALLER,
+                format!(
+                    "pub {what} `{}` has no caller outside tests, comments and `use` items; \
+                     delete it, move it into its test, or suppress, stating why it stays",
+                    name.text
+                ),
+            ));
         }
     }
 }

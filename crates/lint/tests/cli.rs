@@ -35,7 +35,7 @@ fn clean_workspace_exits_zero() {
         "cli_clean",
         &[(
             "crates/net/src/lib.rs",
-            "//! See DESIGN.md §2.\npub fn f() -> u32 { 1 }\n",
+            "//! See DESIGN.md §2.\nfn f() -> u32 { 1 }\n",
         )],
     );
     let out = run_lint(&["--check", "--root", root.to_str().expect("utf-8 path")]);
@@ -80,7 +80,7 @@ fn violations_exit_one_with_deterministic_file_line_diagnostics() {
 fn json_format_emits_the_documented_schema() {
     let root = mini_workspace(
         "cli_json",
-        &[("crates/net/src/lib.rs", "pub fn f() -> f64 { 3.0 * 1e9 }\n")],
+        &[("crates/net/src/lib.rs", "fn f() -> f64 { 3.0 * 1e9 }\n")],
     );
     let out = run_lint(&[
         "--check",

@@ -191,16 +191,41 @@ impl<'g> FlowSim<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flows::{all_to_all_flows, ring_all_reduce_flows};
+    use crate::flows::all_to_all_flows;
     use crate::load::LinkLoads;
-    use tpu_topology::{NodeId, SliceShape, Torus};
+    use tpu_topology::{Coord3, EdgeId, NodeId, SliceShape, Torus};
 
     const RATE: LinkRate = LinkRate::TPU_V4_ICI;
+
+    /// The one-link path from `a` to its neighbour `b`.
+    fn link(graph: &LinkGraph, a: NodeId, b: NodeId) -> Vec<EdgeId> {
+        let (_, edge) = graph.neighbors(a).find(|&(v, _)| v == b).unwrap();
+        vec![edge]
+    }
+
+    /// Flows for one bandwidth-optimal ring all-reduce over `ring` (nodes
+    /// in ring order): each member streams `2·(p−1)/p · bytes` to its
+    /// successor.
+    fn ring_all_reduce_flows(graph: &LinkGraph, ring: &[NodeId], bytes: f64) -> Vec<Flow> {
+        let p = ring.len() as f64;
+        let per_hop = 2.0 * (p - 1.0) / p * bytes;
+        (0..ring.len())
+            .map(|i| {
+                let (src, dst) = (ring[i], ring[(i + 1) % ring.len()]);
+                Flow {
+                    src,
+                    dst,
+                    bytes: per_hop,
+                    path: link(graph, src, dst),
+                }
+            })
+            .collect()
+    }
 
     #[test]
     fn single_flow_runs_at_line_rate() {
         let g = Torus::new(SliceShape::new(4, 1, 1).unwrap()).into_graph();
-        let path = tpu_topology::shortest_path(&g, NodeId::new(0), NodeId::new(1)).unwrap();
+        let path = link(&g, NodeId::new(0), NodeId::new(1));
         let flows = vec![Flow {
             src: NodeId::new(0),
             dst: NodeId::new(1),
@@ -216,7 +241,7 @@ mod tests {
     fn two_flows_share_a_link_fairly() {
         let g = Torus::new(SliceShape::new(4, 1, 1).unwrap()).into_graph();
         // Two flows over the same 0 -> 1 edge.
-        let path = tpu_topology::shortest_path(&g, NodeId::new(0), NodeId::new(1)).unwrap();
+        let path = link(&g, NodeId::new(0), NodeId::new(1));
         let mk = |bytes| Flow {
             src: NodeId::new(0),
             dst: NodeId::new(1),
@@ -234,8 +259,8 @@ mod tests {
     #[test]
     fn disjoint_flows_do_not_interfere() {
         let g = Torus::new(SliceShape::new(8, 1, 1).unwrap()).into_graph();
-        let p01 = tpu_topology::shortest_path(&g, NodeId::new(0), NodeId::new(1)).unwrap();
-        let p45 = tpu_topology::shortest_path(&g, NodeId::new(4), NodeId::new(5)).unwrap();
+        let p01 = link(&g, NodeId::new(0), NodeId::new(1));
+        let p45 = link(&g, NodeId::new(4), NodeId::new(5));
         let flows = vec![
             Flow {
                 src: NodeId::new(0),
@@ -311,9 +336,35 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_ring_all_reduces_match_analytic() {
+        // Concurrent rings along x of a 4x4x4 torus: the event simulator
+        // must land on the analytic single-direction ring time (the
+        // analytic both-directions model is 2x faster).
+        let shape = SliceShape::new(4, 4, 4).unwrap();
+        let g = Torus::new(shape).into_graph();
+        let bytes = 1e8;
+        let mut flows = Vec::new();
+        for y in 0..4 {
+            for z in 0..4 {
+                let ring: Vec<NodeId> = (0..4)
+                    .map(|x| NodeId::new(shape.index_of(Coord3::new(x, y, z))))
+                    .collect();
+                flows.extend(ring_all_reduce_flows(&g, &ring, bytes));
+            }
+        }
+        let report = FlowSim::new(&g, RATE).run(&flows);
+        let expect = 2.0 * 3.0 / 4.0 * bytes / 50e9; // per-hop stream time
+        assert!(
+            (report.completion_time() - expect).abs() / expect < 1e-6,
+            "{} vs {expect}",
+            report.completion_time()
+        );
+    }
+
+    #[test]
     fn finish_times_monotone_with_bytes() {
         let g = Torus::new(SliceShape::new(4, 1, 1).unwrap()).into_graph();
-        let path = tpu_topology::shortest_path(&g, NodeId::new(0), NodeId::new(1)).unwrap();
+        let path = link(&g, NodeId::new(0), NodeId::new(1));
         let flows = vec![
             Flow {
                 src: NodeId::new(0),

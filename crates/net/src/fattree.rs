@@ -1,8 +1,8 @@
 //! The InfiniBand fat tree of §7.3: the 3-level folded Clos that joins
 //! the islands of every switched machine. The §7.3 hybrid ICI/IB network
-//! (8-chip ICI islands over this tree) is
-//! [`SwitchedFabric::v4_ib_reference`](crate::SwitchedFabric::v4_ib_reference),
-//! and [`BackendComparison`](crate::BackendComparison) sets it against the
+//! (8-chip ICI islands over this tree) is the
+//! [`SwitchedFabric`](crate::SwitchedFabric) of the `v4-ib` spec, and
+//! [`BackendComparison`](crate::BackendComparison) sets it against the
 //! OCS-stitched 3D torus.
 //!
 //! Calibration notes (see DESIGN.md §2): the fat tree is full-bisection. The

@@ -87,30 +87,6 @@ pub fn all_to_all_flows(graph: &LinkGraph, bytes_per_pair: f64) -> Vec<Flow> {
     flows
 }
 
-/// Flows for one bandwidth-optimal ring all-reduce over `ring` (nodes in
-/// ring order): each member streams `2·(p−1)/p · bytes` to its successor.
-///
-/// # Panics
-///
-/// Panics if the ring has fewer than two nodes or a hop is unreachable.
-pub fn ring_all_reduce_flows(graph: &LinkGraph, ring: &[NodeId], bytes: f64) -> Vec<Flow> {
-    assert!(ring.len() >= 2, "ring needs at least two nodes");
-    let p = ring.len() as f64;
-    let per_hop = 2.0 * (p - 1.0) / p * bytes;
-    let mut flows = Vec::with_capacity(ring.len());
-    for (i, &src) in ring.iter().enumerate() {
-        let dst = ring[(i + 1) % ring.len()];
-        let path = tpu_topology::shortest_path(graph, src, dst).expect("ring hop reachable"); // tpu-lint: allow(panic-policy) -- unreachable: ring hop reachable
-        flows.push(Flow {
-            src,
-            dst,
-            bytes: per_hop,
-            path,
-        });
-    }
-    flows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,26 +124,6 @@ mod tests {
             }
             assert_eq!(cur, f.dst);
         }
-    }
-
-    #[test]
-    fn ring_flows_wrap_around() {
-        let g = Torus::new(SliceShape::new(8, 1, 1).unwrap()).into_graph();
-        let ring: Vec<NodeId> = g.nodes().collect();
-        let flows = ring_all_reduce_flows(&g, &ring, 1e6);
-        assert_eq!(flows.len(), 8);
-        // Every hop is a single link (neighbors on the ring).
-        assert!(flows.iter().all(|f| f.path.len() == 1));
-        // Payload per hop is 2 * 7/8 of a MB.
-        let expect = 2.0 * 7.0 / 8.0 * 1e6;
-        assert!(flows.iter().all(|f| (f.bytes - expect).abs() < 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two nodes")]
-    fn ring_of_one_panics() {
-        let g = torus_4x4();
-        let _ = ring_all_reduce_flows(&g, &[NodeId::new(0)], 1.0);
     }
 
     #[test]

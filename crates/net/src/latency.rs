@@ -188,7 +188,10 @@ mod tests {
             shape,
             1e6,
             TorusPaths::MultiPath,
-            CollectiveSpec::forced(SchedulePolicy::Tree),
+            CollectiveSpec {
+                schedule: SchedulePolicy::Tree,
+                ..CollectiveSpec::reference()
+            },
         );
         assert_eq!(algo, ScheduleAlgorithm::Tree);
         assert!(forced.time() >= ring(1e6).time());

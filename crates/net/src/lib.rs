@@ -50,17 +50,15 @@ pub mod fattree;
 pub mod flows;
 pub mod latency;
 pub mod load;
-pub mod rings;
 pub mod schedule;
 pub mod switched;
 mod units;
 
 pub use event::{FlowSim, SimReport};
 pub use fattree::FatTree;
-pub use flows::{all_to_all_flows, ring_all_reduce_flows, Flow};
+pub use flows::{all_to_all_flows, Flow};
 pub use latency::{torus_diameter_hops, AlphaBeta};
 pub use load::{AllToAll, LinkLoads};
-pub use rings::DimensionRings;
 pub use schedule::{CollectiveSchedule, ScheduleAlgorithm, SchedulePhase, TorusPaths};
 pub use switched::{BackendComparison, CollectiveBackend, IslandKind, SwitchedFabric};
 pub use units::LinkRate;

@@ -27,11 +27,6 @@ impl LinkLoads {
         LinkLoads { loads }
     }
 
-    /// Builds loads from explicit per-edge byte counts.
-    pub fn from_bytes(loads: Vec<f64>) -> LinkLoads {
-        LinkLoads { loads }
-    }
-
     /// Per-edge loads in bytes.
     pub fn as_slice(&self) -> &[f64] {
         &self.loads
@@ -42,25 +37,9 @@ impl LinkLoads {
         self.loads.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Total bytes·hops moved.
-    pub fn total_byte_hops(&self) -> f64 {
-        self.loads.iter().sum()
-    }
-
     /// Steady-state completion time: heaviest link load divided by rate.
     pub fn completion_time(&self, rate: LinkRate) -> f64 {
         self.max_bytes() / rate.bytes_per_s()
-    }
-
-    /// Mean link utilization relative to the bottleneck link (1.0 = every
-    /// link equally loaded; lower = load imbalance wastes capacity).
-    pub fn balance(&self) -> f64 {
-        let max = self.max_bytes();
-        if max == 0.0 || self.loads.is_empty() {
-            return 1.0;
-        }
-        let mean: f64 = self.total_byte_hops() / self.loads.len() as f64;
-        mean / max
     }
 }
 
@@ -136,14 +115,6 @@ impl AllToAll {
         (self.nodes as f64 - 1.0) * self.bytes_per_pair / self.completion_time
     }
 
-    /// Ideal (bisection-bound) per-node goodput in bytes/s.
-    pub fn ideal_throughput_per_node(&self) -> f64 {
-        if self.ideal_time == 0.0 {
-            return 0.0;
-        }
-        (self.nodes as f64 - 1.0) * self.bytes_per_pair / self.ideal_time
-    }
-
     /// Achieved fraction of the bisection-bound ideal (≤ 1).
     pub fn fraction_of_ideal(&self) -> f64 {
         if self.completion_time == 0.0 {
@@ -169,14 +140,22 @@ mod tests {
         let a = LinkLoads::uniform_all_to_all(&g, 1.0);
         let b = LinkLoads::uniform_all_to_all(&g, 2.0);
         assert!((b.max_bytes() - 2.0 * a.max_bytes()).abs() < 1e-9);
-        assert!((b.total_byte_hops() - 2.0 * a.total_byte_hops()).abs() < 1e-6);
+        let byte_hops = |l: &LinkLoads| l.as_slice().iter().sum::<f64>();
+        assert!((byte_hops(&b) - 2.0 * byte_hops(&a)).abs() < 1e-6);
+    }
+
+    /// Mean link load relative to the bottleneck link (1.0 = every link
+    /// equally loaded).
+    fn balance(loads: &LinkLoads) -> f64 {
+        let per_edge = loads.as_slice();
+        per_edge.iter().sum::<f64>() / per_edge.len() as f64 / loads.max_bytes()
     }
 
     #[test]
     fn symmetric_torus_is_perfectly_balanced() {
         let g = Torus::new(SliceShape::new(4, 4, 4).unwrap()).into_graph();
         let loads = LinkLoads::uniform_all_to_all(&g, 1.0);
-        assert!(loads.balance() > 0.999, "balance = {}", loads.balance());
+        assert!(balance(&loads) > 0.999, "balance = {}", balance(&loads));
     }
 
     #[test]
@@ -184,9 +163,9 @@ mod tests {
         let g = Torus::new(SliceShape::new(4, 4, 16).unwrap()).into_graph();
         let loads = LinkLoads::uniform_all_to_all(&g, 1.0);
         assert!(
-            loads.balance() < 0.9,
+            balance(&loads) < 0.9,
             "long z must dominate: {}",
-            loads.balance()
+            balance(&loads)
         );
     }
 
@@ -244,12 +223,5 @@ mod tests {
         let a = AllToAll::analyze(&g, 4096, LinkRate::TPU_V4_ICI);
         let expect = 63.0 * 4096.0 / a.completion_time();
         assert!((a.throughput_per_node() - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn empty_loads_balance_is_one() {
-        let loads = LinkLoads::from_bytes(vec![]);
-        assert_eq!(loads.balance(), 1.0);
-        assert_eq!(loads.max_bytes(), 0.0);
     }
 }

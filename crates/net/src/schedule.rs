@@ -10,7 +10,7 @@
 //! decision instead of a formula baked into each backend: real
 //! NCCL-class stacks switch from rings to trees as participant count
 //! grows and payload shrinks, and modeling that selection is what the
-//! large-scale tail of Figure 15 turns on (§7.9). [`select`] implements
+//! large-scale tail of Figure 15 turns on (§7.9). [`select_with`] implements
 //! the crossover-aware `ring`/`tree`/`auto` policy of
 //! `tpu_spec::CollectiveSpec` (calibration notes: DESIGN.md §10).
 
@@ -145,11 +145,6 @@ impl CollectiveSchedule {
             .sum()
     }
 
-    /// Serialized steps across all phases.
-    pub fn total_steps(&self) -> u64 {
-        self.phases.iter().map(|p| p.steps).sum()
-    }
-
     /// Total bytes on the wire across all phases.
     pub fn bytes_on_wire(&self) -> f64 {
         self.phases.iter().map(SchedulePhase::bytes_on_wire).sum()
@@ -247,7 +242,7 @@ pub fn tree_all_reduce(p: u64, bytes: f64, wire: f64, alpha_s: f64) -> Collectiv
 /// the payload across the dimension orderings (bandwidth ÷ active
 /// dimensions; the alpha steps stay serialized — every ordering still
 /// traverses every dimension). Wraparound links give each ring both
-/// directions (`wire = 2 × rate`); [`mesh_all_reduce`] drops that.
+/// directions (`wire = 2 × rate`); a mesh, without them, gets half.
 ///
 /// A [`ScheduleAlgorithm::Tree`] torus schedule pays the same total
 /// per-hop alpha as the ring (halving-doubling partners sit `2ⁱ` hops
@@ -270,24 +265,6 @@ pub fn torus_all_reduce(
         alpha_s,
         paths,
         algorithm,
-    )
-}
-
-/// [`torus_all_reduce`] on a mesh (no wraparound links): each ring loses
-/// its second direction, halving the usable collective bandwidth (§2.6).
-pub fn mesh_all_reduce(
-    shape: SliceShape,
-    bytes: f64,
-    rate: LinkRate,
-    alpha_s: f64,
-) -> CollectiveSchedule {
-    torus_passes(
-        shape,
-        bytes,
-        rate.bytes_per_s(),
-        alpha_s,
-        TorusPaths::Sequential,
-        ScheduleAlgorithm::Ring,
     )
 }
 
@@ -362,16 +339,6 @@ pub fn select_with(
     }
 }
 
-/// [`select_with`] over already-built candidates.
-pub fn select(
-    selection: CollectiveSpec,
-    payload_bytes: f64,
-    ring: CollectiveSchedule,
-    tree: CollectiveSchedule,
-) -> (ScheduleAlgorithm, CollectiveSchedule) {
-    select_with(selection, payload_bytes, move || ring, move || tree)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,15 +346,20 @@ mod tests {
     const WIRE: f64 = 100e9;
     const ALPHA: f64 = 1e-6;
 
+    /// Serialized steps across all phases.
+    fn total_steps(s: &CollectiveSchedule) -> u64 {
+        s.phases.iter().map(|p| p.steps).sum()
+    }
+
     #[test]
     fn empty_schedule_is_free() {
         let s = CollectiveSchedule::empty();
         assert_eq!(s.time(), 0.0);
-        assert_eq!(s.total_steps(), 0);
+        assert_eq!(total_steps(&s), 0);
         assert_eq!(ring_all_reduce(1, 1e9, WIRE, ALPHA).time(), 0.0);
         assert_eq!(tree_all_reduce(1, 1e9, WIRE, ALPHA).time(), 0.0);
         let single = SliceShape::new(1, 1, 1).unwrap();
-        let rate = LinkRate::from_gb_per_s(50.0);
+        let rate = LinkRate::from_bytes_per_s(50e9);
         for paths in [TorusPaths::Sequential, TorusPaths::MultiPath] {
             let torus = torus_all_reduce(single, 1e9, rate, ALPHA, paths, ScheduleAlgorithm::Ring);
             assert_eq!(torus.time(), 0.0);
@@ -403,7 +375,7 @@ mod tests {
         let expect_bw = 2.0 * 63.0 / 64.0 * bytes / WIRE;
         assert!((s.alpha_seconds() - expect_alpha).abs() < 1e-15);
         assert!((s.bandwidth_seconds() - expect_bw).abs() / expect_bw < 1e-12);
-        assert_eq!(s.total_steps(), 126);
+        assert_eq!(total_steps(&s), 126);
         // Decomposition is exact: time = alpha + bandwidth.
         assert_eq!(s.time(), s.alpha_seconds() + s.bandwidth_seconds());
     }
@@ -415,8 +387,8 @@ mod tests {
         let ring = ring_all_reduce(p, bytes, WIRE, ALPHA);
         let tree = tree_all_reduce(p, bytes, WIRE, ALPHA);
         // 2·log2(1024) = 20 steps vs 2·1023.
-        assert_eq!(tree.total_steps(), 20);
-        assert_eq!(ring.total_steps(), 2046);
+        assert_eq!(total_steps(&tree), 20);
+        assert_eq!(total_steps(&ring), 2046);
         // Bandwidth penalty is exactly p/(p−1).
         let penalty = tree.bandwidth_seconds() / ring.bandwidth_seconds();
         assert!((penalty - 1024.0 / 1023.0).abs() < 1e-12, "{penalty}");
@@ -433,9 +405,9 @@ mod tests {
 
     #[test]
     fn non_power_of_two_trees_round_steps_up() {
-        assert_eq!(tree_all_reduce(3, 1e6, WIRE, ALPHA).total_steps(), 4);
-        assert_eq!(tree_all_reduce(9, 1e6, WIRE, ALPHA).total_steps(), 8);
-        assert_eq!(tree_all_reduce(1054, 1e6, WIRE, ALPHA).total_steps(), 22);
+        assert_eq!(total_steps(&tree_all_reduce(3, 1e6, WIRE, ALPHA)), 4);
+        assert_eq!(total_steps(&tree_all_reduce(9, 1e6, WIRE, ALPHA)), 8);
+        assert_eq!(total_steps(&tree_all_reduce(1054, 1e6, WIRE, ALPHA)), 22);
     }
 
     #[test]
@@ -459,7 +431,7 @@ mod tests {
     #[test]
     fn torus_multipath_divides_bandwidth_not_alpha() {
         let shape = SliceShape::new(8, 8, 8).unwrap();
-        let rate = LinkRate::from_gb_per_s(50.0);
+        let rate = LinkRate::from_bytes_per_s(50e9);
         let seq = torus_all_reduce(
             shape,
             1e9,
@@ -479,7 +451,7 @@ mod tests {
         let ratio = seq.bandwidth_seconds() / par.bandwidth_seconds();
         assert!((ratio - 3.0).abs() < 1e-12, "{ratio}");
         assert_eq!(seq.alpha_seconds(), par.alpha_seconds());
-        assert_eq!(seq.total_steps(), par.total_steps());
+        assert_eq!(total_steps(&seq), total_steps(&par));
         // Sequentially, the first dimension's ring dominates: the later
         // ones move a payload 8x and 64x smaller.
         let first = ring_all_reduce(8, 1e9, 2.0 * rate.bytes_per_s(), ALPHA);
@@ -502,7 +474,7 @@ mod tests {
     fn torus_tree_never_beats_the_ring() {
         // Per-hop alpha makes the tree's latency equal and its bandwidth
         // worse on a torus — rings are simply optimal there.
-        let rate = LinkRate::from_gb_per_s(50.0);
+        let rate = LinkRate::from_bytes_per_s(50e9);
         for bytes in [1e3, 1e6, 1e9] {
             for shape in [
                 SliceShape::new(8, 8, 8).unwrap(),
@@ -537,46 +509,24 @@ mod tests {
     }
 
     #[test]
-    fn mesh_halves_the_wire() {
-        let shape = SliceShape::new(4, 4, 4).unwrap();
-        let rate = LinkRate::from_gb_per_s(50.0);
-        let torus = torus_all_reduce(
-            shape,
-            1e9,
-            rate,
-            0.0,
-            TorusPaths::Sequential,
-            ScheduleAlgorithm::Ring,
-        );
-        let mesh = mesh_all_reduce(shape, 1e9, rate, 0.0);
-        assert!((mesh.time() / torus.time() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn selection_respects_policy_and_crossover() {
         let ring = || ring_all_reduce(1024, 1e5, WIRE, ALPHA);
         let tree = || tree_all_reduce(1024, 1e5, WIRE, ALPHA);
         use tpu_spec::{CollectiveSpec, SchedulePolicy};
 
         // Forced policies ignore the clock.
-        let (algo, _) = select(
-            CollectiveSpec::forced(SchedulePolicy::Ring),
-            1e5,
-            ring(),
-            tree(),
-        );
+        let forced = |schedule| CollectiveSpec {
+            schedule,
+            ..CollectiveSpec::reference()
+        };
+        let (algo, _) = select_with(forced(SchedulePolicy::Ring), 1e5, ring, tree);
         assert_eq!(algo, ScheduleAlgorithm::Ring);
-        let (algo, _) = select(
-            CollectiveSpec::forced(SchedulePolicy::Tree),
-            1e5,
-            ring(),
-            tree(),
-        );
+        let (algo, _) = select_with(forced(SchedulePolicy::Tree), 1e5, ring, tree);
         assert_eq!(algo, ScheduleAlgorithm::Tree);
 
         // Auto picks the faster schedule: tree at 100 KB over 1024
         // members (the computed case above).
-        let (algo, chosen) = select(CollectiveSpec::reference(), 1e5, ring(), tree());
+        let (algo, chosen) = select_with(CollectiveSpec::reference(), 1e5, ring, tree);
         assert_eq!(algo, ScheduleAlgorithm::Tree);
         assert_eq!(chosen, tree());
 
@@ -585,13 +535,13 @@ mod tests {
             schedule: SchedulePolicy::Auto,
             crossover_bytes: Some(1e4),
         };
-        let (algo, _) = select(forced_ring, 1e5, ring(), tree());
+        let (algo, _) = select_with(forced_ring, 1e5, ring, tree);
         assert_eq!(algo, ScheduleAlgorithm::Ring);
         let forced_tree = CollectiveSpec {
             schedule: SchedulePolicy::Auto,
             crossover_bytes: Some(1e9),
         };
-        let (algo, _) = select(forced_tree, 1e5, ring(), tree());
+        let (algo, _) = select_with(forced_tree, 1e5, ring, tree);
         assert_eq!(algo, ScheduleAlgorithm::Tree);
     }
 
@@ -601,7 +551,7 @@ mod tests {
         let bw = s.bandwidth_only();
         assert_eq!(bw.alpha_seconds(), 0.0);
         assert_eq!(bw.bandwidth_seconds(), s.bandwidth_seconds());
-        assert_eq!(bw.total_steps(), s.total_steps());
+        assert_eq!(total_steps(&bw), total_steps(&s));
     }
 
     #[test]

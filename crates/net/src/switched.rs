@@ -35,7 +35,7 @@ use crate::load::AllToAll;
 use crate::schedule::{self, CollectiveSchedule, ScheduleAlgorithm, TorusPaths};
 use crate::units::LinkRate;
 use serde::{Deserialize, Serialize};
-use tpu_spec::{CollectiveSpec, FabricKind, LatencySpec, MachineSpec, ProcessorStyle};
+use tpu_spec::{CollectiveSpec, FabricKind, MachineSpec, ProcessorStyle};
 use tpu_topology::{LinkGraph, SliceShape, Torus};
 
 /// How the chips inside one glueless island are wired.
@@ -108,42 +108,6 @@ impl SwitchedFabric {
             switch_alpha_s: latency.switch_hop_s,
             selection: spec.collective_schedule(),
         })
-    }
-
-    /// The §7.3 reference: 8-chip ICI islands (2×2×2 tori of TPU v4
-    /// links) over an HDR fat tree. Equals
-    /// `for_spec(&MachineSpec::v4_ib_hybrid())`.
-    pub fn v4_ib_reference() -> SwitchedFabric {
-        let latency = LatencySpec::reference();
-        SwitchedFabric {
-            island_chips: 8,
-            island_kind: IslandKind::Torus,
-            island_rate: LinkRate::TPU_V4_ICI,
-            island_links: 6,
-            fat_tree: FatTree::hdr_reference(),
-            island_alpha_s: latency.ici_hop_s,
-            nic_alpha_s: latency.nic_s,
-            switch_alpha_s: latency.switch_hop_s,
-            selection: CollectiveSpec::reference(),
-        }
-    }
-
-    /// The Table 5 A100 cluster: 4-GPU NVLink hosts (12 × 25 GB/s links
-    /// through NVSwitch) over an HDR fat tree. Equals
-    /// `for_spec(&MachineSpec::a100())`.
-    pub fn nvlink_a100() -> SwitchedFabric {
-        let latency = LatencySpec::reference();
-        SwitchedFabric {
-            island_chips: 4,
-            island_kind: IslandKind::Crossbar,
-            island_rate: LinkRate::from_gb_per_s(25.0),
-            island_links: 12,
-            fat_tree: FatTree::hdr_reference(),
-            island_alpha_s: latency.ici_hop_s,
-            nic_alpha_s: latency.nic_s,
-            switch_alpha_s: latency.switch_hop_s,
-            selection: CollectiveSpec::reference(),
-        }
     }
 
     /// This fabric with every alpha zeroed: the pure-bandwidth
@@ -607,6 +571,43 @@ impl BackendComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpu_spec::LatencySpec;
+
+    /// The §7.3 reference: 8-chip ICI islands (2×2×2 tori of TPU v4
+    /// links) over an HDR fat tree. Equals
+    /// `for_spec(&MachineSpec::v4_ib_hybrid())`.
+    fn v4_ib_reference() -> SwitchedFabric {
+        let latency = LatencySpec::reference();
+        SwitchedFabric {
+            island_chips: 8,
+            island_kind: IslandKind::Torus,
+            island_rate: LinkRate::TPU_V4_ICI,
+            island_links: 6,
+            fat_tree: FatTree::hdr_reference(),
+            island_alpha_s: latency.ici_hop_s,
+            nic_alpha_s: latency.nic_s,
+            switch_alpha_s: latency.switch_hop_s,
+            selection: CollectiveSpec::reference(),
+        }
+    }
+
+    /// The Table 5 A100 cluster: 4-GPU NVLink hosts (12 × 25 GB/s links
+    /// through NVSwitch) over an HDR fat tree. Equals
+    /// `for_spec(&MachineSpec::a100())`.
+    fn nvlink_a100() -> SwitchedFabric {
+        let latency = LatencySpec::reference();
+        SwitchedFabric {
+            island_chips: 4,
+            island_kind: IslandKind::Crossbar,
+            island_rate: LinkRate::from_bytes_per_s(25e9),
+            island_links: 12,
+            fat_tree: FatTree::hdr_reference(),
+            island_alpha_s: latency.ici_hop_s,
+            nic_alpha_s: latency.nic_s,
+            switch_alpha_s: latency.switch_hop_s,
+            selection: CollectiveSpec::reference(),
+        }
+    }
 
     fn shape(x: u32, y: u32, z: u32) -> SliceShape {
         SliceShape::new(x, y, z).unwrap()
@@ -619,11 +620,11 @@ mod tests {
         assert!(SwitchedFabric::for_spec(&MachineSpec::v3_ocs()).is_none());
         assert_eq!(
             SwitchedFabric::for_spec(&MachineSpec::a100()),
-            Some(SwitchedFabric::nvlink_a100())
+            Some(nvlink_a100())
         );
         assert_eq!(
             SwitchedFabric::for_spec(&MachineSpec::v4_ib_hybrid()),
-            Some(SwitchedFabric::v4_ib_reference())
+            Some(v4_ib_reference())
         );
     }
 
@@ -639,23 +640,20 @@ mod tests {
 
     #[test]
     fn degenerate_sizes_are_free() {
-        for fabric in [
-            SwitchedFabric::v4_ib_reference(),
-            SwitchedFabric::nvlink_a100(),
-        ] {
+        for fabric in [v4_ib_reference(), nvlink_a100()] {
             assert_eq!(fabric.all_reduce_time(1, 1e9), 0.0);
             assert_eq!(fabric.all_to_all_time(1, 1e9), 0.0);
             assert_eq!(fabric.all_reduce_time(0, 1e9), 0.0);
         }
         // One §7.3 island uses no IB, but its ICI torus still costs time.
-        assert!(SwitchedFabric::v4_ib_reference().all_reduce_time(8, 1e9) > 0.0);
+        assert!(v4_ib_reference().all_reduce_time(8, 1e9) > 0.0);
     }
 
     #[test]
     fn all_reduce_is_monotone_in_chips_and_bytes() {
-        let ib = SwitchedFabric::v4_ib_reference();
+        let ib = v4_ib_reference();
         assert!(ib.all_reduce_time(4096, 1e9) >= ib.all_reduce_time(512, 1e9));
-        let f = SwitchedFabric::nvlink_a100();
+        let f = nvlink_a100();
         let t512 = f.all_reduce_time(512, 1e9);
         let t4096 = f.all_reduce_time(4096, 1e9);
         assert!(t512 > 0.0);
@@ -670,7 +668,7 @@ mod tests {
 
     #[test]
     fn nvlink_island_is_fast_but_nic_dominates_at_scale() {
-        let f = SwitchedFabric::nvlink_a100();
+        let f = nvlink_a100();
         // Intra-island all-reduce runs at the 300 GB/s NVLink injection,
         // plus 2(n-1) ring steps of one switch hop each.
         let intra = f.all_reduce_time(4, 1e9);
@@ -683,7 +681,7 @@ mod tests {
 
     #[test]
     fn all_to_all_nic_bound_at_scale() {
-        let f = SwitchedFabric::nvlink_a100();
+        let f = nvlink_a100();
         // 512 chips: 508 remote destinations of 4 KiB over a 0.8-utilized
         // 25 GB/s NIC, one NIC + 5-stage Clos crossing deep in latency.
         let t = f.all_to_all_time(512, 4096.0);
@@ -700,7 +698,7 @@ mod tests {
         // A slice confined to one 2x2x2 ICI island is physically the
         // same wiring as the OCS-torus slice of that shape — the models
         // (both latency-aware) must agree.
-        let f = SwitchedFabric::v4_ib_reference();
+        let f = v4_ib_reference();
         let s = shape(2, 2, 2);
         let baseline = CollectiveBackend::for_spec(&MachineSpec::v4()).all_to_all_time(s, 4096.0);
         let switched = f.all_to_all_time(8, 4096.0);
@@ -724,7 +722,7 @@ mod tests {
         assert!(switched.is_switched());
         assert_eq!(
             switched.all_reduce_time(s, 1e9),
-            SwitchedFabric::nvlink_a100().all_reduce_time(512, 1e9)
+            nvlink_a100().all_reduce_time(512, 1e9)
         );
     }
 
@@ -733,7 +731,7 @@ mod tests {
         // Regression: 10 chips on 8-chip islands used to be costed as if
         // both islands were full (shard = bytes/8). The 2-chip partial
         // island's chips each have to push bytes/2 through their NICs.
-        let f = SwitchedFabric::v4_ib_reference();
+        let f = v4_ib_reference();
         let bytes = 1e9;
         let inj = f.fat_tree.per_chip_injection() * f.fat_tree.all_reduce_utilization;
 
@@ -849,7 +847,7 @@ mod tests {
         // are ~1.8 ms, the double binary tree's 2·log2(g) are ~18 µs, at
         // a bandwidth penalty of g/(g−1) ≈ 0.1%. Auto must pick the tree
         // for any realistic payload at this scale...
-        let f = SwitchedFabric::nvlink_a100();
+        let f = nvlink_a100();
         assert_eq!(
             f.inter_island_algorithm(4096, 680e6),
             Some(ScheduleAlgorithm::Tree)
@@ -866,9 +864,15 @@ mod tests {
         for chips in [16u64, 512, 4096] {
             for bytes in [1e4, 1e6, 1e9] {
                 let mut ring = f;
-                ring.selection = CollectiveSpec::forced(SchedulePolicy::Ring);
+                ring.selection = CollectiveSpec {
+                    schedule: SchedulePolicy::Ring,
+                    ..CollectiveSpec::reference()
+                };
                 let mut tree = f;
-                tree.selection = CollectiveSpec::forced(SchedulePolicy::Tree);
+                tree.selection = CollectiveSpec {
+                    schedule: SchedulePolicy::Tree,
+                    ..CollectiveSpec::reference()
+                };
                 let auto = f.all_reduce_time(chips, bytes);
                 let best = ring
                     .all_reduce_time(chips, bytes)
@@ -886,7 +890,7 @@ mod tests {
         // The analytic flip point alpha·wire·g·(g−1−log2 g)·island: a
         // quadratically growing payload window where the tree wins —
         // the "crossover surface" repro -- schedule_crossover prints.
-        let f = SwitchedFabric::nvlink_a100();
+        let f = nvlink_a100();
         assert_eq!(f.ring_tree_crossover_bytes(4), 0.0); // one island
         assert_eq!(f.ring_tree_crossover_bytes(8), 0.0); // g=2: no step saving
         let c64 = f.ring_tree_crossover_bytes(64); // 16 islands
@@ -920,7 +924,10 @@ mod tests {
         // A spec whose collective block forces the tree changes the
         // backend; the crossover override flips auto by payload alone.
         let mut spec = MachineSpec::a100();
-        spec.collective = Some(CollectiveSpec::forced(SchedulePolicy::Tree));
+        spec.collective = Some(CollectiveSpec {
+            schedule: SchedulePolicy::Tree,
+            ..CollectiveSpec::reference()
+        });
         let CollectiveBackend::Switched(forced) = CollectiveBackend::for_spec(&spec) else {
             panic!("a100 is switched");
         };
@@ -961,7 +968,7 @@ mod tests {
                 (schedule.alpha_seconds() + schedule.bandwidth_seconds() - schedule.time()).abs()
                     < 1e-15
             );
-            assert!(schedule.total_steps() > 0);
+            assert!(!schedule.phases().is_empty());
         }
     }
 
@@ -975,7 +982,7 @@ mod tests {
         assert_eq!(h100.island_injection(), 18.0 * 25e9);
         // Bigger islands shard the NIC phase 16x finer than the A100's
         // 4-GPU hosts: at 4096 chips the H100 all-reduce is faster.
-        let a100 = SwitchedFabric::nvlink_a100();
+        let a100 = nvlink_a100();
         assert!(h100.all_reduce_time(4096, 1e9) < a100.all_reduce_time(4096, 1e9));
     }
 
@@ -998,7 +1005,7 @@ mod tests {
     fn non_power_of_two_island_collectives_are_not_undercosted() {
         // A 6-chip torus-island all-reduce must cost strictly more than
         // a 4-chip one (the old rounding made them equal).
-        let f = SwitchedFabric::v4_ib_reference();
+        let f = v4_ib_reference();
         assert!(f.all_reduce_time(6, 1e9) > f.all_reduce_time(4, 1e9));
     }
 }

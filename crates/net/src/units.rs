@@ -16,10 +16,6 @@ pub struct LinkRate(f64);
 impl LinkRate {
     /// TPU v4 ICI: 50 GB/s per link per direction.
     pub const TPU_V4_ICI: LinkRate = LinkRate(consts::V4_ICI_GBPS * 1e9);
-    /// TPU v3 ICI: 70 GB/s per link per direction.
-    pub const TPU_V3_ICI: LinkRate = LinkRate(consts::V3_ICI_GBPS * 1e9);
-    /// TPU v2 ICI: ~62.5 GB/s per link (500 Gbit/s aggregate over 4 links).
-    pub const TPU_V2_ICI: LinkRate = LinkRate(consts::V2_ICI_GBPS * 1e9);
     /// InfiniBand HDR NIC: 200 Gbit/s = 25 GB/s.
     pub const IB_HDR: LinkRate = LinkRate(consts::IB_HDR_GBPS * 1e9);
 
@@ -52,15 +48,6 @@ impl LinkRate {
         LinkRate(rate)
     }
 
-    /// Creates a rate from GB/s (10^9 bytes per second).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is not finite and positive.
-    pub fn from_gb_per_s(rate: f64) -> LinkRate {
-        LinkRate::from_bytes_per_s(rate * 1e9)
-    }
-
     /// Rate in bytes per second.
     pub fn bytes_per_s(self) -> f64 {
         self.0
@@ -69,11 +56,6 @@ impl LinkRate {
     /// Rate in GB/s.
     pub fn gb_per_s(self) -> f64 {
         self.0 / 1e9
-    }
-
-    /// Time in seconds to move `bytes` at this rate.
-    pub fn transfer_time(self, bytes: f64) -> f64 {
-        bytes / self.0
     }
 }
 
@@ -90,19 +72,12 @@ mod tests {
     #[test]
     fn constants_match_paper() {
         assert_eq!(LinkRate::TPU_V4_ICI.gb_per_s(), 50.0);
-        assert_eq!(LinkRate::TPU_V3_ICI.gb_per_s(), 70.0);
         assert_eq!(LinkRate::IB_HDR.gb_per_s(), 25.0);
         // ICI is 2x IB per link (§7.3).
         assert_eq!(
             LinkRate::TPU_V4_ICI.bytes_per_s() / LinkRate::IB_HDR.bytes_per_s(),
             2.0
         );
-    }
-
-    #[test]
-    fn transfer_time() {
-        let r = LinkRate::from_gb_per_s(10.0);
-        assert!((r.transfer_time(1e9) - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -128,13 +103,7 @@ mod tests {
             LinkRate::for_generation(&Generation::V4),
             LinkRate::TPU_V4_ICI
         );
-        assert_eq!(
-            LinkRate::for_generation(&Generation::V3),
-            LinkRate::TPU_V3_ICI
-        );
-        assert_eq!(
-            LinkRate::for_generation(&Generation::V2),
-            LinkRate::TPU_V2_ICI
-        );
+        assert_eq!(LinkRate::for_generation(&Generation::V3).gb_per_s(), 70.0);
+        assert_eq!(LinkRate::for_generation(&Generation::V2).gb_per_s(), 62.5);
     }
 }

@@ -5,9 +5,7 @@
 //! so every type that can end up inside an `Arc<PlannerModel>` must be
 //! `Send + Sync`. Compile-time facts, pinned as a test.
 
-use tpu_net::{
-    AlphaBeta, CollectiveSchedule, DimensionRings, FatTree, FlowSim, LinkRate, SwitchedFabric,
-};
+use tpu_net::{AlphaBeta, CollectiveSchedule, FatTree, FlowSim, LinkRate, SwitchedFabric};
 
 fn assert_send_sync<T: Send + Sync>() {}
 
@@ -16,7 +14,6 @@ fn network_models_are_send_sync() {
     assert_send_sync::<SwitchedFabric>();
     assert_send_sync::<FatTree>();
     assert_send_sync::<FlowSim>();
-    assert_send_sync::<DimensionRings>();
     assert_send_sync::<CollectiveSchedule>();
     assert_send_sync::<AlphaBeta>();
     assert_send_sync::<LinkRate>();

@@ -14,9 +14,6 @@ pub const BLOCK_EDGE: u32 = tpu_spec::consts::BLOCK_EDGE;
 /// TPUs in one block (4³ = one rack).
 pub const TPUS_PER_BLOCK: u32 = tpu_spec::consts::TPUS_PER_BLOCK;
 
-/// TPUs attached to one CPU host.
-pub const TPUS_PER_HOST: u32 = tpu_spec::consts::V4_TPUS_PER_HOST;
-
 /// CPU hosts in one block.
 pub const HOSTS_PER_BLOCK: u32 = tpu_spec::consts::V4_HOSTS_PER_BLOCK;
 
@@ -59,41 +56,20 @@ impl fmt::Display for BlockId {
 pub struct Block {
     id: BlockId,
     host_up: [bool; HOSTS_PER_BLOCK as usize],
-    deployed: bool,
 }
 
 impl Block {
-    /// Creates a healthy, deployed block.
+    /// Creates a healthy block.
     pub fn new(id: BlockId) -> Block {
         Block {
             id,
             host_up: [true; HOSTS_PER_BLOCK as usize],
-            deployed: true,
-        }
-    }
-
-    /// Creates a block that has not yet been installed (incremental
-    /// deployment, §2.4).
-    pub fn undeployed(id: BlockId) -> Block {
-        Block {
-            deployed: false,
-            ..Block::new(id)
         }
     }
 
     /// The block id.
     pub fn id(&self) -> BlockId {
         self.id
-    }
-
-    /// Whether the block is racked, cabled and tested.
-    pub fn is_deployed(&self) -> bool {
-        self.deployed
-    }
-
-    /// Marks the block as installed and production-ready.
-    pub fn deploy(&mut self) {
-        self.deployed = true;
     }
 
     /// Sets the health of one CPU host.
@@ -114,14 +90,9 @@ impl Block {
         self.host_up[host as usize]
     }
 
-    /// Number of healthy hosts.
-    pub fn healthy_hosts(&self) -> u32 {
-        self.host_up.iter().filter(|&&u| u).count() as u32
-    }
-
-    /// A block is schedulable when it is deployed and every host is up.
+    /// A block is schedulable when every host is up.
     pub fn is_healthy(&self) -> bool {
-        self.deployed && self.host_up.iter().all(|&u| u)
+        self.host_up.iter().all(|&u| u)
     }
 }
 
@@ -140,16 +111,6 @@ pub fn face_line_coord(dim: Dim, line: u32, face_pos: u32) -> Coord3 {
         Dim::Y => Coord3::new(j, face_pos, k),
         Dim::Z => Coord3::new(j, k, face_pos),
     }
-}
-
-/// The face line index of a chip coordinate on a face of `dim`.
-pub fn face_line_of(dim: Dim, coord: Coord3) -> u32 {
-    let (j, k) = match dim {
-        Dim::X => (coord.y, coord.z),
-        Dim::Y => (coord.x, coord.z),
-        Dim::Z => (coord.x, coord.y),
-    };
-    j * BLOCK_EDGE + k
 }
 
 /// The chip coordinate (within the block) at the given face.
@@ -171,7 +132,6 @@ mod tests {
     fn constants_match_paper() {
         assert_eq!(TPUS_PER_BLOCK, 64);
         assert_eq!(HOSTS_PER_BLOCK, 16);
-        assert_eq!(TPUS_PER_HOST, 4);
         assert_eq!(OPTICAL_LINKS_PER_BLOCK, 6 * LINKS_PER_FACE);
     }
 
@@ -179,22 +139,21 @@ mod tests {
     fn healthy_until_a_host_fails() {
         let mut b = Block::new(BlockId::new(0));
         assert!(b.is_healthy());
-        assert_eq!(b.healthy_hosts(), 16);
         b.set_host_up(7, false);
         assert!(!b.is_healthy());
-        assert_eq!(b.healthy_hosts(), 15);
         assert!(!b.host_up(7));
         b.set_host_up(7, true);
         assert!(b.is_healthy());
     }
 
-    #[test]
-    fn undeployed_blocks_are_unhealthy() {
-        let mut b = Block::undeployed(BlockId::new(3));
-        assert!(!b.is_healthy());
-        assert!(!b.is_deployed());
-        b.deploy();
-        assert!(b.is_healthy());
+    /// The face line index of a chip coordinate on a face of `dim`.
+    fn face_line_of(dim: Dim, coord: Coord3) -> u32 {
+        let (j, k) = match dim {
+            Dim::X => (coord.y, coord.z),
+            Dim::Y => (coord.x, coord.z),
+            Dim::Z => (coord.x, coord.y),
+        };
+        j * BLOCK_EDGE + k
     }
 
     #[test]

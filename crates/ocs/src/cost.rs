@@ -9,7 +9,7 @@
 //! plausible industry estimates chosen once and *checked* against the
 //! paper's envelope (the tests fail if the modelled shares leave the
 //! published bounds). The wavelength-multiplexing headroom of §7.2 is
-//! exposed via [`CostModel::with_wavelengths`].
+//! the [`CostModel::wavelengths`] field.
 
 use crate::block::OPTICAL_LINKS_PER_BLOCK;
 use crate::switch::PALOMAR_PORTS;
@@ -56,12 +56,6 @@ impl CostModel {
             ocs_power: 100.0,
             wavelengths: 1,
         }
-    }
-
-    /// Same fabric with `n` wavelengths multiplexed per fiber.
-    pub fn with_wavelengths(mut self, n: u32) -> CostModel {
-        self.wavelengths = n.max(1);
-        self
     }
 
     /// Evaluates the model for a machine of `blocks` 4³ blocks.
@@ -171,7 +165,11 @@ mod tests {
     #[test]
     fn wdm_scales_transceivers_not_ocs() {
         let base = CostModel::default().evaluate(64);
-        let wdm = CostModel::default().with_wavelengths(4).evaluate(64);
+        let wdm = CostModel {
+            wavelengths: 4,
+            ..CostModel::default()
+        }
+        .evaluate(64);
         assert_eq!(wdm.transceivers, 4 * base.transceivers);
         assert_eq!(wdm.ocs_count, base.ocs_count);
         assert!(wdm.optics_cost_usd > base.optics_cost_usd);
@@ -186,11 +184,5 @@ mod tests {
         // OCS count is fixed — small machines pay proportionally more for
         // switches, so the share rises.
         assert!(small.optics_cost_share() > full.optics_cost_share());
-    }
-
-    #[test]
-    fn wavelengths_floor_at_one() {
-        let m = CostModel::default().with_wavelengths(0);
-        assert_eq!(m.wavelengths, 1);
     }
 }

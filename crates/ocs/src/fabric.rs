@@ -38,14 +38,6 @@ impl SliceSpec {
         })
     }
 
-    /// A slice with an explicit twist specification.
-    pub fn with_twist(shape: SliceShape, twist: TwistSpec) -> SliceSpec {
-        SliceSpec {
-            shape,
-            twist: Some(twist),
-        }
-    }
-
     /// The chip-level shape.
     pub fn shape(&self) -> SliceShape {
         self.shape
@@ -418,6 +410,7 @@ impl Fabric {
     }
 
     /// Total circuits currently programmed across all switches.
+    // tpu-lint: allow(no-caller) -- ocs_topology_equivalence checks through it that released slices leave no circuit behind
     pub fn total_circuits(&self) -> usize {
         self.ocses.iter().map(OcsSwitch::circuit_count).sum()
     }
@@ -756,7 +749,8 @@ mod tests {
         let slice = fabric
             .allocate(&SliceSpec::regular(SliceShape::new(8, 8, 8).unwrap()))
             .unwrap();
-        assert_eq!(slice.chip_graph().degree_range(), (6, 6));
+        let g = slice.chip_graph();
+        assert!(g.nodes().all(|n| g.neighbors(n).count() == 6));
         assert!(slice.chip_graph().is_symmetric());
     }
 

@@ -35,7 +35,7 @@ pub mod reconfig;
 mod switch;
 pub mod wiring;
 
-pub use block::{Block, BlockId, HOSTS_PER_BLOCK, TPUS_PER_BLOCK, TPUS_PER_HOST};
+pub use block::{Block, BlockId, HOSTS_PER_BLOCK, TPUS_PER_BLOCK};
 pub use cost::{CostModel, CostReport};
 pub use error::OcsError;
 pub use fabric::{pick_lowest_blocks, Circuit, Fabric, MaterializedSlice, SliceSpec};

@@ -2,19 +2,14 @@
 //! in milliseconds, TPU v4 can easily change topology to match the
 //! application."
 //!
-//! A [`ReconfigPlan`] diffs two slice wirings over the same blocks and
-//! counts the mirror moves each switch must perform; switches move
-//! mirrors in parallel, so the wall-clock cost is set by the busiest
-//! switch. Twisting a k×k×2k slice leaves the z-dimension circuits (and
-//! all electrical links) untouched — "the only change is in the routing
-//! tables".
+//! A [`ReconfigPlan`] diffs two slice wirings over the same blocks into
+//! the circuits each switch must tear down and establish. Twisting a
+//! k×k×2k slice leaves the z-dimension circuits (and all electrical
+//! links) untouched — "the only change is in the routing tables".
 
 use crate::fabric::{Circuit, MaterializedSlice};
-use crate::switch::OCS_RECONFIG_MS;
-use crate::wiring::OCS_COUNT;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use tpu_spec::consts;
 
 /// The delta between two wirings of the same blocks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -72,22 +67,6 @@ impl ReconfigPlan {
     pub fn established(&self) -> &[Circuit] {
         &self.established
     }
-
-    /// Total mirror moves (each teardown and each establishment moves a
-    /// mirror pair once).
-    pub fn mirror_moves(&self) -> usize {
-        self.torn_down.len() + self.established.len()
-    }
-
-    /// Wall-clock reconfiguration time, seconds: switches work in
-    /// parallel, so the busiest switch sets the pace.
-    pub fn wall_clock_s(&self) -> f64 {
-        let mut per_switch = vec![0u32; OCS_COUNT as usize];
-        for c in self.torn_down.iter().chain(self.established.iter()) {
-            per_switch[c.ocs] += 1;
-        }
-        f64::from(per_switch.iter().copied().max().unwrap_or(0)) * OCS_RECONFIG_MS / consts::KILO
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +102,7 @@ mod tests {
             plan.kept()
         );
         assert_eq!(plan.torn_down().len(), plan.established().len());
-        assert!(plan.mirror_moves() > 0);
+        assert!(!plan.established().is_empty());
     }
 
     #[test]
@@ -137,23 +116,8 @@ mod tests {
             .allocate_on(&SliceSpec::regular(shape), blocks)
             .unwrap();
         let plan = ReconfigPlan::between(&a, &b);
-        assert_eq!(plan.mirror_moves(), 0);
-        assert_eq!(plan.wall_clock_s(), 0.0);
+        assert!(plan.torn_down().is_empty() && plan.established().is_empty());
         assert_eq!(plan.kept(), a.circuits().len());
-    }
-
-    #[test]
-    fn reconfiguration_takes_milliseconds_not_hours() {
-        // §2.6: millisecond-class switching. Even a full twist of a slice
-        // completes in well under a second.
-        let (regular, twisted) = twist_pair();
-        let plan = ReconfigPlan::between(&regular, &twisted);
-        assert!(plan.wall_clock_s() > 0.0);
-        assert!(
-            plan.wall_clock_s() < 1.0,
-            "reconfig took {} s",
-            plan.wall_clock_s()
-        );
     }
 
     #[test]

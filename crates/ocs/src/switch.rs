@@ -9,7 +9,6 @@
 use crate::OcsError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tpu_spec::consts::KILO;
 
 /// Total ports on a Palomar OCS (128 usable + 8 spares; from
 /// [`tpu_spec::consts`]).
@@ -148,15 +147,6 @@ impl OcsSwitch {
         Ok(self.cross[port.index()])
     }
 
-    /// Whether `port` is free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OcsError::PortOutOfRange`] for an invalid port.
-    pub fn is_free(&self, port: PortId) -> Result<bool, OcsError> {
-        Ok(self.peer(port)?.is_none())
-    }
-
     /// Number of active circuits.
     pub fn circuit_count(&self) -> usize {
         self.cross.iter().filter(|c| c.is_some()).count() / 2
@@ -179,11 +169,6 @@ impl OcsSwitch {
     /// a live circuit is one reconfiguration, taking [`OCS_RECONFIG_MS`]).
     pub fn reconfigurations(&self) -> u64 {
         self.reconfigurations
-    }
-
-    /// Total time spent moving mirrors, in seconds.
-    pub fn reconfiguration_time_s(&self) -> f64 {
-        self.reconfigurations as f64 * OCS_RECONFIG_MS / KILO
     }
 }
 
@@ -237,8 +222,8 @@ mod tests {
         let mut s = OcsSwitch::new(4);
         s.connect(PortId::new(0), PortId::new(3)).unwrap();
         s.disconnect(PortId::new(3)).unwrap();
-        assert!(s.is_free(PortId::new(0)).unwrap());
-        assert!(s.is_free(PortId::new(3)).unwrap());
+        assert_eq!(s.peer(PortId::new(0)).unwrap(), None);
+        assert_eq!(s.peer(PortId::new(3)).unwrap(), None);
         assert_eq!(s.circuit_count(), 0);
         // Disconnecting a free port is a no-op.
         s.disconnect(PortId::new(0)).unwrap();
@@ -276,6 +261,5 @@ mod tests {
         s.disconnect(PortId::new(0)).unwrap();
         s.connect(PortId::new(0), PortId::new(2)).unwrap();
         assert_eq!(s.reconfigurations(), 3);
-        assert!((s.reconfiguration_time_s() - 0.03).abs() < 1e-12);
     }
 }

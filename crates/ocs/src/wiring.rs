@@ -47,17 +47,6 @@ pub fn block_port(block: BlockId, dir: Direction) -> PortId {
     }
 }
 
-/// Inverse of [`block_port`].
-pub fn port_owner(port: PortId) -> (BlockId, Direction) {
-    let raw = port.index() as u32;
-    let dir = if raw.is_multiple_of(2) {
-        Direction::Plus
-    } else {
-        Direction::Minus
-    };
-    (BlockId::new(raw / 2), dir)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,16 +71,6 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 48);
-    }
-
-    #[test]
-    fn block_port_roundtrip() {
-        for b in 0..64 {
-            for dir in Direction::ALL {
-                let p = block_port(BlockId::new(b), dir);
-                assert_eq!(port_owner(p), (BlockId::new(b), dir));
-            }
-        }
     }
 
     #[test]

@@ -48,12 +48,6 @@ impl DeploymentModel {
         self.arrival_days.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Blocks in production on a given day under incremental (OCS)
-    /// deployment.
-    pub fn blocks_available(&self, day: f64) -> u32 {
-        self.arrival_days.iter().filter(|&&d| d <= day).count() as u32
-    }
-
     /// Integrated capacity (block-days) from day 0 to `horizon` under
     /// incremental deployment.
     pub fn incremental_block_days(&self, horizon: f64) -> f64 {
@@ -94,9 +88,6 @@ mod tests {
     #[test]
     fn uniform_rollout_counts() {
         let d = DeploymentModel::uniform_with_delay(64, 1.0, 0.0);
-        assert_eq!(d.blocks_available(0.0), 1);
-        assert_eq!(d.blocks_available(10.0), 11);
-        assert_eq!(d.blocks_available(100.0), 64);
         assert_eq!(d.completion_day(), 63.0);
     }
 

@@ -163,6 +163,7 @@ impl FleetSim {
     /// Enables or disables production-over-best-effort preemption
     /// (enabled by default).
     #[must_use]
+    // tpu-lint: allow(no-caller) -- fleet_golden pins the nopreempt traces through it
     pub fn with_preemption(mut self, on: bool) -> FleetSim {
         self.preemption = on;
         self
@@ -172,6 +173,7 @@ impl FleetSim {
     /// [`FleetTrace::log`] (off by default — a month of the v4 fleet is
     /// millions of events).
     #[must_use]
+    // tpu-lint: allow(no-caller) -- fleet_golden records the event log it replays through it
     pub fn with_recording(mut self, on: bool) -> FleetSim {
         self.record_events = on;
         self

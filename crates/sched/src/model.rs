@@ -22,7 +22,7 @@
 
 use std::sync::{Arc, OnceLock};
 use tpu_core::{StaticCluster, Supercomputer};
-use tpu_spec::{FabricKind, Generation, MachineSpec};
+use tpu_spec::{Generation, MachineSpec};
 
 /// Cached pristine fabric-arm prototypes: built on first use, never
 /// mutated afterwards (static DES runs mutate their own clones), so
@@ -139,22 +139,22 @@ impl PlannerModel {
             .native
             .get_or_init(|| Supercomputer::for_spec(&self.spec))
     }
-
-    /// Whether the prototype for a fabric kind has been materialized
-    /// (test/observability hook; construction itself never builds one).
-    pub fn arm_materialized(&self, fabric: FabricKind) -> bool {
-        match fabric {
-            FabricKind::Static => self.arms.fixed.get().is_some(),
-            FabricKind::Ocs | FabricKind::Switched => self.arms.reconfigurable.get().is_some(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpu_spec::FabricKind;
 
     fn assert_send_sync<T: Send + Sync>() {}
+
+    /// Whether the prototype for a fabric kind has been materialized.
+    fn arm_materialized(model: &PlannerModel, fabric: FabricKind) -> bool {
+        match fabric {
+            FabricKind::Static => model.arms.fixed.get().is_some(),
+            FabricKind::Ocs | FabricKind::Switched => model.arms.reconfigurable.get().is_some(),
+        }
+    }
 
     #[test]
     fn model_and_sims_are_send_sync() {
@@ -175,8 +175,8 @@ mod tests {
         // hash but materializes no arm — queries that never touch a
         // fabric kind never pay for it.
         let model = PlannerModel::for_spec(&MachineSpec::v4());
-        assert!(!model.arm_materialized(FabricKind::Static));
-        assert!(!model.arm_materialized(FabricKind::Ocs));
+        assert!(!arm_materialized(&model, FabricKind::Static));
+        assert!(!arm_materialized(&model, FabricKind::Ocs));
     }
 
     #[test]
@@ -187,7 +187,7 @@ mod tests {
         let a = model.static_arm() as *const StaticCluster;
         let b = model.static_arm() as *const StaticCluster;
         assert_eq!(a, b);
-        assert!(model.arm_materialized(FabricKind::Static));
+        assert!(arm_materialized(&model, FabricKind::Static));
         let r1 = model.reconfigurable_arm() as *const Supercomputer;
         let r2 = Arc::clone(&model).reconfigurable_arm() as *const Supercomputer;
         assert_eq!(r1, r2);

@@ -1,7 +1,7 @@
 //! The production slice mix of Table 2 and the §2.9 twist statistics.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 use tpu_topology::SliceShape;
 
@@ -145,20 +145,6 @@ impl SliceMix {
         (self.share_twisted() / self.total_share()) / at_or_above
     }
 
-    /// Share of slices whose dimensions are all 4 or 8 (Table 2 caption:
-    /// "half of the slices have x, y, and z as either 4 or 8").
-    pub fn share_dims_4_or_8(&self) -> f64 {
-        self.entries
-            .iter()
-            .filter(|e| {
-                [e.shape.x(), e.shape.y(), e.shape.z()]
-                    .iter()
-                    .all(|&d| d == 4 || d == 8)
-            })
-            .map(|e| e.share)
-            .sum()
-    }
-
     /// Draws a slice request from the distribution (shares renormalized
     /// over the sampled rows).
     pub fn sample(&self, rng: &mut StdRng) -> &SliceUsage {
@@ -172,12 +158,6 @@ impl SliceMix {
         }
         self.entries.last().expect("mix is nonempty") // tpu-lint: allow(panic-policy) -- unreachable: mix is nonempty
     }
-
-    /// Draws `n` requests with a fixed seed.
-    pub fn sample_many(&self, n: usize, seed: u64) -> Vec<&SliceUsage> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n).map(|_| self.sample(&mut rng)).collect()
-    }
 }
 
 impl Default for SliceMix {
@@ -189,13 +169,15 @@ impl Default for SliceMix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn shapes_are_scheduler_canonical() {
         // Table 2 caption: "the software scheduler requires that slices
         // have dimensions x ≤ y ≤ z".
         for e in SliceMix::table2().entries() {
-            assert!(e.shape.is_scheduler_canonical(), "{}", e.shape);
+            let s = e.shape;
+            assert!(s.x() <= s.y() && s.y() <= s.z(), "{s}");
         }
     }
 
@@ -245,7 +227,16 @@ mod tests {
 
     #[test]
     fn caption_half_of_slices_use_dims_4_or_8() {
-        let s = SliceMix::table2().share_dims_4_or_8();
+        let s: f64 = SliceMix::table2()
+            .entries()
+            .iter()
+            .filter(|e| {
+                [e.shape.x(), e.shape.y(), e.shape.z()]
+                    .iter()
+                    .all(|&d| d == 4 || d == 8)
+            })
+            .map(|e| e.share)
+            .sum();
         assert!((0.48..0.56).contains(&s), "{s}");
     }
 
@@ -265,7 +256,8 @@ mod tests {
     #[test]
     fn sampling_matches_distribution() {
         let mix = SliceMix::table2();
-        let samples = mix.sample_many(20_000, 123);
+        let mut rng = StdRng::seed_from_u64(123);
+        let samples: Vec<&SliceUsage> = (0..20_000).map(|_| mix.sample(&mut rng)).collect();
         let twisted = samples
             .iter()
             .filter(|s| s.choice == TopologyChoice::Twisted)

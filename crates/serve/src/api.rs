@@ -7,9 +7,10 @@
 //! indistinguishable from recomputes (the `X-Cache` response *header*
 //! carries hit/miss so the body stays identical either way).
 //!
-//! Monte Carlo endpoints (`whatif`, `fleet`) answer through the LRU
-//! [`QueryCache`] keyed by `(spec_hash, canonical_query)`; collective
-//! quotes are computed fresh every time. Numeric
+//! Monte Carlo endpoints (`whatif`, each grid point of `whatif/sweep`,
+//! and `fleet`) answer through the LRU [`QueryCache`] keyed by
+//! `(spec_hash, canonical_query)`; collective quotes are computed fresh
+//! every time. Numeric
 //! results carry both the JSON number and its IEEE-754 bit pattern
 //! (`*_bits`), making bit-identity with the offline
 //! `GoodputSim::goodput` / `repro --spec` paths checkable from the
@@ -556,34 +557,24 @@ pub fn sweep_body(bodies: &[String]) -> String {
 }
 
 /// The sweep endpoint: N what-if grid points over one model, answered
-/// in one response. Construction cost (model lookup, `GoodputSim`) is
-/// paid once, and every computed point lands in the cache under its
-/// canonical single-point key — so a sweep warms the cache for later
-/// single-point queries and vice versa. `X-Cache: hit` only when every
-/// point came from the cache.
+/// in one response. Each point goes through [`cached`] under its
+/// canonical single-point key, so a sweep warms the cache for later
+/// single-point queries and vice versa. Every point shares trials and
+/// seed, so the `GoodputSim` built on the first miss serves the rest.
+/// `X-Cache: hit` only when every point came from the cache.
 fn whatif_sweep(state: &ServiceState, name: &str, query: &str) -> Result<ApiResponse, ApiError> {
     let entry = lookup(state, name)?;
     let points = sweep_points(&entry.model, query)?;
-    let hash = entry.model.spec_hash();
     let mut sim: Option<GoodputSim> = None;
     let mut bodies = Vec::with_capacity(points.len());
     let mut all_hits = true;
     for q in &points {
-        let key = q.canonical_key();
-        let body = match state.cache.get(hash, &key) {
-            Some(body) => body,
-            None => {
-                all_hits = false;
-                // Every point shares trials and seed, so the first
-                // miss's sim serves the rest — the amortization the
-                // endpoint exists for.
-                let sim = sim.get_or_insert_with(|| serving_sim(&entry.model, q));
-                let body = whatif_body(UNNAMED, sim, q);
-                state.cache.insert(hash, &key, body.clone());
-                body
-            }
-        };
-        bodies.push(named(&body, &entry.name));
+        let point = cached(state, &entry, &q.canonical_key(), || {
+            let sim = sim.get_or_insert_with(|| serving_sim(&entry.model, q));
+            whatif_body(UNNAMED, sim, q)
+        });
+        all_hits &= point.x_cache == Some("hit");
+        bodies.push(point.body);
     }
     Ok(ApiResponse {
         status: 200,

@@ -185,20 +185,6 @@ impl ScGeneration {
         ScGeneration::for_spec(&tpu_spec::MachineSpec::v3()).expect("v3 has SparseCores")
     }
 
-    /// Aggregate lookup throughput per chip, lookups/s.
-    pub fn lookups_per_second(&self) -> f64 {
-        f64::from(self.sc_per_chip) * f64::from(self.tiles_per_sc) * self.clock_hz
-            / self.cycles_per_lookup
-    }
-
-    /// Aggregate scVPU element throughput per chip, elements/s.
-    pub fn vpu_elements_per_second(&self) -> f64 {
-        f64::from(self.sc_per_chip)
-            * f64::from(self.tiles_per_sc)
-            * f64::from(self.simd_lanes)
-            * self.clock_hz
-    }
-
     /// Fixed issue time for `instructions` CISC instructions, seconds.
     pub fn issue_time_s(&self, instructions: u64) -> f64 {
         instructions as f64 * self.issue_cycles / self.clock_hz
@@ -207,11 +193,6 @@ impl ScGeneration {
     /// Time for one instruction's data-dependent portion, seconds.
     pub fn execute_time_s(&self, instr: ScInstruction) -> f64 {
         instr.cycles(self) / self.clock_hz * (1.0 / f64::from(self.sc_per_chip))
-    }
-
-    /// Total spmem per chip, bytes.
-    pub fn spmem_per_chip(&self) -> f64 {
-        f64::from(self.sc_per_chip) * self.spmem_bytes
     }
 }
 
@@ -235,18 +216,21 @@ mod tests {
     fn v4_spmem_matches_table4() {
         // Table 4: 10 MiB spMEM per chip.
         let v4 = ScGeneration::for_spec(&tpu_spec::MachineSpec::v4()).expect("v4 has SparseCores");
-        assert!((v4.spmem_per_chip() - 10.0 * 1024.0 * 1024.0).abs() < 1.0);
+        let per_chip = |g: &ScGeneration| f64::from(g.sc_per_chip) * g.spmem_bytes;
+        assert!((per_chip(&v4) - 10.0 * 1024.0 * 1024.0).abs() < 1.0);
         // v3: 5 MiB.
         let v3 = ScGeneration::tpu_v3();
-        assert!((v3.spmem_per_chip() - 5.0 * 1024.0 * 1024.0).abs() < 1.0);
+        assert!((per_chip(&v3) - 5.0 * 1024.0 * 1024.0).abs() < 1.0);
     }
 
     #[test]
     fn v4_throughput_exceeds_v3() {
-        let r = ScGeneration::for_spec(&tpu_spec::MachineSpec::v4())
-            .expect("v4 has SparseCores")
-            .lookups_per_second()
-            / ScGeneration::tpu_v3().lookups_per_second();
+        let lookups_per_second = |g: ScGeneration| {
+            f64::from(g.sc_per_chip) * f64::from(g.tiles_per_sc) * g.clock_hz / g.cycles_per_lookup
+        };
+        let r = lookups_per_second(
+            ScGeneration::for_spec(&tpu_spec::MachineSpec::v4()).expect("v4 has SparseCores"),
+        ) / lookups_per_second(ScGeneration::tpu_v3());
         // 2x SCs * 2x tiles * 1.12x clock ≈ 4.5x per-chip lookup engine.
         assert!((4.0..5.0).contains(&r), "{r}");
     }

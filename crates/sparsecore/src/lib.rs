@@ -34,9 +34,7 @@
 pub mod arch;
 pub mod exec;
 pub mod placement;
-pub mod spmem;
 
 pub use arch::{CrossChannelUnit, ScGeneration, ScInstruction};
 pub use exec::{StepBreakdown, WorkloadProfile};
 pub use placement::{EmbeddingSystem, Placement};
-pub use spmem::SpmemModel;

@@ -531,7 +531,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "single placement")]
     fn cpu_cluster_rejects_other_placements() {
-        let model = DlrmConfig::mlperf_dlrm();
+        let model = DlrmConfig::dlrm0();
         let _ = EmbeddingSystem::cpu_cluster().step_time(&model, 1024, Placement::HostCpu);
     }
 

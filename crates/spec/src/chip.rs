@@ -288,17 +288,6 @@ impl ChipSpec {
         }
     }
 
-    /// Total hardware threads per chip (Table 5 discussion: A100 has
-    /// 3456, IPU has 8832, TPU v4 has 2).
-    pub fn total_threads(&self) -> u32 {
-        self.processors * self.threads_per_core
-    }
-
-    /// Aggregate ICI/NVLink bandwidth per chip, GB/s (one direction).
-    pub fn ici_total_gbps(&self) -> f64 {
-        f64::from(self.ici_links) * self.ici_gbps_per_link
-    }
-
     /// Mean power per chip under production load, W.
     ///
     /// Uses the measured mean where available (TPUs), otherwise falls

@@ -32,9 +32,6 @@ pub const MICRO: f64 = 1e-6;
 /// 10⁻⁹ — nano.
 pub const NANO: f64 = 1e-9;
 
-/// 10⁻¹² — pico.
-pub const PICO: f64 = 1e-12;
-
 /// TPU v4 ICI rate, GB/s per link per direction (Table 4).
 pub const V4_ICI_GBPS: f64 = 50.0;
 
@@ -80,9 +77,6 @@ pub const OCS_RECONFIG_MS: f64 = 10.0;
 /// Chips in one full TPU v4 supercomputer (Table 4 largest config).
 pub const V4_FLEET_CHIPS: u64 = 4096;
 
-/// Blocks in one full TPU v4 supercomputer.
-pub const V4_FLEET_BLOCKS: u32 = (V4_FLEET_CHIPS / TPUS_PER_BLOCK as u64) as u32;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,11 +87,12 @@ mod tests {
         assert_eq!(V4_HOSTS_PER_BLOCK, 16);
         assert_eq!(LINKS_PER_FACE, 16);
         assert_eq!(OPTICAL_LINKS_PER_BLOCK, 96);
-        assert_eq!(V4_FLEET_BLOCKS, 64);
+        let fleet_blocks = V4_FLEET_CHIPS / u64::from(TPUS_PER_BLOCK);
+        assert_eq!(fleet_blocks, 64);
         // Figure 1: 64 blocks x 2 fibers fill the Palomar's usable ports.
         assert_eq!(
-            u32::from(PALOMAR_PORTS - PALOMAR_SPARE_PORTS),
-            V4_FLEET_BLOCKS * 2
+            u64::from(PALOMAR_PORTS - PALOMAR_SPARE_PORTS),
+            fleet_blocks * 2
         );
         // §7.3: ICI link bandwidth is 2x IB.
         assert_eq!(V4_ICI_GBPS / IB_HDR_GBPS, 2.0);

@@ -53,11 +53,6 @@ impl Generation {
             other => Generation::Custom(other.to_string()),
         }
     }
-
-    /// Whether this is one of the three TPU generations.
-    pub fn is_tpu(&self) -> bool {
-        !matches!(self, Generation::Custom(_))
-    }
 }
 
 impl fmt::Display for Generation {
@@ -79,11 +74,9 @@ mod tests {
     fn label_roundtrip() {
         for generation in Generation::TPUS {
             assert_eq!(Generation::from_label(generation.label()), generation);
-            assert!(generation.is_tpu());
         }
         let custom = Generation::custom("a100");
         assert_eq!(Generation::from_label(custom.label()), custom);
-        assert!(!custom.is_tpu());
     }
 
     #[test]

@@ -37,16 +37,6 @@ impl BlockGeometry {
     pub fn hosts(&self) -> u32 {
         self.chips() / self.tpus_per_host
     }
-
-    /// Optical links leaving one face of the block.
-    pub fn links_per_face(&self) -> u32 {
-        self.edge * self.edge
-    }
-
-    /// Total optical links per block (6 faces).
-    pub fn optical_links(&self) -> u32 {
-        6 * self.links_per_face()
-    }
 }
 
 /// Per-hop latency (alpha) calibration of a machine's interconnect —
@@ -152,14 +142,6 @@ impl CollectiveSpec {
     pub fn reference() -> CollectiveSpec {
         CollectiveSpec {
             schedule: SchedulePolicy::Auto,
-            crossover_bytes: None,
-        }
-    }
-
-    /// A forced-schedule calibration (no crossover override).
-    pub fn forced(schedule: SchedulePolicy) -> CollectiveSpec {
-        CollectiveSpec {
-            schedule,
             crossover_bytes: None,
         }
     }
@@ -301,11 +283,6 @@ impl OcsSpec {
             spare_ports: consts::PALOMAR_SPARE_PORTS,
             reconfig_ms: consts::OCS_RECONFIG_MS,
         }
-    }
-
-    /// Ports usable for block fibers.
-    pub fn usable_ports(&self) -> u16 {
-        self.ports - self.spare_ports
     }
 }
 
@@ -659,11 +636,6 @@ impl MachineSpec {
     /// HBM bandwidth, bytes per second per chip.
     pub fn hbm_bytes_per_s(&self) -> f64 {
         self.chip.hbm_gbps * consts::GIGA
-    }
-
-    /// CMEM capacity, bytes per chip.
-    pub fn cmem_bytes(&self) -> f64 {
-        self.chip.cmem_mib * 1024.0 * 1024.0
     }
 
     /// Blocks in the fleet-scale machine.
@@ -1085,7 +1057,7 @@ mod tests {
         assert_eq!(spec.block.hosts(), 16);
         let ocs = spec.ocs.expect("v4 has an OCS layer");
         assert_eq!(ocs.count, 48);
-        assert_eq!(ocs.usable_ports(), 128);
+        assert_eq!(ocs.ports - ocs.spare_ports, 128);
     }
 
     #[test]
@@ -1249,7 +1221,7 @@ mod tests {
         assert_eq!(spec.ici_bytes_per_s(), 50e9);
         assert_eq!(spec.peak_flops(), 275e12);
         assert_eq!(spec.hbm_bytes_per_s(), 1.2e12);
-        assert_eq!(spec.cmem_bytes(), 128.0 * 1024.0 * 1024.0);
+        assert_eq!(spec.chip.cmem_mib, 128.0);
     }
 
     #[test]
@@ -1275,7 +1247,10 @@ mod tests {
         // tree (no crossover — the parser rejects that dead pair), and
         // an auto policy with a declared crossover.
         let mut spec = MachineSpec::a100();
-        spec.collective = Some(CollectiveSpec::forced(SchedulePolicy::Tree));
+        spec.collective = Some(CollectiveSpec {
+            schedule: SchedulePolicy::Tree,
+            ..CollectiveSpec::reference()
+        });
         let back = MachineSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back, spec);
         assert_eq!(back.collective_schedule().schedule, SchedulePolicy::Tree);
@@ -1306,7 +1281,10 @@ mod tests {
         let parsed = MachineSpec::from_json(&terse).unwrap();
         assert_eq!(
             parsed.collective,
-            Some(CollectiveSpec::forced(SchedulePolicy::Ring))
+            Some(CollectiveSpec {
+                schedule: SchedulePolicy::Ring,
+                ..CollectiveSpec::reference()
+            })
         );
 
         // Unknown schedule labels, negative crossovers, and a crossover

@@ -110,11 +110,6 @@ impl Bisection {
         Ok(Bisection { cuts, min })
     }
 
-    /// The minimum-cut report.
-    pub fn min_cut(&self) -> CutReport {
-        self.min
-    }
-
     /// Bidirectional links across the minimum bisection.
     pub fn min_links(&self) -> u64 {
         self.min.links
@@ -123,15 +118,6 @@ impl Bisection {
     /// All evaluated cuts.
     pub fn cuts(&self) -> &[CutReport] {
         &self.cuts
-    }
-
-    /// Bisection bandwidth in bytes/s given a per-link bandwidth.
-    ///
-    /// Counts traffic both ways across the cut (each severed bidirectional
-    /// cable carries `2 × link_bytes_per_s`), the convention used when the
-    /// paper says the 3D torus "doubles the bisection bandwidth".
-    pub fn bandwidth_bytes_per_s(&self, link_bytes_per_s: f64) -> f64 {
-        2.0 * self.min.links as f64 * link_bytes_per_s
     }
 }
 
@@ -148,10 +134,12 @@ mod tests {
             SliceShape::new(8, 8, 8).unwrap(),
             SliceShape::new(4, 8, 16).unwrap(),
         ] {
-            let t = Torus::new(shape);
-            let g = t.into_graph();
-            let b = Bisection::plane_cut(&g);
-            assert_eq!(b.min_links(), t.analytic_bisection_links(), "shape {shape}");
+            let b = Bisection::plane_cut(&Torus::new(shape).into_graph());
+            // A torus cut across the widest dimension severs two cross
+            // sections: 2 · volume / max_extent links.
+            let widest = shape.x().max(shape.y()).max(shape.z());
+            let analytic = 2 * shape.volume() / u64::from(widest);
+            assert_eq!(b.min_links(), analytic, "shape {shape}");
         }
     }
 
@@ -195,25 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_doubles_link_count() {
-        let shape = SliceShape::new(4, 4, 4).unwrap();
-        let b = Bisection::plane_cut(&Torus::new(shape).into_graph());
-        let bw = b.bandwidth_bytes_per_s(50e9);
-        assert!((bw - 2.0 * 32.0 * 50e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn min_cut_present_in_cut_list() {
-        let shape = SliceShape::new(4, 4, 8).unwrap();
-        let b = Bisection::plane_cut(&Torus::new(shape).into_graph());
-        assert!(b.cuts().contains(&b.min_cut()));
-    }
-
-    #[test]
     fn odd_shape_uses_fallback_cut() {
         let g = Torus::new(SliceShape::new(3, 3, 3).unwrap()).into_graph();
         let b = Bisection::plane_cut(&g);
-        assert_eq!(b.min_cut().dim, None);
+        assert_eq!(b.min.dim, None);
         assert!(b.min_links() > 0);
     }
 }

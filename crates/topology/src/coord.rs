@@ -126,11 +126,6 @@ impl Coord3 {
         }
         c
     }
-
-    /// Component-wise tuple view `(x, y, z)`.
-    pub fn as_tuple(self) -> (u32, u32, u32) {
-        (self.x, self.y, self.z)
-    }
 }
 
 impl std::ops::Add for Coord3 {
@@ -196,7 +191,7 @@ mod tests {
     #[test]
     fn coord_from_tuple() {
         let c: Coord3 = (4, 5, 6).into();
-        assert_eq!(c.as_tuple(), (4, 5, 6));
+        assert_eq!(c, Coord3::new(4, 5, 6));
     }
 
     #[test]

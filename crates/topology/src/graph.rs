@@ -189,11 +189,6 @@ impl LinkGraph {
         self.shape.coord_of(node.index() as u32)
     }
 
-    /// Node id of a coordinate under the slice shape.
-    pub fn node_at(&self, coord: Coord3) -> NodeId {
-        NodeId::new(self.shape.index_of(coord))
-    }
-
     /// Checks that for every directed edge (u → v) there is a reverse edge
     /// (v → u) with the same dimension and the opposite direction.
     ///
@@ -209,14 +204,18 @@ impl LinkGraph {
             })
         })
     }
+}
 
+/// Graph statistics the crate's tests check topologies against.
+#[cfg(test)]
+impl LinkGraph {
     /// Number of wraparound (optical) directed edges.
-    pub fn wraparound_edge_count(&self) -> usize {
+    pub(crate) fn wraparound_edge_count(&self) -> usize {
         self.edges.iter().filter(|e| e.label.wraparound).count()
     }
 
     /// Degree (number of outgoing links) of every node, as (min, max).
-    pub fn degree_range(&self) -> (usize, usize) {
+    pub(crate) fn degree_range(&self) -> (usize, usize) {
         let mut min = usize::MAX;
         let mut max = 0;
         for adj in &self.adjacency {
@@ -343,7 +342,7 @@ mod tests {
     fn coord_node_roundtrip() {
         let g = tiny_graph();
         for node in g.nodes() {
-            assert_eq!(g.node_at(g.coord(node)), node);
+            assert_eq!(g.shape().index_of(g.coord(node)), node.index() as u32);
         }
     }
 }

@@ -50,10 +50,7 @@ pub use error::TopologyError;
 pub use graph::{Edge, EdgeId, LinkGraph, LinkLabel, NodeId};
 pub use mesh::{Mesh, MeshKind};
 pub use metrics::{DistanceProfile, GraphMetrics};
-pub use routing::{
-    all_pairs_distances, bfs_distances, edge_betweenness, shortest_path, DimensionOrdered,
-    RoutingTable,
-};
+pub use routing::{all_pairs_distances, bfs_distances, edge_betweenness};
 pub use shape::{most_cubic_box, SliceShape, Twistability};
 pub use torus::Torus;
 pub use twisted::{TwistSpec, TwistedTorus};

@@ -75,19 +75,6 @@ impl Mesh {
         }
         LinkGraph::from_edges(shape, format!("mesh {shape}"), edges)
     }
-
-    /// Analytic bidirectional-link bisection: a mesh cut severs only one
-    /// cross-section, `volume / max_extent` links — half a torus's (§2.6:
-    /// wraparound "doubles the bisection bandwidth ... versus the mesh-like
-    /// alternative").
-    pub fn analytic_bisection_links(self) -> u64 {
-        let s = self.shape;
-        let max = s.x().max(s.y()).max(s.z());
-        if max <= 1 {
-            return 0;
-        }
-        s.volume() / u64::from(max)
-    }
 }
 
 #[cfg(test)]
@@ -129,15 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn bisection_is_half_of_torus() {
-        use crate::Torus;
-        let shape = SliceShape::new(4, 4, 8).unwrap();
-        let mesh = Mesh::new(shape).analytic_bisection_links();
-        let torus = Torus::new(shape).analytic_bisection_links();
-        assert_eq!(torus, 2 * mesh);
-    }
-
-    #[test]
     fn line_mesh_edge_count() {
         let g = Mesh::new(SliceShape::new(1, 1, 4).unwrap()).into_graph();
         // 3 cables * 2 directions.
@@ -150,6 +128,5 @@ mod tests {
         let g = m.into_graph();
         assert_eq!(g.node_count(), 1);
         assert_eq!(g.edge_count(), 0);
-        assert_eq!(m.analytic_bisection_links(), 0);
     }
 }

@@ -97,11 +97,6 @@ impl GraphMetrics {
         self.mean_distance
     }
 
-    /// Whether every node reaches every other node.
-    pub fn is_connected(&self) -> bool {
-        self.connected
-    }
-
     /// The full distance histogram.
     pub fn profile(&self) -> &DistanceProfile {
         &self.profile
@@ -118,7 +113,7 @@ mod tests {
         let g = Torus::new(SliceShape::new(8, 1, 1).unwrap()).into_graph();
         let m = GraphMetrics::compute(&g);
         assert_eq!(m.diameter(), 4);
-        assert!(m.is_connected());
+        assert!(m.connected);
         // Ring of 8: distances 1,2,3,4,3,2,1 per node -> mean 16/7.
         assert!((m.mean_distance() - 16.0 / 7.0).abs() < 1e-9);
     }
@@ -160,6 +155,6 @@ mod tests {
         let m = GraphMetrics::compute(&g);
         assert_eq!(m.diameter(), 0);
         assert_eq!(m.mean_distance(), 0.0);
-        assert!(m.is_connected());
+        assert!(m.connected);
     }
 }

@@ -1,13 +1,11 @@
 //! Routing and path analysis over link graphs.
 //!
-//! Provides breadth-first shortest paths (the "ideal minimal adaptive"
-//! reference used for steady-state load modelling), Brandes-style edge
+//! Provides breadth-first hop distances and Brandes-style edge
 //! betweenness (the per-link load of uniform all-to-all traffic split
-//! evenly over all shortest paths), and the dimension-ordered routing used
-//! by the deterministic event simulator.
+//! evenly over all shortest paths, the "ideal minimal adaptive"
+//! reference used for steady-state load modelling).
 
 use crate::graph::{EdgeId, LinkGraph, NodeId};
-use crate::{Coord3, Dim, Direction, SliceShape};
 use std::collections::VecDeque;
 
 /// Distances (in hops) from a source to every node; `u32::MAX` marks
@@ -40,46 +38,6 @@ pub fn bfs_distances(graph: &LinkGraph, src: NodeId) -> Vec<u32> {
 /// chips.
 pub fn all_pairs_distances(graph: &LinkGraph) -> Vec<Vec<u32>> {
     graph.nodes().map(|s| bfs_distances(graph, s)).collect()
-}
-
-/// One shortest path from `src` to `dst` as a sequence of edge ids, or
-/// `None` if unreachable.
-///
-/// # Panics
-///
-/// Panics if either node is out of range.
-pub fn shortest_path(graph: &LinkGraph, src: NodeId, dst: NodeId) -> Option<Vec<EdgeId>> {
-    let n = graph.node_count();
-    assert!(src.index() < n && dst.index() < n, "node out of range");
-    if src == dst {
-        return Some(Vec::new());
-    }
-    let mut parent: Vec<Option<EdgeId>> = vec![None; n];
-    let mut seen = vec![false; n];
-    seen[src.index()] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        for (v, eid) in graph.neighbors(u) {
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                parent[v.index()] = Some(eid);
-                if v == dst {
-                    let mut path = Vec::new();
-                    let mut cur = dst;
-                    while cur != src {
-                        let eid = parent[cur.index()].expect("parent chain broken"); // tpu-lint: allow(panic-policy) -- unreachable: parent chain broken
-                        path.push(eid);
-                        cur = graph.edge(eid).src;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(v);
-            }
-        }
-    }
-    None
 }
 
 /// Per-edge betweenness under uniform all-to-all traffic.
@@ -145,106 +103,6 @@ pub fn edge_betweenness(graph: &LinkGraph) -> Vec<f64> {
     load
 }
 
-/// Deterministic dimension-ordered routing (x, then y, then z) on a
-/// *regular* torus. Ties in wrap direction go to `+`.
-///
-/// Twisted tori and meshes should use [`shortest_path`] / BFS routing; DOR
-/// assumes plain modular geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DimensionOrdered {
-    shape: SliceShape,
-}
-
-impl DimensionOrdered {
-    /// Creates a DOR router for a regular torus of the given shape.
-    pub fn new(shape: SliceShape) -> DimensionOrdered {
-        DimensionOrdered { shape }
-    }
-
-    /// Hop count of the DOR route between two coordinates.
-    pub fn distance(self, a: Coord3, b: Coord3) -> u32 {
-        Dim::ALL
-            .iter()
-            .map(|&d| {
-                let k = self.shape.extent(d);
-                let fwd = (b.get(d) + k - a.get(d)) % k;
-                fwd.min(k - fwd)
-            })
-            .sum()
-    }
-
-    /// The sequence of (dimension, direction) steps from `a` to `b`.
-    pub fn route(self, a: Coord3, b: Coord3) -> Vec<(Dim, Direction)> {
-        let mut steps = Vec::new();
-        for d in Dim::ALL {
-            let k = self.shape.extent(d);
-            let fwd = (b.get(d) + k - a.get(d)) % k;
-            let bwd = k - fwd;
-            if fwd == 0 {
-                continue;
-            }
-            let (count, dir) = if fwd <= bwd {
-                (fwd, Direction::Plus)
-            } else {
-                (bwd, Direction::Minus)
-            };
-            for _ in 0..count {
-                steps.push((d, dir));
-            }
-        }
-        steps
-    }
-
-    /// Walks the DOR route over the coordinates it visits (inclusive of
-    /// both endpoints).
-    pub fn walk(self, a: Coord3, b: Coord3) -> Vec<Coord3> {
-        let mut cur = a;
-        let mut visited = vec![a];
-        for (dim, dir) in self.route(a, b) {
-            let (next, _) = crate::torus::step(self.shape, cur, dim, dir);
-            cur = next;
-            visited.push(cur);
-        }
-        debug_assert_eq!(cur, b);
-        visited
-    }
-}
-
-/// Precomputed all-pairs distances with average/diameter summaries, used
-/// when a caller needs repeated distance queries.
-#[derive(Debug, Clone)]
-pub struct RoutingTable {
-    distances: Vec<Vec<u32>>,
-}
-
-impl RoutingTable {
-    /// Builds the table with one BFS per node.
-    pub fn build(graph: &LinkGraph) -> RoutingTable {
-        RoutingTable {
-            distances: all_pairs_distances(graph),
-        }
-    }
-
-    /// Hop distance between two nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
-        self.distances[a.index()][b.index()]
-    }
-
-    /// Number of nodes covered.
-    pub fn len(&self) -> usize {
-        self.distances.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.distances.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,24 +117,6 @@ mod tests {
         let g = ring(6);
         let d = bfs_distances(&g, NodeId::new(0));
         assert_eq!(d, vec![0, 1, 2, 3, 2, 1]);
-    }
-
-    #[test]
-    fn shortest_path_length_matches_bfs() {
-        let g = Torus::new(SliceShape::new(4, 4, 4).unwrap()).into_graph();
-        let d = bfs_distances(&g, NodeId::new(0));
-        for t in g.nodes() {
-            let p = shortest_path(&g, NodeId::new(0), t).unwrap();
-            assert_eq!(p.len() as u32, d[t.index()]);
-            // Path is contiguous.
-            let mut cur = NodeId::new(0);
-            for eid in p {
-                let e = g.edge(eid);
-                assert_eq!(e.src, cur);
-                cur = e.dst;
-            }
-            assert_eq!(cur, t);
-        }
     }
 
     #[test]
@@ -311,51 +151,5 @@ mod tests {
         for &b in &bw {
             assert!((b - first).abs() < 1e-9, "ring betweenness must be uniform");
         }
-    }
-
-    #[test]
-    fn dor_distance_matches_bfs_on_regular_torus() {
-        let shape = SliceShape::new(4, 4, 8).unwrap();
-        let g = Torus::new(shape).into_graph();
-        let dor = DimensionOrdered::new(shape);
-        let d0 = bfs_distances(&g, NodeId::new(0));
-        for t in g.nodes() {
-            let c = g.coord(t);
-            assert_eq!(dor.distance(Coord3::new(0, 0, 0), c), d0[t.index()]);
-        }
-    }
-
-    #[test]
-    fn dor_walk_ends_at_destination() {
-        let shape = SliceShape::new(4, 4, 8).unwrap();
-        let dor = DimensionOrdered::new(shape);
-        let a = Coord3::new(3, 2, 7);
-        let b = Coord3::new(0, 0, 0);
-        let walk = dor.walk(a, b);
-        assert_eq!(*walk.first().unwrap(), a);
-        assert_eq!(*walk.last().unwrap(), b);
-        assert_eq!(walk.len() as u32 - 1, dor.distance(a, b));
-    }
-
-    #[test]
-    fn routing_table_symmetry_on_torus() {
-        let g = Torus::new(SliceShape::new(4, 4, 4).unwrap()).into_graph();
-        let table = RoutingTable::build(&g);
-        assert_eq!(table.len(), 64);
-        assert!(!table.is_empty());
-        for a in g.nodes() {
-            for b in g.nodes() {
-                assert_eq!(table.distance(a, b), table.distance(b, a));
-            }
-        }
-    }
-
-    #[test]
-    fn empty_path_for_same_node() {
-        let g = ring(4);
-        assert_eq!(
-            shortest_path(&g, NodeId::new(2), NodeId::new(2)),
-            Some(vec![])
-        );
     }
 }

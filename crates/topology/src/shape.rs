@@ -25,18 +25,11 @@ pub enum Twistability {
     NotTwistable,
 }
 
-impl Twistability {
-    /// Whether the shape admits a twisted wiring at all.
-    pub fn is_twistable(self) -> bool {
-        !matches!(self, Twistability::NotTwistable)
-    }
-}
-
 /// The geometry of a TPU slice: chips along x, y and z.
 ///
 /// The software scheduler in the paper requires `x ≤ y ≤ z`
-/// ([`SliceShape::is_scheduler_canonical`]); the topology layer itself
-/// accepts any ordering. All dimensions must be nonzero.
+/// ([`SliceShape::to_canonical`]); the topology layer itself accepts any
+/// ordering. All dimensions must be nonzero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct SliceShape {
     x: u32,
@@ -95,12 +88,6 @@ impl SliceShape {
         u64::from(self.x) * u64::from(self.y) * u64::from(self.z)
     }
 
-    /// Whether the shape satisfies the scheduler's `x ≤ y ≤ z` canonical
-    /// ordering (Table 2 caption).
-    pub fn is_scheduler_canonical(self) -> bool {
-        self.x <= self.y && self.y <= self.z
-    }
-
     /// Returns the same extents sorted so that `x ≤ y ≤ z`.
     pub fn to_canonical(self) -> SliceShape {
         let mut dims = [self.x, self.y, self.z];
@@ -154,13 +141,6 @@ impl SliceShape {
             Twistability::SquareDoubled { n } | Twistability::DoubledDoubled { n } => n >= 4,
             Twistability::NotTwistable => false,
         }
-    }
-
-    /// Whether a slice of this shape gets torus wraparound links.
-    ///
-    /// Slices smaller than one 4³ block "can only use a 2D mesh" (§2.9).
-    pub fn supports_torus(self) -> bool {
-        self.volume() >= 64 && self.is_block_aligned()
     }
 
     /// Linear node index of a coordinate (x innermost).
@@ -274,10 +254,10 @@ mod tests {
     #[test]
     fn canonical_ordering() {
         let s = SliceShape::new(16, 4, 8).unwrap();
-        assert!(!s.is_scheduler_canonical());
+        assert!(!(s.x <= s.y && s.y <= s.z));
         let c = s.to_canonical();
         assert_eq!(c, SliceShape::new(4, 8, 16).unwrap());
-        assert!(c.is_scheduler_canonical());
+        assert!(c.x <= c.y && c.y <= c.z);
     }
 
     #[test]
@@ -349,13 +329,6 @@ mod tests {
         let t = SliceShape::new(2, 2, 4).unwrap();
         assert!(!t.is_block_aligned());
         assert_eq!(t.in_blocks(), None);
-    }
-
-    #[test]
-    fn torus_support_rule() {
-        assert!(SliceShape::new(4, 4, 4).unwrap().supports_torus());
-        assert!(!SliceShape::new(2, 4, 4).unwrap().supports_torus());
-        assert!(!SliceShape::new(1, 1, 1).unwrap().supports_torus());
     }
 
     #[test]

@@ -53,21 +53,6 @@ impl Torus {
         }
         LinkGraph::from_edges(shape, format!("torus {shape}"), edges)
     }
-
-    /// Analytic bidirectional-link bisection of the torus, cutting across
-    /// the widest dimension: `2 · (volume / max_extent)` links (the factor 2
-    /// is the pair of cross-sections a torus cut must sever).
-    ///
-    /// For extent-2 dimensions the wrap and mesh links coincide per node
-    /// pair, so the cut still severs `2 · cross_section` physical cables.
-    pub fn analytic_bisection_links(self) -> u64 {
-        let s = self.shape;
-        let max = s.x().max(s.y()).max(s.z());
-        if max <= 1 {
-            return 0;
-        }
-        2 * s.volume() / u64::from(max)
-    }
 }
 
 /// Moves one step from `c` along `dim` in direction `dir`, wrapping
@@ -146,19 +131,6 @@ mod tests {
         let (n, wrapped) = step(s, c, Dim::Z, Direction::Minus);
         assert_eq!(n, Coord3::new(3, 0, 6));
         assert!(!wrapped);
-    }
-
-    #[test]
-    fn analytic_bisection_formula() {
-        // 4x4x8 torus: cut across z => 2 * 4*4 = 32 bidirectional links.
-        let t = Torus::new(SliceShape::new(4, 4, 8).unwrap());
-        assert_eq!(t.analytic_bisection_links(), 32);
-        // 8^3: 2 * 64 = 128.
-        let t = Torus::new(SliceShape::cube(8).unwrap());
-        assert_eq!(t.analytic_bisection_links(), 128);
-        // Single node: no bisection links.
-        let t = Torus::new(SliceShape::cube(1).unwrap());
-        assert_eq!(t.analytic_bisection_links(), 0);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub struct Workload {
 impl Workload {
     /// Per-chip throughput on a TPU chip spec, TFLOP/s attained.
     ///
-    /// DLRM workloads should use [`ProductionSuite::dlrm_speedup`]; this
+    /// DLRM workloads should use [`ProductionSuite::dlrm_speedup_between`]; this
     /// roofline path covers the dense workloads.
     pub fn attained_tflops(&self, spec: &ChipSpec) -> f64 {
         let mem = MemorySystem::of_chip(spec);
@@ -70,13 +70,6 @@ impl Workload {
             1.0
         };
         (spec.peak_tflops * derate).min(self.oi * eff_bw_gbps / 1000.0)
-    }
-
-    /// Whether the workload is memory-bound on the given chip.
-    pub fn is_memory_bound(&self, spec: &ChipSpec) -> bool {
-        let mem = MemorySystem::of_chip(spec);
-        let eff_bw_gbps = mem.effective_bandwidth(self.working_set) / GIGA;
-        self.oi * eff_bw_gbps / 1000.0 < spec.peak_tflops
     }
 }
 
@@ -152,15 +145,6 @@ impl ProductionSuite {
                 workload.attained_tflops(&newer_chip) / workload.attained_tflops(&older_chip)
             }
         }
-    }
-
-    /// DLRM v4/v3 speedup from the SparseCore system model (512 chips,
-    /// where Figure 12 reports DLRM1 at 2.8x and DLRM0 at 3.0–3.5x).
-    /// The global batch scales with the slice, as in Figure 8's caption
-    /// ("the global batch size is scaled proportionately to the number
-    /// of chips").
-    pub fn dlrm_speedup(&self, workload: &Workload) -> f64 {
-        self.dlrm_speedup_between(workload, &Generation::V4, &Generation::V3)
     }
 
     /// DLRM speedup between two generations' SparseCore systems.
@@ -310,17 +294,6 @@ mod tests {
         // "TPU v4 has ... 2.7x the performance/Watt of TPU v3."
         let g = suite().geomean_perf_per_watt_gain();
         assert!((2.3..3.1).contains(&g), "perf/W geomean {g} (paper: 2.7x)");
-    }
-
-    #[test]
-    fn cnns_compute_bound_rnn1_memory_bound() {
-        let s = suite();
-        let v4 = ChipSpec::tpu_v4();
-        assert!(!s.get("CNN0").unwrap().is_memory_bound(&v4));
-        // RNN1 on v4 *with* CMEM is borderline; on v3 it is clearly
-        // memory-bound.
-        let v3 = ChipSpec::tpu_v3();
-        assert!(s.get("RNN1").unwrap().is_memory_bound(&v3));
     }
 
     #[test]

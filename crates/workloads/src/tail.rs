@@ -101,9 +101,9 @@ impl ScalingTail {
     }
 
     /// [`ScalingTail::derive`] with the system spec's collective-schedule
-    /// policy overridden — `Some(CollectiveSpec::forced(Ring))`
-    /// reproduces the pre-IR flat-ring tail, `None` keeps the spec's own
-    /// policy (`auto` for every built-in). This is how the recalibration
+    /// policy overridden — a forced `ring` policy reproduces the pre-IR
+    /// flat-ring tail, `None` keeps the spec's own policy (`auto` for
+    /// every built-in). This is how the recalibration
     /// is pinned: the ring→tree selection is exactly the difference
     /// between the two derivations.
     pub fn derive_with_schedule(
@@ -272,7 +272,10 @@ mod tests {
     fn schedule_selection_recalibrates_the_derived_exponents() {
         use tpu_spec::{CollectiveSpec, SchedulePolicy};
 
-        let ring = Some(CollectiveSpec::forced(SchedulePolicy::Ring));
+        let ring = Some(CollectiveSpec {
+            schedule: SchedulePolicy::Ring,
+            ..CollectiveSpec::reference()
+        });
         let derive = |system, benchmark, schedule: Option<CollectiveSpec>| -> f64 {
             ScalingTail::derive_with_schedule(system, benchmark, schedule)
                 .unwrap()

@@ -9,9 +9,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tpuv4::net::{LinkLoads, LinkRate};
 use tpuv4::topology::{
-    bfs_distances, edge_betweenness, Bisection, GraphMetrics, NodeId, SliceShape, Torus,
+    bfs_distances, edge_betweenness, Bisection, GraphMetrics, LinkGraph, NodeId, SliceShape, Torus,
     TwistedTorus,
 };
+
+/// Fewest and most outgoing links over the nodes of `g`.
+fn degree_range(g: &LinkGraph) -> (usize, usize) {
+    let degrees: Vec<usize> = g.nodes().map(|n| g.neighbors(n).count()).collect();
+    let min = degrees.iter().copied().min().unwrap_or(0);
+    (min, degrees.into_iter().max().unwrap_or(0))
+}
 
 /// A deterministic case generator over domain-shaped draws.
 struct Cases {
@@ -66,7 +73,7 @@ fn torus_is_symmetric_and_regular() {
             .iter()
             .filter(|&&k| k > 1)
             .count() as u32;
-        let (min_deg, max_deg) = g.degree_range();
+        let (min_deg, max_deg) = degree_range(&g);
         assert_eq!(min_deg, max_deg, "{shape}");
         assert_eq!(min_deg as u32, 2 * active, "{shape}");
     }
@@ -92,7 +99,7 @@ fn twisted_torus_preserves_regularity() {
             .expect("twistable")
             .into_graph();
         assert!(g.is_symmetric(), "{shape}");
-        let (min_deg, max_deg) = g.degree_range();
+        let (min_deg, max_deg) = degree_range(&g);
         assert_eq!(min_deg, max_deg, "{shape}");
         let d = bfs_distances(&g, NodeId::new(0));
         assert!(d.iter().all(|&x| x != u32::MAX), "{shape}");
@@ -155,6 +162,13 @@ fn betweenness_conserves_total_distance() {
     }
 }
 
+/// Mean link load relative to the bottleneck link (1.0 = every link
+/// equally loaded).
+fn balance(loads: &LinkLoads) -> f64 {
+    let per_edge = loads.as_slice();
+    per_edge.iter().sum::<f64>() / per_edge.len() as f64 / loads.max_bytes()
+}
+
 #[test]
 fn all_to_all_load_balance_at_most_one() {
     let mut cases = Cases::new(0xA6);
@@ -165,7 +179,7 @@ fn all_to_all_load_balance_at_most_one() {
         }
         let g = Torus::new(shape).into_graph();
         let loads = LinkLoads::uniform_all_to_all(&g, 100.0);
-        let b = loads.balance();
+        let b = balance(&loads);
         assert!(b > 0.0 && b <= 1.0 + 1e-9, "{shape}: balance {b}");
         assert!(
             loads.completion_time(LinkRate::TPU_V4_ICI) >= 0.0,
@@ -191,7 +205,7 @@ fn canonicalization_is_idempotent_and_sorted() {
     for _ in 0..64 {
         let shape = cases.small_shape();
         let c = shape.to_canonical();
-        assert!(c.is_scheduler_canonical(), "{shape}");
+        assert!(c.x() <= c.y() && c.y() <= c.z(), "{shape}");
         assert_eq!(c.to_canonical(), c, "{shape}");
         assert_eq!(c.volume(), shape.volume(), "{shape}");
     }
@@ -206,7 +220,7 @@ mod sharding_props {
         let mut cases = Cases::new(0xB0);
         for _ in 0..16 {
             let chips = cases.int(1, 63) as u32;
-            let model = DlrmConfig::mlperf_dlrm();
+            let model = DlrmConfig::dlrm0();
             let plan = ShardingPlan::new(chips, vec![Sharding::Row; model.tables().len()]);
             let total: u64 = plan.per_chip_bytes(&model).iter().sum();
             let expect: u64 = model.tables().iter().map(|t| t.size_bytes()).sum();
@@ -215,24 +229,11 @@ mod sharding_props {
     }
 
     #[test]
-    fn row_owner_always_in_range() {
-        let mut cases = Cases::new(0xB1);
-        for _ in 0..16 {
-            let chips = cases.int(1, 63) as u32;
-            let row = cases.int(0, 999_999);
-            let model = DlrmConfig::mlperf_dlrm();
-            let plan = ShardingPlan::new(chips, vec![Sharding::Row; model.tables().len()]);
-            let owner = plan.owner_of(0, row).expect("row sharding has owners");
-            assert!(owner < chips, "chips {chips} row {row}");
-        }
-    }
-
-    #[test]
     fn remote_fraction_in_unit_interval() {
         let mut cases = Cases::new(0xB2);
         for _ in 0..16 {
             let chips = cases.int(1, 127) as u32;
-            let model = DlrmConfig::mlperf_dlrm();
+            let model = DlrmConfig::dlrm0();
             let plan = ShardingPlan::auto(&model, chips, 1 << 20);
             let f = plan.remote_lookup_fraction(&model);
             assert!((0.0..=1.0).contains(&f), "chips {chips}: {f}");
@@ -263,7 +264,10 @@ mod schedule_props {
                 SchedulePolicy::Auto,
             ] {
                 let mut spec = base.clone();
-                spec.collective = Some(CollectiveSpec::forced(policy));
+                spec.collective = Some(CollectiveSpec {
+                    schedule: policy,
+                    ..CollectiveSpec::reference()
+                });
                 specs.push(spec);
             }
         }
@@ -308,7 +312,10 @@ mod schedule_props {
         for base in [MachineSpec::v4(), MachineSpec::v3()] {
             for policy in [SchedulePolicy::Ring, SchedulePolicy::Auto] {
                 let mut spec = base.clone();
-                spec.collective = Some(CollectiveSpec::forced(policy));
+                spec.collective = Some(CollectiveSpec {
+                    schedule: policy,
+                    ..CollectiveSpec::reference()
+                });
                 let backend = CollectiveBackend::for_spec(&spec);
                 for _ in 0..16 {
                     let bytes = cases.int(1, 1_000_000_000) as f64;
@@ -336,7 +343,10 @@ mod schedule_props {
                 SchedulePolicy::Auto,
             ] {
                 let mut spec = base.clone();
-                spec.collective = Some(CollectiveSpec::forced(policy));
+                spec.collective = Some(CollectiveSpec {
+                    schedule: policy,
+                    ..CollectiveSpec::reference()
+                });
                 let backend = CollectiveBackend::for_spec(&spec);
                 for _ in 0..16 {
                     let bytes = cases.int(1, 1_000_000_000) as f64;
@@ -389,7 +399,10 @@ mod schedule_props {
                 .iter()
                 .map(|&policy| {
                     let mut spec = base.clone();
-                    spec.collective = Some(CollectiveSpec::forced(policy));
+                    spec.collective = Some(CollectiveSpec {
+                        schedule: policy,
+                        ..CollectiveSpec::reference()
+                    });
                     CollectiveBackend::for_spec(&spec)
                 })
                 .collect();
@@ -493,7 +506,7 @@ mod fabric_props {
             let slice = fabric.allocate(&spec).expect("fits an empty machine");
             let g = slice.chip_graph();
             assert!(g.is_symmetric(), "{shape}");
-            let (lo, hi) = g.degree_range();
+            let (lo, hi) = super::degree_range(g);
             assert_eq!((lo, hi), (6, 6), "{shape}");
             let d = bfs_distances(g, NodeId::new(0));
             assert!(d.iter().all(|&x| x != u32::MAX), "{shape}");

@@ -228,9 +228,10 @@ fn latency_regimes_bracket_the_crossover() {
             "{label}: crossover {crossover}"
         );
         let mut ring_spec = spec.clone();
-        ring_spec.collective = Some(tpuv4::spec::CollectiveSpec::forced(
-            tpuv4::spec::SchedulePolicy::Ring,
-        ));
+        ring_spec.collective = Some(tpuv4::spec::CollectiveSpec {
+            schedule: tpuv4::spec::SchedulePolicy::Ring,
+            ..tpuv4::spec::CollectiveSpec::reference()
+        });
         let ring_crossover = CollectiveBackend::for_spec(&ring_spec).all_reduce_crossover_bytes(s);
         assert!(
             ring_crossover > crossover,
