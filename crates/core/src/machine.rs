@@ -16,10 +16,10 @@
 use crate::StaticCluster;
 use crate::{Result, SupercomputerError};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use tpu_net::CollectiveBackend;
-use tpu_ocs::{BlockId, Fabric, MaterializedSlice, SliceSpec};
+use tpu_ocs::{healthy_chips, BlockId, Fabric, HostHealth, MaterializedSlice, SliceSpec};
 use tpu_spec::{FabricKind, Generation, MachineSpec};
 
 /// Identifier of a running job.
@@ -167,16 +167,10 @@ pub enum Collective {
 /// contrast the paper draws with slice geometry on the torus machine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SwitchedCluster {
-    islands: u64,
     island_chips: u32,
-    hosts_per_island: u32,
     fleet_chips: u64,
-    down_hosts: BTreeSet<(u64, u32)>,
-    /// Chips on islands with at least one down host, maintained
-    /// incrementally by [`SwitchedCluster::set_host_up`] so the
-    /// [`SwitchedCluster::healthy_chips`] probe on every switched-arm
-    /// submit is O(1) instead of a scan over `down_hosts`.
-    down_chips: u64,
+    /// Host health of every island.
+    health: HostHealth,
 }
 
 impl SwitchedCluster {
@@ -190,19 +184,16 @@ impl SwitchedCluster {
         }
         let (islands, island_chips, hosts_per_island) = spec.scheduling_units();
         Some(SwitchedCluster {
-            islands,
             island_chips,
-            hosts_per_island,
             fleet_chips: spec.fleet_chips,
-            down_hosts: BTreeSet::new(),
-            down_chips: 0,
+            health: HostHealth::new(islands as usize, hosts_per_island),
         })
     }
 
     /// Islands (DGX-style boxes) in the cluster; the last may be
     /// partially populated.
     pub fn islands(&self) -> u64 {
-        self.islands
+        self.health.units() as u64
     }
 
     /// Chips per (full) island.
@@ -213,17 +204,7 @@ impl SwitchedCluster {
     /// CPU hosts per island (a whole island is lost when any of its
     /// hosts is down — its chips share the hosts' boards).
     pub fn hosts_per_island(&self) -> u32 {
-        self.hosts_per_island
-    }
-
-    /// Chips on one specific island (the last island holds the fleet
-    /// remainder).
-    fn island_size(&self, island: u64) -> u64 {
-        if island + 1 == self.islands {
-            self.fleet_chips - (self.islands - 1) * u64::from(self.island_chips)
-        } else {
-            u64::from(self.island_chips)
-        }
+        self.health.hosts_per_unit()
     }
 
     /// Total chips installed (exactly the spec's `fleet_chips`).
@@ -231,41 +212,26 @@ impl SwitchedCluster {
         self.fleet_chips
     }
 
-    /// Chips on islands whose hosts are all currently up (O(1): the down
-    /// total is maintained across host transitions, not recounted).
+    /// Chips on islands whose hosts are all currently up; a partial last
+    /// island counts the chips it holds.
     pub fn healthy_chips(&self) -> u64 {
-        self.fleet_chips - self.down_chips
-    }
-
-    /// Whether any host of one island is currently down.
-    fn island_down(&self, island: u64) -> bool {
-        self.down_hosts
-            .range((island, 0)..(island, self.hosts_per_island))
-            .next()
-            .is_some()
+        healthy_chips(
+            self.health.words(),
+            self.health.units(),
+            u64::from(self.island_chips),
+            self.fleet_chips,
+        )
     }
 
     /// Failure and repair are tracked per host, so an island with two
-    /// failed hosts only comes back after both are repaired. The
-    /// `down_chips` total moves only on an island's first down host and
-    /// last repair.
+    /// failed hosts only comes back after both are repaired.
     fn set_host_up(&mut self, island: u64, host: u32, up: bool) -> Result<()> {
-        if island >= self.islands {
+        if island >= self.islands() {
             return Err(SupercomputerError::UnknownIsland { island });
         }
-        if host >= self.hosts_per_island {
-            return Err(SupercomputerError::UnknownIslandHost { island, host });
-        }
-        if up {
-            if self.down_hosts.remove(&(island, host)) && !self.island_down(island) {
-                self.down_chips -= self.island_size(island);
-            }
-        } else {
-            let was_down = self.island_down(island);
-            if self.down_hosts.insert((island, host)) && !was_down {
-                self.down_chips += self.island_size(island);
-            }
-        }
+        self.health
+            .set_host_up(island as usize, host, up)
+            .ok_or(SupercomputerError::UnknownIslandHost { island, host })?;
         Ok(())
     }
 }

@@ -8,6 +8,11 @@
 //! routed around, and the OCS-only "cigar" shapes of Table 2 (4×4×32 and
 //! longer) may be inexpressible outright.
 //!
+//! Host health lives in the same [`HostHealth`](tpu_ocs::HostHealth)
+//! record the OCS fabric keeps, and occupancy in one in-use bit per
+//! block; the free blocks a placement searches are those two words
+//! combined when it is asked for, as on the OCS fabric.
+//!
 //! Steady-state link performance is identical to the OCS torus — static
 //! cabling changes *placement*, not the links (DESIGN.md §9) — so
 //! collective times on a placed slice come from the same
@@ -15,7 +20,7 @@
 
 use crate::{Result, SupercomputerError};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use tpu_ocs::HostHealth;
 use tpu_spec::MachineSpec;
 use tpu_topology::most_cubic_box;
 
@@ -23,72 +28,25 @@ use tpu_topology::most_cubic_box;
 /// per-host health and per-block occupancy. The allocation unit is one
 /// block (4³ chips on the TPU generations); for `torus_dims == 0` specs
 /// used counterfactually the unit is one glueless island.
+///
+/// A block is free while every one of its hosts is up and no slice
+/// holds it. `allocate` and `count_first_fit` build the free words
+/// from the health words and the in-use words when they are called, so
+/// no mutation has a derived structure to keep current (DESIGN.md §11).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StaticCluster {
     grid: (u32, u32, u32),
     block_edge: u32,
     chips_per_block: u32,
-    hosts_per_block: u32,
-    down_hosts: BTreeSet<(u32, u32)>,
-    in_use: Vec<bool>,
-    /// Occupancy acceleration structure, derived from
-    /// `down_hosts`/`in_use` (the sources of truth): built by
-    /// [`StaticCluster::for_spec`], then maintained incrementally by
-    /// every mutation, so it always equals what the sources imply.
-    #[serde(skip)]
-    occ: OccupancyIndex,
+    /// Host health of every block.
+    health: HostHealth,
+    /// Blocks some slice holds: bit `i % 64` of word `i / 64` for block
+    /// `i`.
+    in_use: Vec<u64>,
     /// The grid as one word when it has at most 64 blocks (`None`
     /// above): the pack query's erosion arithmetic, derived from `grid`.
     #[serde(skip)]
     word_grid: Option<WordGrid>,
-}
-
-/// The incremental occupancy structure behind [`StaticCluster::allocate`]:
-/// a word-packed free bitset over the blocks in linear (x-fastest)
-/// order, its population count, and per-block down-host counters, all
-/// maintained **incrementally** on every mutation.
-///
-/// Invariant: `free.len() == blocks.div_ceil(64)`, bit `i % 64` of
-/// `free[i / 64]` is set ⇔ `block_healthy(i) && !in_use[i]`, the bits
-/// past the last block are clear, and `free_total` counts the set bits
-/// — mutations keep these exact via [`OccupancyIndex::set_free`], O(1)
-/// per block.
-#[derive(Debug, Clone, PartialEq)]
-struct OccupancyIndex {
-    free: Vec<u64>,
-    free_total: u32,
-    /// Down-host count per block — the O(1) health probe the hot paths
-    /// (`set_host_up`, `release`) use instead of a `BTreeSet` range scan.
-    down: Vec<u16>,
-}
-
-impl OccupancyIndex {
-    /// The index of `blocks` free, healthy blocks: whole words of ones
-    /// and one partial word, no per-block loop.
-    fn all_free(blocks: usize) -> OccupancyIndex {
-        let mut free = vec![u64::MAX; blocks / 64];
-        if !blocks.is_multiple_of(64) {
-            free.push(u64::MAX >> (64 - blocks % 64));
-        }
-        OccupancyIndex {
-            free,
-            free_total: blocks as u32,
-            down: vec![0; blocks],
-        }
-    }
-
-    /// Point update of one block's free bit, keeping `free_total` exact.
-    fn set_free(&mut self, block: usize, free: bool) {
-        let (word, bit) = (&mut self.free[block / 64], 1u64 << (block % 64));
-        if (*word & bit != 0) != free {
-            *word ^= bit;
-            if free {
-                self.free_total += 1;
-            } else {
-                self.free_total -= 1;
-            }
-        }
-    }
 }
 
 impl StaticCluster {
@@ -116,10 +74,8 @@ impl StaticCluster {
             grid,
             block_edge,
             chips_per_block,
-            hosts_per_block,
-            down_hosts: BTreeSet::new(),
-            in_use: vec![false; blocks as usize],
-            occ: OccupancyIndex::all_free(blocks as usize),
+            health: HostHealth::new(blocks as usize, hosts_per_block),
+            in_use: vec![0; (blocks as usize).div_ceil(64)],
             word_grid: WordGrid::new(grid),
         }
     }
@@ -131,7 +87,7 @@ impl StaticCluster {
 
     /// Total blocks in the machine.
     pub fn blocks(&self) -> u32 {
-        self.in_use.len() as u32
+        self.health.units() as u32
     }
 
     /// Chips along one edge of a block — the divisor that converts a
@@ -149,7 +105,7 @@ impl StaticCluster {
     /// CPU hosts per block (a block is schedulable only when all its
     /// hosts are up).
     pub fn hosts_per_block(&self) -> u32 {
-        self.hosts_per_block
+        self.health.hosts_per_unit()
     }
 
     /// Total chips installed.
@@ -159,18 +115,7 @@ impl StaticCluster {
 
     /// Chips on blocks whose hosts are all currently up.
     pub fn healthy_chips(&self) -> u64 {
-        let mut down_blocks: Vec<u32> = self.down_hosts.iter().map(|&(b, _)| b).collect();
-        down_blocks.dedup();
-        self.total_chips() - down_blocks.len() as u64 * u64::from(self.chips_per_block)
-    }
-
-    /// Whether every host of one block is up.
-    // tpu-lint: allow(no-caller) -- occupancy_equivalence's naive reference reads block health through it
-    pub fn block_healthy(&self, block: u32) -> bool {
-        self.down_hosts
-            .range((block, 0)..(block, self.hosts_per_block))
-            .next()
-            .is_none()
+        u64::from(self.health.up_units()) * u64::from(self.chips_per_block)
     }
 
     /// Whether a box of blocks could *ever* be placed in this grid (some
@@ -205,7 +150,7 @@ impl StaticCluster {
     /// # Errors
     ///
     /// [`SupercomputerError::UnknownBlock`] / [`UnknownBlockHost`] for
-    /// indices outside the cluster.
+    /// indices outside the cluster; either refusal changes nothing.
     ///
     /// [`UnknownBlockHost`]: SupercomputerError::UnknownBlockHost
     pub fn set_host_up(&mut self, block: u32, host: u32, up: bool) -> Result<()> {
@@ -214,28 +159,22 @@ impl StaticCluster {
                 block: u64::from(block),
             });
         }
-        if host >= self.hosts_per_block {
-            return Err(SupercomputerError::UnknownBlockHost {
+        self.health.set_host_up(block as usize, host, up).ok_or(
+            SupercomputerError::UnknownBlockHost {
                 block: u64::from(block),
                 host,
-            });
-        }
-        let changed = if up {
-            self.down_hosts.remove(&(block, host))
-        } else {
-            self.down_hosts.insert((block, host))
-        };
-        if changed {
-            let b = block as usize;
-            if up {
-                self.occ.down[b] -= 1;
-            } else {
-                self.occ.down[b] += 1;
-            }
-            let free = self.occ.down[b] == 0 && !self.in_use[b];
-            self.occ.set_free(b, free);
-        }
+            },
+        )?;
         Ok(())
+    }
+
+    /// The healthy blocks no slice holds, 64 to a word.
+    fn free_words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.health
+            .words()
+            .iter()
+            .zip(&self.in_use)
+            .map(|(h, u)| h & !u)
     }
 
     /// Allocates the first contiguous box of healthy free blocks that
@@ -244,12 +183,12 @@ impl StaticCluster {
     /// block indices in placement order and marks them busy.
     ///
     /// Placements are identical to a greedy cell-by-cell scan over
-    /// `BTreeSet` health probes (the anchor/orientation order is
+    /// per-block health probes (the anchor/orientation order is
     /// unchanged); only the candidate test changed. On grids of at most
     /// 64 blocks the anchor is the lowest one that bit-parallel erosion
     /// of the free word leaves, found by the helper `count_first_fit`
-    /// uses; larger grids test contiguous runs of the word-packed free
-    /// bitset (DESIGN.md §11). A refusal changes nothing.
+    /// uses; larger grids test contiguous runs of the free words
+    /// (DESIGN.md §11). A refusal changes nothing.
     ///
     /// # Errors
     ///
@@ -266,28 +205,35 @@ impl StaticCluster {
         }
         // Every candidate fits the grid, so the volume fits in u32.
         let volume = bbox.0 * bbox.1 * bbox.2;
-        if volume > self.occ.free_total {
-            return Err(refused);
-        }
-        let (grid, free, orients) = (self.grid, &self.occ.free, orients.as_slice());
+        let (grid, orients) = (self.grid, orients.as_slice());
         let fit = match self.word_grid {
-            Some(g) => g
-                .first_fit(free[0], orients, 0)
-                .map(|(a, b)| (coordinates(grid, a as usize), b)),
-            None => first_fit(free, grid, 0, orients.len(), |anchor, o| {
-                box_runs(grid, anchor, orients[o], |start, end| {
-                    run_is_set(free, start, end)
+            Some(g) => {
+                let free = self.health.words()[0] & !self.in_use[0];
+                if volume > free.count_ones() {
+                    return Err(refused);
+                }
+                g.first_fit(free, orients, 0)
+                    .map(|(a, b)| (coordinates(grid, a as usize), b))
+            }
+            None => {
+                let free: Vec<u64> = self.free_words().collect();
+                if volume > free.iter().map(|w| w.count_ones()).sum() {
+                    return Err(refused);
+                }
+                first_fit(&free, grid, 0, orients.len(), |anchor, o| {
+                    box_runs(grid, anchor, orients[o], |start, end| {
+                        run_is_set(&free, start, end)
+                    })
                 })
-            })
-            .map(|(_, anchor, o)| (anchor, orients[o])),
+                .map(|(_, anchor, o)| (anchor, orients[o]))
+            }
         };
         let Some((anchor, b)) = fit else {
             return Err(refused);
         };
         let cells: Vec<u32> = box_cells(grid, anchor, b).collect();
         for &i in &cells {
-            self.in_use[i as usize] = true;
-            self.occ.set_free(i as usize, false);
+            self.in_use[i as usize / 64] |= 1 << (i % 64);
         }
         Ok(cells)
     }
@@ -313,7 +259,7 @@ impl StaticCluster {
     ///
     /// Panics if `healthy` does not hold exactly one word per 64 blocks.
     pub fn count_first_fit(&self, healthy: &[u64], bbox: (u32, u32, u32)) -> u32 {
-        let blocks = self.in_use.len();
+        let blocks = self.blocks() as usize;
         if healthy.len() != blocks.div_ceil(64) {
             // tpu-lint: allow(panic-policy) -- callers size `healthy` from this cluster's block count; any other length is a caller bug
             panic!("{} health words for {blocks} blocks", healthy.len());
@@ -327,7 +273,7 @@ impl StaticCluster {
         let volume = bbox.0 * bbox.1 * bbox.2;
         let mut placed = 0;
         if let Some(g) = self.word_grid {
-            let mut free = self.occ.free[0] & healthy[0];
+            let mut free = self.health.words()[0] & !self.in_use[0] & healthy[0];
             let mut from = 0;
             while volume <= free.count_ones() {
                 let Some((a, b)) = g.first_fit(free, orients, from) else {
@@ -339,13 +285,7 @@ impl StaticCluster {
             }
             return placed;
         }
-        let mut words: Vec<u64> = self
-            .occ
-            .free
-            .iter()
-            .zip(healthy)
-            .map(|(f, h)| f & h)
-            .collect();
+        let mut words: Vec<u64> = self.free_words().zip(healthy).map(|(f, h)| f & h).collect();
         let mut left: u32 = words.iter().map(|w| w.count_ones()).sum();
         let mut from = 0;
         while volume <= left {
@@ -369,14 +309,8 @@ impl StaticCluster {
     /// Releases a previously allocated set of blocks.
     pub fn release(&mut self, blocks: &[u32]) {
         for &b in blocks {
-            if let Some(slot) = self.in_use.get_mut(b as usize) {
-                *slot = false;
-            }
-        }
-        for &b in blocks {
-            if (b as usize) < self.in_use.len() {
-                let free = self.occ.down[b as usize] == 0;
-                self.occ.set_free(b as usize, free);
+            if let Some(word) = self.in_use.get_mut(b as usize / 64) {
+                *word &= !(1 << (b % 64));
             }
         }
     }
@@ -789,11 +723,11 @@ mod tests {
         let mut c = v4_static();
         c.set_host_up(5, 0, false).unwrap();
         c.set_host_up(5, 7, false).unwrap();
-        assert!(!c.block_healthy(5));
+        assert_eq!(c.healthy_chips(), 63 * 64);
         c.set_host_up(5, 0, true).unwrap();
-        assert!(!c.block_healthy(5));
+        assert_eq!(c.healthy_chips(), 63 * 64);
         c.set_host_up(5, 7, true).unwrap();
-        assert!(c.block_healthy(5));
+        assert_eq!(c, v4_static());
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //! [`StaticCluster::allocate`] must place **exactly** the blocks the old
 //! greedy cell-by-cell scan placed — same cells, same order, same
 //! failures — under randomized health and occupancy churn, for every
-//! machine spec shipped in `specs/*.json`. The `OccupancyIndex` is a
-//! pure acceleration structure; any divergence here is a correctness
-//! bug, not a tuning difference (DESIGN.md §11).
+//! machine spec shipped in `specs/*.json`. The reference keeps its own
+//! per-host health and occupancy and reads nothing from the cluster it
+//! checks, so the free words the cluster builds from its host-health
+//! record are held to it too; any divergence here is a correctness bug,
+//! not a tuning difference (DESIGN.md §11).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use tpu_core::StaticCluster;
 use tpu_spec::MachineSpec;
 
@@ -32,24 +35,49 @@ fn distinct_orientations(b: (u32, u32, u32)) -> Vec<(u32, u32, u32)> {
     out
 }
 
-/// The pre-OccupancyIndex reference allocator: scan anchors in z/y/x
-/// index order, orientations in the fixed distinct order, and walk every
-/// cell of each candidate box probing health and occupancy directly —
-/// first fit wins, wraparound allowed. Health is read from the real
-/// cluster (both models see identical `set_host_up` sequences);
-/// occupancy is this model's own `in_use`.
+/// The reference allocator the word allocator replaced: scan anchors in
+/// z/y/x index order, orientations in the fixed distinct order, and
+/// walk every cell of each candidate box probing health and occupancy
+/// directly — first fit wins, wraparound allowed. Health is this
+/// model's own set of down (block, host) pairs, fed the same
+/// `set_host_up` calls as the real cluster; occupancy is its own
+/// `in_use`.
 struct NaiveCluster {
     grid: (u32, u32, u32),
+    down: BTreeSet<(u32, u32)>,
     in_use: Vec<bool>,
 }
 
 impl NaiveCluster {
+    fn new(grid: (u32, u32, u32)) -> NaiveCluster {
+        NaiveCluster {
+            grid,
+            down: BTreeSet::new(),
+            in_use: vec![false; (grid.0 * grid.1 * grid.2) as usize],
+        }
+    }
+
+    fn set_host_up(&mut self, block: u32, host: u32, up: bool) {
+        if up {
+            self.down.remove(&(block, host));
+        } else {
+            self.down.insert((block, host));
+        }
+    }
+
+    fn block_healthy(&self, block: u32) -> bool {
+        self.down
+            .range((block, 0)..=(block, u32::MAX))
+            .next()
+            .is_none()
+    }
+
     fn index(&self, x: u32, y: u32, z: u32) -> u32 {
         let (gx, gy, gz) = self.grid;
         (x % gx) + gx * ((y % gy) + gy * (z % gz))
     }
 
-    fn allocate(&mut self, health: &StaticCluster, bbox: (u32, u32, u32)) -> Option<Vec<u32>> {
+    fn allocate(&mut self, bbox: (u32, u32, u32)) -> Option<Vec<u32>> {
         let (gx, gy, gz) = self.grid;
         let orients = distinct_orientations(bbox);
         for z in 0..gz {
@@ -65,7 +93,7 @@ impl NaiveCluster {
                             for dy in 0..by {
                                 for dx in 0..bx {
                                     let i = self.index(x + dx, y + dy, z + dz);
-                                    if !health.block_healthy(i) || self.in_use[i as usize] {
+                                    if !self.block_healthy(i) || self.in_use[i as usize] {
                                         ok = false;
                                         break 'walk;
                                     }
@@ -99,10 +127,7 @@ impl NaiveCluster {
 /// naive reference must agree exactly at every step.
 fn churn(spec: &MachineSpec, seed: u64, ops: u32) {
     let mut real = StaticCluster::for_spec(spec);
-    let mut naive = NaiveCluster {
-        grid: real.grid(),
-        in_use: vec![false; real.blocks() as usize],
-    };
+    let mut naive = NaiveCluster::new(real.grid());
     let (gx, gy, gz) = real.grid();
     let max_edge = gx.max(gy).max(gz);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -110,13 +135,13 @@ fn churn(spec: &MachineSpec, seed: u64, ops: u32) {
 
     for op in 0..ops {
         match rng.random_range(0u32..10) {
-            // Toggle one host's health (both models observe it through
-            // the same BTreeSet, so only the real cluster mutates).
+            // Toggle one host's health on both models.
             0..=3 => {
                 let block = rng.random_range(0..real.blocks());
                 let host = rng.random_range(0..real.hosts_per_block());
                 let up: bool = rng.random();
                 real.set_host_up(block, host, up).unwrap();
+                naive.set_host_up(block, host, up);
             }
             // Try an allocation; shapes deliberately include boxes that
             // cannot fit so the failure paths are compared too.
@@ -139,7 +164,7 @@ fn churn(spec: &MachineSpec, seed: u64, ops: u32) {
                     ),
                 };
                 let got = real.allocate(bbox);
-                let want = naive.allocate(&real, bbox);
+                let want = naive.allocate(bbox);
                 match (got, want) {
                     (Ok(a), Some(b)) => {
                         assert_eq!(
@@ -210,18 +235,16 @@ fn wraparound_boxes_agree_under_adversarial_fragmentation() {
     // pick the identical wrapped anchor.
     let spec = MachineSpec::v4();
     let mut real = StaticCluster::for_spec(&spec);
-    let mut naive = NaiveCluster {
-        grid: real.grid(),
-        in_use: vec![false; real.blocks() as usize],
-    };
+    let mut naive = NaiveCluster::new(real.grid());
     for z in 0..4u32 {
         for y in 0..4u32 {
             for x in [1u32, 2] {
                 real.set_host_up(x + 4 * (y + 4 * z), 0, false).unwrap();
+                naive.set_host_up(x + 4 * (y + 4 * z), 0, false);
             }
         }
     }
     let got = real.allocate((2, 4, 4)).unwrap();
-    let want = naive.allocate(&real, (2, 4, 4)).unwrap();
+    let want = naive.allocate((2, 4, 4)).unwrap();
     assert_eq!(got, want);
 }

@@ -44,6 +44,13 @@ pub enum OcsError {
         /// The offending block.
         block: BlockId,
     },
+    /// The block exists but has no CPU host with this index.
+    UnknownHost {
+        /// The block.
+        block: BlockId,
+        /// The offending host index.
+        host: u32,
+    },
     /// A block chosen for a slice is unhealthy, already in use, or
     /// chosen twice.
     UnhealthyBlock {
@@ -79,6 +86,7 @@ impl fmt::Display for OcsError {
                 shape.0, shape.1, shape.2
             ),
             OcsError::UnknownBlock { block } => write!(f, "block {block} is not in this fabric"),
+            OcsError::UnknownHost { block, host } => write!(f, "block {block} has no host {host}"),
             OcsError::UnhealthyBlock { block } => {
                 write!(f, "block {block} is unhealthy or already taken")
             }
@@ -120,6 +128,10 @@ mod tests {
                 available: 2,
             },
             OcsError::NotBlockAligned { shape: (2, 2, 4) },
+            OcsError::UnknownHost {
+                block: BlockId::new(0),
+                host: 16,
+            },
             OcsError::TwistNotBlockExpressible { offset: 2 },
         ];
         for e in errs {

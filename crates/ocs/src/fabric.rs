@@ -1,7 +1,9 @@
 //! The full OCS fabric: 64 blocks joined by 48 switches, with slice
 //! allocation, twist programming, failure route-around and release.
 
-use crate::block::{face_chip, Block, BlockId, BLOCK_EDGE, LINKS_PER_FACE, TPUS_PER_BLOCK};
+use crate::block::{
+    face_chip, BlockId, HostHealth, BLOCK_EDGE, HOSTS_PER_BLOCK, LINKS_PER_FACE, TPUS_PER_BLOCK,
+};
 use crate::switch::{OcsSwitch, PortId};
 use crate::wiring::{block_port, ocs_index, OCS_COUNT};
 use crate::OcsError;
@@ -138,7 +140,8 @@ impl MaterializedSlice {
 /// The OCS fabric of one TPU v4 supercomputer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fabric {
-    blocks: Vec<Block>,
+    /// Host health of every block.
+    health: HostHealth,
     /// Blocks some slice holds, bit `i` for block `i` (a fabric has at
     /// most 64 blocks).
     in_use: u64,
@@ -152,7 +155,8 @@ pub struct Fabric {
 
 impl Fabric {
     /// The fleet-scale fabric a machine spec describes: one deployed
-    /// block per `fleet_blocks()`. Generations without an OCS layer get
+    /// block per `fleet_blocks()`, with the spec's hosts per block (16
+    /// on v4, 8 on v3). Generations without an OCS layer get
     /// the Palomar switch complement — the fabric then models the §2.7
     /// counterfactual of that fleet behind OCSes, which is what the
     /// cross-generation sweeps compare against.
@@ -162,7 +166,7 @@ impl Fabric {
     /// Panics if the spec's fleet exceeds 64 blocks (the 48-OCS port
     /// budget).
     pub fn for_spec(spec: &MachineSpec) -> Fabric {
-        Fabric::with_blocks(spec.fleet_blocks() as u32)
+        Fabric::new(spec.fleet_blocks() as u32, spec.block.hosts())
     }
 
     /// The fleet-scale fabric of a built-in generation.
@@ -176,14 +180,19 @@ impl Fabric {
         Fabric::for_spec(&spec)
     }
 
-    /// A fabric with a custom number of deployed blocks (≤ 64, since each
-    /// OCS has 128 usable ports; it is also what keeps the blocks in use
-    /// in one word).
+    /// A fabric with a custom number of deployed v4 blocks (16 hosts
+    /// each).
     ///
     /// # Panics
     ///
     /// Panics if `blocks > 64`.
     pub fn with_blocks(blocks: u32) -> Fabric {
+        Fabric::new(blocks, HOSTS_PER_BLOCK)
+    }
+
+    /// A fabric of `blocks` blocks (≤ 64, since each OCS has 128 usable
+    /// ports; it is also what keeps the blocks in use in one word).
+    fn new(blocks: u32, hosts_per_block: u32) -> Fabric {
         let max_blocks =
             (u32::from(tpu_spec::consts::PALOMAR_PORTS - tpu_spec::consts::PALOMAR_SPARE_PORTS)
                 / 2)
@@ -193,7 +202,7 @@ impl Fabric {
             "a {OCS_COUNT}-OCS fabric supports at most {max_blocks} blocks"
         );
         Fabric {
-            blocks: (0..blocks).map(|i| Block::new(BlockId::new(i))).collect(),
+            health: HostHealth::new(blocks as usize, hosts_per_block),
             in_use: 0,
             ocses: (0..OCS_COUNT).map(|_| OcsSwitch::palomar()).collect(),
             deferred_wiring: false,
@@ -241,12 +250,12 @@ impl Fabric {
 
     /// Number of blocks (deployed or not).
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.health.units()
     }
 
     /// Total chips in the fabric.
     pub fn chip_count(&self) -> u64 {
-        self.blocks.len() as u64 * u64::from(TPUS_PER_BLOCK)
+        self.block_count() as u64 * u64::from(TPUS_PER_BLOCK)
     }
 
     /// The switches (48 for a full fabric).
@@ -254,32 +263,28 @@ impl Fabric {
         &self.ocses
     }
 
-    /// A block by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OcsError::UnknownBlock`] for an id outside the fabric.
-    pub fn block(&self, id: BlockId) -> Result<&Block, OcsError> {
-        self.blocks
-            .get(id.index())
-            .ok_or(OcsError::UnknownBlock { block: id })
+    /// Refuses a block id outside the fabric.
+    fn check(&self, id: BlockId) -> Result<(), OcsError> {
+        if id.index() < self.block_count() {
+            Ok(())
+        } else {
+            Err(OcsError::UnknownBlock { block: id })
+        }
     }
 
-    /// Sets the health of one CPU host in one block.
+    /// Sets the health of one CPU host in one block. A block is
+    /// healthy while every one of its hosts is up.
     ///
     /// # Errors
     ///
-    /// Returns [`OcsError::UnknownBlock`] for an id outside the fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host ≥ 16`.
+    /// Returns [`OcsError::UnknownBlock`] for an id outside the fabric
+    /// and [`OcsError::UnknownHost`] for a host index past the block's
+    /// hosts; either refusal changes nothing.
     pub fn set_host_up(&mut self, id: BlockId, host: u32, up: bool) -> Result<(), OcsError> {
-        let block = self
-            .blocks
-            .get_mut(id.index())
-            .ok_or(OcsError::UnknownBlock { block: id })?;
-        block.set_host_up(host, up);
+        self.check(id)?;
+        self.health
+            .set_host_up(id.index(), host, up)
+            .ok_or(OcsError::UnknownHost { block: id, host })?;
         Ok(())
     }
 
@@ -290,12 +295,7 @@ impl Fabric {
 
     /// Healthy, unallocated blocks as a mask, bit `i` for block `i`.
     fn free_mask(&self) -> u64 {
-        let healthy = self
-            .blocks
-            .iter()
-            .filter(|b| b.is_healthy())
-            .fold(0u64, |mask, b| mask | 1 << b.id().index());
-        healthy & !self.in_use
+        self.health.words().first().map_or(0, |w| w & !self.in_use)
     }
 
     /// Allocates and programs a slice from any free healthy blocks
@@ -344,7 +344,7 @@ impl Fabric {
         let free = self.free_mask();
         let mut mask = 0u64;
         for &id in &chosen {
-            self.block(id)?;
+            self.check(id)?;
             let bit = 1u64 << id.index();
             if free & !mask & bit == 0 {
                 return Err(OcsError::UnhealthyBlock { block: id });
@@ -403,7 +403,7 @@ impl Fabric {
             self.ocses[c.ocs].disconnect(c.plus)?;
         }
         for &id in slice.blocks() {
-            self.block(id)?;
+            self.check(id)?;
             self.in_use &= !(1u64 << id.index());
         }
         Ok(())

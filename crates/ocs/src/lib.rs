@@ -2,7 +2,8 @@
 //!
 //! Models §2 of the paper: the Palomar 136-port MEMS OCS ([`OcsSwitch`]),
 //! the 4³ electrically-cabled building block with 16 optical links per face
-//! ([`block`]), the Figure 1 wiring rule that sends each "+/−" face-line
+//! ([`block`]) and the per-host health every fabric keeps of its blocks or
+//! islands ([`HostHealth`]), the Figure 1 wiring rule that sends each "+/−" face-line
 //! pair to a dedicated switch ([`wiring`]), and the full 64-block fabric
 //! that programs 48 OCSes to stitch blocks into regular or twisted tori
 //! ([`Fabric`]). The cost/power envelope of §2.10 is checked in [`cost`].
@@ -31,16 +32,14 @@ pub mod block;
 pub mod cost;
 mod error;
 mod fabric;
-pub mod reconfig;
 mod switch;
 pub mod wiring;
 
-pub use block::{Block, BlockId, HOSTS_PER_BLOCK, TPUS_PER_BLOCK};
+pub use block::{healthy_chips, BlockId, HostHealth, HOSTS_PER_BLOCK, TPUS_PER_BLOCK};
 pub use cost::{CostModel, CostReport};
 pub use error::OcsError;
 pub use fabric::{pick_lowest_blocks, Circuit, Fabric, MaterializedSlice, SliceSpec};
-pub use reconfig::ReconfigPlan;
-pub use switch::{OcsSwitch, PortId, OCS_RECONFIG_MS, PALOMAR_PORTS, PALOMAR_SPARE_PORTS};
+pub use switch::{OcsSwitch, PortId, PALOMAR_PORTS, PALOMAR_SPARE_PORTS};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, OcsError>;

@@ -17,10 +17,6 @@ pub const PALOMAR_PORTS: u16 = tpu_spec::consts::PALOMAR_PORTS;
 /// Spare ports reserved for link testing and repairs.
 pub const PALOMAR_SPARE_PORTS: u16 = tpu_spec::consts::PALOMAR_SPARE_PORTS;
 
-/// MEMS mirror reconfiguration time, milliseconds ("switch in
-/// milliseconds", §2.1).
-pub const OCS_RECONFIG_MS: f64 = tpu_spec::consts::OCS_RECONFIG_MS;
-
 /// A port on an OCS.
 #[derive(
     Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
@@ -166,7 +162,8 @@ impl OcsSwitch {
     }
 
     /// Mirror moves performed since construction (each connect/teardown of
-    /// a live circuit is one reconfiguration, taking [`OCS_RECONFIG_MS`]).
+    /// a live circuit is one reconfiguration, taking
+    /// [`OCS_RECONFIG_MS`](tpu_spec::consts::OCS_RECONFIG_MS)).
     pub fn reconfigurations(&self) -> u64 {
         self.reconfigurations
     }

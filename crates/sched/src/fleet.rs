@@ -24,13 +24,18 @@
 //!   the front of their tier with their remaining work (checkpoint
 //!   semantics).
 //!
-//! The static arm packs contiguous boxes through the production
-//! [`StaticCluster::allocate`]. The two reconfigurable arms admit on
-//! occupancy words, by the rules `Supercomputer::submit` applies to the
-//! model's machine: the OCS plugboard takes the lowest free healthy
-//! blocks through [`tpu_ocs::pick_lowest_blocks`], the pick
-//! `Fabric::allocate` makes, and the switched-island fabric admits a
-//! job while its chips fit in the healthy chips less the busy ones.
+//! Host health lives in one [`HostHealth`] record per run, the record
+//! every fabric keeps: a unit (block or island) is healthy while all of
+//! its hosts are up, and the record's unit health words are what the
+//! arms and the capacity probe read. The static arm packs contiguous
+//! boxes through the production [`StaticCluster::allocate`] on its own
+//! cluster, which is told of every host failure and repair. The two
+//! reconfigurable arms admit on occupancy words, by the rules
+//! `Supercomputer::submit` applies to the model's machine: the OCS
+//! plugboard takes the lowest free healthy blocks through
+//! [`tpu_ocs::pick_lowest_blocks`], the pick `Fabric::allocate` makes,
+//! and the switched-island fabric admits a job while its chips fit in
+//! the healthy chips ([`tpu_ocs::healthy_chips`]) less the busy ones.
 //! The `word_admission` unit test (`fleet/tests/word_admission.rs`)
 //! runs both against `Supercomputer::submit`/`finish` step by step.
 //!
@@ -71,9 +76,7 @@
 //! [`GoodputSim`]: crate::GoodputSim
 //! [`GoodputSim::goodput`]: crate::GoodputSim::goodput
 
-use crate::goodput::{
-    healthy_chips_words, place_reconfigurable_words, place_static_words, slice_geometry,
-};
+use crate::goodput::{place_reconfigurable_words, place_static_words, slice_geometry};
 use crate::model::PlannerModel;
 use crate::slice_mix::SliceMix;
 use crate::trials::{chunk_seed, run_chunks};
@@ -84,7 +87,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use tpu_core::StaticCluster;
-use tpu_ocs::pick_lowest_blocks;
+use tpu_ocs::{healthy_chips, pick_lowest_blocks, HostHealth};
 use tpu_spec::{consts, FabricKind, FleetSpec, MachineSpec};
 use tpu_topology::SliceShape;
 
@@ -588,7 +591,7 @@ type EventHeap = std::collections::BinaryHeap<Reverse<(u64, u8, u64, Ev)>>;
 /// The main fabric arm.
 enum Arm {
     /// Contiguous boxes on a clone of the model's static cluster, which
-    /// learns unit health through the host-0 proxy.
+    /// sees every host failure and repair the engine's record does.
     Fixed(StaticCluster),
     /// The OCS plugboard: a job takes any free healthy blocks. `taken`
     /// holds the blocks running jobs hold, one bit each; the healthy
@@ -597,7 +600,7 @@ enum Arm {
     Plugboard { taken: u64 },
     /// Switched islands behind the fat tree: a job fits while its chips
     /// fit in the healthy chips less the busy ones.
-    Switched { healthy_chips: u64 },
+    Switched,
 }
 
 /// One run's full mutable state.
@@ -616,13 +619,10 @@ struct Engine<'a> {
     queue: EventHeap,
     seq: u64,
     now: f64,
-    down_in_unit: Vec<u32>,
-    up_hosts: u32,
-    healthy_units: u32,
-    /// Live unit health, 64 units to a word: bit `i % 64` of word
-    /// `i / 64` is set ⇔ unit `i` has every host up. The probe and the
-    /// reconfigurable arms read it; unit transitions keep it current.
-    health: Vec<u64>,
+    /// Live host health. The probe and the reconfigurable arms read its
+    /// unit health words; the static arm's cluster keeps an equal
+    /// record.
+    health: HostHealth,
     busy_chips: u64,
     deliverable_chips: u64,
     probe_dirty: bool,
@@ -643,7 +643,6 @@ impl<'a> Engine<'a> {
     fn new(sim: &'a FleetSim, fabric: FabricKind, seed: u64) -> Engine<'a> {
         let profile = &sim.profile;
         let units = sim.model.blocks();
-        let health = all_up(units as usize);
         // The reconfigurable arms admit by the rules of the model's
         // machine, on words: the DES only asks *whether and where* a job
         // fits, never which circuits carry it.
@@ -652,13 +651,7 @@ impl<'a> Engine<'a> {
         } else if sim.model.spec().torus_dims > 0 {
             Arm::Plugboard { taken: 0 }
         } else {
-            Arm::Switched {
-                healthy_chips: healthy_chips_words(
-                    sim.model.reconfigurable_arm(),
-                    &health,
-                    units as usize,
-                ),
-            }
+            Arm::Switched
         };
         let (probe_box, probe_shape, probe_blocks) = slice_geometry(
             sim.model.spec(),
@@ -690,7 +683,6 @@ impl<'a> Engine<'a> {
             done: !profile.arrival_interval_s.is_finite(),
         };
 
-        let hosts = sim.total_hosts() as u32;
         let trace = FleetTrace {
             horizon_s: sim.horizon_s,
             total_chips: sim.total_chips(),
@@ -733,10 +725,7 @@ impl<'a> Engine<'a> {
             queue: EventHeap::new(),
             seq: 0,
             now: 0.0,
-            down_in_unit: vec![0; units as usize],
-            up_hosts: hosts,
-            healthy_units: units,
-            health,
+            health: HostHealth::new(units as usize, sim.model.hosts_per_block()),
             busy_chips: 0,
             deliverable_chips: 0,
             probe_dirty: true,
@@ -790,12 +779,7 @@ impl<'a> Engine<'a> {
                 self.push(residual, Ev::HostFailure { host });
             } else {
                 let residual = self.draw_equilibrium_repair();
-                self.up_hosts -= 1;
-                let unit = host / self.sim.model.hosts_per_block();
-                self.down_in_unit[unit as usize] += 1;
-                if self.down_in_unit[unit as usize] == 1 {
-                    self.set_unit(unit, false);
-                }
+                self.set_host_up(host, false);
                 self.push(residual, Ev::HostRepair { host });
             }
         }
@@ -864,9 +848,10 @@ impl<'a> Engine<'a> {
         let dt = to - self.now;
         if dt > 0.0 {
             self.trace.busy_chip_s += self.busy_chips as f64 * dt;
-            self.trace.up_host_s += f64::from(self.up_hosts) * dt;
-            self.trace.healthy_chip_s +=
-                f64::from(self.healthy_units) * f64::from(self.sim.model.chips_per_block()) * dt;
+            self.trace.up_host_s += f64::from(self.health.up_hosts()) * dt;
+            self.trace.healthy_chip_s += f64::from(self.health.up_units())
+                * f64::from(self.sim.model.chips_per_block())
+                * dt;
             self.trace.deliverable_chip_s += self.deliverable_chips as f64 * dt;
         }
         self.now = to;
@@ -881,14 +866,14 @@ impl<'a> Engine<'a> {
         let placed_blocks = match self.arm {
             Arm::Fixed(_) => place_static_words(
                 self.sim.model.static_arm(),
-                &self.health,
+                self.health.words(),
                 self.probe_box,
                 self.probe_blocks,
             ),
-            Arm::Plugboard { .. } | Arm::Switched { .. } => place_reconfigurable_words(
+            Arm::Plugboard { .. } | Arm::Switched => place_reconfigurable_words(
                 self.sim.model.reconfigurable_arm(),
-                &self.health,
-                self.down_in_unit.len(),
+                self.health.words(),
+                self.health.units(),
                 self.probe_shape,
                 self.probe_blocks,
             ),
@@ -911,24 +896,22 @@ impl<'a> Engine<'a> {
 
     fn host_failure(&mut self, t: f64, host: u32) {
         self.trace.host_failures += 1;
-        self.up_hosts -= 1;
         let repair_at = t + self.draw_repair_time();
         self.push(repair_at, Ev::HostRepair { host });
-        let unit = host / self.sim.model.hosts_per_block();
-        self.down_in_unit[unit as usize] += 1;
+        let unit_down = self.set_host_up(host, false);
         // Recorded before its consequences (kills) so a replayed ledger
         // sees cause before effect.
         self.record(t, TraceKind::HostFailure { host });
         let mut killed = 0;
-        if self.down_in_unit[unit as usize] == 1 {
+        if unit_down {
             // The block (island) crossed healthy -> down: jobs on it die
-            // and re-queue (checkpoint/restore), the arm learns, and the
-            // capacity probe is stale.
-            killed = self.kill_jobs_for_failure(t, unit);
-            self.set_unit(unit, false);
+            // and re-queue (checkpoint/restore), and the capacity probe
+            // is stale.
+            killed = self.kill_jobs_for_failure(t, host / self.sim.model.hosts_per_block());
             // Switched fabrics have no job -> unit pinning; the failure
             // displaces the newest jobs past capacity.
-            if let Arm::Switched { healthy_chips } = self.arm {
+            if let Arm::Switched = self.arm {
+                let healthy_chips = self.switched_healthy_chips();
                 while self.busy_chips > healthy_chips {
                     let Some(slot) = self.newest_running(false) else {
                         break;
@@ -946,14 +929,10 @@ impl<'a> Engine<'a> {
 
     fn host_repair(&mut self, t: f64, host: u32) {
         self.trace.host_repairs += 1;
-        self.up_hosts += 1;
         let fail_at = t + self.draw_up_time();
         self.push(fail_at, Ev::HostFailure { host });
-        let unit = host / self.sim.model.hosts_per_block();
-        self.down_in_unit[unit as usize] -= 1;
-        let recovered = self.down_in_unit[unit as usize] == 0;
+        let recovered = self.set_host_up(host, true);
         if recovered {
-            self.set_unit(unit, true);
             self.probe_dirty = true;
         }
         self.record(t, TraceKind::HostRepair { host });
@@ -988,7 +967,7 @@ impl<'a> Engine<'a> {
         let request = job.request;
         let offerable = match &self.arm {
             Arm::Fixed(cluster) => cluster.fits(request.blocks_box),
-            Arm::Plugboard { .. } | Arm::Switched { .. } => request.chips <= self.sim.total_chips(),
+            Arm::Plugboard { .. } | Arm::Switched => request.chips <= self.sim.total_chips(),
         };
         self.record(t, TraceKind::Arrival { job: idx });
         if !offerable {
@@ -1190,12 +1169,15 @@ impl<'a> Engine<'a> {
             Arm::Fixed(cluster) => Hold::Blocks(cluster.allocate(request.blocks_box).ok()?),
             Arm::Plugboard { taken } => {
                 let needed = Request::blocks_in(request.blocks_box) as usize;
-                let mask = pick_lowest_blocks(self.health[0] & !*taken, needed)?;
+                let mask = pick_lowest_blocks(self.health.words()[0] & !*taken, needed)?;
                 *taken |= mask;
                 Hold::Mask(mask)
             }
-            Arm::Switched { healthy_chips } => {
-                if request.chips > healthy_chips.saturating_sub(self.busy_chips) {
+            Arm::Switched => {
+                let free = self
+                    .switched_healthy_chips()
+                    .saturating_sub(self.busy_chips);
+                if request.chips > free {
                     return None;
                 }
                 Hold::Chips
@@ -1210,46 +1192,42 @@ impl<'a> Engine<'a> {
         match (&mut self.arm, hold) {
             (Arm::Fixed(cluster), Hold::Blocks(blocks)) => cluster.release(&blocks),
             (Arm::Plugboard { taken }, Hold::Mask(mask)) => *taken &= !mask,
-            (Arm::Switched { .. }, Hold::Chips) => {}
+            (Arm::Switched, Hold::Chips) => {}
             _ => unreachable!("hold kind always matches the arm"),
         }
         self.busy_chips -= chips;
     }
 
-    /// Records one block's (island's) health transition: in the health
-    /// words, in the switched arm's healthy chips, and on the static
-    /// arm's cluster through a host-0 proxy (host 0 of the unit fails
-    /// or is repaired), so every arm sees exactly the block health the
-    /// probe measures.
-    fn set_unit(&mut self, unit: u32, healthy: bool) {
-        let (word, bit) = (&mut self.health[unit as usize / 64], 1u64 << (unit % 64));
-        if healthy {
-            *word |= bit;
-            self.healthy_units += 1;
-        } else {
-            *word &= !bit;
-            self.healthy_units -= 1;
+    /// Marks one host (a global index, `unit * hosts_per_unit +
+    /// host_in_unit`) up or down in the health record, and on the static
+    /// arm in its cluster too, so every arm sees exactly the unit health
+    /// the probe measures. Returns whether the host's unit crossed
+    /// between healthy and down.
+    fn set_host_up(&mut self, host: u32, up: bool) -> bool {
+        let hosts = self.sim.model.hosts_per_block();
+        let (unit, in_unit) = (host / hosts, host % hosts);
+        if let Arm::Fixed(cluster) = &mut self.arm {
+            cluster
+                .set_host_up(unit, in_unit, up)
+                .expect("host indices are in range"); // tpu-lint: allow(panic-policy) -- unreachable: host indices are in range
         }
-        match &mut self.arm {
-            Arm::Fixed(cluster) => {
-                cluster
-                    .set_host_up(unit, 0, healthy)
-                    .expect("unit indices are in range"); // tpu-lint: allow(panic-policy) -- unreachable: unit indices are in range
-            }
-            Arm::Plugboard { .. } => {}
-            Arm::Switched { healthy_chips } => {
-                *healthy_chips = healthy_chips_words(
-                    self.sim.model.reconfigurable_arm(),
-                    &self.health,
-                    self.down_in_unit.len(),
-                );
-            }
-        }
+        self.health.set_host_up(unit as usize, in_unit, up) == Some(true)
+    }
+
+    /// The switched arm's healthy chips: the chips on the islands the
+    /// health words mark up, the last island partial.
+    fn switched_healthy_chips(&self) -> u64 {
+        healthy_chips(
+            self.health.words(),
+            self.health.units(),
+            u64::from(self.sim.model.chips_per_block()),
+            self.sim.model.spec().fleet_chips,
+        )
     }
 
     fn record(&mut self, t: f64, kind: TraceKind) {
         if self.sim.record_events {
-            let down_hosts = self.sim.total_hosts() as u32 - self.up_hosts;
+            let down_hosts = self.sim.total_hosts() as u32 - self.health.up_hosts();
             self.trace.log.push(TraceEvent {
                 t,
                 kind,
@@ -1270,15 +1248,6 @@ impl<'a> Engine<'a> {
 enum EvictReason {
     Preempted,
     FailureKill,
-}
-
-/// Health words of `units` units, all up: bits past the last unit clear.
-fn all_up(units: usize) -> Vec<u64> {
-    let mut words = vec![u64::MAX; units / 64];
-    if !units.is_multiple_of(64) {
-        words.push(u64::MAX >> (64 - units % 64));
-    }
-    words
 }
 
 fn tier_of(production: bool) -> usize {

@@ -49,15 +49,16 @@ fn row_of(model: &PlannerModel, units: u32) -> Request {
 }
 
 /// The plugboard and switched arms admit on words (`admit`,
-/// `release`, `set_unit`). A seeded script of unit failures and
-/// repairs, Table 2 placements, placements sized to the free
-/// capacity, and releases runs through them and through the code
-/// they replaced, `Supercomputer::submit`/`finish` with deferred
-/// wiring and the host-0 proxy, on every committed spec's
-/// reconfigurable arm and on two switched fleets with a partial last
-/// island. Every step must accept or refuse alike, and every
-/// plugboard job must hold the blocks the fabric gave it, which are
-/// the lowest-indexed blocks with every host up that no job holds.
+/// `release`, `set_host_up`). A seeded script of unit failures and
+/// repairs (host 0 of the unit), Table 2 placements, placements sized
+/// to the free capacity, and releases runs through them and through
+/// the code they replaced, `Supercomputer::submit`/`finish` with
+/// deferred wiring, on every committed spec's reconfigurable arm and
+/// on two switched fleets with a partial last island. Every step must
+/// accept or refuse alike, and every plugboard job must hold the blocks
+/// the fabric gave it, which must also be the lowest-indexed blocks
+/// that the script's own list of down units and the machine's job
+/// table leave free.
 #[test]
 fn word_admission_decides_like_the_supercomputer() {
     let mut fleets = committed_specs();
@@ -84,7 +85,12 @@ fn word_admission_decides_like_the_supercomputer() {
         };
         let mut engine = Engine::new(&sim, fabric, 11);
         let units = model.blocks();
-        assert_eq!(engine.healthy_units, units, "{name}: every unit starts up");
+        let hosts = model.hosts_per_block();
+        assert_eq!(
+            engine.health.up_units(),
+            units,
+            "{name}: every unit starts up"
+        );
         let mut machine = model.reconfigurable_arm().clone();
         machine.set_deferred_wiring(true);
         let mut rng = StdRng::seed_from_u64(0xAD_3175);
@@ -94,18 +100,21 @@ fn word_admission_decides_like_the_supercomputer() {
         for step in 0..2_000 {
             let roll = rng.random::<f64>();
             if roll < 0.5 {
-                // The reference view of free capacity: per-block host
-                // flags and the machine's own job table.
-                let lowest: Vec<BlockId> = machine.fabric().map_or_else(Vec::new, |f| {
+                // The reference view of free capacity: the script's own
+                // down units and the machine's job table.
+                let lowest: Vec<BlockId> = if switched {
+                    Vec::new()
+                } else {
                     let held: Vec<BlockId> = machine
                         .jobs()
                         .flat_map(|j| j.slice().unwrap().blocks().to_vec())
                         .collect();
                     (0..units)
+                        .filter(|u| !down.contains(u))
                         .map(BlockId::new)
-                        .filter(|b| f.block(*b).unwrap().is_healthy() && !held.contains(b))
+                        .filter(|b| !held.contains(b))
                         .collect()
-                });
+                };
                 let request = if roll < 0.4 {
                     Request::for_shape(model, mix.sample(&mut rng).shape, false)
                 } else {
@@ -153,13 +162,13 @@ fn word_admission_decides_like_the_supercomputer() {
                 let unit = rng.random_range(0..units);
                 if !down.contains(&unit) {
                     machine.inject_host_failure(BlockId::new(unit), 0).unwrap();
-                    engine.set_unit(unit, false);
+                    assert!(engine.set_host_up(unit * hosts, false), "{name}");
                     down.push(unit);
                 }
             } else {
                 let unit = down.swap_remove(rng.random_range(0..down.len()));
                 machine.repair_host(BlockId::new(unit), 0).unwrap();
-                engine.set_unit(unit, true);
+                assert!(engine.set_host_up(unit * hosts, true), "{name}");
             }
             assert_eq!(
                 engine.busy_chips,

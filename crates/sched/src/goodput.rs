@@ -29,6 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tpu_core::{StaticCluster, Supercomputer};
+use tpu_ocs::healthy_chips;
 use tpu_spec::{FabricKind, Generation, MachineSpec};
 use tpu_topology::{most_cubic_box, SliceShape};
 
@@ -376,7 +377,8 @@ pub fn place_reconfigurable(
 }
 
 /// [`place_reconfigurable`] over health words ([`health_words`]) of
-/// `units` units.
+/// `units` units: the chips on the healthy units ([`healthy_chips`],
+/// the last island partial) over the slice's chips.
 pub(crate) fn place_reconfigurable_words(
     machine: &Supercomputer,
     health: &[u64],
@@ -384,29 +386,13 @@ pub(crate) fn place_reconfigurable_words(
     shape: SliceShape,
     blocks_needed: u32,
 ) -> u32 {
-    (healthy_chips_words(machine, health, units) / shape.volume()) as u32 * blocks_needed
-}
-
-/// The chips on the units that health words ([`health_words`]) of
-/// `units` units mark up, on a reconfigurable `machine`: popcounts give
-/// the healthy units, and the last unit's bit decides the partial-island
-/// shortfall. Also the healthy capacity the fleet DES admits switched
-/// jobs against.
-pub(crate) fn healthy_chips_words(machine: &Supercomputer, health: &[u64], units: usize) -> u64 {
     let total = machine.total_chips();
     let unit_chips = machine
         .switched()
         .map_or(total / (units as u64).max(1), |c| {
             u64::from(c.island_chips())
         });
-    let up: u64 = health.iter().map(|w| u64::from(w.count_ones())).sum();
-    let last_up = units > 0 && health[(units - 1) / 64] >> ((units - 1) % 64) & 1 == 1;
-    let last_shortfall = if last_up {
-        units as u64 * unit_chips - total
-    } else {
-        0
-    };
-    up * unit_chips - last_shortfall
+    (healthy_chips(health, units, unit_chips, total) / shape.volume()) as u32 * blocks_needed
 }
 
 /// One trial of the statically-cabled arm: the blocks that greedy
@@ -781,8 +767,8 @@ mod tests {
         healthy[3] = false;
         let placed = place_static(&cluster, &healthy, (2, 2, 2), 8);
         assert!(placed > 0);
-        assert!(!cluster.block_healthy(3));
         assert_eq!(cluster, before);
+        assert_eq!(cluster.healthy_chips(), 63 * 64);
     }
 
     #[test]
