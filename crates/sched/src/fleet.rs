@@ -53,14 +53,22 @@
 //!
 //! The job stream is drawn lazily — one job ahead of the newest
 //! arrival — and after that a job lives only in its queue entry or its
-//! running entry, each carrying the job's request. Running entries
-//! drop when the job ends or is evicted, so memory tracks live jobs,
-//! not the horizon. An arriving job runs a scheduling pass only when
-//! it becomes the head of its tier queue: behind a head that was just
-//! refused, a pass could not place anything. A running plugboard job
-//! holds its blocks as a mask, so admission, release and failure kills
-//! on the reconfigurable arms are a few word operations, with no
-//! machine cloned and nothing allocated per placement. The
+//! running entry. Job `k` owns outputs `4k` to `4k + 3` of the jobs
+//! stream (gap, Table 2 row, duration, tier), so an entry names the
+//! job's index and row, the row's request comes from a table built per
+//! run, and the tier is the queue the entry waits in. A job that has
+//! not run yet waits in a 16-byte entry, and its duration is redrawn
+//! from its counter when it is placed; an evicted job's remainder waits
+//! on a per-tier stack served first, which is where a re-queue at the
+//! front of the FIFO would put it. On the static arm of a saturated
+//! month nearly every arrival is still queued at the horizon, so the
+//! entry size sets the run's peak memory. Running entries drop when
+//! the job ends or is evicted. An arriving job runs a scheduling pass
+//! only when it becomes the head of its tier queue: behind a head that
+//! was just refused, a pass could not place anything. A running
+//! plugboard job holds its blocks as a mask, so admission, release and
+//! failure kills on the reconfigurable arms are a few word operations,
+//! with no machine cloned and nothing allocated per placement. The
 //! `fleet_golden` fixtures pin the traces of every committed spec.
 //!
 //! # Proven against the closed forms
@@ -496,21 +504,21 @@ impl Ev {
     }
 }
 
-/// What a job asks of the fabric. It is copied into the job's queue
-/// and running entries, so the engine keeps no other record of a job.
+/// What a job asks of the fabric: its Table 2 row's shape in whole
+/// units. The engine builds one per row (`Engine::rows`), so a job names
+/// its row, and its tier is the queue it waits in.
 #[derive(Clone, Copy)]
 struct Request {
     /// The box in blocks (islands), what the static arm places.
     blocks_box: (u32, u32, u32),
     chips: u64,
-    production: bool,
 }
 
 impl Request {
     /// The request for a chip shape on the model's units. Geometric
     /// blocks take the shape's box rounded up to whole blocks;
     /// geometry-less islands take a run of whole islands, at least one.
-    fn for_shape(model: &PlannerModel, shape: SliceShape, production: bool) -> Request {
+    fn for_shape(model: &PlannerModel, shape: SliceShape) -> Request {
         let edge = model.spec().block.edge.max(1);
         let chips_per_unit = u64::from(model.chips_per_block());
         let blocks_box = if u64::from(edge).pow(3) == chips_per_unit {
@@ -526,7 +534,6 @@ impl Request {
         Request {
             blocks_box,
             chips: Request::blocks_in(blocks_box) * chips_per_unit,
-            production,
         }
     }
 
@@ -536,11 +543,12 @@ impl Request {
     }
 }
 
-/// One drawn job.
+/// One drawn job: what arrives. Its duration is left in the stream
+/// until the job is placed ([`Engine::fresh_duration`]).
 struct DrawnJob {
     arrival: f64,
-    duration: f64,
-    request: Request,
+    row: u8,
+    production: bool,
 }
 
 /// The lazy job-stream state: the dedicated jobs RNG plus the one job
@@ -548,20 +556,87 @@ struct DrawnJob {
 /// always be scheduled.
 struct JobDraw {
     rng: StdRng,
+    /// The seed `rng` was made from, so any output can be redrawn.
+    seed: u64,
     mix: SliceMix,
     next: Option<DrawnJob>,
     t: f64,
     done: bool,
 }
 
-/// A queued placement request (initially the drawn job; after a
-/// preemption or failure kill, the remainder of it). It carries the
-/// job's request, so the queue is the only record of a waiting job.
-struct Queued {
+/// A job: its index in the arrival stream and its Table 2 row.
+#[derive(Clone, Copy)]
+struct Job {
     idx: u32,
-    request: Request,
+    row: u8,
+}
+
+/// A queued job that has not run yet. It queued when it arrived, and
+/// its duration is redrawn when it is placed.
+#[derive(Clone, Copy)]
+struct Fresh {
+    job: Job,
+    arrival: f64,
+}
+
+// A saturated month leaves about a million fresh jobs waiting.
+const _: () = assert!(std::mem::size_of::<Fresh>() == 16);
+
+/// What is left of an evicted job (checkpoint semantics), queued again.
+#[derive(Clone, Copy)]
+struct Remainder {
+    job: Job,
     remaining: f64,
     enqueued_t: f64,
+}
+
+/// The head of a tier queue.
+#[derive(Clone, Copy)]
+enum Waiting {
+    Remainder(Remainder),
+    Fresh(Fresh),
+}
+
+impl Waiting {
+    fn job(self) -> Job {
+        match self {
+            Waiting::Remainder(r) => r.job,
+            Waiting::Fresh(f) => f.job,
+        }
+    }
+}
+
+/// One tier's FIFO queue. An eviction re-queues its remainder at the
+/// front and an arrival queues at the back, so the remainders are
+/// always the front of the queue, newest first: a stack served before
+/// the fresh jobs. The queue is the only record of a waiting job.
+#[derive(Default)]
+struct TierQueue {
+    remainders: Vec<Remainder>,
+    fresh: VecDeque<Fresh>,
+}
+
+impl TierQueue {
+    fn head(&self) -> Option<Waiting> {
+        match self.remainders.last() {
+            Some(&r) => Some(Waiting::Remainder(r)),
+            None => self.fresh.front().map(|&f| Waiting::Fresh(f)),
+        }
+    }
+
+    fn pop_head(&mut self) {
+        if self.remainders.pop().is_none() {
+            self.fresh.pop_front();
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.remainders.len() + self.fresh.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.remainders.is_empty() && self.fresh.is_empty()
+    }
 }
 
 /// What a placed job holds on its fabric arm.
@@ -574,10 +649,10 @@ enum Hold {
     Chips,
 }
 
-/// A running (placed) job, with the request it re-queues on eviction.
+/// A running (placed) job, with what it re-queues on eviction.
 struct Running {
-    idx: u32,
-    request: Request,
+    job: Job,
+    production: bool,
     hold: Hold,
     placed_t: f64,
     reconfig_s: f64,
@@ -615,6 +690,8 @@ struct Engine<'a> {
     mttr_s: f64,
     slo_s: Option<f64>,
     draw: JobDraw,
+    /// The request of each Table 2 row, indexed by `Job::row`.
+    rows: Vec<Request>,
     health_rng: StdRng,
     queue: EventHeap,
     seq: u64,
@@ -630,7 +707,7 @@ struct Engine<'a> {
     /// slot order is placement order; slots are never reused, so a
     /// stale `JobEnd` (its job was evicted meanwhile) finds no entry.
     running: BTreeMap<u32, Running>,
-    queues: [VecDeque<Queued>; 2],
+    queues: [TierQueue; 2],
     preempt_exhausted: bool,
     trace: FleetTrace,
 }
@@ -673,11 +750,20 @@ impl<'a> Engine<'a> {
         };
 
         // The job stream draws on its own RNG stream: Poisson arrivals
-        // over the slice mix, exponential durations, Bernoulli tier
-        // draws (`draw_next_job`), one job ahead of the newest arrival.
+        // over the slice mix and Bernoulli tier draws one job ahead of
+        // the newest arrival (`draw_next_job`), exponential durations
+        // when a job is first placed (`fresh_duration`).
+        let jobs_seed = chunk_seed(seed, STREAM_JOBS);
+        let mix = SliceMix::table2();
+        let rows = mix
+            .entries()
+            .iter()
+            .map(|e| Request::for_shape(&sim.model, e.shape))
+            .collect();
         let draw = JobDraw {
-            rng: StdRng::seed_from_u64(chunk_seed(seed, STREAM_JOBS)),
-            mix: SliceMix::table2(),
+            rng: StdRng::seed_from_u64(jobs_seed),
+            seed: jobs_seed,
+            mix,
             next: None,
             t: 0.0,
             done: !profile.arrival_interval_s.is_finite(),
@@ -721,6 +807,7 @@ impl<'a> Engine<'a> {
             mttr_s: profile.mttr_h * 3600.0,
             slo_s: profile.repair_slo_h.map(|s| s * 3600.0),
             draw,
+            rows,
             health_rng: StdRng::seed_from_u64(chunk_seed(seed, STREAM_HEALTH)),
             queue: EventHeap::new(),
             seq: 0,
@@ -730,7 +817,7 @@ impl<'a> Engine<'a> {
             deliverable_chips: 0,
             probe_dirty: true,
             running: BTreeMap::new(),
-            queues: [VecDeque::new(), VecDeque::new()],
+            queues: [TierQueue::default(), TierQueue::default()],
             preempt_exhausted: false,
             trace,
         };
@@ -739,29 +826,45 @@ impl<'a> Engine<'a> {
         engine
     }
 
-    /// Draws the next job from the job stream into `draw.next`: the
-    /// gap, shape, duration and tier draws, in that order. A gap
-    /// crossing the horizon ends the stream having consumed only the
-    /// gap draw. Sub-unit requests round up to one block/island.
+    /// Draws the next job from the job stream into `draw.next`. Job `k`
+    /// owns outputs `4k` to `4k + 3` of the stream: its gap, row,
+    /// duration and tier draws, in that order. The row draw reads one
+    /// output (`SliceMix::sample_index`), and the duration is stepped
+    /// over here and redrawn at placement ([`Engine::fresh_duration`]).
+    /// A gap crossing the horizon ends the stream having consumed only
+    /// the gap draw.
     fn draw_next_job(&mut self) {
         if self.draw.done {
             return;
         }
-        let profile = &self.sim.profile;
         let rng = &mut self.draw.rng;
-        self.draw.t += -profile.arrival_interval_s * (1.0 - rng.random::<f64>()).ln();
+        self.draw.t += -self.sim.profile.arrival_interval_s * (1.0 - rng.random::<f64>()).ln();
         if self.draw.t >= self.sim.horizon_s {
             self.draw.done = true;
             return;
         }
-        let shape = self.draw.mix.sample(rng).shape;
-        let duration = -profile.mean_duration_s * (1.0 - rng.random::<f64>()).ln();
+        // Table 2 has 30 rows.
+        let row = self.draw.mix.sample_index(rng) as u8;
+        // Output 4k + 2, the duration.
+        let _ = rng.random::<u64>();
         let production = rng.random::<f64>() < PRODUCTION_SHARE;
         self.draw.next = Some(DrawnJob {
             arrival: self.draw.t,
-            duration,
-            request: Request::for_shape(&self.sim.model, shape, production),
+            row,
+            production,
         });
+    }
+
+    /// What a job asks of the fabric: its row's request.
+    fn request(&self, job: Job) -> Request {
+        self.rows[usize::from(job.row)]
+    }
+
+    /// The duration of job `idx`, redrawn from output `4·idx + 2` of the
+    /// jobs stream: exponential with the profile's mean.
+    fn fresh_duration(&self, idx: u32) -> f64 {
+        let mut rng = StdRng::seed_from_u64_at(self.draw.seed, 4 * u64::from(idx) + 2);
+        -self.sim.profile.mean_duration_s * (1.0 - rng.random::<f64>()).ln()
     }
 
     /// Draws every host's initial state from the *stationary*
@@ -944,9 +1047,14 @@ impl<'a> Engine<'a> {
         let Some(running) = self.running.remove(&slot) else {
             return;
         };
-        self.release(running.hold, running.request.chips);
+        self.release(running.hold, self.request(running.job).chips);
         self.trace.completions += 1;
-        self.record(t, TraceKind::Completed { job: running.idx });
+        self.record(
+            t,
+            TraceKind::Completed {
+                job: running.job.idx,
+            },
+        );
         self.pass(t, true);
     }
 
@@ -964,7 +1072,7 @@ impl<'a> Engine<'a> {
             let at = next.arrival;
             self.push(at, Ev::JobArrival { idx: idx + 1 });
         }
-        let request = job.request;
+        let request = self.rows[usize::from(job.row)];
         let offerable = match &self.arm {
             Arm::Fixed(cluster) => cluster.fits(request.blocks_box),
             Arm::Plugboard { .. } | Arm::Switched => request.chips <= self.sim.total_chips(),
@@ -975,13 +1083,11 @@ impl<'a> Engine<'a> {
             self.record(t, TraceKind::Rejected { job: idx });
             return;
         }
-        let queue = &mut self.queues[tier_of(request.production)];
+        let queue = &mut self.queues[tier_of(job.production)];
         let becomes_head = queue.is_empty();
-        queue.push_back(Queued {
-            idx,
-            request,
-            remaining: job.duration,
-            enqueued_t: t,
+        queue.fresh.push_back(Fresh {
+            job: Job { idx, row: job.row },
+            arrival: t,
         });
         // A job that queues behind an existing head cannot change the
         // pass's outcome, so it runs no pass. Every handler ends with a
@@ -1008,8 +1114,8 @@ impl<'a> Engine<'a> {
         }
         loop {
             let mut progressed = false;
-            while let Some(head) = self.queues[PRODUCTION].front() {
-                let chips = head.request.chips;
+            while let Some(head) = self.queues[PRODUCTION].head() {
+                let chips = self.request(head.job()).chips;
                 if self.try_place_head(t, PRODUCTION) {
                     progressed = true;
                     continue;
@@ -1024,12 +1130,8 @@ impl<'a> Engine<'a> {
                 }
                 break;
             }
-            while let Some(_head) = self.queues[BEST_EFFORT].front() {
-                if self.try_place_head(t, BEST_EFFORT) {
-                    progressed = true;
-                } else {
-                    break;
-                }
+            while self.try_place_head(t, BEST_EFFORT) {
+                progressed = true;
             }
             if !progressed {
                 break;
@@ -1057,7 +1159,7 @@ impl<'a> Engine<'a> {
         self.running
             .iter()
             .rev()
-            .find(|(_, r)| !best_effort_only || !r.request.production)
+            .find(|(_, r)| !best_effort_only || !r.production)
             .map(|(&slot, _)| slot)
     }
 
@@ -1090,40 +1192,52 @@ impl<'a> Engine<'a> {
     /// compute already done is kept). Returns the chips freed.
     fn evict(&mut self, t: f64, slot: u32, reason: EvictReason) -> u64 {
         let running = self.running.remove(&slot).expect("evicting a running job"); // tpu-lint: allow(panic-policy) -- unreachable: callers pass running slots
-        self.release(running.hold, running.request.chips);
+        let job = running.job;
+        let chips = self.request(job).chips;
+        self.release(running.hold, chips);
         let compute_done = (t - running.placed_t - running.reconfig_s).max(0.0);
         let remaining = (running.remaining_at_start - compute_done).max(0.0);
         let kind = match reason {
             EvictReason::Preempted => {
                 self.trace.preemptions += 1;
-                TraceKind::Preempted { job: running.idx }
+                TraceKind::Preempted { job: job.idx }
             }
             EvictReason::FailureKill => {
                 self.trace.failure_kills += 1;
-                TraceKind::FailureKill { job: running.idx }
+                TraceKind::FailureKill { job: job.idx }
             }
         };
-        self.queues[tier_of(running.request.production)].push_front(Queued {
-            idx: running.idx,
-            request: running.request,
-            remaining,
-            enqueued_t: t,
-        });
+        self.queues[tier_of(running.production)]
+            .remainders
+            .push(Remainder {
+                job,
+                remaining,
+                enqueued_t: t,
+            });
         self.record(t, kind);
-        running.request.chips
+        chips
     }
 
     /// Tries to place the head of one tier queue; on success pops it,
-    /// schedules its end, and accounts the wait.
+    /// schedules its end, and accounts the wait. A fresh job's duration
+    /// is drawn here.
     fn try_place_head(&mut self, t: f64, tier: usize) -> bool {
-        let request = self.queues[tier].front().expect("caller checked").request; // tpu-lint: allow(panic-policy) -- unreachable: caller checked
+        let Some(head) = self.queues[tier].head() else {
+            return false;
+        };
+        let job = head.job();
+        let request = self.request(job);
         let Some(hold) = self.admit(request) else {
             return false;
         };
-        let queued = self.queues[tier].pop_front().expect("caller checked"); // tpu-lint: allow(panic-policy) -- unreachable: caller checked
+        self.queues[tier].pop_head();
+        let (remaining, enqueued_t) = match head {
+            Waiting::Remainder(r) => (r.remaining, r.enqueued_t),
+            Waiting::Fresh(f) => (self.fresh_duration(job.idx), f.arrival),
+        };
         let chips = request.chips;
         let slot = self.trace.placements as u32;
-        let wait = t - queued.enqueued_t;
+        let wait = t - enqueued_t;
         self.trace.placements += 1;
         if tier == PRODUCTION {
             self.trace.placements_production += 1;
@@ -1136,22 +1250,22 @@ impl<'a> Engine<'a> {
         self.running.insert(
             slot,
             Running {
-                idx: queued.idx,
-                request,
+                job,
+                production: tier == PRODUCTION,
                 hold,
                 placed_t: t,
                 reconfig_s: self.reconfig_s,
-                remaining_at_start: queued.remaining,
+                remaining_at_start: remaining,
             },
         );
-        let end_at = t + self.reconfig_s + queued.remaining;
+        let end_at = t + self.reconfig_s + remaining;
         self.push(end_at, Ev::JobEnd { slot });
         self.record(
             t,
             TraceKind::Placed {
-                job: queued.idx,
+                job: job.idx,
                 chips,
-                production: request.production,
+                production: tier == PRODUCTION,
             },
         );
         true
@@ -1238,8 +1352,7 @@ impl<'a> Engine<'a> {
     }
 
     fn into_trace(mut self) -> FleetTrace {
-        self.trace.left_in_queue =
-            (self.queues[PRODUCTION].len() + self.queues[BEST_EFFORT].len()) as u64;
+        self.trace.left_in_queue = self.queues.iter().map(|q| q.len() as u64).sum();
         self.trace
     }
 }
@@ -1384,6 +1497,60 @@ mod tests {
                 );
             }
             check(&ocs, &fixed);
+        }
+    }
+
+    /// Job `k` owns outputs `4k` to `4k + 3` of the jobs stream: the
+    /// gap, row, duration and tier read in sequence equal the ones drawn
+    /// at those counters, the engine's one-ahead draw reads the same
+    /// job, and a fresh job's redrawn duration is the sequence's. A row
+    /// draw that read more or fewer than one output would move every
+    /// later job off its counters.
+    #[test]
+    fn job_k_owns_outputs_4k_to_4k_plus_3() {
+        let (interval, mean) = (2.5, 17.0);
+        let sim = FleetSim::for_spec(&MachineSpec::v4(), 1.0e9, 2023).with_profile(FleetSpec {
+            arrival_interval_s: interval,
+            mean_duration_s: mean,
+            ..FleetSpec::reference()
+        });
+        let mut engine = Engine::new(&sim, FabricKind::Ocs, 2023);
+        let seed = engine.draw.seed;
+        let at = |n: u64| StdRng::seed_from_u64_at(seed, n);
+        let mix = SliceMix::table2();
+        let mut sequence = StdRng::seed_from_u64(seed);
+        let mut t = 0.0;
+        for k in 0..10_000u32 {
+            let n = 4 * u64::from(k);
+            let gap = sequence.random::<f64>();
+            let row = mix.sample_index(&mut sequence);
+            let duration = sequence.random::<f64>();
+            let tier = sequence.random::<f64>();
+            assert_eq!(gap.to_bits(), at(n).random::<f64>().to_bits(), "job {k}");
+            assert_eq!(row, mix.sample_index(&mut at(n + 1)), "job {k}");
+            assert_eq!(
+                duration.to_bits(),
+                at(n + 2).random::<f64>().to_bits(),
+                "job {k}"
+            );
+            assert_eq!(
+                tier.to_bits(),
+                at(n + 3).random::<f64>().to_bits(),
+                "job {k}"
+            );
+
+            let drawn = engine.draw.next.take().unwrap();
+            t += -interval * (1.0 - gap).ln();
+            assert_eq!(drawn.arrival.to_bits(), t.to_bits(), "job {k}");
+            assert_eq!(usize::from(drawn.row), row, "job {k}");
+            assert_eq!(drawn.production, tier < PRODUCTION_SHARE, "job {k}");
+            let expect = -mean * (1.0 - duration).ln();
+            assert_eq!(
+                engine.fresh_duration(k).to_bits(),
+                expect.to_bits(),
+                "job {k}"
+            );
+            engine.draw_next_job();
         }
     }
 

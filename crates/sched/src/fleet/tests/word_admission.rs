@@ -45,7 +45,7 @@ fn row_of(model: &PlannerModel, units: u32) -> Request {
     } else {
         SliceShape::new(1, 1, model.chips_per_block() * units)
     };
-    Request::for_shape(model, shape.unwrap(), false)
+    Request::for_shape(model, shape.unwrap())
 }
 
 /// The plugboard and switched arms admit on words (`admit`,
@@ -116,7 +116,7 @@ fn word_admission_decides_like_the_supercomputer() {
                         .collect()
                 };
                 let request = if roll < 0.4 {
-                    Request::for_shape(model, mix.sample(&mut rng).shape, false)
+                    Request::for_shape(model, mix.sample(&mut rng).shape)
                 } else {
                     // The free capacity, give or take a unit: on a
                     // partial last island only the exact shortfall

@@ -31,6 +31,8 @@ pub struct SliceUsage {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SliceMix {
     entries: Vec<SliceUsage>,
+    /// The sum of the rows' shares, in row order.
+    total: f64,
 }
 
 impl SliceMix {
@@ -42,46 +44,48 @@ impl SliceMix {
             choice,
             share: pct / 100.0,
         };
+        let entries = vec![
+            // Sub-4³ slices (2D meshes).
+            mk(1, 1, 1, Regular, 2.1),
+            mk(1, 1, 2, Regular, 0.4),
+            mk(1, 2, 2, Regular, 6.7),
+            mk(2, 2, 2, Regular, 4.7),
+            mk(2, 2, 4, Regular, 6.4),
+            mk(2, 4, 4, Regular, 8.9),
+            // 64.
+            mk(4, 4, 4, Regular, 13.9),
+            // 128–192.
+            mk(4, 4, 8, Twisted, 16.0),
+            mk(4, 4, 8, Regular, 1.5),
+            mk(4, 4, 12, Regular, 0.7),
+            // 256–384.
+            mk(4, 8, 8, Twisted, 9.2),
+            mk(4, 8, 8, Regular, 1.5),
+            mk(4, 4, 16, Regular, 1.0),
+            mk(4, 8, 12, Regular, 0.1),
+            // 512–768.
+            mk(8, 8, 8, Regular, 9.6),
+            mk(4, 8, 16, Regular, 1.7),
+            mk(4, 4, 32, Regular, 0.6),
+            mk(8, 8, 12, Regular, 0.7),
+            // 1024–1536.
+            mk(8, 8, 16, Twisted, 1.8),
+            mk(8, 8, 16, Regular, 1.4),
+            mk(4, 16, 16, Regular, 0.3),
+            mk(4, 4, 64, Regular, 0.1),
+            mk(4, 8, 32, Regular, 0.1),
+            mk(8, 12, 16, Regular, 0.1),
+            mk(4, 4, 96, Regular, 0.1),
+            mk(8, 8, 24, Regular, 0.1),
+            // 2048–3072.
+            mk(8, 16, 16, Twisted, 1.4),
+            mk(8, 16, 16, Regular, 0.3),
+            mk(12, 16, 16, Regular, 5.7),
+            mk(4, 4, 192, Regular, 0.4),
+        ];
         SliceMix {
-            entries: vec![
-                // Sub-4³ slices (2D meshes).
-                mk(1, 1, 1, Regular, 2.1),
-                mk(1, 1, 2, Regular, 0.4),
-                mk(1, 2, 2, Regular, 6.7),
-                mk(2, 2, 2, Regular, 4.7),
-                mk(2, 2, 4, Regular, 6.4),
-                mk(2, 4, 4, Regular, 8.9),
-                // 64.
-                mk(4, 4, 4, Regular, 13.9),
-                // 128–192.
-                mk(4, 4, 8, Twisted, 16.0),
-                mk(4, 4, 8, Regular, 1.5),
-                mk(4, 4, 12, Regular, 0.7),
-                // 256–384.
-                mk(4, 8, 8, Twisted, 9.2),
-                mk(4, 8, 8, Regular, 1.5),
-                mk(4, 4, 16, Regular, 1.0),
-                mk(4, 8, 12, Regular, 0.1),
-                // 512–768.
-                mk(8, 8, 8, Regular, 9.6),
-                mk(4, 8, 16, Regular, 1.7),
-                mk(4, 4, 32, Regular, 0.6),
-                mk(8, 8, 12, Regular, 0.7),
-                // 1024–1536.
-                mk(8, 8, 16, Twisted, 1.8),
-                mk(8, 8, 16, Regular, 1.4),
-                mk(4, 16, 16, Regular, 0.3),
-                mk(4, 4, 64, Regular, 0.1),
-                mk(4, 8, 32, Regular, 0.1),
-                mk(8, 12, 16, Regular, 0.1),
-                mk(4, 4, 96, Regular, 0.1),
-                mk(8, 8, 24, Regular, 0.1),
-                // 2048–3072.
-                mk(8, 16, 16, Twisted, 1.4),
-                mk(8, 16, 16, Regular, 0.3),
-                mk(12, 16, 16, Regular, 5.7),
-                mk(4, 4, 192, Regular, 0.4),
-            ],
+            total: entries.iter().map(|e| e.share).sum(),
+            entries,
         }
     }
 
@@ -93,7 +97,7 @@ impl SliceMix {
     /// Total share covered by the sample (< 1: only slices ≥ 0.1% are
     /// listed).
     pub fn total_share(&self) -> f64 {
-        self.entries.iter().map(|e| e.share).sum()
+        self.total
     }
 
     /// Share of usage on slices smaller than one 4³ block (§2.9: 29%).
@@ -148,15 +152,20 @@ impl SliceMix {
     /// Draws a slice request from the distribution (shares renormalized
     /// over the sampled rows).
     pub fn sample(&self, rng: &mut StdRng) -> &SliceUsage {
-        let total = self.total_share();
-        let mut r = rng.random::<f64>() * total;
-        for e in &self.entries {
+        &self.entries[self.sample_index(rng)]
+    }
+
+    /// Draws the index of a row, reading exactly one output of `rng`.
+    /// A draw that rounding carries past every row takes the last one.
+    pub(crate) fn sample_index(&self, rng: &mut StdRng) -> usize {
+        let mut r = rng.random::<f64>() * self.total;
+        for (i, e) in self.entries.iter().enumerate() {
             if r < e.share {
-                return e;
+                return i;
             }
             r -= e.share;
         }
-        self.entries.last().expect("mix is nonempty") // tpu-lint: allow(panic-policy) -- unreachable: mix is nonempty
+        self.entries.len() - 1
     }
 }
 

@@ -41,6 +41,11 @@ pub const DEFAULT_COLLECTIVE_BYTES: u64 = 1 << 30;
 pub const MAX_HORIZON_DAYS: f64 = 60.0;
 /// Most fleet-DES trials a single query may request.
 pub const MAX_FLEET_TRIALS: u32 = 32;
+/// Most job arrivals one fleet-DES trial may expect: the horizon over
+/// the spec's `fleet.arrival_interval_s`. The DES numbers arrivals with
+/// a `u32` and a saturated fabric queues nearly all of them, so this
+/// bounds both the work and the memory of one query.
+pub const MAX_FLEET_ARRIVALS: u64 = 1 << 22;
 /// Seconds per simulated day.
 const SECONDS_PER_DAY: f64 = 86_400.0;
 
@@ -740,6 +745,17 @@ impl FleetQuery {
                 format!("horizon_days must be in (0, {MAX_HORIZON_DAYS}], got {horizon_days}"),
             ));
         }
+        let interval_s = model.spec().fleet_profile().arrival_interval_s;
+        let arrivals = horizon_days * SECONDS_PER_DAY / interval_s;
+        if arrivals > MAX_FLEET_ARRIVALS as f64 {
+            return Err(ApiError::bad_request(
+                "bad_horizon",
+                format!(
+                    "horizon_days {horizon_days} at one arrival per {interval_s} s expects \
+                     {arrivals} jobs; the cap is {MAX_FLEET_ARRIVALS}"
+                ),
+            ));
+        }
         let fabric = parse_fabric(&params, model)?;
         let trials = parse_u64(&params, "trials")?.unwrap_or(3);
         if trials == 0 || trials > u64::from(MAX_FLEET_TRIALS) {
@@ -1145,6 +1161,51 @@ mod tests {
             &get_req("/specs/v4/whatif?availability=0.995&trials=20"),
         );
         assert_eq!(after.x_cache, Some("miss"));
+    }
+
+    /// A profile's expected arrivals bound a fleet query: a PUT spec
+    /// may set any positive `fleet.arrival_interval_s`, and before the
+    /// cap a 60-day query on one arrival per microsecond would draw
+    /// about 5·10¹² jobs. The cap itself is allowed.
+    #[test]
+    fn fleet_queries_cap_the_expected_arrivals() {
+        let state = state_with_v4();
+        let with_interval = |arrival_interval_s: f64| {
+            let mut spec = MachineSpec::v4();
+            spec.fleet = Some(tpu_spec::FleetSpec {
+                arrival_interval_s,
+                ..tpu_spec::FleetSpec::reference()
+            });
+            spec
+        };
+        let put = Request {
+            method: "PUT".into(),
+            path: "/specs/flood".into(),
+            query: String::new(),
+            body: with_interval(1e-6).to_json().into_bytes(),
+            keep_alive: false,
+        };
+        assert_eq!(handle(&state, &put).status, 201);
+        for horizon in ["60", "0.01"] {
+            let resp = handle(
+                &state,
+                &get_req(&format!("/specs/flood/fleet?horizon_days={horizon}")),
+            );
+            assert_eq!(resp.status, 400, "{horizon}: {}", resp.body);
+            assert!(resp.body.contains("bad_horizon"), "{}", resp.body);
+        }
+        // 60 days at this interval is exactly the cap; a shorter
+        // interval passes it.
+        let at_cap = 60.0 * SECONDS_PER_DAY / MAX_FLEET_ARRIVALS as f64;
+        let model = PlannerModel::for_spec(&with_interval(at_cap));
+        assert!(FleetQuery::parse(&model, "horizon_days=60").is_ok());
+        let model = PlannerModel::for_spec(&with_interval(at_cap * 0.999));
+        let err = FleetQuery::parse(&model, "horizon_days=60").unwrap_err();
+        assert_eq!((err.status, err.code), (400, "bad_horizon"));
+        assert!(FleetQuery::parse(&model, "horizon_days=59").is_ok());
+        // The reference profile's longest horizon is far inside it.
+        let reference = PlannerModel::for_spec(&MachineSpec::v4());
+        assert!(FleetQuery::parse(&reference, "horizon_days=60").is_ok());
     }
 
     #[test]

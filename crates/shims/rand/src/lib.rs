@@ -3,10 +3,17 @@
 //! Implements exactly the slice the workspace uses — `StdRng`,
 //! `SeedableRng::seed_from_u64`, `Rng::random::<f64>()` and
 //! `Rng::random_range(..)` over integer ranges — on top of a SplitMix64
-//! generator. Every Monte Carlo stream in the workspace, and so every
-//! golden fixture and goodput digest, is defined by this generator: a
-//! change to its output is a change to every pinned result. It is NOT a
+//! generator, plus one constructor rand does not have,
+//! [`StdRng::seed_from_u64_at`], which starts a stream at a given output.
+//! Every Monte Carlo stream in the workspace, and so every golden
+//! fixture and goodput digest, is defined by this generator: a change to
+//! its output is a change to every pinned result. It is NOT a
 //! cryptographic generator.
+//!
+//! SplitMix64's state advances by a fixed odd increment per output and
+//! each output is a mix of the state alone, so output `n` of a seed
+//! depends only on the seed and `n`: a stream can be read at any counter
+//! without drawing the outputs before it.
 
 #![forbid(unsafe_code)]
 
@@ -21,9 +28,22 @@ pub mod rngs {
         pub(crate) state: u64,
     }
 
+    /// The state increment per output (SplitMix64's golden gamma).
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
     impl StdRng {
+        /// The generator whose first output is output `n` of
+        /// [`crate::SeedableRng::seed_from_u64`]`(seed)`: the state that
+        /// stream holds after `n` outputs and its warm-up step,
+        /// `seed + (n + 1)·γ` (wrapping), with no output drawn.
+        pub fn seed_from_u64_at(seed: u64, n: u64) -> StdRng {
+            StdRng {
+                state: seed.wrapping_add(n.wrapping_add(1).wrapping_mul(GAMMA)),
+            }
+        }
+
         pub(crate) fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            self.state = self.state.wrapping_add(GAMMA);
             let mut z = self.state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -190,6 +210,43 @@ mod tests {
         for _ in 0..1000 {
             let v = rng.random_range(3u64..=5);
             assert!((3..=5).contains(&v));
+        }
+    }
+
+    /// The counter constructor against the stream it skips into: the
+    /// first outputs it gives equal those `seed_from_u64` gives after
+    /// drawing `n` outputs. Drawing 2³² outputs one by one is too slow
+    /// for a unit test, so that case adds the state advance of 2¹⁶ drawn
+    /// outputs 2¹⁶ times, then draws the last output.
+    #[test]
+    fn counter_constructor_equals_stepping() {
+        const STRIDE: u64 = 1 << 16;
+        let mut strider = StdRng { state: 0 };
+        for _ in 0..STRIDE {
+            let _ = strider.next_u64();
+        }
+        let stride = strider.state;
+        for seed in [0, 1, 2023, u64::MAX] {
+            for n in [0, 1, 2, 3_998] {
+                let mut stepped = StdRng::seed_from_u64(seed);
+                for _ in 0..n {
+                    let _ = stepped.next_u64();
+                }
+                let mut at = StdRng::seed_from_u64_at(seed, n);
+                for _ in 0..4 {
+                    assert_eq!(at.next_u64(), stepped.next_u64(), "seed {seed}, n {n}");
+                }
+            }
+            let n = (1u64 << 32) + 1;
+            let mut stepped = StdRng::seed_from_u64(seed);
+            for _ in 0..STRIDE {
+                stepped.state = stepped.state.wrapping_add(stride);
+            }
+            let _ = stepped.next_u64();
+            let mut at = StdRng::seed_from_u64_at(seed, n);
+            for _ in 0..4 {
+                assert_eq!(at.next_u64(), stepped.next_u64(), "seed {seed}, n {n}");
+            }
         }
     }
 
