@@ -6,7 +6,7 @@ use tpu_net::{AllToAll, LinkRate};
 use tpu_ocs::{wiring, BlockId, Fabric, SliceSpec};
 use tpu_sched::{FleetSim, GoodputSim};
 use tpu_spec::consts::GIGA;
-use tpu_spec::{FabricKind, FleetSpec, Generation, MachineSpec};
+use tpu_spec::{FabricKind, FleetSpec, MachineSpec};
 use tpu_topology::{Coord3, Dim, Direction, SliceShape, Torus, TwistedTorus};
 
 /// Figure 1: audits the block-to-OCS wiring rule.
@@ -51,7 +51,7 @@ pub fn fig1() -> String {
 pub fn fig4() -> String {
     let mut out = String::new();
     let trials = if cfg!(debug_assertions) { 60 } else { 400 };
-    let sim = GoodputSim::for_generation(&Generation::V4, trials, 2023);
+    let sim = GoodputSim::for_spec(&MachineSpec::v4(), trials, 2023);
     let _ = writeln!(
         out,
         "{:>8} | {:>22} | {:>22}",

@@ -6,7 +6,7 @@ use tpu_parallel::PaNas;
 use tpu_sparsecore::placement::{a2a_bw_2d, a2a_bw_3d};
 use tpu_sparsecore::{EmbeddingSystem, Placement};
 use tpu_spec::consts::{GIGA, KILO};
-use tpu_spec::{Generation, MachineSpec};
+use tpu_spec::MachineSpec;
 
 /// Figure 8: bisection-bandwidth ratio v4/v3 and DLRM sensitivity.
 pub fn fig8() -> String {
@@ -26,7 +26,7 @@ pub fn fig8() -> String {
         // handicapped to v3-like bisection (isolating the Figure 8 right
         // axis: sensitivity to bisection alone). Batch scales with chips.
         let batch = 32 * chips;
-        let v4 = EmbeddingSystem::for_generation(&Generation::V4, chips).step_time(
+        let v4 = EmbeddingSystem::for_spec(&v4_spec, chips).step_time(
             &model,
             batch,
             Placement::SparseCore,
@@ -64,25 +64,25 @@ pub fn fig9() -> String {
         ("CPU (576 sockets)".into(), cpu),
         (
             "TPU v3 x128".into(),
-            EmbeddingSystem::tpu_v3_slice(128)
+            EmbeddingSystem::for_spec(&MachineSpec::v3(), 128)
                 .step_time(&model, batch, Placement::SparseCore)
                 .total_s(),
         ),
         (
             "TPU v4 x128".into(),
-            EmbeddingSystem::for_generation(&Generation::V4, 128)
+            EmbeddingSystem::for_spec(&MachineSpec::v4(), 128)
                 .step_time(&model, batch, Placement::SparseCore)
                 .total_s(),
         ),
         (
             "TPU v4, emb on CPU".into(),
-            EmbeddingSystem::for_generation(&Generation::V4, 128)
+            EmbeddingSystem::for_spec(&MachineSpec::v4(), 128)
                 .step_time(&model, batch, Placement::HostCpu)
                 .total_s(),
         ),
         (
             "TPU v4, emb on var. server".into(),
-            EmbeddingSystem::for_generation(&Generation::V4, 128)
+            EmbeddingSystem::for_spec(&MachineSpec::v4(), 128)
                 .step_time(&model, batch, Placement::VariableServer)
                 .total_s(),
         ),

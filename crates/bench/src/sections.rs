@@ -9,7 +9,7 @@ use tpu_net::{BackendComparison, CollectiveBackend};
 use tpu_ocs::{CostModel, SliceSpec};
 use tpu_sched::SliceMix;
 use tpu_spec::consts::{GIGA, KILO, MEGA};
-use tpu_spec::{FabricKind, Generation, MachineSpec};
+use tpu_spec::{FabricKind, MachineSpec};
 use tpu_topology::SliceShape;
 use tpu_workloads::{StepCollectives, WorkloadKind};
 
@@ -163,16 +163,13 @@ pub fn sec7_2() -> String {
 pub fn sweep() -> String {
     let mut out = String::new();
     let shapes = [(4u32, 4, 4), (4, 4, 8), (8, 8, 8), (8, 8, 16)];
-    let specs: Vec<MachineSpec> = [
-        Generation::V2,
-        Generation::V3,
-        Generation::V4,
-        Generation::custom("a100"),
-        Generation::custom("v4-ib"),
-    ]
-    .iter()
-    .map(|g| MachineSpec::for_generation(g).expect("built-in")) // tpu-lint: allow(panic-policy) -- report generator over hard-coded paper configs; a bad config is a bug worth a crash
-    .collect();
+    let specs = [
+        MachineSpec::v2(),
+        MachineSpec::v3(),
+        MachineSpec::v4(),
+        MachineSpec::a100(),
+        MachineSpec::v4_ib_hybrid(),
+    ];
 
     for (title, op) in [
         (
@@ -241,8 +238,15 @@ pub fn crossover() -> String {
         let _ = write!(out, " {:>9}", label);
     }
     let _ = writeln!(out);
-    for label in ["v2", "v3", "v4", "v4-ib", "a100", "ipu-bow"] {
-        let spec = MachineSpec::for_generation(&Generation::from_label(label)).expect("built-in"); // tpu-lint: allow(panic-policy) -- report generator over hard-coded paper configs; a bad config is a bug worth a crash
+    for spec in [
+        MachineSpec::v2(),
+        MachineSpec::v3(),
+        MachineSpec::v4(),
+        MachineSpec::v4_ib_hybrid(),
+        MachineSpec::a100(),
+        MachineSpec::ipu_bow(),
+    ] {
+        let label = spec.generation.label();
         let backend = CollectiveBackend::for_spec(&spec);
         let bandwidth = backend.bandwidth_only();
         let _ = write!(
@@ -288,6 +292,12 @@ pub fn schedule_crossover() -> String {
     let sizes: [u64; 5] = [64, 256, 512, 1024, 4096];
     let bert_bytes = 680e6; // §6.3: 340M bf16 gradients
     let small_bytes = 1048576.0;
+    let switched = [
+        MachineSpec::v4_ib_hybrid(),
+        MachineSpec::a100(),
+        MachineSpec::h100(),
+        MachineSpec::ipu_bow(),
+    ];
 
     let _ = writeln!(
         out,
@@ -298,9 +308,9 @@ pub fn schedule_crossover() -> String {
         let _ = write!(out, " {:>10}", format!("{chips} chips"));
     }
     let _ = writeln!(out);
-    for label in ["v4-ib", "a100", "h100", "ipu-bow"] {
-        let spec = MachineSpec::for_generation(&Generation::from_label(label)).expect("built-in"); // tpu-lint: allow(panic-policy) -- report generator over hard-coded paper configs; a bad config is a bug worth a crash
-        let fabric = SwitchedFabric::for_spec(&spec).expect("switched spec"); // tpu-lint: allow(panic-policy) -- report generator over hard-coded paper configs; a bad config is a bug worth a crash
+    for spec in &switched {
+        let label = spec.generation.label();
+        let fabric = SwitchedFabric::for_spec(spec).expect("switched spec"); // tpu-lint: allow(panic-policy) -- report generator over hard-coded paper configs; a bad config is a bug worth a crash
         let _ = write!(out, "{:<10} {:>8}", label, fabric.island_chips);
         for chips in sizes {
             let crossover = fabric.ring_tree_crossover_bytes(chips);
@@ -320,9 +330,9 @@ pub fn schedule_crossover() -> String {
         out,
         "\nauto selection at the BERT gradient (680 MB) / at 1 MiB:"
     );
-    for label in ["v4-ib", "a100", "h100", "ipu-bow"] {
-        let spec = MachineSpec::for_generation(&Generation::from_label(label)).expect("built-in"); // tpu-lint: allow(panic-policy) -- report generator over hard-coded paper configs; a bad config is a bug worth a crash
-        let fabric = SwitchedFabric::for_spec(&spec).expect("switched spec"); // tpu-lint: allow(panic-policy) -- report generator over hard-coded paper configs; a bad config is a bug worth a crash
+    for spec in &switched {
+        let label = spec.generation.label();
+        let fabric = SwitchedFabric::for_spec(spec).expect("switched spec"); // tpu-lint: allow(panic-policy) -- report generator over hard-coded paper configs; a bad config is a bug worth a crash
         let _ = write!(out, "{label:<10}");
         for chips in sizes {
             let pick = |bytes: f64| {
@@ -344,8 +354,8 @@ pub fn schedule_crossover() -> String {
         "\ntorus machines (per-hop alpha: a tree pass crosses every hop, so"
     );
     let _ = writeln!(out, " auto == ring at every size and payload):");
-    for label in ["v2", "v3", "v4"] {
-        let spec = MachineSpec::for_generation(&Generation::from_label(label)).expect("built-in"); // tpu-lint: allow(panic-policy) -- report generator over hard-coded paper configs; a bad config is a bug worth a crash
+    for spec in [MachineSpec::v2(), MachineSpec::v3(), MachineSpec::v4()] {
+        let label = spec.generation.label();
         let link = tpu_net::AlphaBeta::for_spec(&spec);
         let shape = SliceShape::new(8, 8, 8).expect("valid"); // tpu-lint: allow(panic-policy) -- shape literals are nonzero paper constants
         let mut picks = Vec::new();

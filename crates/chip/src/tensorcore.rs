@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use tpu_spec::consts::MEGA;
-use tpu_spec::{Generation, MachineSpec};
+use tpu_spec::MachineSpec;
 
 /// One TensorCore's compute organization.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -40,26 +40,6 @@ impl TensorCore {
         }
     }
 
-    /// The TensorCore of a built-in generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a [`Generation::Custom`] label without a built-in spec.
-    pub fn for_generation(generation: &Generation) -> TensorCore {
-        let spec = MachineSpec::for_generation(generation)
-            .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")); // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
-        TensorCore::for_spec(&spec)
-    }
-
-    /// The TPU v3 TensorCore (two MXUs).
-    ///
-    /// Convenience alias; prefer [`TensorCore::for_generation`] or
-    /// [`TensorCore::for_spec`] in new code — the per-generation aliases
-    /// will eventually be deprecated.
-    pub fn tpu_v3() -> TensorCore {
-        TensorCore::for_generation(&Generation::V3)
-    }
-
     /// Peak MAC throughput of one TC, FLOP/s (2 FLOPs per MAC).
     pub fn peak_flops(&self) -> f64 {
         f64::from(self.mxus)
@@ -77,15 +57,15 @@ mod tests {
     #[test]
     fn two_tcs_hit_table4_peak() {
         // 2 TCs x 4 MXUs x 128^2 MACs x 2 FLOPs x 1.05 GHz ≈ 275 TFLOPS.
-        let tc = TensorCore::for_generation(&Generation::V4);
+        let tc = TensorCore::for_spec(&MachineSpec::v4());
         let chip_peak = 2.0 * tc.peak_flops();
         assert!((chip_peak / 1e12 - 275.0).abs() < 1.0, "{chip_peak:e}");
     }
 
     #[test]
     fn v3_has_half_the_mxus() {
-        let v4 = TensorCore::for_generation(&Generation::V4);
-        let v3 = TensorCore::tpu_v3();
+        let v4 = TensorCore::for_spec(&MachineSpec::v4());
+        let v3 = TensorCore::for_spec(&MachineSpec::v3());
         let ratio = v4.peak_flops() / v3.peak_flops();
         // 2x MXUs x 1.12x clock = the Table 4 "2.2X gain in peak".
         assert!((2.2..2.3).contains(&ratio), "{ratio}");
@@ -94,7 +74,7 @@ mod tests {
     #[test]
     fn reuse_argument_vs_a100() {
         // §7.5: 128x reuse vs the A100's 4x — a 32x ratio.
-        let tc = TensorCore::for_generation(&Generation::V4);
+        let tc = TensorCore::for_spec(&MachineSpec::v4());
         assert_eq!(tc.mxu_dim, 128);
         assert_eq!(tc.mxu_dim / 4, 32);
     }

@@ -43,30 +43,6 @@ pub enum SupercomputerError {
         /// The slice's block-box request (blocks per axis).
         needed_blocks: (u32, u32, u32),
     },
-    /// No block with this index exists in the static cluster.
-    UnknownBlock {
-        /// The offending block index.
-        block: u64,
-    },
-    /// The static-cluster block exists but has no host with this index.
-    UnknownBlockHost {
-        /// The block.
-        block: u64,
-        /// The offending host index.
-        host: u32,
-    },
-    /// No island with this index exists in the switched cluster.
-    UnknownIsland {
-        /// The offending island index.
-        island: u64,
-    },
-    /// The island exists but has no host with this index.
-    UnknownIslandHost {
-        /// The island.
-        island: u64,
-        /// The offending host index.
-        host: u32,
-    },
 }
 
 impl fmt::Display for SupercomputerError {
@@ -97,18 +73,6 @@ impl fmt::Display for SupercomputerError {
                      statically-cabled machine"
                 )
             }
-            SupercomputerError::UnknownBlock { block } => {
-                write!(f, "no block {block} in the static cluster")
-            }
-            SupercomputerError::UnknownBlockHost { block, host } => {
-                write!(f, "static-cluster block {block} has no host {host}")
-            }
-            SupercomputerError::UnknownIsland { island } => {
-                write!(f, "no island {island} in the switched cluster")
-            }
-            SupercomputerError::UnknownIslandHost { island, host } => {
-                write!(f, "island {island} has no host {host}")
-            }
         }
     }
 }
@@ -123,10 +87,6 @@ impl Error for SupercomputerError {
             SupercomputerError::TorusOnly { .. } => None,
             SupercomputerError::OcsOnly { .. } => None,
             SupercomputerError::NoContiguousSlice { .. } => None,
-            SupercomputerError::UnknownBlock { .. } => None,
-            SupercomputerError::UnknownBlockHost { .. } => None,
-            SupercomputerError::UnknownIsland { .. } => None,
-            SupercomputerError::UnknownIslandHost { .. } => None,
         }
     }
 }

@@ -19,10 +19,10 @@
 //! ```
 //! use tpu_core::{Collective, JobSpec, Supercomputer};
 //! use tpu_ocs::SliceSpec;
-//! use tpu_spec::Generation;
+//! use tpu_spec::MachineSpec;
 //! use tpu_topology::SliceShape;
 //!
-//! let mut sc = Supercomputer::for_generation(Generation::V4);
+//! let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
 //! let job = sc.submit(JobSpec::new(
 //!     "llm-pretrain",
 //!     SliceSpec::twisted(SliceShape::new(4, 4, 8)?)?,

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use tpu_net::CollectiveBackend;
 use tpu_ocs::{healthy_chips, BlockId, Fabric, HostHealth, MaterializedSlice, SliceSpec};
-use tpu_spec::{FabricKind, Generation, MachineSpec};
+use tpu_spec::{FabricKind, MachineSpec};
 
 /// Identifier of a running job.
 #[derive(
@@ -225,13 +225,8 @@ impl SwitchedCluster {
 
     /// Failure and repair are tracked per host, so an island with two
     /// failed hosts only comes back after both are repaired.
-    fn set_host_up(&mut self, island: u64, host: u32, up: bool) -> Result<()> {
-        if island >= self.islands() {
-            return Err(SupercomputerError::UnknownIsland { island });
-        }
-        self.health
-            .set_host_up(island as usize, host, up)
-            .ok_or(SupercomputerError::UnknownIslandHost { island, host })?;
+    fn set_host_up(&mut self, island: BlockId, host: u32, up: bool) -> Result<()> {
+        self.health.set_host_up(island.index(), host, up)?;
         Ok(())
     }
 }
@@ -287,17 +282,6 @@ impl Supercomputer {
             next_id: 0,
             collectives: CollectiveBackend::for_spec(spec),
         }
-    }
-
-    /// The fleet-scale machine of a built-in generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a [`Generation::Custom`] label without a built-in spec.
-    pub fn for_generation(generation: Generation) -> Supercomputer {
-        let spec = MachineSpec::for_generation(&generation)
-            .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")); // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
-        Supercomputer::for_spec(&spec)
     }
 
     /// The underlying OCS fabric (`None` on static and switched
@@ -514,7 +498,7 @@ impl Supercomputer {
             MachineFabric::StaticTorus(cluster) => {
                 cluster.set_host_up(block.index() as u32, host, up)
             }
-            MachineFabric::Switched(cluster) => cluster.set_host_up(block.index() as u64, host, up),
+            MachineFabric::Switched(cluster) => cluster.set_host_up(block, host, up),
         }
     }
 
@@ -554,6 +538,7 @@ impl Supercomputer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpu_ocs::OcsError;
     use tpu_topology::SliceShape;
 
     fn shape(x: u32, y: u32, z: u32) -> SliceShape {
@@ -562,7 +547,7 @@ mod tests {
 
     #[test]
     fn submit_run_finish() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         assert_eq!(sc.total_chips(), 4096);
         let id = sc
             .submit(JobSpec::new("a", SliceSpec::regular(shape(8, 8, 8))))
@@ -577,9 +562,9 @@ mod tests {
     fn generation_parameterized_machines_compose() {
         // The same submit -> collective_time flow runs on every TPU
         // generation's fleet.
-        let mut v3 = Supercomputer::for_generation(Generation::V3);
+        let mut v3 = Supercomputer::for_spec(&MachineSpec::v3());
         assert_eq!(v3.total_chips(), 1024);
-        let mut v4 = Supercomputer::for_generation(Generation::V4);
+        let mut v4 = Supercomputer::for_spec(&MachineSpec::v4());
         assert_eq!(v4.total_chips(), 4096);
 
         let op = Collective::AllReduce { bytes: 1 << 30 };
@@ -599,7 +584,7 @@ mod tests {
 
     #[test]
     fn unknown_job_errors() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         let err = sc.finish(JobId::new(99)).unwrap_err();
         assert_eq!(
             err,
@@ -611,7 +596,7 @@ mod tests {
 
     #[test]
     fn many_jobs_share_the_machine() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         let mut ids = Vec::new();
         // 64 single-block jobs fill the machine.
         for i in 0..64 {
@@ -636,7 +621,7 @@ mod tests {
 
     #[test]
     fn failure_routes_around_block() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         sc.inject_host_failure(BlockId::new(0), 3).unwrap();
         // A 63-block machine still fits 63 block-jobs but not 64.
         for i in 0..63 {
@@ -657,7 +642,7 @@ mod tests {
 
     #[test]
     fn twisted_all_to_all_beats_regular() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         let reg = sc
             .submit(JobSpec::new("r", SliceSpec::regular(shape(4, 4, 8))))
             .unwrap();
@@ -764,15 +749,20 @@ mod tests {
         assert!(sc
             .submit(JobSpec::new("full", SliceSpec::regular(shape(8, 17, 31))))
             .is_ok());
-        // Unknown island and host ids are rejected with switched errors.
-        assert!(matches!(
+        // Unknown island and host ids are rejected with the health record's errors.
+        assert_eq!(
             sc.inject_host_failure(BlockId::new(5000), 0),
-            Err(SupercomputerError::UnknownIsland { island: 5000 })
-        ));
-        assert!(matches!(
+            Err(SupercomputerError::Fabric(OcsError::UnknownBlock {
+                block: BlockId::new(5000)
+            }))
+        );
+        assert_eq!(
             sc.inject_host_failure(BlockId::new(0), 9),
-            Err(SupercomputerError::UnknownIslandHost { island: 0, host: 9 })
-        ));
+            Err(SupercomputerError::Fabric(OcsError::UnknownHost {
+                block: BlockId::new(0),
+                host: 9
+            }))
+        );
     }
 
     #[test]
@@ -808,7 +798,7 @@ mod tests {
     #[test]
     fn v4_ib_hybrid_slower_than_ocs_torus() {
         // The §7.3 headline, through the Supercomputer API end to end.
-        let mut torus = Supercomputer::for_generation(Generation::V4);
+        let mut torus = Supercomputer::for_spec(&MachineSpec::v4());
         let mut ib = Supercomputer::for_spec(&MachineSpec::v4_ib_hybrid());
         let s = SliceSpec::regular(shape(8, 8, 8));
         let jt = torus.submit(JobSpec::new("t", s)).unwrap();
@@ -823,7 +813,7 @@ mod tests {
 
     #[test]
     fn all_reduce_time_positive_and_scales() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         let id = sc
             .submit(JobSpec::new("ar", SliceSpec::regular(shape(8, 8, 8))))
             .unwrap();

@@ -149,22 +149,10 @@ impl StaticCluster {
     ///
     /// # Errors
     ///
-    /// [`SupercomputerError::UnknownBlock`] / [`UnknownBlockHost`] for
-    /// indices outside the cluster; either refusal changes nothing.
-    ///
-    /// [`UnknownBlockHost`]: SupercomputerError::UnknownBlockHost
+    /// [`HostHealth::set_host_up`]'s refusal of a block or host outside
+    /// the cluster, which changes nothing.
     pub fn set_host_up(&mut self, block: u32, host: u32, up: bool) -> Result<()> {
-        if block >= self.blocks() {
-            return Err(SupercomputerError::UnknownBlock {
-                block: u64::from(block),
-            });
-        }
-        self.health.set_host_up(block as usize, host, up).ok_or(
-            SupercomputerError::UnknownBlockHost {
-                block: u64::from(block),
-                host,
-            },
-        )?;
+        self.health.set_host_up(block as usize, host, up)?;
         Ok(())
     }
 
@@ -612,6 +600,7 @@ fn orientations(b: (u32, u32, u32)) -> Orientations {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpu_ocs::{BlockId, OcsError};
 
     fn v4_static() -> StaticCluster {
         StaticCluster::for_spec(&MachineSpec::v4())
@@ -733,14 +722,19 @@ mod tests {
     #[test]
     fn unknown_indices_are_rejected() {
         let mut c = v4_static();
-        assert!(matches!(
+        assert_eq!(
             c.set_host_up(64, 0, false),
-            Err(SupercomputerError::UnknownBlock { block: 64 })
-        ));
-        assert!(matches!(
+            Err(SupercomputerError::Fabric(OcsError::UnknownBlock {
+                block: BlockId::new(64)
+            }))
+        );
+        assert_eq!(
             c.set_host_up(0, 16, false),
-            Err(SupercomputerError::UnknownBlockHost { block: 0, host: 16 })
-        ));
+            Err(SupercomputerError::Fabric(OcsError::UnknownHost {
+                block: BlockId::new(0),
+                host: 16
+            }))
+        );
     }
 
     #[test]

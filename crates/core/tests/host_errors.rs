@@ -1,12 +1,12 @@
 //! A failure or repair that names a unit past the machine's blocks or
-//! islands, or a host past a unit's hosts, gets the fabric's own typed
-//! error and changes nothing — on every committed spec, whose units
-//! hold 16 hosts (v4 blocks), 8 (v3 blocks, on the static machine and
-//! behind OCSes alike) or an island's count.
+//! islands, or a host past a unit's hosts, gets the host-health
+//! record's typed error and changes nothing — on every committed spec,
+//! whose units hold 16 hosts (v4 blocks), 8 (v3 blocks, on the static
+//! machine and behind OCSes alike) or an island's count.
 
 use tpu_core::{Supercomputer, SupercomputerError};
 use tpu_ocs::{BlockId, OcsError};
-use tpu_spec::{FabricKind, MachineSpec};
+use tpu_spec::MachineSpec;
 
 #[test]
 fn out_of_range_hosts_and_units_get_typed_errors_on_every_spec() {
@@ -26,29 +26,11 @@ fn out_of_range_hosts_and_units_get_typed_errors_on_every_spec() {
         let spec = MachineSpec::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let (units, _, hosts) = spec.scheduling_units();
         let (past, last) = (BlockId::new(units as u32), BlockId::new(units as u32 - 1));
-        let (unknown_unit, unknown_host) = match spec.fabric {
-            FabricKind::Ocs => (
-                SupercomputerError::Fabric(OcsError::UnknownBlock { block: past }),
-                SupercomputerError::Fabric(OcsError::UnknownHost {
-                    block: last,
-                    host: hosts,
-                }),
-            ),
-            FabricKind::Static => (
-                SupercomputerError::UnknownBlock { block: units },
-                SupercomputerError::UnknownBlockHost {
-                    block: units - 1,
-                    host: hosts,
-                },
-            ),
-            FabricKind::Switched => (
-                SupercomputerError::UnknownIsland { island: units },
-                SupercomputerError::UnknownIslandHost {
-                    island: units - 1,
-                    host: hosts,
-                },
-            ),
-        };
+        let unknown_unit = SupercomputerError::Fabric(OcsError::UnknownBlock { block: past });
+        let unknown_host = SupercomputerError::Fabric(OcsError::UnknownHost {
+            block: last,
+            host: hosts,
+        });
         let mut machine = Supercomputer::for_spec(&spec);
         let pristine = machine.clone();
         for (id, host, want) in [(past, 0, &unknown_unit), (last, hosts, &unknown_host)] {

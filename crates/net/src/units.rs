@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tpu_spec::{consts, Generation, MachineSpec};
+use tpu_spec::{consts, MachineSpec};
 
 /// A link data rate in bytes per second (one direction of a cable).
 ///
@@ -22,17 +22,6 @@ impl LinkRate {
     /// The per-link ICI rate a machine spec declares.
     pub fn for_spec(spec: &MachineSpec) -> LinkRate {
         LinkRate::from_bytes_per_s(spec.ici_bytes_per_s())
-    }
-
-    /// The per-link ICI rate of a built-in generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a [`Generation::Custom`] label without a built-in spec.
-    pub fn for_generation(generation: &Generation) -> LinkRate {
-        let spec = MachineSpec::for_generation(generation)
-            .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")); // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
-        LinkRate::for_spec(&spec)
     }
 
     /// Creates a rate from bytes per second.
@@ -99,11 +88,8 @@ mod tests {
 
     #[test]
     fn generation_rates_match_the_constants() {
-        assert_eq!(
-            LinkRate::for_generation(&Generation::V4),
-            LinkRate::TPU_V4_ICI
-        );
-        assert_eq!(LinkRate::for_generation(&Generation::V3).gb_per_s(), 70.0);
-        assert_eq!(LinkRate::for_generation(&Generation::V2).gb_per_s(), 62.5);
+        assert_eq!(LinkRate::for_spec(&MachineSpec::v4()), LinkRate::TPU_V4_ICI);
+        assert_eq!(LinkRate::for_spec(&MachineSpec::v3()).gb_per_s(), 70.0);
+        assert_eq!(LinkRate::for_spec(&MachineSpec::v2()).gb_per_s(), 62.5);
     }
 }

@@ -5,6 +5,7 @@
 //! CPU hosts (4 TPUs per host). All 96 inter-rack links — 16 per face —
 //! leave the rack optically and terminate on OCSes.
 
+use crate::OcsError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use tpu_topology::{Coord3, Dim, Direction};
@@ -104,16 +105,28 @@ impl HostHealth {
 
     /// Marks host `host` of unit `unit` up or down. Returns whether the
     /// unit's health changed (its first host went down, or its last
-    /// down host came back), or `None`, changing nothing, when the unit
-    /// or the host is out of range.
-    pub fn set_host_up(&mut self, unit: usize, host: u32, up: bool) -> Option<bool> {
+    /// down host came back).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OcsError::UnknownBlock`] for a unit past the record's
+    /// units and [`OcsError::UnknownHost`] for a host past a unit's
+    /// hosts; either refusal changes nothing.
+    pub fn set_host_up(&mut self, unit: usize, host: u32, up: bool) -> Result<bool, OcsError> {
         if unit >= self.units() || host >= self.hosts_per_unit {
-            return None;
+            // Units are counted in `u32`, so only a unit past them can
+            // saturate here.
+            let block = BlockId::new(u32::try_from(unit).unwrap_or(u32::MAX));
+            return Err(if unit >= self.units() {
+                OcsError::UnknownBlock { block }
+            } else {
+                OcsError::UnknownHost { block, host }
+            });
         }
         let i = unit * self.hosts_per_unit as usize + host as usize;
         let (word, bit) = (&mut self.down[i / 64], 1u64 << (i % 64));
         if (*word & bit == 0) == up {
-            return Some(false);
+            return Ok(false);
         }
         *word ^= bit;
         let count = &mut self.down_count[unit];
@@ -134,7 +147,7 @@ impl HostHealth {
                 self.up_units -= 1;
             }
         }
-        Some(flipped)
+        Ok(flipped)
     }
 
     /// The unit health words, 64 units to a word: bit `u % 64` of word
@@ -220,12 +233,23 @@ mod tests {
     fn healthy_until_a_host_fails() {
         let mut h = HostHealth::new(2, HOSTS_PER_BLOCK);
         assert_eq!(h.words(), &[0b11]);
-        assert_eq!(h.set_host_up(0, 7, false), Some(true));
+        assert_eq!(h.set_host_up(0, 7, false), Ok(true));
         assert_eq!(h.words(), &[0b10]);
-        assert_eq!(h.set_host_up(0, 7, true), Some(true));
+        assert_eq!(h.set_host_up(0, 7, true), Ok(true));
         assert_eq!(h.words(), &[0b11]);
-        assert_eq!(h.set_host_up(2, 0, false), None);
-        assert_eq!(h.set_host_up(0, HOSTS_PER_BLOCK, false), None);
+        assert_eq!(
+            h.set_host_up(2, 0, false),
+            Err(OcsError::UnknownBlock {
+                block: BlockId::new(2)
+            })
+        );
+        assert_eq!(
+            h.set_host_up(0, HOSTS_PER_BLOCK, false),
+            Err(OcsError::UnknownHost {
+                block: BlockId::new(0),
+                host: HOSTS_PER_BLOCK
+            })
+        );
         assert_eq!(h, HostHealth::new(2, HOSTS_PER_BLOCK));
     }
 
@@ -265,7 +289,7 @@ mod tests {
                     down.insert((unit, host));
                 }
                 let changed = health.set_host_up(unit, host, up);
-                assert_eq!(changed, Some(was_up != unit_up(&down, unit)), "step {step}");
+                assert_eq!(changed, Ok(was_up != unit_up(&down, unit)), "step {step}");
                 let mut words = vec![0u64; units.div_ceil(64)];
                 let mut chips = 0;
                 for u in (0..units).filter(|&u| unit_up(&down, u)) {
@@ -295,13 +319,13 @@ mod tests {
                 healthy_chips(health.words(), units, unit_chips, total),
                 total
             );
-            health.set_host_up(units - 1, hosts - 1, false);
+            health.set_host_up(units - 1, hosts - 1, false).unwrap();
             let last = total - (units as u64 - 1) * unit_chips;
             assert_eq!(
                 healthy_chips(health.words(), units, unit_chips, total),
                 total - last
             );
-            health.set_host_up(0, 0, false);
+            health.set_host_up(0, 0, false).unwrap();
             assert_eq!(
                 healthy_chips(health.words(), units, unit_chips, total),
                 total - last - unit_chips

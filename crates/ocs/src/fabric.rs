@@ -9,7 +9,7 @@ use crate::wiring::{block_port, ocs_index, OCS_COUNT};
 use crate::OcsError;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
-use tpu_spec::{Generation, MachineSpec};
+use tpu_spec::MachineSpec;
 use tpu_topology::{
     Coord3, Dim, Direction, LinkGraph, NodeId, SliceShape, TwistSpec, TwistedTorus,
 };
@@ -169,17 +169,6 @@ impl Fabric {
         Fabric::new(spec.fleet_blocks() as u32, spec.block.hosts())
     }
 
-    /// The fleet-scale fabric of a built-in generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a [`Generation::Custom`] label without a built-in spec.
-    pub fn for_generation(generation: &Generation) -> Fabric {
-        let spec = MachineSpec::for_generation(generation)
-            .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")); // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
-        Fabric::for_spec(&spec)
-    }
-
     /// A fabric with a custom number of deployed v4 blocks (16 hosts
     /// each).
     ///
@@ -281,10 +270,7 @@ impl Fabric {
     /// and [`OcsError::UnknownHost`] for a host index past the block's
     /// hosts; either refusal changes nothing.
     pub fn set_host_up(&mut self, id: BlockId, host: u32, up: bool) -> Result<(), OcsError> {
-        self.check(id)?;
-        self.health
-            .set_host_up(id.index(), host, up)
-            .ok_or(OcsError::UnknownHost { block: id, host })?;
+        self.health.set_host_up(id.index(), host, up)?;
         Ok(())
     }
 
@@ -556,7 +542,7 @@ mod tests {
     #[test]
     fn regular_slice_matches_topology_torus() {
         // The Figure 1 / Figure 5 audit: OCS materialization == abstract torus.
-        let mut fabric = Fabric::for_generation(&Generation::V4);
+        let mut fabric = Fabric::for_spec(&MachineSpec::v4());
         for shape in [
             SliceShape::new(4, 4, 4).unwrap(),
             SliceShape::new(4, 4, 8).unwrap(),
@@ -575,7 +561,7 @@ mod tests {
 
     #[test]
     fn twisted_slice_matches_topology_twisted_torus() {
-        let mut fabric = Fabric::for_generation(&Generation::V4);
+        let mut fabric = Fabric::for_spec(&MachineSpec::v4());
         for shape in [
             SliceShape::new(4, 4, 8).unwrap(),
             SliceShape::new(4, 8, 8).unwrap(),
@@ -595,7 +581,7 @@ mod tests {
 
     #[test]
     fn full_machine_slice_uses_all_ports() {
-        let mut fabric = Fabric::for_generation(&Generation::V4);
+        let mut fabric = Fabric::for_spec(&MachineSpec::v4());
         let shape = SliceShape::new(16, 16, 16).unwrap();
         let slice = fabric.allocate(&SliceSpec::regular(shape)).unwrap();
         assert_eq!(slice.chips(), 4096);
@@ -610,7 +596,7 @@ mod tests {
 
     #[test]
     fn concurrent_slices_share_switches() {
-        let mut fabric = Fabric::for_generation(&Generation::V4);
+        let mut fabric = Fabric::for_spec(&MachineSpec::v4());
         let a = fabric
             .allocate(&SliceSpec::regular(SliceShape::new(4, 4, 8).unwrap()))
             .unwrap();
@@ -725,7 +711,7 @@ mod tests {
 
     #[test]
     fn non_block_aligned_rejected() {
-        let mut fabric = Fabric::for_generation(&Generation::V4);
+        let mut fabric = Fabric::for_spec(&MachineSpec::v4());
         let err = fabric
             .allocate(&SliceSpec::regular(SliceShape::new(2, 2, 4).unwrap()))
             .unwrap_err();
@@ -745,7 +731,7 @@ mod tests {
 
     #[test]
     fn graph_degree_is_six_everywhere() {
-        let mut fabric = Fabric::for_generation(&Generation::V4);
+        let mut fabric = Fabric::for_spec(&MachineSpec::v4());
         let slice = fabric
             .allocate(&SliceSpec::regular(SliceShape::new(8, 8, 8).unwrap()))
             .unwrap();

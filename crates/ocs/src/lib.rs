@@ -18,7 +18,7 @@
 //! use tpu_ocs::{Fabric, SliceSpec};
 //! use tpu_topology::SliceShape;
 //!
-//! let mut fabric = Fabric::for_generation(&tpu_spec::Generation::V4); // 64 blocks, 48 OCSes
+//! let mut fabric = Fabric::for_spec(&tpu_spec::MachineSpec::v4()); // 64 blocks, 48 OCSes
 //! let spec = SliceSpec::regular(SliceShape::new(4, 4, 8)?);
 //! let slice = fabric.allocate(&spec)?;          // programs the switches
 //! assert_eq!(slice.chip_graph().node_count(), 128);

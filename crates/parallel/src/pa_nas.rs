@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 use tpu_embedding::DlrmConfig;
 use tpu_sparsecore::{EmbeddingSystem, Placement, StepBreakdown};
-use tpu_spec::Generation;
+use tpu_spec::MachineSpec;
 
 /// A PA-NAS run over one DLRM on one system.
 #[derive(Debug, Clone)]
@@ -68,10 +68,7 @@ impl PaNas {
         let model = DlrmConfig::dlrm0().scaled(10.0, 1.0);
         // Global batch = 32 examples/chip x 128 chips, as in Figure 8.
         (
-            PaNas::new(
-                EmbeddingSystem::for_generation(&Generation::V4, 128),
-                32 * 128,
-            ),
+            PaNas::new(EmbeddingSystem::for_spec(&MachineSpec::v4(), 128), 32 * 128),
             model,
         )
     }
@@ -168,7 +165,7 @@ mod tests {
     fn already_balanced_model_gains_little() {
         // Plain DLRM0 (sparse-bound on v4) cannot be improved by growing
         // dense — the search should keep a mild shift at most.
-        let nas = PaNas::new(EmbeddingSystem::for_generation(&Generation::V4, 128), 4096);
+        let nas = PaNas::new(EmbeddingSystem::for_spec(&MachineSpec::v4(), 128), 4096);
         let model = DlrmConfig::dlrm0();
         let result = nas.run(&model);
         // Speedup bounded: the sparse side is already the bottleneck and

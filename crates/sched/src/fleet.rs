@@ -1325,7 +1325,7 @@ impl<'a> Engine<'a> {
                 .set_host_up(unit, in_unit, up)
                 .expect("host indices are in range"); // tpu-lint: allow(panic-policy) -- unreachable: host indices are in range
         }
-        self.health.set_host_up(unit as usize, in_unit, up) == Some(true)
+        self.health.set_host_up(unit as usize, in_unit, up) == Ok(true)
     }
 
     /// The switched arm's healthy chips: the chips on the islands the

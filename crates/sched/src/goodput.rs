@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tpu_core::{StaticCluster, Supercomputer};
 use tpu_ocs::healthy_chips;
-use tpu_spec::{FabricKind, Generation, MachineSpec};
+use tpu_spec::{FabricKind, MachineSpec};
 use tpu_topology::{most_cubic_box, SliceShape};
 
 /// Trials per Monte Carlo chunk: the unit of parallel work *and* of RNG
@@ -104,17 +104,6 @@ impl GoodputSim {
         self
     }
 
-    /// The fleet of a built-in generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a [`Generation::Custom`] label without a built-in spec.
-    pub fn for_generation(generation: &Generation, trials: u32, seed: u64) -> GoodputSim {
-        let spec = MachineSpec::for_generation(generation)
-            .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")); // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
-        GoodputSim::for_spec(&spec, trials, seed)
-    }
-
     /// Total chips in the machine (whole blocks/islands).
     pub fn total_chips(&self) -> u64 {
         self.model.total_chips()
@@ -145,12 +134,14 @@ impl GoodputSim {
     ///
     /// # Panics
     ///
-    /// Panics if `slice_chips` is not a positive multiple of the block
-    /// (island) size or exceeds the machine, if `availability` is
-    /// outside (0, 1], or if [`FabricKind::Switched`] is requested for a
-    /// torus spec (a torus machine has no switched counterfactual here —
-    /// that comparison is `BackendComparison`'s job, not goodput's).
+    /// Panics if the sim runs no trials, if `slice_chips` is not a
+    /// positive multiple of the block (island) size or exceeds the
+    /// machine, if `availability` is outside (0, 1], or if
+    /// [`FabricKind::Switched`] is requested for a torus spec (a torus
+    /// machine has no switched counterfactual here — that comparison is
+    /// `BackendComparison`'s job, not goodput's).
     pub fn goodput(&self, slice_chips: u64, availability: f64, fabric: FabricKind) -> f64 {
+        assert!(self.trials > 0, "at least one trial");
         assert!(
             fabric != FabricKind::Switched || self.model.spec().torus_dims == 0,
             "FabricKind::Switched goodput is only defined for torus_dims == 0 specs"
@@ -427,7 +418,7 @@ mod tests {
     use super::*;
 
     fn sim() -> GoodputSim {
-        GoodputSim::for_generation(&Generation::V4, 300, 42)
+        GoodputSim::for_spec(&MachineSpec::v4(), 300, 42)
     }
 
     /// A generator whose next `random::<u64>()` returns `z`.
@@ -595,7 +586,7 @@ mod tests {
 
     #[test]
     fn ocs_dominates_static_everywhere() {
-        let s = GoodputSim::for_generation(&Generation::V4, 100, 7);
+        let s = GoodputSim::for_spec(&MachineSpec::v4(), 100, 7);
         for &avail in &[0.99, 0.995, 0.999] {
             for &chips in &[256u64, 512, 1024, 2048] {
                 let ocs = s.goodput(chips, avail, FabricKind::Ocs);
@@ -637,7 +628,7 @@ mod tests {
         // Figure 4 caption: "Goodput is counterintuitive at large
         // slices": 2K slices drop to ~50% (one slice + 50% stranded
         // spares) while 3K slices recover to ~75% (25% spares).
-        let s = GoodputSim::for_generation(&Generation::V4, 150, 3);
+        let s = GoodputSim::for_spec(&MachineSpec::v4(), 150, 3);
         let rows = s.sweep(0.995);
         assert_eq!(rows.len(), 8);
         let at = |chips: u64| rows.iter().find(|r| r.0 == chips).unwrap().1;
@@ -661,6 +652,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one trial")]
+    fn rejects_zero_trials() {
+        // No trials would divide a zero sum by zero and answer NaN.
+        let _ = GoodputSim::for_spec(&MachineSpec::v4(), 0, 1).goodput(1024, 0.99, FabricKind::Ocs);
+    }
+
+    #[test]
     #[should_panic(expected = "torus_dims == 0")]
     fn rejects_switched_arm_on_torus_specs() {
         // A torus machine has no switched counterfactual in goodput
@@ -670,7 +668,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let mk = || GoodputSim::for_generation(&Generation::V4, 50, 9);
+        let mk = || GoodputSim::for_spec(&MachineSpec::v4(), 50, 9);
         for fabric in [FabricKind::Ocs, FabricKind::Static] {
             let a = mk().goodput(512, 0.99, fabric);
             let b = mk().goodput(512, 0.99, fabric);
@@ -733,7 +731,7 @@ mod tests {
         // Same sim, same query, twice: the second call runs on the
         // cached pristine arm again and must agree exactly (a dirty
         // prototype would skew every later sweep point).
-        let s = GoodputSim::for_generation(&Generation::V4, 60, 11);
+        let s = GoodputSim::for_spec(&MachineSpec::v4(), 60, 11);
         for fabric in [FabricKind::Ocs, FabricKind::Static] {
             let a = s.goodput(1024, 0.995, fabric);
             let b = s.goodput(1024, 0.995, fabric);

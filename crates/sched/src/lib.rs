@@ -33,9 +33,9 @@
 //!
 //! ```
 //! use tpu_sched::GoodputSim;
-//! use tpu_spec::{FabricKind, Generation};
+//! use tpu_spec::{FabricKind, MachineSpec};
 //!
-//! let sim = GoodputSim::for_generation(&Generation::V4, 200, 7);
+//! let sim = GoodputSim::for_spec(&MachineSpec::v4(), 200, 7);
 //! let ocs = sim.goodput(1024, 0.995, FabricKind::Ocs);
 //! let fixed = sim.goodput(1024, 0.995, FabricKind::Static);
 //! assert!(ocs > fixed, "the OCS must raise goodput: {ocs} vs {fixed}");

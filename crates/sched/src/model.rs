@@ -20,9 +20,9 @@
 //! ([`crate::trials`]) — no shared mutable state exists for thread
 //! interleaving to perturb.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use tpu_core::{StaticCluster, Supercomputer};
-use tpu_spec::{Generation, MachineSpec};
+use tpu_spec::MachineSpec;
 
 /// Cached pristine fabric-arm prototypes: built on first use, never
 /// mutated afterwards (static DES runs mutate their own clones), so
@@ -39,7 +39,7 @@ pub(crate) struct ArmCache {
 /// The immutable, `Send + Sync`, spec-derived half of every simulator:
 /// one machine's scheduling geometry, canonical identity hash, and
 /// lazily-built pristine fabric arms. Construct once per spec, share
-/// via [`Arc`] across as many concurrent queries as needed.
+/// via [`Arc`](std::sync::Arc) across as many concurrent queries as needed.
 #[derive(Debug)]
 pub struct PlannerModel {
     spec: MachineSpec,
@@ -63,17 +63,6 @@ impl PlannerModel {
             hosts_per_block,
             arms: ArmCache::default(),
         }
-    }
-
-    /// The model of a built-in generation, ready to share.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a [`Generation::Custom`] label without a built-in spec.
-    pub fn for_generation(generation: &Generation) -> Arc<PlannerModel> {
-        let spec = MachineSpec::for_generation(generation)
-            .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")); // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
-        Arc::new(PlannerModel::for_spec(&spec))
     }
 
     /// The machine spec this model was derived from.
@@ -144,6 +133,7 @@ impl PlannerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use tpu_spec::FabricKind;
 
     fn assert_send_sync<T: Send + Sync>() {}

@@ -1132,6 +1132,35 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_put_leaves_the_spec_directory_loadable() {
+        // A geometry no model can hold is a 422 before anything is
+        // built or written, so a restart still loads the directory.
+        let dir = std::env::temp_dir().join(format!("tpu-serve-bad-put-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("v4.json"), MachineSpec::v4().to_json()).unwrap();
+        let state = ServiceState {
+            store: SpecStore::load_dir(&dir).unwrap(),
+            cache: QueryCache::new(8),
+        };
+        let mut bad = MachineSpec::v4();
+        bad.block.edge = 0;
+        let put = Request {
+            method: "PUT".into(),
+            path: "/specs/bad".into(),
+            query: String::new(),
+            body: bad.to_json().into_bytes(),
+            keep_alive: false,
+        };
+        let resp = handle(&state, &put);
+        assert_eq!(resp.status, 422, "{}", resp.body);
+        assert!(resp.body.contains("bad_spec"), "{}", resp.body);
+        assert!(!dir.join("bad.json").exists());
+        assert_eq!(SpecStore::load_dir(&dir).unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn replacing_a_spec_invalidates_its_cache_entries() {
         let state = state_with_v4();
         let req = get_req("/specs/v4/whatif?availability=0.995&trials=20");

@@ -135,22 +135,23 @@ impl SpecStore {
     /// # Errors
     ///
     /// Returns [`StoreError`] for a bad name or a persist failure (the
-    /// in-memory map is only updated after the disk write succeeds).
+    /// entry is built before the file is written, and the in-memory map
+    /// is only updated after the disk write succeeds).
     pub fn put(
         &self,
         name: &str,
         spec: &MachineSpec,
     ) -> Result<(Arc<SpecEntry>, Option<u64>, bool), StoreError> {
         validate_name(name)?;
+        let entry = Arc::new(SpecEntry {
+            name: name.to_string(),
+            model: Arc::new(PlannerModel::for_spec(spec)),
+        });
         if let Some(dir) = &self.persist_dir {
             let path = dir.join(format!("{name}.json"));
             fs::write(&path, format!("{}\n", spec.to_json()))
                 .map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))?;
         }
-        let entry = Arc::new(SpecEntry {
-            name: name.to_string(),
-            model: Arc::new(PlannerModel::for_spec(spec)),
-        });
         let mut specs = self.write();
         let old = specs.insert(name.to_string(), Arc::clone(&entry));
         let replaced_hash = old.as_ref().map(|e| e.model.spec_hash());

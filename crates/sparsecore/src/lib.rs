@@ -18,10 +18,10 @@
 //! ```
 //! use tpu_embedding::DlrmConfig;
 //! use tpu_sparsecore::{EmbeddingSystem, Placement};
-//! use tpu_spec::Generation;
+//! use tpu_spec::MachineSpec;
 //!
 //! let model = DlrmConfig::dlrm0();
-//! let v4 = EmbeddingSystem::for_generation(&Generation::V4, 128);
+//! let v4 = EmbeddingSystem::for_spec(&MachineSpec::v4(), 128);
 //! let with_sc = v4.step_time(&model, 4096, Placement::SparseCore);
 //! let no_sc = v4.step_time(&model, 4096, Placement::HostCpu);
 //! let slowdown = no_sc.total_s() / with_sc.total_s();

@@ -18,7 +18,7 @@
 use crate::arch::{ScGeneration, ScInstruction};
 use crate::exec::{StepBreakdown, WorkloadProfile};
 use serde::{Deserialize, Serialize};
-use tpu_spec::{Generation, MachineSpec};
+use tpu_spec::MachineSpec;
 
 /// Where the embedding tables are placed (Figure 9's bars).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -181,27 +181,6 @@ impl EmbeddingSystem {
                 a2a_bw_per_chip,
             },
         }
-    }
-
-    /// A slice of a built-in generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a [`Generation::Custom`] label without a built-in spec
-    /// and for chips without SparseCores.
-    pub fn for_generation(generation: &Generation, chips: u64) -> EmbeddingSystem {
-        let spec = MachineSpec::for_generation(generation)
-            .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")); // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
-        EmbeddingSystem::for_spec(&spec, chips)
-    }
-
-    /// A TPU v3 slice of `chips` chips on its 2D torus.
-    ///
-    /// Convenience alias; prefer [`EmbeddingSystem::for_generation`] or
-    /// [`EmbeddingSystem::for_spec`] in new code — the per-generation
-    /// aliases will eventually be deprecated.
-    pub fn tpu_v3_slice(chips: u64) -> EmbeddingSystem {
-        EmbeddingSystem::for_generation(&Generation::V3, chips)
     }
 
     /// The Figure 9 CPU baseline: 576 Skylake sockets (400 learners, 176
@@ -462,7 +441,7 @@ mod tests {
     #[test]
     fn sparse_core_beats_all_other_placements() {
         let model = DlrmConfig::dlrm0();
-        let sys = EmbeddingSystem::for_generation(&Generation::V4, 128);
+        let sys = EmbeddingSystem::for_spec(&MachineSpec::v4(), 128);
         let sc = sys.step_time(&model, 4096, Placement::SparseCore).total_s();
         for placement in [
             Placement::TensorCore,
@@ -479,7 +458,7 @@ mod tests {
         // "When embeddings are placed in CPU memory for TPU v4,
         // performance drops by 5x-7x."
         let model = DlrmConfig::dlrm0();
-        let sys = EmbeddingSystem::for_generation(&Generation::V4, 128);
+        let sys = EmbeddingSystem::for_spec(&MachineSpec::v4(), 128);
         let sc = sys.step_time(&model, 4096, Placement::SparseCore).total_s();
         let cpu = sys.step_time(&model, 4096, Placement::HostCpu).total_s();
         let slowdown = cpu / sc;
@@ -490,10 +469,10 @@ mod tests {
     fn figure9_v4_vs_v3_band() {
         // "TPU v4 beats TPU v3 by 3.1x" on DLRM0 at 128 chips.
         let model = DlrmConfig::dlrm0();
-        let v4 = EmbeddingSystem::for_generation(&Generation::V4, 128)
+        let v4 = EmbeddingSystem::for_spec(&MachineSpec::v4(), 128)
             .step_time(&model, 4096, Placement::SparseCore)
             .total_s();
-        let v3 = EmbeddingSystem::tpu_v3_slice(128)
+        let v3 = EmbeddingSystem::for_spec(&MachineSpec::v3(), 128)
             .step_time(&model, 4096, Placement::SparseCore)
             .total_s();
         let speedup = v3 / v4;
@@ -504,7 +483,7 @@ mod tests {
     fn figure9_v3_vs_cpu_band() {
         // "TPU v3 is faster than CPUs by 9.8x."
         let model = DlrmConfig::dlrm0();
-        let v3 = EmbeddingSystem::tpu_v3_slice(128)
+        let v3 = EmbeddingSystem::for_spec(&MachineSpec::v3(), 128)
             .step_time(&model, 4096, Placement::SparseCore)
             .total_s();
         let cpu = EmbeddingSystem::cpu_cluster()
@@ -518,7 +497,7 @@ mod tests {
     fn figure9_v4_vs_cpu_band() {
         // "TPU v4 ... beats CPUs by 30.1x."
         let model = DlrmConfig::dlrm0();
-        let v4 = EmbeddingSystem::for_generation(&Generation::V4, 128)
+        let v4 = EmbeddingSystem::for_spec(&MachineSpec::v4(), 128)
             .step_time(&model, 4096, Placement::SparseCore)
             .total_s();
         let cpu = EmbeddingSystem::cpu_cluster()
@@ -538,7 +517,7 @@ mod tests {
     #[test]
     fn names() {
         assert_eq!(
-            EmbeddingSystem::for_generation(&Generation::V4, 128).name(),
+            EmbeddingSystem::for_spec(&MachineSpec::v4(), 128).name(),
             "TPU v4 x128"
         );
         assert_eq!(EmbeddingSystem::cpu_cluster().name(), "CPU x576");

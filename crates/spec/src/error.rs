@@ -7,12 +7,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SpecError {
-    /// A [`Generation::Custom`](crate::Generation::Custom) label has no
-    /// built-in spec and none was supplied.
-    UnknownGeneration {
-        /// The unresolvable label.
-        label: String,
-    },
     /// JSON text could not be parsed.
     Json {
         /// Byte offset of the failure.
@@ -37,9 +31,6 @@ pub enum SpecError {
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SpecError::UnknownGeneration { label } => {
-                write!(f, "no built-in machine spec for generation '{label}'")
-            }
             SpecError::Json { offset, message } => {
                 write!(f, "JSON parse error at byte {offset}: {message}")
             }
@@ -59,8 +50,6 @@ mod tests {
 
     #[test]
     fn display_covers_variants() {
-        let e = SpecError::UnknownGeneration { label: "x".into() };
-        assert!(e.to_string().contains("'x'"));
         let e = SpecError::MissingField {
             field: "chip.name".into(),
         };

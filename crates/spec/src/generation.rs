@@ -25,9 +25,6 @@ pub enum Generation {
 }
 
 impl Generation {
-    /// The built-in TPU generations, oldest first.
-    pub const TPUS: [Generation; 3] = [Generation::V2, Generation::V3, Generation::V4];
-
     /// A custom generation from a label.
     pub fn custom(name: impl Into<String>) -> Generation {
         Generation::Custom(name.into())
@@ -72,7 +69,7 @@ mod tests {
 
     #[test]
     fn label_roundtrip() {
-        for generation in Generation::TPUS {
+        for generation in [Generation::V2, Generation::V3, Generation::V4] {
             assert_eq!(Generation::from_label(generation.label()), generation);
         }
         let custom = Generation::custom("a100");

@@ -831,8 +831,10 @@ impl MachineSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] on malformed JSON, missing fields, or
-    /// type-mismatched values.
+    /// Returns [`SpecError`] on malformed JSON, missing fields,
+    /// type-mismatched values, or a block and fleet geometry that no
+    /// placement model can divide into blocks of whole hosts (the rules
+    /// of `docs/spec-format.md`).
     pub fn from_json(text: &str) -> Result<MachineSpec, SpecError> {
         let root = json::parse(text)?;
         let generation = Generation::from_label(json::get_str(&root, "generation")?);
@@ -1023,7 +1025,7 @@ impl MachineSpec {
                 expected: "no ocs layer on a statically-cabled machine".to_string(),
             });
         }
-        Ok(MachineSpec {
+        let spec = MachineSpec {
             generation,
             chip,
             mxus_per_core: json::get_u32(&root, "mxus_per_core")?,
@@ -1036,8 +1038,50 @@ impl MachineSpec {
             latency,
             collective,
             fleet,
-        })
+        };
+        check_geometry(&spec)?;
+        Ok(spec)
     }
+}
+
+/// The geometry every placement model divides by: a block of at least
+/// one chip (whose chip count fits a `u32`) and hosts of at least one
+/// chip; on a torus machine, blocks of whole hosts and a fleet of a
+/// positive whole number of blocks; on a switched one, at least one
+/// chip.
+fn check_geometry(spec: &MachineSpec) -> Result<(), SpecError> {
+    let (block, fleet_chips) = (spec.block, spec.fleet_chips);
+    let invalid = |field: &str, expected: &str| {
+        Err(SpecError::InvalidField {
+            field: field.to_string(),
+            expected: expected.to_string(),
+        })
+    };
+    let Some(block_chips) = block.edge.checked_pow(3).filter(|&chips| chips > 0) else {
+        return invalid("block.edge", "a positive edge whose cube fits in 32 bits");
+    };
+    if block.tpus_per_host == 0 {
+        return invalid("block.tpus_per_host", "a positive chip count");
+    }
+    if spec.torus_dims == 0 {
+        if fleet_chips == 0 {
+            return invalid("fleet_chips", "at least one chip");
+        }
+        return Ok(());
+    }
+    if !block_chips.is_multiple_of(block.tpus_per_host) {
+        return invalid(
+            "block.tpus_per_host",
+            "a divisor of the block's edge³ chips on a torus machine",
+        );
+    }
+    if fleet_chips == 0 || !fleet_chips.is_multiple_of(u64::from(block_chips)) {
+        return invalid(
+            "fleet_chips",
+            "a positive whole number of blocks (edge³ chips) on a torus machine",
+        );
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1062,7 +1106,7 @@ mod tests {
 
     #[test]
     fn generations_resolve() {
-        for generation in Generation::TPUS {
+        for generation in [Generation::V2, Generation::V3, Generation::V4] {
             let spec = MachineSpec::for_generation(&generation).unwrap();
             assert_eq!(spec.generation, generation);
         }

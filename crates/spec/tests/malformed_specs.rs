@@ -4,7 +4,7 @@
 //! `MachineSpec::from_json` fails the test by unwinding.
 
 use std::path::Path;
-use tpu_spec::{json, MachineSpec};
+use tpu_spec::{json, MachineSpec, SpecError};
 
 fn committed_specs() -> Vec<(String, String)> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
@@ -144,5 +144,44 @@ fn handcrafted_pathological_documents_error_cleanly() {
             "pathological input unexpectedly produced a full spec: {text:.40}"
         );
         must_not_panic(text);
+    }
+}
+
+#[test]
+fn geometry_no_model_can_hold_is_rejected() {
+    // Every placement model divides the fleet into blocks (or islands)
+    // of hosts: a zero edge or host size, an edge whose cube overflows,
+    // blocks of partial hosts, or a torus fleet that is not a positive
+    // whole number of blocks must fail to parse, not crash later.
+    for (name, text) in committed_specs() {
+        let spec = MachineSpec::from_json(&text).unwrap();
+        let block_chips = u64::from(spec.block.chips());
+        let mut mutations: Vec<(&str, MachineSpec)> = Vec::new();
+        let mut with = |field, edit: &dyn Fn(&mut MachineSpec)| {
+            let mut mutated = spec.clone();
+            edit(&mut mutated);
+            mutations.push((field, mutated));
+        };
+        with("block.edge", &|s| s.block.edge = 0);
+        with("block.edge", &|s| s.block.edge = 1626);
+        with("block.tpus_per_host", &|s| s.block.tpus_per_host = 0);
+        if spec.torus_dims == 0 {
+            with("fleet_chips", &|s| s.fleet_chips = 0);
+        } else {
+            with("block.tpus_per_host", &|s| {
+                s.block.tpus_per_host = s.block.chips() + 1
+            });
+            for fleet in [0, block_chips / 2, spec.fleet_chips + 1] {
+                with("fleet_chips", &|s| s.fleet_chips = fleet);
+            }
+        }
+        for (field, mutated) in mutations {
+            match MachineSpec::from_json(&mutated.to_json()) {
+                Err(SpecError::InvalidField { field: got, .. }) => {
+                    assert_eq!(got, field, "{name}: {mutated:?}");
+                }
+                other => panic!("{name}: {field} mutation gave {other:?}"),
+            }
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! (MFU) counts only the 6·N·T useful FLOPs.
 
 use serde::{Deserialize, Serialize};
-use tpu_spec::{Generation, MachineSpec};
+use tpu_spec::MachineSpec;
 
 /// A large-model training campaign on TPU v4.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -23,8 +23,8 @@ pub struct LlmCampaign {
     pub hfu: f64,
     /// Rematerialization factor: hardware FLOPs per useful model FLOP.
     pub remat_factor: f64,
-    /// Generation of the chips the campaign ran on.
-    pub generation: Generation,
+    /// The machine the campaign ran on.
+    pub spec: MachineSpec,
 }
 
 impl LlmCampaign {
@@ -38,20 +38,13 @@ impl LlmCampaign {
             days: 50.0,
             hfu: 0.578,
             remat_factor: 0.578 / 0.462,
-            generation: Generation::V4,
+            spec: MachineSpec::v4(),
         }
     }
 
     /// Aggregate peak of the slice, FLOP/s.
     pub fn peak_flops(&self) -> f64 {
-        self.chips as f64 * self.spec().peak_flops()
-    }
-
-    /// The machine spec of the campaign's generation.
-    fn spec(&self) -> MachineSpec {
-        MachineSpec::for_generation(&self.generation)
-            // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
-            .unwrap_or_else(|| panic!("no built-in machine spec for {}", self.generation))
+        self.chips as f64 * self.spec.peak_flops()
     }
 
     /// Model FLOPs utilization.
@@ -72,7 +65,7 @@ impl LlmCampaign {
     /// Mean IT-side energy of the accelerators over the campaign, kWh,
     /// at the Table 4 mean production power.
     pub fn accelerator_energy_kwh(&self) -> f64 {
-        let mean_w = self.spec().chip.mean_power_w();
+        let mean_w = self.spec.chip.mean_power_w();
         self.chips as f64 * mean_w * self.days * 24.0 / 1000.0
     }
 }

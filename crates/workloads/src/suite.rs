@@ -14,14 +14,7 @@ use tpu_chip::{ChipSpec, MemorySystem, PowerModel, MIB};
 use tpu_embedding::DlrmConfig;
 use tpu_sparsecore::{EmbeddingSystem, Placement};
 use tpu_spec::consts::GIGA;
-use tpu_spec::{Generation, MachineSpec};
-
-/// The chip record of a built-in generation.
-fn chip_of(generation: &Generation) -> ChipSpec {
-    MachineSpec::for_generation(generation)
-        .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")) // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
-        .chip
-}
+use tpu_spec::MachineSpec;
 
 /// Broad workload class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -126,33 +119,34 @@ impl ProductionSuite {
 
     /// Figure 12: TPU v4 over TPU v3 speedup at equal slice size.
     pub fn v4_over_v3_speedup(&self, workload: &Workload) -> f64 {
-        self.speedup_between(workload, &Generation::V4, &Generation::V3)
+        self.speedup_between(workload, &MachineSpec::v4(), &MachineSpec::v3())
     }
 
-    /// Generation-vs-generation speedup at equal slice size — the
-    /// Figure 12 comparison as a first-class sweep over any two specs.
+    /// Machine-vs-machine speedup at equal slice size — the Figure 12
+    /// comparison as a first-class sweep over any two specs.
     pub fn speedup_between(
         &self,
         workload: &Workload,
-        newer: &Generation,
-        older: &Generation,
+        newer: &MachineSpec,
+        older: &MachineSpec,
     ) -> f64 {
         match workload.kind {
             WorkloadKind::Dlrm => self.dlrm_speedup_between(workload, newer, older),
-            _ => {
-                let newer_chip = chip_of(newer);
-                let older_chip = chip_of(older);
-                workload.attained_tflops(&newer_chip) / workload.attained_tflops(&older_chip)
-            }
+            _ => workload.attained_tflops(&newer.chip) / workload.attained_tflops(&older.chip),
         }
     }
 
-    /// DLRM speedup between two generations' SparseCore systems.
+    /// DLRM speedup between two machines' SparseCore systems.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either spec's chip has no SparseCores
+    /// ([`EmbeddingSystem::for_spec`]).
     pub fn dlrm_speedup_between(
         &self,
         workload: &Workload,
-        newer: &Generation,
-        older: &Generation,
+        newer: &MachineSpec,
+        older: &MachineSpec,
     ) -> f64 {
         let model = if workload.name == "DLRM1" {
             DlrmConfig::dlrm0().scaled(0.7, 0.8)
@@ -160,10 +154,10 @@ impl ProductionSuite {
             DlrmConfig::dlrm0()
         };
         let batch = 32 * 512;
-        let newer_t = EmbeddingSystem::for_generation(newer, 512)
+        let newer_t = EmbeddingSystem::for_spec(newer, 512)
             .step_time(&model, batch, Placement::SparseCore)
             .total_s();
-        let older_t = EmbeddingSystem::for_generation(older, 512)
+        let older_t = EmbeddingSystem::for_spec(older, 512)
             .step_time(&model, batch, Placement::SparseCore)
             .total_s();
         older_t / newer_t
@@ -186,7 +180,7 @@ impl ProductionSuite {
             // dense layers only a little.
             return 1.05;
         }
-        let v4 = chip_of(&Generation::V4);
+        let v4 = MachineSpec::v4().chip;
         let on = workload.attained_tflops(&v4);
         let off = workload.attained_tflops(&v4.without_cmem());
         on / off
@@ -203,8 +197,8 @@ impl ProductionSuite {
     /// over v3 at production utilization (each chip at its Table 4
     /// measured mean power).
     pub fn geomean_perf_per_watt_gain(&self) -> f64 {
-        let v4_chip = chip_of(&Generation::V4);
-        let v3_chip = chip_of(&Generation::V3);
+        let v4_chip = MachineSpec::v4().chip;
+        let v3_chip = MachineSpec::v3().chip;
         let v4 = PowerModel::of_chip(&v4_chip);
         let v3 = PowerModel::of_chip(&v3_chip);
         let v4_power = v4.at_utilization(v4.utilization_for_power(v4_chip.mean_power_w()));

@@ -22,17 +22,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "machine", "fabric", "chips", "all-reduce (ms)", "all-to-all (ms)"
     );
     let mut v4_times = (0.0, 0.0);
-    for generation in [
-        Generation::V4,
-        Generation::custom("v4-ib"),
-        Generation::custom("a100"),
+    for spec in [
+        MachineSpec::v4(),
+        MachineSpec::v4_ib_hybrid(),
+        MachineSpec::a100(),
     ] {
-        let spec = MachineSpec::for_generation(&generation).expect("built-in");
         let mut machine = Supercomputer::for_spec(&spec);
         let job = machine.submit(JobSpec::new("cmp", SliceSpec::regular(shape)))?;
         let t_ar = machine.collective_time(job, ar)?;
         let t_a2a = machine.collective_time(job, a2a)?;
-        if generation == Generation::V4 {
+        if spec.generation == Generation::V4 {
             v4_times = (t_ar, t_a2a);
         }
         println!(

@@ -6,7 +6,7 @@
 //! ```
 
 use tpuv4::topology::SliceShape;
-use tpuv4::{Collective, Generation, JobSpec, MachineSpec, SliceSpec, Supercomputer};
+use tpuv4::{Collective, JobSpec, MachineSpec, SliceSpec, Supercomputer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let shape = SliceShape::new(4, 4, 8)?;
@@ -16,8 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<8} {:>8} {:>12} {:>12} {:>16}",
         "machine", "chips", "ICI GB/s", "TFLOPS", "all-reduce (ms)"
     );
-    for generation in Generation::TPUS {
-        let spec = MachineSpec::for_generation(&generation).expect("built-in");
+    for spec in [MachineSpec::v2(), MachineSpec::v3(), MachineSpec::v4()] {
         let mut machine = Supercomputer::for_spec(&spec);
         let job = machine.submit(JobSpec::new("sweep", SliceSpec::regular(shape)))?;
         let t = machine.collective_time(job, op)?;

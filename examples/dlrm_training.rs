@@ -11,7 +11,7 @@
 
 use tpuv4::embedding::{BatchGenerator, DlrmConfig, ShardingPlan};
 use tpuv4::sparsecore::{EmbeddingSystem, Placement, WorkloadProfile};
-use tpuv4::Generation;
+use tpuv4::MachineSpec;
 
 fn main() {
     let model = DlrmConfig::dlrm0();
@@ -46,7 +46,7 @@ fn main() {
     );
 
     // Step time under each placement (Figure 9).
-    let system = EmbeddingSystem::for_generation(&Generation::V4, chips as u64);
+    let system = EmbeddingSystem::for_spec(&MachineSpec::v4(), chips as u64);
     let profile = WorkloadProfile::from_batch(&model, &batch);
     println!(
         "\nplacement comparison on {} (global batch 4096):",
@@ -74,7 +74,7 @@ fn main() {
     // And the Figure 9 cross-system view.
     println!("\ncross-system (model profile, global batch 4096):");
     let cpu = EmbeddingSystem::cpu_cluster();
-    let v3 = EmbeddingSystem::tpu_v3_slice(chips as u64);
+    let v3 = EmbeddingSystem::for_spec(&MachineSpec::v3(), chips as u64);
     let t_cpu = cpu.step_time(&model, 4096, Placement::SparseCore).total_s();
     let t_v3 = v3.step_time(&model, 4096, Placement::SparseCore).total_s();
     let t_v4 = system

@@ -5,10 +5,10 @@
 //! ```
 
 use tpuv4::sched::{DeploymentModel, GoodputSim};
-use tpuv4::spec::{FabricKind, Generation};
+use tpuv4::spec::{FabricKind, MachineSpec};
 
 fn main() {
-    let sim = GoodputSim::for_generation(&Generation::V4, 400, 2023);
+    let sim = GoodputSim::for_spec(&MachineSpec::v4(), 400, 2023);
     println!(
         "goodput of a {}-chip machine ({} hosts), Monte Carlo:",
         sim.total_chips(),

@@ -7,10 +7,10 @@
 
 use tpuv4::ocs::BlockId;
 use tpuv4::topology::SliceShape;
-use tpuv4::{Collective, Generation, JobSpec, SliceSpec, Supercomputer};
+use tpuv4::{Collective, JobSpec, MachineSpec, SliceSpec, Supercomputer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut machine = Supercomputer::for_generation(Generation::V4);
+    let mut machine = Supercomputer::for_spec(&MachineSpec::v4());
     let fabric = machine.fabric().expect("the v4 machine is an OCS torus");
     println!(
         "machine: {} chips over {} blocks, {} OCSes",

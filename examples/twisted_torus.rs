@@ -7,7 +7,7 @@
 
 use tpuv4::net::{AllToAll, FlowSim, LinkRate};
 use tpuv4::topology::{Bisection, GraphMetrics, SliceShape, Torus, TwistedTorus};
-use tpuv4::{Fabric, Generation, SliceSpec};
+use tpuv4::{Fabric, MachineSpec, SliceSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rate = LinkRate::TPU_V4_ICI;
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Figure 1 audit: materialize a twisted 4x4x8 through the OCS fabric
     // and check it equals the abstract twisted torus, then replay the
     // all-to-all through the DMA-level flow simulator.
-    let mut fabric = Fabric::for_generation(&Generation::V4);
+    let mut fabric = Fabric::for_spec(&MachineSpec::v4());
     let shape = SliceShape::new(4, 4, 8)?;
     let slice = fabric.allocate(&SliceSpec::twisted(shape)?)?;
     println!(

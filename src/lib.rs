@@ -22,11 +22,11 @@
 //! # Quickstart
 //!
 //! ```
-//! use tpuv4::{Collective, Generation, JobSpec, SliceSpec, Supercomputer};
+//! use tpuv4::{Collective, JobSpec, MachineSpec, SliceSpec, Supercomputer};
 //! use tpuv4::topology::SliceShape;
 //!
 //! // Bring up the 4096-chip machine and schedule a twisted-torus slice.
-//! let mut machine = Supercomputer::for_generation(Generation::V4);
+//! let mut machine = Supercomputer::for_spec(&MachineSpec::v4());
 //! let job = machine.submit(JobSpec::new(
 //!     "recommender",
 //!     SliceSpec::twisted(SliceShape::new(4, 8, 8)?)?,
@@ -38,7 +38,7 @@
 //!
 //! // Every layer is parameterized by the same MachineSpec, so the
 //! // paper's cross-generation comparisons are one argument away.
-//! let mut v3 = Supercomputer::for_generation(Generation::V3);
+//! let mut v3 = Supercomputer::for_spec(&MachineSpec::v3());
 //! let job3 = v3.submit(JobSpec::new(
 //!     "recommender-on-v3",
 //!     SliceSpec::regular(SliceShape::new(4, 8, 8)?),
@@ -76,7 +76,7 @@ pub use tpu_topology::{SliceShape, Torus, TwistedTorus};
 mod tests {
     #[test]
     fn facade_reexports_compose() {
-        let machine = crate::Supercomputer::for_generation(crate::Generation::V4);
+        let machine = crate::Supercomputer::for_spec(&crate::MachineSpec::v4());
         assert_eq!(machine.total_chips(), 4096);
         let mix = crate::sched::SliceMix::table2();
         assert!(mix.total_share() > 0.9);

@@ -5,13 +5,13 @@
 use tpuv4::net::{all_to_all_flows, AllToAll, FlowSim, LinkRate};
 use tpuv4::ocs::{Fabric, SliceSpec};
 use tpuv4::topology::SliceShape;
-use tpuv4::Generation;
+use tpuv4::MachineSpec;
 
 const RATE: LinkRate = LinkRate::TPU_V4_ICI;
 
 #[test]
 fn figure6_gains_via_ocs_materialized_slices() {
-    let mut fabric = Fabric::for_generation(&Generation::V4);
+    let mut fabric = Fabric::for_spec(&MachineSpec::v4());
     // (shape, paper gain, accepted band)
     let cases = [
         ((4u32, 4u32, 8u32), 1.63, (1.3, 2.0)),

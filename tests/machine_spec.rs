@@ -58,8 +58,8 @@ fn every_layer_consumes_the_same_spec() {
 
 #[test]
 fn v3_supercomputer_composes_end_to_end() {
-    // The acceptance flow: for_generation(V3) -> submit -> collective_time.
-    let mut machine = Supercomputer::for_generation(Generation::V3);
+    // The acceptance flow: for_spec(v3) -> submit -> collective_time.
+    let mut machine = Supercomputer::for_spec(&MachineSpec::v3());
     assert_eq!(machine.total_chips(), 1024);
     let job = machine
         .submit(JobSpec::new(
@@ -115,8 +115,8 @@ fn faster_v3_links_show_up_in_collective_times() {
     let shape = SliceShape::new(4, 4, 8).unwrap();
     let op = Collective::AllReduce { bytes: 1 << 30 };
     let mut times = Vec::new();
-    for generation in [Generation::V3, Generation::V4] {
-        let mut machine = Supercomputer::for_generation(generation);
+    for spec in [MachineSpec::v3(), MachineSpec::v4()] {
+        let mut machine = Supercomputer::for_spec(&spec);
         let job = machine
             .submit(JobSpec::new("sweep", SliceSpec::regular(shape)))
             .unwrap();
@@ -128,33 +128,45 @@ fn faster_v3_links_show_up_in_collective_times() {
 #[test]
 fn shipped_spec_files_match_their_builtins() {
     // The specs/ directory is produced by `repro --emit-spec`; this
-    // pins the files to the built-in constructors so an edit to a
-    // tpu-spec constant cannot silently strand stale spec files (the
-    // doc-drift failure mode DESIGN.md exists to prevent).
+    // pins every file in it to the built-in constructor of its label
+    // (the file name), so an edit to a tpu-spec constant cannot
+    // silently strand stale spec files (the doc-drift failure mode
+    // DESIGN.md exists to prevent), and a new file needs a built-in.
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("specs");
-    for label in ["v2", "v3", "v4", "a100", "ipu-bow", "v4-ib", "v3-ocs"] {
-        let text = std::fs::read_to_string(dir.join(format!("{label}.json")))
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("specs directory")
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .collect();
+    paths.sort();
+    assert!(
+        paths.len() >= 9,
+        "expected the committed specs, got {paths:?}"
+    );
+    for path in paths {
+        let label = path.file_stem().unwrap().to_str().unwrap();
+        let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("specs/{label}.json unreadable: {e}"));
         let loaded = MachineSpec::from_json(&text)
             .unwrap_or_else(|e| panic!("specs/{label}.json invalid: {e}"));
-        let builtin = MachineSpec::for_generation(&Generation::from_label(label))
-            .unwrap_or_else(|| panic!("{label} should be built in"));
-        assert_eq!(loaded, builtin, "specs/{label}.json drifted from built-in");
+        assert_eq!(loaded.generation.label(), label, "specs/{label}.json");
+        if label == "v4-half" {
+            // The derated variant is the v4 spec with a relabel, half
+            // fleet, and an explicit fleet profile (the
+            // docs/spec-format.md worked example of a repair SLO).
+            assert_eq!(loaded.fleet_chips, 2048);
+            let mut expect = MachineSpec::v4();
+            expect.generation = Generation::custom("v4-half");
+            expect.fleet_chips = 2048;
+            expect.fleet = Some(FleetSpec {
+                repair_slo_h: Some(24.0),
+                ..FleetSpec::reference()
+            });
+            assert_eq!(loaded, expect, "specs/v4-half.json drifted from its recipe");
+        } else {
+            let builtin = MachineSpec::for_generation(&loaded.generation)
+                .unwrap_or_else(|| panic!("{label} should be built in"));
+            assert_eq!(loaded, builtin, "specs/{label}.json drifted from built-in");
+        }
     }
-
-    // The derated variant is the v4 spec with a relabel, half fleet,
-    // and an explicit fleet profile (the docs/spec-format.md worked
-    // example of a repair SLO).
-    let text = std::fs::read_to_string(dir.join("v4-half.json")).unwrap();
-    let half = MachineSpec::from_json(&text).unwrap();
-    assert_eq!(half.generation.label(), "v4-half");
-    assert_eq!(half.fleet_chips, 2048);
-    let mut expect = MachineSpec::v4();
-    expect.generation = Generation::custom("v4-half");
-    expect.fleet_chips = 2048;
-    expect.fleet = Some(FleetSpec {
-        repair_slo_h: Some(24.0),
-        ..FleetSpec::reference()
-    });
-    assert_eq!(half, expect, "specs/v4-half.json drifted from its recipe");
 }

@@ -4,7 +4,7 @@
 
 use tpuv4::ocs::{Fabric, SliceSpec};
 use tpuv4::topology::{Edge, LinkGraph, SliceShape, Torus, TwistedTorus};
-use tpuv4::Generation;
+use tpuv4::MachineSpec;
 
 fn edge_multiset(g: &LinkGraph) -> Vec<(u32, u32, u8, u8, bool)> {
     let mut v: Vec<_> = g
@@ -26,7 +26,7 @@ fn edge_multiset(g: &LinkGraph) -> Vec<(u32, u32, u8, u8, bool)> {
 
 #[test]
 fn every_table2_regular_block_shape_materializes_exactly() {
-    let mut fabric = Fabric::for_generation(&Generation::V4);
+    let mut fabric = Fabric::for_spec(&MachineSpec::v4());
     // The block-aligned regular shapes of Table 2 that fit in 64 blocks.
     let shapes = [
         (4u32, 4u32, 4u32),
@@ -60,7 +60,7 @@ fn every_table2_regular_block_shape_materializes_exactly() {
 
 #[test]
 fn every_table2_twisted_shape_materializes_exactly() {
-    let mut fabric = Fabric::for_generation(&Generation::V4);
+    let mut fabric = Fabric::for_spec(&MachineSpec::v4());
     for (x, y, z) in [(4u32, 4, 8), (4, 8, 8), (8, 8, 16), (8, 16, 16)] {
         let shape = SliceShape::new(x, y, z).unwrap();
         let slice = fabric
@@ -78,7 +78,7 @@ fn every_table2_twisted_shape_materializes_exactly() {
 
 #[test]
 fn full_4096_chip_machine_materializes() {
-    let mut fabric = Fabric::for_generation(&Generation::V4);
+    let mut fabric = Fabric::for_spec(&MachineSpec::v4());
     let shape = SliceShape::new(16, 16, 16).unwrap();
     let slice = fabric.allocate(&SliceSpec::regular(shape)).unwrap();
     let reference = Torus::new(shape).into_graph();
@@ -89,7 +89,7 @@ fn full_4096_chip_machine_materializes() {
 
 #[test]
 fn released_fabric_is_reusable_across_many_allocations() {
-    let mut fabric = Fabric::for_generation(&Generation::V4);
+    let mut fabric = Fabric::for_spec(&MachineSpec::v4());
     for round in 0..20 {
         let spec = if round % 2 == 0 {
             SliceSpec::regular(SliceShape::new(8, 8, 8).unwrap())

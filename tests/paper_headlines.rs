@@ -8,7 +8,7 @@ use tpuv4::net::BackendComparison;
 use tpuv4::ocs::CostModel;
 use tpuv4::sched::{GoodputSim, SliceMix};
 use tpuv4::sparsecore::{EmbeddingSystem, Placement};
-use tpuv4::spec::{FabricKind, Generation, MachineSpec};
+use tpuv4::spec::{FabricKind, MachineSpec};
 use tpuv4::topology::SliceShape;
 use tpuv4::workloads::suite::ProductionSuite;
 
@@ -26,7 +26,7 @@ fn headline_sparsecore_5x_to_7x() {
     // Abstract: "SparseCores ... accelerate models that rely on
     // embeddings by 5x-7x" (vs embeddings outside the SC's domain).
     let model = DlrmConfig::dlrm0();
-    let sys = EmbeddingSystem::for_generation(&Generation::V4, 128);
+    let sys = EmbeddingSystem::for_spec(&MachineSpec::v4(), 128);
     let sc = sys.step_time(&model, 4096, Placement::SparseCore).total_s();
     let host = sys.step_time(&model, 4096, Placement::HostCpu).total_s();
     let vs = sys
@@ -55,7 +55,7 @@ fn headline_4x_scale_with_ocs_availability() {
     // The 4096-chip scale only works because the OCS routes around
     // failures: at realistic host availability, a statically-cabled 2048
     // slice is nearly unschedulable while the OCS machine delivers ~50%.
-    let sim = GoodputSim::for_generation(&Generation::V4, 150, 11);
+    let sim = GoodputSim::for_spec(&MachineSpec::v4(), 150, 11);
     let ocs = sim.goodput(2048, 0.995, FabricKind::Ocs);
     let fixed = sim.goodput(2048, 0.995, FabricKind::Static);
     assert!(ocs > 0.4, "ocs {ocs}");

@@ -427,7 +427,7 @@ mod schedule_props {
 mod goodput_props {
     use super::Cases;
     use tpuv4::sched::GoodputSim;
-    use tpuv4::spec::{FabricKind, Generation};
+    use tpuv4::spec::{FabricKind, MachineSpec};
 
     #[test]
     fn goodput_in_unit_interval_and_ocs_dominates() {
@@ -436,7 +436,7 @@ mod goodput_props {
         for _ in 0..8 {
             let blocks = slice_blocks[cases.int(0, slice_blocks.len() as u64 - 1) as usize];
             let avail = 0.97 + 0.03 * (cases.int(0, 999) as f64 / 1000.0);
-            let sim = GoodputSim::for_generation(&Generation::V4, 40, 5);
+            let sim = GoodputSim::for_spec(&MachineSpec::v4(), 40, 5);
             let chips = blocks * 64;
             let ocs = sim.goodput(chips, avail, FabricKind::Ocs);
             let fixed = sim.goodput(chips, avail, FabricKind::Static);
@@ -451,7 +451,7 @@ mod fabric_props {
     use super::Cases;
     use tpuv4::ocs::{Fabric, SliceSpec};
     use tpuv4::topology::{bfs_distances, NodeId, SliceShape};
-    use tpuv4::Generation;
+    use tpuv4::MachineSpec;
 
     #[test]
     fn allocate_release_never_leaks() {
@@ -459,7 +459,7 @@ mod fabric_props {
         for _ in 0..12 {
             let rounds = cases.int(1, 5) as usize;
             let seed = cases.int(0, 999);
-            let mut fabric = Fabric::for_generation(&Generation::V4);
+            let mut fabric = Fabric::for_spec(&MachineSpec::v4());
             let shapes = [(4u32, 4u32, 4u32), (4, 4, 8), (4, 8, 8), (8, 8, 8)];
             let mut live = Vec::new();
             for r in 0..rounds {
@@ -502,7 +502,7 @@ mod fabric_props {
             } else {
                 SliceSpec::regular(shape)
             };
-            let mut fabric = Fabric::for_generation(&Generation::V4);
+            let mut fabric = Fabric::for_spec(&MachineSpec::v4());
             let slice = fabric.allocate(&spec).expect("fits an empty machine");
             let g = slice.chip_graph();
             assert!(g.is_symmetric(), "{shape}");

@@ -15,7 +15,7 @@ use tpuv4::ocs::wiring::OCS_COUNT;
 use tpuv4::ocs::{Circuit, Fabric, MaterializedSlice, SliceSpec};
 use tpuv4::spec::consts::OCS_RECONFIG_MS;
 use tpuv4::topology::SliceShape;
-use tpuv4::Generation;
+use tpuv4::MachineSpec;
 
 /// The delta between two wirings of the same blocks.
 struct ReconfigPlan {
@@ -60,7 +60,7 @@ fn wall_clock_s(plan: &ReconfigPlan) -> f64 {
 
 /// A regular slice and its twisted retopologization on the same blocks.
 fn twist_pair(shape: SliceShape) -> (MaterializedSlice, MaterializedSlice) {
-    let mut fabric = Fabric::for_generation(&Generation::V4);
+    let mut fabric = Fabric::for_spec(&MachineSpec::v4());
     let regular = fabric.allocate(&SliceSpec::regular(shape)).unwrap();
     let blocks = regular.blocks().to_vec();
     fabric.release(&regular).unwrap();
@@ -110,7 +110,7 @@ fn twisting_touches_only_the_twisted_dimensions() {
 #[test]
 fn identity_reconfiguration_is_free() {
     let shape = SliceShape::new(4, 4, 8).unwrap();
-    let mut fabric = Fabric::for_generation(&Generation::V4);
+    let mut fabric = Fabric::for_spec(&MachineSpec::v4());
     let a = fabric.allocate(&SliceSpec::regular(shape)).unwrap();
     let blocks = a.blocks().to_vec();
     fabric.release(&a).unwrap();
@@ -126,7 +126,7 @@ fn identity_reconfiguration_is_free() {
 #[should_panic(expected = "identical block sets")]
 fn different_blocks_rejected() {
     let shape = SliceShape::new(4, 4, 8).unwrap();
-    let mut fabric = Fabric::for_generation(&Generation::V4);
+    let mut fabric = Fabric::for_spec(&MachineSpec::v4());
     let a = fabric.allocate(&SliceSpec::regular(shape)).unwrap();
     let b = fabric.allocate(&SliceSpec::regular(shape)).unwrap();
     let _ = ReconfigPlan::between(&a, &b);

@@ -2,7 +2,7 @@
 //! the §2.7/Figure 4 comparison end-to-end through the composed stack.
 
 use tpuv4::sched::GoodputSim;
-use tpuv4::spec::{FabricKind, Generation};
+use tpuv4::spec::FabricKind;
 use tpuv4::topology::SliceShape;
 use tpuv4::{Collective, JobSpec, MachineSpec, SliceSpec, Supercomputer, SupercomputerError};
 
@@ -85,7 +85,7 @@ fn figure4_goodput_gap_pinned_at_the_paper_operating_point() {
     // gap — and the gap closes only near the paper's "must be 99.9%"
     // availability.
     let trials = if cfg!(debug_assertions) { 80 } else { 250 };
-    let sim = GoodputSim::for_generation(&Generation::V4, trials, 11);
+    let sim = GoodputSim::for_spec(&MachineSpec::v4(), trials, 11);
 
     let ocs = sim.goodput(1024, 0.99, FabricKind::Ocs);
     let fixed = sim.goodput(1024, 0.99, FabricKind::Static);

@@ -57,7 +57,7 @@ fn all_to_all_slowdown_matches_section_7_3() {
 /// just the analytic comparison helper.
 #[test]
 fn supercomputer_reproduces_the_bands_end_to_end() {
-    let mut torus = Supercomputer::for_generation(Generation::V4);
+    let mut torus = Supercomputer::for_spec(&MachineSpec::v4());
     let mut ib = Supercomputer::for_spec(&MachineSpec::v4_ib_hybrid());
     let slice = SliceSpec::regular(shape(8, 8, 8));
     let jt = torus.submit(JobSpec::new("torus", slice)).unwrap();
@@ -108,7 +108,7 @@ fn a100_answers_collectives_end_to_end() {
     assert!(a2a > 0.0 && a2a.is_finite());
     // The NVLink islands keep small jobs fast; at 512 chips the NIC ring
     // dominates and the switched machine is slower than the OCS torus.
-    let mut v4 = Supercomputer::for_generation(Generation::V4);
+    let mut v4 = Supercomputer::for_spec(&MachineSpec::v4());
     let jt = v4
         .submit(JobSpec::new("mlperf", SliceSpec::regular(shape(8, 8, 8))))
         .unwrap();
