@@ -32,10 +32,8 @@ pub mod memory;
 pub mod power;
 pub mod roofline;
 pub mod specs;
-pub mod tensorcore;
 
 pub use memory::{MemorySystem, MIB};
 pub use power::PowerModel;
 pub use roofline::{ModelPoint, Roofline};
 pub use specs::{ChipSpec, ProcessorStyle};
-pub use tensorcore::TensorCore;

@@ -57,7 +57,7 @@ fn path_sep_then(tokens: &[Token<'_>], i: usize, name: &str) -> bool {
 /// allowlisted spawn site is `tpu_sched::trials`, whose scatter-gather
 /// reduces chunks in deterministic order. A heap is allowed only under
 /// a suppression whose reason says why its keys are total, as the
-/// fleet DES's `(time, rank, seq)` keys are (DESIGN.md §12).
+/// fleet DES's heap keys are (DESIGN.md §12).
 pub fn determinism(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     if !ctx.sim_crate || ctx.kind == FileKind::TestCode {
         return;

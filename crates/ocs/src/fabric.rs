@@ -163,8 +163,10 @@ impl Fabric {
     ///
     /// # Panics
     ///
-    /// Panics if the spec's fleet exceeds 64 blocks (the 48-OCS port
-    /// budget).
+    /// Panics if the spec's fleet exceeds
+    /// [`PALOMAR_MAX_BLOCKS`](tpu_spec::consts::PALOMAR_MAX_BLOCKS)
+    /// blocks (the Palomar port budget), which
+    /// [`MachineSpec::from_json`] refuses.
     pub fn for_spec(spec: &MachineSpec) -> Fabric {
         Fabric::new(spec.fleet_blocks() as u32, spec.block.hosts())
     }
@@ -182,13 +184,11 @@ impl Fabric {
     /// A fabric of `blocks` blocks (≤ 64, since each OCS has 128 usable
     /// ports; it is also what keeps the blocks in use in one word).
     fn new(blocks: u32, hosts_per_block: u32) -> Fabric {
-        let max_blocks =
-            (u32::from(tpu_spec::consts::PALOMAR_PORTS - tpu_spec::consts::PALOMAR_SPARE_PORTS)
-                / 2)
-            .min(u64::BITS);
+        use tpu_spec::consts::PALOMAR_MAX_BLOCKS;
+        const { assert!(PALOMAR_MAX_BLOCKS <= u64::BITS) };
         assert!(
-            blocks <= max_blocks,
-            "a {OCS_COUNT}-OCS fabric supports at most {max_blocks} blocks"
+            blocks <= PALOMAR_MAX_BLOCKS,
+            "a {OCS_COUNT}-OCS fabric supports at most {PALOMAR_MAX_BLOCKS} blocks"
         );
         Fabric {
             health: HostHealth::new(blocks as usize, hosts_per_block),

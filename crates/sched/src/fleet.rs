@@ -41,10 +41,14 @@
 //!
 //! # Determinism
 //!
-//! The engine pops events in `(time bits, kind rank, sequence)` order
-//! — repairs before failures before job ends before arrivals at equal
-//! timestamps, insertion order as the final tie-break — with two
+//! The engine handles events in `(time bits, kind rank, sequence)`
+//! order — repairs before failures before job ends before arrivals at
+//! equal timestamps, insertion order as the final tie-break — with two
 //! SplitMix64-derived RNG streams (job stream, health stream) per run.
+//! The events come from three sources merged on that key: the one
+//! pending arrival (the job drawn ahead), a heap of job ends and a heap
+//! of host failures and repairs. The sources hold different ranks, so
+//! the merge is the order of a single heap fed the same events.
 //! [`FleetSim::run_trials`] reuses the [`crate::trials`] chunk
 //! seeding, so replicated runs are bit-identical for any worker-thread
 //! count (DESIGN.md §12).
@@ -62,14 +66,21 @@
 //! on a per-tier stack served first, which is where a re-queue at the
 //! front of the FIFO would put it. On the static arm of a saturated
 //! month nearly every arrival is still queued at the horizon, so the
-//! entry size sets the run's peak memory. Running entries drop when
-//! the job ends or is evicted. An arriving job runs a scheduling pass
-//! only when it becomes the head of its tier queue: behind a head that
-//! was just refused, a pass could not place anything. A running
-//! plugboard job holds its blocks as a mask, so admission, release and
-//! failure kills on the reconfigurable arms are a few word operations,
-//! with no machine cloned and nothing allocated per placement. The
-//! `fleet_golden` fixtures pin the traces of every committed spec.
+//! entry size sets the run's peak memory. Running entries sit in a
+//! `Vec` in slot (placement) order and drop when the job ends or is
+//! evicted: a job end binary-searches its slot, and the newest-first
+//! evictions walk the `Vec` from the back. Nearly every event is an
+//! arrival or a job end, so the pending arrival is never pushed and
+//! job ends sift through a heap of their own, not past the clocks of
+//! every host. Whether the arm can ever offer a Table 2 row is decided
+//! once per run, beside the row's request. An arriving job runs a
+//! scheduling pass only when it becomes the head of its tier queue:
+//! behind a head that was just refused, a pass could not place
+//! anything. A running plugboard job holds its blocks as a mask, so
+//! admission, release and failure kills on the reconfigurable arms are
+//! a few word operations, with no machine cloned and nothing allocated
+//! per placement. The `fleet_golden` fixtures pin the traces of every
+//! committed spec.
 //!
 //! # Proven against the closed forms
 //!
@@ -92,7 +103,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use tpu_core::StaticCluster;
 use tpu_ocs::{healthy_chips, pick_lowest_blocks, HostHealth};
@@ -306,8 +317,8 @@ pub struct FleetTrace {
     pub total_hosts: u64,
     /// Probe slice size used for the goodput integral, chips.
     pub probe_slice_chips: u64,
-    /// Heap events processed (arrivals, job ends incl. stale ones,
-    /// host failures, host repairs).
+    /// Events processed (arrivals, job ends incl. stale ones, host
+    /// failures, host repairs).
     pub events: u64,
     /// Jobs that arrived within the horizon.
     pub arrivals: u64,
@@ -409,7 +420,7 @@ pub struct FleetMetrics {
     pub completions: f64,
     /// Preemptions (mean per trial under [`FleetSim::run_trials`]).
     pub preemptions: f64,
-    /// Heap events processed (mean per trial under
+    /// Events processed (mean per trial under
     /// [`FleetSim::run_trials`]).
     pub events: f64,
 }
@@ -480,26 +491,82 @@ pub enum TraceKind {
     },
 }
 
-/// Heap event payload. Variant order *is* the same-timestamp rank:
-/// repairs before failures (capacity returns before it leaves, so a
-/// simultaneous failure sees the repaired host), failures before job
+/// One event the engine handles, in the order of the same-timestamp
+/// rank: repairs before failures (capacity returns before it leaves, so
+/// a simultaneous failure sees the repaired host), failures before job
 /// ends, ends before arrivals (freed chips are visible to the arriving
 /// job's scheduling pass).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
-    HostRepair { host: u32 },
-    HostFailure { host: u32 },
+    Host(HostEv, u32),
     JobEnd { slot: u32 },
-    JobArrival { idx: u32 },
+    JobArrival(DrawnJob),
 }
 
-impl Ev {
-    fn rank(self) -> u8 {
-        match self {
-            Ev::HostRepair { .. } => 0,
-            Ev::HostFailure { .. } => 1,
-            Ev::JobEnd { .. } => 2,
-            Ev::JobArrival { .. } => 3,
+/// A host event. Variant order *is* the same-timestamp rank (0 and 1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum HostEv {
+    Repair,
+    Failure,
+}
+
+/// The same-timestamp rank of a job end. An arrival ranks 3, after
+/// every other kind.
+const RANK_END: u8 = 2;
+
+/// A min-heap.
+// tpu-lint: allow(determinism) -- keys are total: a job end's slot and a host event's seq are unique in their heap
+type MinHeap<K> = std::collections::BinaryHeap<Reverse<K>>;
+
+/// The pending job ends and host events. With the one pending arrival
+/// (`JobDraw::next`), they are the run's three event sources, merged on
+/// the key `(time bits, rank, seq)`. The sources hold different ranks,
+/// so two sources never compare by `seq`, and each heap keeps its own.
+#[derive(Default)]
+struct Events {
+    /// Job ends by `(time bits, slot)`. A job end is pushed when its job
+    /// is placed, so slots rise in push order and the slot is the seq.
+    ends: MinHeap<(u64, u32)>,
+    /// Host repairs and failures by `(time bits, rank, seq, host)`.
+    hosts: MinHeap<(u64, HostEv, u64, u32)>,
+    host_seq: u64,
+}
+
+impl Events {
+    fn push_end(&mut self, at: f64, slot: u32) {
+        self.ends.push(Reverse((at.to_bits(), slot)));
+    }
+
+    fn push_host(&mut self, at: f64, ev: HostEv, host: u32) {
+        self.host_seq += 1;
+        self.hosts
+            .push(Reverse((at.to_bits(), ev, self.host_seq, host)));
+    }
+
+    /// Pops the earliest event of the three sources: the top of either
+    /// heap, or `arrival`, the one pending arrival, which wins only when
+    /// it is strictly earlier (at equal time every other kind ranks
+    /// before it).
+    fn pop(&mut self, arrival: &mut Option<DrawnJob>) -> Option<(f64, Ev)> {
+        let end = self.ends.peek().map(|&Reverse((bits, _))| (bits, RANK_END));
+        let host = self
+            .hosts
+            .peek()
+            .map(|&Reverse((bits, ev, ..))| (bits, ev as u8));
+        let heaps = match (end, host) {
+            (Some(e), Some(h)) => Some(e.min(h)),
+            (e, h) => e.or(h),
+        };
+        if let Some(job) =
+            arrival.take_if(|job| heaps.is_none_or(|(bits, _)| job.arrival.to_bits() < bits))
+        {
+            return Some((job.arrival, Ev::JobArrival(job)));
+        }
+        if heaps?.1 == RANK_END {
+            let Reverse((bits, slot)) = self.ends.pop()?;
+            Some((f64::from_bits(bits), Ev::JobEnd { slot }))
+        } else {
+            let Reverse((bits, ev, _, host)) = self.hosts.pop()?;
+            Some((f64::from_bits(bits), Ev::Host(ev, host)))
         }
     }
 }
@@ -552,8 +619,8 @@ struct DrawnJob {
 }
 
 /// The lazy job-stream state: the dedicated jobs RNG plus the one job
-/// drawn ahead of the newest arrival, so the next arrival event can
-/// always be scheduled.
+/// drawn ahead of the newest arrival, which is the pending arrival
+/// event.
 struct JobDraw {
     rng: StdRng,
     /// The seed `rng` was made from, so any output can be redrawn.
@@ -651,6 +718,8 @@ enum Hold {
 
 /// A running (placed) job, with what it re-queues on eviction.
 struct Running {
+    /// The job's placement index.
+    slot: u32,
     job: Job,
     production: bool,
     hold: Hold,
@@ -659,10 +728,6 @@ struct Running {
     remaining_at_start: f64,
 }
 
-/// The event queue: a min-heap on `(t.to_bits(), rank, seq, event)`.
-// tpu-lint: allow(determinism) -- keys are total: seq is unique per push, so no two entries tie
-type EventHeap = std::collections::BinaryHeap<Reverse<(u64, u8, u64, Ev)>>;
-
 /// The main fabric arm.
 enum Arm {
     /// Contiguous boxes on a clone of the model's static cluster, which
@@ -670,8 +735,8 @@ enum Arm {
     Fixed(StaticCluster),
     /// The OCS plugboard: a job takes any free healthy blocks. `taken`
     /// holds the blocks running jobs hold, one bit each; the healthy
-    /// blocks are the engine's health word (a plugboard fabric has at
-    /// most 64 blocks, so one word covers them).
+    /// blocks are the engine's health word (a torus fleet has at most
+    /// `PALOMAR_MAX_BLOCKS`, 64, blocks, so one word covers them).
     Plugboard { taken: u64 },
     /// Switched islands behind the fat tree: a job fits while its chips
     /// fit in the healthy chips less the busy ones.
@@ -690,11 +755,11 @@ struct Engine<'a> {
     mttr_s: f64,
     slo_s: Option<f64>,
     draw: JobDraw,
-    /// The request of each Table 2 row, indexed by `Job::row`.
-    rows: Vec<Request>,
+    /// The request of each Table 2 row, indexed by `Job::row`, and
+    /// whether the arm can ever offer it.
+    rows: Vec<(Request, bool)>,
     health_rng: StdRng,
-    queue: EventHeap,
-    seq: u64,
+    events: Events,
     now: f64,
     /// Live host health. The probe and the reconfigurable arms read its
     /// unit health words; the static arm's cluster keeps an equal
@@ -703,10 +768,11 @@ struct Engine<'a> {
     busy_chips: u64,
     deliverable_chips: u64,
     probe_dirty: bool,
-    /// Running jobs by slot. A slot is the job's placement index, so
-    /// slot order is placement order; slots are never reused, so a
-    /// stale `JobEnd` (its job was evicted meanwhile) finds no entry.
-    running: BTreeMap<u32, Running>,
+    /// Running jobs in slot order. A slot is the job's placement index,
+    /// so a placement pushes at the back and slot order is placement
+    /// order; slots are never reused, so a stale `JobEnd` (its job was
+    /// evicted meanwhile) finds no entry.
+    running: Vec<Running>,
     queues: [TierQueue; 2],
     preempt_exhausted: bool,
     trace: FleetTrace,
@@ -758,7 +824,14 @@ impl<'a> Engine<'a> {
         let rows = mix
             .entries()
             .iter()
-            .map(|e| Request::for_shape(&sim.model, e.shape))
+            .map(|e| {
+                let request = Request::for_shape(&sim.model, e.shape);
+                let offerable = match &arm {
+                    Arm::Fixed(cluster) => cluster.fits(request.blocks_box),
+                    Arm::Plugboard { .. } | Arm::Switched => request.chips <= sim.total_chips(),
+                };
+                (request, offerable)
+            })
             .collect();
         let draw = JobDraw {
             rng: StdRng::seed_from_u64(jobs_seed),
@@ -809,14 +882,13 @@ impl<'a> Engine<'a> {
             draw,
             rows,
             health_rng: StdRng::seed_from_u64(chunk_seed(seed, STREAM_HEALTH)),
-            queue: EventHeap::new(),
-            seq: 0,
+            events: Events::default(),
             now: 0.0,
             health: HostHealth::new(units as usize, sim.model.hosts_per_block()),
             busy_chips: 0,
             deliverable_chips: 0,
             probe_dirty: true,
-            running: BTreeMap::new(),
+            running: Vec::new(),
             queues: [TierQueue::default(), TierQueue::default()],
             preempt_exhausted: false,
             trace,
@@ -857,7 +929,7 @@ impl<'a> Engine<'a> {
 
     /// What a job asks of the fabric: its row's request.
     fn request(&self, job: Job) -> Request {
-        self.rows[usize::from(job.row)]
+        self.rows[usize::from(job.row)].0
     }
 
     /// The duration of job `idx`, redrawn from output `4·idx + 2` of the
@@ -879,11 +951,11 @@ impl<'a> Engine<'a> {
         for host in 0..self.sim.total_hosts() as u32 {
             if self.health_rng.random::<f64>() < availability {
                 let residual = self.draw_up_time();
-                self.push(residual, Ev::HostFailure { host });
+                self.events.push_host(residual, HostEv::Failure, host);
             } else {
                 let residual = self.draw_equilibrium_repair();
                 self.set_host_up(host, false);
-                self.push(residual, Ev::HostRepair { host });
+                self.events.push_host(residual, HostEv::Repair, host);
             }
         }
     }
@@ -915,23 +987,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn push(&mut self, at: f64, ev: Ev) {
-        self.seq += 1;
-        self.queue
-            .push(Reverse((at.to_bits(), ev.rank(), self.seq, ev)));
-    }
-
     fn drive(&mut self) {
-        if let Some(first) = &self.draw.next {
-            let at = first.arrival;
-            self.push(at, Ev::JobArrival { idx: 0 });
-        }
-        while let Some(&Reverse((bits, _, _, ev))) = self.queue.peek() {
-            let t = f64::from_bits(bits);
+        while let Some((t, ev)) = self.events.pop(&mut self.draw.next) {
             if t > self.sim.horizon_s {
                 break;
             }
-            self.queue.pop();
             if self.probe_dirty {
                 self.reprobe();
             }
@@ -990,17 +1050,17 @@ impl<'a> Engine<'a> {
     fn handle(&mut self, t: f64, ev: Ev) {
         self.trace.events += 1;
         match ev {
-            Ev::HostFailure { host } => self.host_failure(t, host),
-            Ev::HostRepair { host } => self.host_repair(t, host),
+            Ev::Host(HostEv::Failure, host) => self.host_failure(t, host),
+            Ev::Host(HostEv::Repair, host) => self.host_repair(t, host),
             Ev::JobEnd { slot } => self.job_end(t, slot),
-            Ev::JobArrival { idx } => self.job_arrival(t, idx),
+            Ev::JobArrival(job) => self.job_arrival(t, job),
         }
     }
 
     fn host_failure(&mut self, t: f64, host: u32) {
         self.trace.host_failures += 1;
         let repair_at = t + self.draw_repair_time();
-        self.push(repair_at, Ev::HostRepair { host });
+        self.events.push_host(repair_at, HostEv::Repair, host);
         let unit_down = self.set_host_up(host, false);
         // Recorded before its consequences (kills) so a replayed ledger
         // sees cause before effect.
@@ -1016,10 +1076,10 @@ impl<'a> Engine<'a> {
             if let Arm::Switched = self.arm {
                 let healthy_chips = self.switched_healthy_chips();
                 while self.busy_chips > healthy_chips {
-                    let Some(slot) = self.newest_running(false) else {
+                    let Some(i) = self.newest_running(false) else {
                         break;
                     };
-                    self.evict(t, slot, EvictReason::FailureKill);
+                    self.evict(t, i, EvictReason::FailureKill);
                     killed += 1;
                 }
             }
@@ -1033,7 +1093,7 @@ impl<'a> Engine<'a> {
     fn host_repair(&mut self, t: f64, host: u32) {
         self.trace.host_repairs += 1;
         let fail_at = t + self.draw_up_time();
-        self.push(fail_at, Ev::HostFailure { host });
+        self.events.push_host(fail_at, HostEv::Failure, host);
         let recovered = self.set_host_up(host, true);
         if recovered {
             self.probe_dirty = true;
@@ -1044,9 +1104,10 @@ impl<'a> Engine<'a> {
 
     fn job_end(&mut self, t: f64, slot: u32) {
         // A preempted or killed job left no entry; its end is stale.
-        let Some(running) = self.running.remove(&slot) else {
+        let Ok(i) = self.running.binary_search_by_key(&slot, |r| r.slot) else {
             return;
         };
+        let running = self.running.remove(i);
         self.release(running.hold, self.request(running.job).chips);
         self.trace.completions += 1;
         self.record(
@@ -1058,27 +1119,17 @@ impl<'a> Engine<'a> {
         self.pass(t, true);
     }
 
-    fn job_arrival(&mut self, t: f64, idx: u32) {
+    /// Handles the arrival of the job drawn ahead. Arrivals come in
+    /// stream order, so the count of earlier arrivals is its index.
+    fn job_arrival(&mut self, t: f64, job: DrawnJob) {
+        let idx = self.trace.arrivals as u32;
         self.trace.arrivals += 1;
-        // The one arrival event in the heap is always the job drawn
-        // ahead.
-        // tpu-lint: allow(panic-policy) -- unreachable: arrivals are scheduled only for drawn jobs
-        let job = self.draw.next.take().expect("the arriving job was drawn");
         // Extend the lazy stream by one: job idx+1 is drawn exactly
         // when job idx arrives (a no-op once the stream crossed the
-        // horizon).
+        // horizon), and it is the next pending arrival.
         self.draw_next_job();
-        if let Some(next) = &self.draw.next {
-            let at = next.arrival;
-            self.push(at, Ev::JobArrival { idx: idx + 1 });
-        }
-        let request = self.rows[usize::from(job.row)];
-        let offerable = match &self.arm {
-            Arm::Fixed(cluster) => cluster.fits(request.blocks_box),
-            Arm::Plugboard { .. } | Arm::Switched => request.chips <= self.sim.total_chips(),
-        };
         self.record(t, TraceKind::Arrival { job: idx });
-        if !offerable {
+        if !self.rows[usize::from(job.row)].1 {
             self.trace.rejected += 1;
             self.record(t, TraceKind::Rejected { job: idx });
             return;
@@ -1145,53 +1196,51 @@ impl<'a> Engine<'a> {
     fn preempt_for(&mut self, t: f64, needed: u64) {
         let mut freed = 0u64;
         while freed < needed {
-            let Some(slot) = self.newest_running(true) else {
+            let Some(i) = self.newest_running(true) else {
                 break;
             };
-            freed += self.evict(t, slot, EvictReason::Preempted);
+            freed += self.evict(t, i, EvictReason::Preempted);
         }
     }
 
-    /// The newest (latest-placed) running job, optionally only among
-    /// best-effort jobs — the eviction order of preemption and switched
-    /// displacement.
-    fn newest_running(&self, best_effort_only: bool) -> Option<u32> {
+    /// The position of the newest (latest-placed) running job,
+    /// optionally only among best-effort jobs — the eviction order of
+    /// preemption and switched displacement.
+    fn newest_running(&self, best_effort_only: bool) -> Option<usize> {
         self.running
             .iter()
-            .rev()
-            .find(|(_, r)| !best_effort_only || !r.production)
-            .map(|(&slot, _)| slot)
+            .rposition(|r| !best_effort_only || !r.production)
     }
 
-    /// Kills every running job with a block on the failed unit
-    /// (torus arms — switched jobs have no unit pinning and are
+    /// Kills every running job with a block on the failed unit, oldest
+    /// first (torus arms — switched jobs have no unit pinning and are
     /// handled by capacity displacement instead). Returns the kill
     /// count.
     fn kill_jobs_for_failure(&mut self, t: f64, unit: u32) -> u64 {
-        let victims: Vec<u32> = self
-            .running
-            .iter()
-            .filter_map(|(&slot, r)| {
-                let on_unit = match &r.hold {
-                    Hold::Blocks(blocks) => blocks.contains(&unit),
-                    Hold::Mask(mask) => mask >> unit & 1 == 1,
-                    Hold::Chips => false,
-                };
-                on_unit.then_some(slot)
-            })
-            .collect();
-        let killed = victims.len() as u64;
-        for slot in victims {
-            self.evict(t, slot, EvictReason::FailureKill);
+        let mut killed = 0;
+        let mut i = 0;
+        while i < self.running.len() {
+            let on_unit = match &self.running[i].hold {
+                Hold::Blocks(blocks) => blocks.contains(&unit),
+                Hold::Mask(mask) => mask >> unit & 1 == 1,
+                Hold::Chips => false,
+            };
+            if on_unit {
+                self.evict(t, i, EvictReason::FailureKill);
+                killed += 1;
+            } else {
+                i += 1;
+            }
         }
         killed
     }
 
-    /// Removes a running job from the fabric and re-queues its
-    /// remainder at the front of its tier (checkpoint semantics: the
-    /// compute already done is kept). Returns the chips freed.
-    fn evict(&mut self, t: f64, slot: u32, reason: EvictReason) -> u64 {
-        let running = self.running.remove(&slot).expect("evicting a running job"); // tpu-lint: allow(panic-policy) -- unreachable: callers pass running slots
+    /// Removes the running job at position `i` from the fabric and
+    /// re-queues its remainder at the front of its tier (checkpoint
+    /// semantics: the compute already done is kept). Returns the chips
+    /// freed.
+    fn evict(&mut self, t: f64, i: usize, reason: EvictReason) -> u64 {
+        let running = self.running.remove(i);
         let job = running.job;
         let chips = self.request(job).chips;
         self.release(running.hold, chips);
@@ -1247,19 +1296,17 @@ impl<'a> Engine<'a> {
             self.trace.wait_best_effort_s += wait;
         }
         self.trace.reconfig_chip_s += chips as f64 * self.reconfig_s;
-        self.running.insert(
+        self.running.push(Running {
             slot,
-            Running {
-                job,
-                production: tier == PRODUCTION,
-                hold,
-                placed_t: t,
-                reconfig_s: self.reconfig_s,
-                remaining_at_start: remaining,
-            },
-        );
+            job,
+            production: tier == PRODUCTION,
+            hold,
+            placed_t: t,
+            reconfig_s: self.reconfig_s,
+            remaining_at_start: remaining,
+        });
         let end_at = t + self.reconfig_s + remaining;
-        self.push(end_at, Ev::JobEnd { slot });
+        self.events.push_end(end_at, slot);
         self.record(
             t,
             TraceKind::Placed {
@@ -1552,6 +1599,68 @@ mod tests {
             );
             engine.draw_next_job();
         }
+    }
+
+    /// The three event sources pop in the order of the single heap they
+    /// replace, a `BinaryHeap<Reverse<(time bits, rank, seq, event)>>`
+    /// fed the same events. The seeded script draws every time from
+    /// three values, so it ties across all four kinds and within each
+    /// heap. As in the engine, at most one arrival is pending and job
+    /// ends take rising slots.
+    #[test]
+    fn event_sources_pop_in_single_heap_order() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut events = Events::default();
+        let mut arrival = None;
+        // An event is (rank, host or slot); the one pending arrival
+        // needs no name.
+        let mut reference = MinHeap::<(u64, u8, u64, (u8, u32))>::new();
+        let name = |(t, ev): (f64, Ev)| {
+            let ev = match ev {
+                Ev::Host(ev, host) => (ev as u8, host),
+                Ev::JobEnd { slot } => (RANK_END, slot),
+                Ev::JobArrival(_) => (3, 0),
+            };
+            (t.to_bits(), ev)
+        };
+        let (mut seq, mut slots, mut pops) = (0, 0, 0);
+        for step in 0..40_000 {
+            let at = f64::from(rng.random_range(0..3u32));
+            seq += 1;
+            match rng.random_range(0..5u32) {
+                0 => {
+                    let (ev, host) = (
+                        [HostEv::Repair, HostEv::Failure][rng.random_range(0..2usize)],
+                        rng.random_range(0..8u32),
+                    );
+                    events.push_host(at, ev, host);
+                    reference.push(Reverse((at.to_bits(), ev as u8, seq, (ev as u8, host))));
+                }
+                1 => {
+                    events.push_end(at, slots);
+                    reference.push(Reverse((at.to_bits(), RANK_END, seq, (RANK_END, slots))));
+                    slots += 1;
+                }
+                2 if arrival.is_none() => {
+                    arrival = Some(DrawnJob {
+                        arrival: at,
+                        row: 0,
+                        production: false,
+                    });
+                    reference.push(Reverse((at.to_bits(), 3, seq, (3, 0))));
+                }
+                _ => {
+                    let want = reference.pop().map(|Reverse((bits, _, _, ev))| (bits, ev));
+                    assert_eq!(events.pop(&mut arrival).map(name), want, "step {step}");
+                    pops += u32::from(want.is_some());
+                }
+            }
+        }
+        while let Some(Reverse((bits, _, _, ev))) = reference.pop() {
+            assert_eq!(events.pop(&mut arrival).map(name), Some((bits, ev)));
+        }
+        assert!(events.pop(&mut arrival).is_none());
+        assert!(pops > 10_000 && slots > 5_000, "{pops} pops, {slots} ends");
     }
 
     #[test]

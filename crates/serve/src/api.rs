@@ -1131,11 +1131,12 @@ mod tests {
         assert_eq!(handle(&state, &bad).status, 422);
     }
 
-    #[test]
-    fn a_rejected_put_leaves_the_spec_directory_loadable() {
-        // A geometry no model can hold is a 422 before anything is
-        // built or written, so a restart still loads the directory.
-        let dir = std::env::temp_dir().join(format!("tpu-serve-bad-put-{}", std::process::id()));
+    /// PUTs `bad` into a directory holding v4 and requires a 422
+    /// `bad_spec` that writes nothing, so a restart still loads the
+    /// directory.
+    fn assert_put_refused(case: &str, bad: &MachineSpec) {
+        let dir =
+            std::env::temp_dir().join(format!("tpu-serve-bad-put-{case}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("v4.json"), MachineSpec::v4().to_json()).unwrap();
@@ -1143,8 +1144,6 @@ mod tests {
             store: SpecStore::load_dir(&dir).unwrap(),
             cache: QueryCache::new(8),
         };
-        let mut bad = MachineSpec::v4();
-        bad.block.edge = 0;
         let put = Request {
             method: "PUT".into(),
             path: "/specs/bad".into(),
@@ -1158,6 +1157,24 @@ mod tests {
         assert!(!dir.join("bad.json").exists());
         assert_eq!(SpecStore::load_dir(&dir).unwrap().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_rejected_put_leaves_the_spec_directory_loadable() {
+        // A geometry no model can hold is a 422 before anything is
+        // built or written.
+        let mut bad = MachineSpec::v4();
+        bad.block.edge = 0;
+        assert_put_refused("edge", &bad);
+    }
+
+    #[test]
+    fn a_torus_fleet_past_the_plugboard_is_refused_at_put() {
+        // 128 blocks: twice what the Palomars' usable ports can join,
+        // which would panic in `Fabric::new` on the first what-if.
+        let mut big = MachineSpec::v4();
+        big.fleet_chips = 8192;
+        assert_put_refused("big", &big);
     }
 
     #[test]

@@ -71,6 +71,10 @@ pub const PALOMAR_PORTS: u16 = 136;
 /// Palomar ports reserved for link testing and repairs.
 pub const PALOMAR_SPARE_PORTS: u16 = 8;
 
+/// Blocks one OCS fabric can join: a block takes two ports of each
+/// Palomar (Figure 1), so the usable ports over two.
+pub const PALOMAR_MAX_BLOCKS: u32 = (PALOMAR_PORTS - PALOMAR_SPARE_PORTS) as u32 / 2;
+
 /// MEMS mirror reconfiguration time, milliseconds (§2.1).
 pub const OCS_RECONFIG_MS: f64 = 10.0;
 
@@ -94,6 +98,7 @@ mod tests {
             u64::from(PALOMAR_PORTS - PALOMAR_SPARE_PORTS),
             fleet_blocks * 2
         );
+        assert_eq!(u64::from(PALOMAR_MAX_BLOCKS), fleet_blocks);
         // §7.3: ICI link bandwidth is 2x IB.
         assert_eq!(V4_ICI_GBPS / IB_HDR_GBPS, 2.0);
     }

@@ -1047,8 +1047,9 @@ impl MachineSpec {
 /// The geometry every placement model divides by: a block of at least
 /// one chip (whose chip count fits a `u32`) and hosts of at least one
 /// chip; on a torus machine, blocks of whole hosts and a fleet of a
-/// positive whole number of blocks; on a switched one, at least one
-/// chip.
+/// positive whole number of blocks, at most the
+/// [`consts::PALOMAR_MAX_BLOCKS`] an OCS fabric joins; on a switched
+/// one, at least one chip.
 fn check_geometry(spec: &MachineSpec) -> Result<(), SpecError> {
     let (block, fleet_chips) = (spec.block, spec.fleet_chips);
     let invalid = |field: &str, expected: &str| {
@@ -1079,6 +1080,15 @@ fn check_geometry(spec: &MachineSpec) -> Result<(), SpecError> {
         return invalid(
             "fleet_chips",
             "a positive whole number of blocks (edge³ chips) on a torus machine",
+        );
+    }
+    if fleet_chips / u64::from(block_chips) > u64::from(consts::PALOMAR_MAX_BLOCKS) {
+        return invalid(
+            "fleet_chips",
+            &format!(
+                "at most {} blocks on a torus machine, what one OCS fabric joins",
+                consts::PALOMAR_MAX_BLOCKS
+            ),
         );
     }
     Ok(())

@@ -152,7 +152,8 @@ fn geometry_no_model_can_hold_is_rejected() {
     // Every placement model divides the fleet into blocks (or islands)
     // of hosts: a zero edge or host size, an edge whose cube overflows,
     // blocks of partial hosts, or a torus fleet that is not a positive
-    // whole number of blocks must fail to parse, not crash later.
+    // whole number of blocks, or is more blocks than the OCS fabric's
+    // 64, must fail to parse, not crash later.
     for (name, text) in committed_specs() {
         let spec = MachineSpec::from_json(&text).unwrap();
         let block_chips = u64::from(spec.block.chips());
@@ -171,7 +172,7 @@ fn geometry_no_model_can_hold_is_rejected() {
             with("block.tpus_per_host", &|s| {
                 s.block.tpus_per_host = s.block.chips() + 1
             });
-            for fleet in [0, block_chips / 2, spec.fleet_chips + 1] {
+            for fleet in [0, block_chips / 2, spec.fleet_chips + 1, 65 * block_chips] {
                 with("fleet_chips", &|s| s.fleet_chips = fleet);
             }
         }
