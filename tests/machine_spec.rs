@@ -28,6 +28,8 @@ fn v4_spec_matches_table4() {
     assert_eq!(spec.chip.cmem_mib, 128.0);
     // 8 MXUs per chip: 2 cores x 4 MXUs.
     assert_eq!(spec.chip.processors * spec.mxus_per_core, 8);
+    // 128x128 MXUs: §7.5's 128x operand reuse, 32x the A100's 4x4.
+    assert_eq!(spec.mxu_dim, 128);
 }
 
 #[test]
