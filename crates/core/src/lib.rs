@@ -45,7 +45,7 @@ pub use machine::{
     Collective, JobId, JobSpec, MachineFabric, Placement, RunningJob, Supercomputer,
     SwitchedCluster,
 };
-pub use static_torus::StaticCluster;
+pub use static_torus::{FirstFitPlan, StaticCluster};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, SupercomputerError>;

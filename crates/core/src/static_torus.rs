@@ -30,9 +30,10 @@ use tpu_topology::most_cubic_box;
 /// used counterfactually the unit is one glueless island.
 ///
 /// A block is free while every one of its hosts is up and no slice
-/// holds it. `allocate` and `count_first_fit` build the free words
-/// from the health words and the in-use words when they are called, so
-/// no mutation has a derived structure to keep current (DESIGN.md §11).
+/// holds it. `allocate` and [`FirstFitPlan::count`] build the free
+/// words from the health words and the in-use words when they are
+/// called, so no mutation has a derived structure to keep current
+/// (DESIGN.md §11).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StaticCluster {
     grid: (u32, u32, u32),
@@ -174,9 +175,8 @@ impl StaticCluster {
     /// per-block health probes (the anchor/orientation order is
     /// unchanged); only the candidate test changed. On grids of at most
     /// 64 blocks the anchor is the lowest one that bit-parallel erosion
-    /// of the free word leaves, found by the helper `count_first_fit`
-    /// uses; larger grids test contiguous runs of the free words
-    /// (DESIGN.md §11). A refusal changes nothing.
+    /// of the free word leaves; larger grids test contiguous runs of the
+    /// free words (DESIGN.md §11). A refusal changes nothing.
     ///
     /// # Errors
     ///
@@ -200,7 +200,7 @@ impl StaticCluster {
                 if volume > free.count_ones() {
                     return Err(refused);
                 }
-                g.first_fit(free, orients, 0)
+                g.first_fit(free, orients)
                     .map(|(a, b)| (coordinates(grid, a as usize), b))
             }
             None => {
@@ -228,52 +228,140 @@ impl StaticCluster {
 
     /// How many boxes repeated [`StaticCluster::allocate`] calls would
     /// place, until the first refusal, with every block that `healthy`
-    /// marks down also failed — without touching the cluster. `healthy`
-    /// holds one bit per block, 64 to a word: bit `i % 64` of
-    /// `healthy[i / 64]` is set ⇔ block `i` is up; bits past the last
-    /// block are ignored. Blocks already allocated or with a failed host
-    /// stay unavailable. A box with a zero extent counts 0.
-    ///
-    /// One first-fit pass over the free words ANDed with `healthy`:
-    /// after a placement at anchor `a` the pass resumes at `a + 1`,
-    /// which is exact because cells only ever become occupied during the
-    /// fill — a candidate refused earlier stays refused, and every
-    /// candidate at `a` now holds a taken cell. On grids of at most 64
-    /// blocks the pass finds each anchor by bit-parallel erosion of the
-    /// free word, as `allocate` does; larger grids test contiguous runs
-    /// (DESIGN.md §11).
+    /// marks down also failed — without touching the cluster: the
+    /// one-shot form of [`FirstFitPlan::count`], which plans `bbox` on
+    /// this cluster and counts once. A query that counts one box over
+    /// many health words plans it once ([`StaticCluster::plan_first_fit`]).
     ///
     /// # Panics
     ///
     /// Panics if `healthy` does not hold exactly one word per 64 blocks.
     pub fn count_first_fit(&self, healthy: &[u64], bbox: (u32, u32, u32)) -> u32 {
-        let blocks = self.blocks() as usize;
+        self.plan_first_fit(bbox).count(healthy)
+    }
+
+    /// Plans the first-fit count of `bbox` on this cluster, for any
+    /// number of health words: the box's orientations that fit the grid
+    /// and, on grids of at most 64 blocks, the conflict masks the count
+    /// clears placed boxes with (DESIGN.md §11). The plan borrows the
+    /// cluster, so it counts on the grid it was built for and sees the
+    /// cluster's health and occupancy as they are when it counts.
+    pub fn plan_first_fit(&self, bbox: (u32, u32, u32)) -> FirstFitPlan<'_> {
+        let orients = self.candidates(bbox);
+        let conflicts = match self.word_grid {
+            Some(g) => g.conflicts(orients.as_slice()),
+            None => Vec::new(),
+        };
+        FirstFitPlan {
+            cluster: self,
+            orients,
+            conflicts,
+        }
+    }
+
+    /// Releases a previously allocated set of blocks.
+    pub fn release(&mut self, blocks: &[u32]) {
+        for &b in blocks {
+            if let Some(word) = self.in_use.get_mut(b as usize / 64) {
+                *word &= !(1 << (b % 64));
+            }
+        }
+    }
+}
+
+/// The first-fit count of one box on one [`StaticCluster`], planned once
+/// ([`StaticCluster::plan_first_fit`]) so that a Monte Carlo query or a
+/// fleet run pays only the count per health draw.
+///
+/// On grids of at most 64 blocks the plan holds, for every orientation
+/// `p` the box can be placed in and every anchor `a`, one mask per
+/// orientation `q`: the anchors at which a `q` box would overlap the `p`
+/// box at `a`, wraparound included. That is n²·blocks words for `n`
+/// orientations, at most 18 KB. Larger grids plan only the orientations
+/// and count by the run test.
+#[derive(Debug, Clone)]
+pub struct FirstFitPlan<'a> {
+    cluster: &'a StaticCluster,
+    orients: Orientations,
+    /// Entry `(p·blocks + a)·n + q`: the anchors where orientation `q`
+    /// overlaps orientation `p` placed at anchor `a` (empty above 64
+    /// blocks).
+    conflicts: Vec<u64>,
+}
+
+impl FirstFitPlan<'_> {
+    /// How many boxes repeated [`StaticCluster::allocate`] calls would
+    /// place on the planned cluster, until the first refusal, with every
+    /// block that `healthy` marks down also failed — without touching
+    /// the cluster. `healthy` holds one bit per block, 64 to a word: bit
+    /// `i % 64` of `healthy[i / 64]` is set ⇔ block `i` is up; bits past
+    /// the last block are ignored. Blocks already allocated or with a
+    /// failed host stay unavailable. A box with a zero extent counts 0.
+    ///
+    /// On grids of at most 64 blocks the free word ANDed with `healthy`
+    /// is eroded once per orientation into the anchors where that
+    /// orientation fits. Each placement takes the lowest anchor over the
+    /// orientations (on a tie the earlier orientation wins, as in
+    /// `allocate`'s scan) and ANDs out the placed box's conflict masks,
+    /// so each orientation's word stays exactly the erosion of the cells
+    /// still free. The words only shrink, and every box at the placed
+    /// anchor overlaps the placed box, so the next lowest anchor lies
+    /// past it. Larger grids make one first-fit pass of the run test
+    /// over a copy of the free words, resuming after each placement at
+    /// its anchor plus one (DESIGN.md §11).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `healthy` does not hold exactly one word per 64 blocks.
+    pub fn count(&self, healthy: &[u64]) -> u32 {
+        let cluster = self.cluster;
+        let blocks = cluster.blocks() as usize;
         if healthy.len() != blocks.div_ceil(64) {
             // tpu-lint: allow(panic-policy) -- callers size `healthy` from this cluster's block count; any other length is a caller bug
             panic!("{} health words for {blocks} blocks", healthy.len());
         }
-        let orients = self.candidates(bbox);
-        if orients.as_slice().is_empty() {
+        let orients = self.orients.as_slice();
+        let Some(&(bx, by, bz)) = orients.first() else {
             return 0;
-        }
-        let (grid, orients) = (self.grid, orients.as_slice());
+        };
         // Every candidate fits the grid, so the volume fits in u32.
-        let volume = bbox.0 * bbox.1 * bbox.2;
+        let volume = bx * by * bz;
         let mut placed = 0;
-        if let Some(g) = self.word_grid {
-            let mut free = self.health.words()[0] & !self.in_use[0] & healthy[0];
-            let mut from = 0;
-            while volume <= free.count_ones() {
-                let Some((a, b)) = g.first_fit(free, orients, from) else {
-                    break;
-                };
-                free &= !g.dilate(1 << a, b);
-                placed += 1;
-                from = a + 1;
+        if let Some(g) = cluster.word_grid {
+            let free = cluster.health.words()[0] & !cluster.in_use[0] & healthy[0];
+            if volume > free.count_ones() {
+                return 0;
             }
-            return placed;
+            let n = orients.len();
+            let mut fits = [0u64; 6];
+            for (word, &o) in fits.iter_mut().zip(orients) {
+                *word = g.erode(free, o);
+            }
+            let fits = &mut fits[..n];
+            loop {
+                let (mut a, mut p) = (64, 0);
+                for (o, word) in fits.iter().enumerate() {
+                    let first = word.trailing_zeros();
+                    if first < a {
+                        (a, p) = (first, o);
+                    }
+                }
+                if a == 64 {
+                    return placed;
+                }
+                placed += 1;
+                let masks = &self.conflicts[(p * blocks + a as usize) * n..][..n];
+                for (word, mask) in fits.iter_mut().zip(masks) {
+                    *word &= !mask;
+                }
+            }
         }
-        let mut words: Vec<u64> = self.free_words().zip(healthy).map(|(f, h)| f & h).collect();
+        let grid = cluster.grid;
+        let mut words: Vec<u64> = cluster
+            .free_words()
+            .zip(healthy)
+            .map(|(f, h)| f & h)
+            .collect();
         let mut left: u32 = words.iter().map(|w| w.count_ones()).sum();
         let mut from = 0;
         while volume <= left {
@@ -292,15 +380,6 @@ impl StaticCluster {
             from = a + 1;
         }
         placed
-    }
-
-    /// Releases a previously allocated set of blocks.
-    pub fn release(&mut self, blocks: &[u32]) {
-        for &b in blocks {
-            if let Some(word) = self.in_use.get_mut(b as usize / 64) {
-                *word &= !(1 << (b % 64));
-            }
-        }
     }
 }
 
@@ -381,29 +460,68 @@ impl WordGrid {
         e
     }
 
-    /// The lowest anchor at or after `from` at which some orientation's
-    /// box lies wholly in `free`, with that orientation; on a tie the
-    /// earlier orientation wins, as in the cell-by-cell scan. The first
-    /// fit of `allocate` and of `count_first_fit` on grids of at most 64
-    /// blocks. Always inlined: the pack query calls it once per
-    /// placement, and out of line it made the static-arm Monte Carlo of
-    /// the Figure 4 grid about 10% slower (v4, 1000 trials, in process).
-    #[inline(always)]
-    fn first_fit(
-        &self,
-        free: u64,
-        orients: &[(u32, u32, u32)],
-        from: u32,
-    ) -> Option<(u32, (u32, u32, u32))> {
-        let ahead = u64::MAX.checked_shl(from).unwrap_or(0);
+    /// The anchors at which box `b` would hold a cell of `cells`:
+    /// `cells` ORed with itself pulled along x, then the result along y,
+    /// then z — erosion's mirror.
+    fn overlaps(&self, cells: u64, b: (u32, u32, u32)) -> u64 {
+        let mut e = cells;
+        for (axis, extent) in [b.0, b.1, b.2].into_iter().enumerate() {
+            let base = e;
+            for d in 1..extent {
+                e |= self.pull(base, axis, d);
+            }
+        }
+        e
+    }
+
+    /// The lowest anchor at which some orientation's box lies wholly in
+    /// `free`, with that orientation; on a tie the earlier orientation
+    /// wins, as in the cell-by-cell scan. `allocate`'s first fit. Not
+    /// forced inline: on the fleet DES's static arm, where `allocate`
+    /// runs once per placement, `#[inline(always)]` measured no faster.
+    fn first_fit(&self, free: u64, orients: &[(u32, u32, u32)]) -> Option<(u32, (u32, u32, u32))> {
         let (mut a, mut b) = (64, orients[0]);
         for &o in orients {
-            let first = (self.erode(free, o) & ahead).trailing_zeros();
+            let first = self.erode(free, o).trailing_zeros();
             if first < a {
                 (a, b) = (first, o);
             }
         }
         (a < 64).then_some((a, b))
+    }
+
+    /// The conflict masks of [`FirstFitPlan`] for `orients`, laid out as
+    /// its `conflicts` field. At anchor 0 a mask is the overlap of
+    /// orientation `q` with the cells of `p` there; every later anchor
+    /// is one step on from an earlier one along x, or at the start of a
+    /// row along y, or of a plane along z, so its masks are that
+    /// anchor's pushed one step.
+    fn conflicts(&self, orients: &[(u32, u32, u32)]) -> Vec<u64> {
+        let n = orients.len();
+        let blocks = self.cells.count_ones() as usize;
+        let (row, plane) = (self.step[1] as usize, self.step[2] as usize);
+        let mut masks = vec![0; n * blocks * n];
+        for (p, &placed) in orients.iter().enumerate() {
+            let first = p * blocks * n;
+            let cells = self.dilate(1, placed);
+            for (q, &o) in orients.iter().enumerate() {
+                masks[first + q] = self.overlaps(cells, o);
+            }
+            for a in 1..blocks {
+                let (axis, back) = if a % row != 0 {
+                    (0, 1)
+                } else if a % plane != 0 {
+                    (1, row)
+                } else {
+                    (2, plane)
+                };
+                let (to, from) = (first + a * n, first + (a - back) * n);
+                for q in 0..n {
+                    masks[to + q] = self.push(masks[from + q], axis, 1);
+                }
+            }
+        }
+        masks
     }
 
     /// The cells of box `b` anchored at the one set bit of `anchor`: the
@@ -430,7 +548,7 @@ fn coordinates(grid: (u32, u32, u32), a: usize) -> (u32, u32, u32) {
     )
 }
 
-/// The first-fit scan of `allocate` and `count_first_fit` on grids
+/// The first-fit scan of `allocate` and [`FirstFitPlan::count`] on grids
 /// above 64 blocks: anchors in linear index order (x fastest) from
 /// `from`, and at each anchor the `orients` candidate orientations in
 /// order; returns the first `(anchor index, anchor coordinates,
@@ -550,8 +668,8 @@ fn clear_run(words: &mut [u64], start: usize, end: usize) {
 }
 
 /// The distinct axis orientations of a box, inline (at most 6, no heap
-/// allocation — `allocate` and `count_first_fit` compute them once per
-/// call, and the Monte Carlo packing loop calls the latter every trial).
+/// allocation — `allocate` computes them once per call, and a
+/// [`FirstFitPlan`] once per query).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Orientations {
     items: [(u32, u32, u32); 6],
@@ -813,12 +931,9 @@ mod tests {
         v4_static().count_first_fit(&[u64::MAX; 2], (1, 1, 1));
     }
 
-    #[test]
-    fn erosion_and_dilation_match_the_cell_walk_on_small_grids() {
-        // Every grid shape of at most 64 blocks that a spec can produce
-        // (most cubic boxes, and the 1×1×n rail), plus lopsided ones:
-        // for every box that fits, erosion sets exactly the anchors whose
-        // cells are all free, and dilation of one anchor is its cells.
+    /// Every grid shape of at most 64 blocks that a spec can produce
+    /// (most cubic boxes, and the 1×1×n rail), plus lopsided ones.
+    fn small_grids() -> Vec<(u32, u32, u32)> {
         let mut grids: Vec<(u32, u32, u32)> = (1..=64).map(most_cubic_box).collect();
         grids.extend((1..=64).map(|n| (1, 1, n)));
         grids.extend([
@@ -829,10 +944,27 @@ mod tests {
             (64, 1, 1),
             (1, 64, 1),
         ]);
+        grids
+    }
+
+    /// The next word of a xorshift64 stream.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn erosion_and_dilation_match_the_cell_walk_on_small_grids() {
+        // On every small grid, for every box that fits, erosion sets
+        // exactly the anchors whose cells are all free, its mirror exactly
+        // the anchors whose box holds a free cell, and dilation of one
+        // anchor is its cells.
         // Extents 1 to 5, and on longer axes the two longest.
         let extents = |len: u32| (1..=len).filter(move |&e| e <= 5 || e + 1 >= len);
         let mut state = 0x2545_F491_4F6C_DD1D_u64;
-        for grid in grids {
+        for grid in small_grids() {
             let g = WordGrid::new(grid).expect("at most 64 blocks");
             let n = (grid.0 * grid.1 * grid.2) as usize;
             for bx in extents(grid.0) {
@@ -841,30 +973,128 @@ mod tests {
                         let b = (bx, by, bz);
                         for round in 0..4 {
                             // The all-free word, then dense xorshift64 words.
-                            state ^= state << 13;
-                            state ^= state >> 7;
-                            state ^= state << 17;
+                            let word = xorshift(&mut state);
                             let dense = if round == 0 {
                                 u64::MAX
                             } else {
-                                state | state.rotate_left(11)
+                                word | word.rotate_left(11)
                             };
                             let free = dense & g.cells;
                             let eroded = g.erode(free, b);
+                            let reached = g.overlaps(free, b);
                             for a in 0..n {
                                 let cells: u64 = box_cells(grid, coordinates(grid, a), b)
                                     .fold(0, |m, i| m | 1 << i);
                                 assert_eq!(g.dilate(1 << a, b), cells, "{grid:?} {b:?} @{a}");
                                 let fits = free & cells == cells;
                                 assert_eq!(eroded >> a & 1 == 1, fits, "{grid:?} {b:?} @{a}");
+                                let meets = free & cells != 0;
+                                assert_eq!(reached >> a & 1 == 1, meets, "{grid:?} {b:?} @{a}");
                             }
                             assert_eq!(eroded & !g.cells, 0, "{grid:?} {b:?}");
+                            assert_eq!(reached & !g.cells, 0, "{grid:?} {b:?}");
                         }
                     }
                 }
             }
         }
         assert!(WordGrid::new((4, 4, 5)).is_none());
+    }
+
+    /// A cluster of one-host blocks on `grid`, a grid no spec need make.
+    fn on_grid(grid: (u32, u32, u32)) -> StaticCluster {
+        let blocks = (grid.0 * grid.1 * grid.2) as usize;
+        StaticCluster {
+            grid,
+            block_edge: 1,
+            chips_per_block: 1,
+            health: HostHealth::new(blocks, 1),
+            in_use: vec![0; blocks.div_ceil(64)],
+            word_grid: WordGrid::new(grid),
+        }
+    }
+
+    /// The pack query before conflict masks, on a grid of at most 64
+    /// blocks: after every placement, erode the free word again for each
+    /// orientation, take the lowest anchor past the last placement (the
+    /// earlier orientation on a tie), and clear the placed box's cells by
+    /// dilation.
+    fn count_by_erosion(c: &StaticCluster, healthy: u64, bbox: (u32, u32, u32)) -> u32 {
+        let g = c.word_grid.expect("at most 64 blocks");
+        let orients = c.candidates(bbox);
+        let orients = orients.as_slice();
+        let mut free = c.health.words()[0] & !c.in_use[0] & healthy;
+        let (mut placed, mut from) = (0, 0);
+        while !orients.is_empty() && bbox.0 * bbox.1 * bbox.2 <= free.count_ones() {
+            let ahead = u64::MAX.checked_shl(from).unwrap_or(0);
+            let (mut a, mut b) = (64, orients[0]);
+            for &o in orients {
+                let first = (g.erode(free, o) & ahead).trailing_zeros();
+                if first < a {
+                    (a, b) = (first, o);
+                }
+            }
+            if a == 64 {
+                break;
+            }
+            free &= !g.dilate(1 << a, b);
+            placed += 1;
+            from = a + 1;
+        }
+        placed
+    }
+
+    #[test]
+    fn conflict_masks_count_what_erosion_after_every_placement_counts() {
+        // On every small grid and for every box that some orientation
+        // fits, with no cap on the extents: the planned count equals the
+        // count that erodes again after every placement, on the all-free
+        // word and on 8 xorshift64 words of about 50%, 75% and 87.5% up
+        // blocks, both on a pristine cluster and on one that holds two
+        // jobs and has a host down on about one block in eight.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut checks = 0;
+        for grid in small_grids() {
+            let pristine = on_grid(grid);
+            let blocks = pristine.blocks();
+            let mut busy = pristine.clone();
+            for b in 0..blocks {
+                if xorshift(&mut state).is_multiple_of(8) {
+                    busy.set_host_up(b, 0, false).unwrap();
+                }
+            }
+            let _ = busy.allocate((1, 1, 1));
+            let _ = busy.allocate((2, 1, 1));
+            let words: Vec<u64> = (0..9u32)
+                .map(|round| match round {
+                    0 => u64::MAX,
+                    _ => (0..round % 3).fold(xorshift(&mut state), |w, _| w | xorshift(&mut state)),
+                })
+                .collect();
+            for bx in 1..=blocks {
+                for by in 1..=blocks / bx {
+                    for bz in 1..=blocks / (bx * by) {
+                        let b = (bx, by, bz);
+                        if !pristine.fits(b) {
+                            continue;
+                        }
+                        for cluster in [&pristine, &busy] {
+                            let plan = cluster.plan_first_fit(b);
+                            for &healthy in &words {
+                                let want = count_by_erosion(cluster, healthy, b);
+                                assert_eq!(
+                                    plan.count(&[healthy]),
+                                    want,
+                                    "{grid:?} {b:?} {healthy:#x}"
+                                );
+                                checks += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checks > 200_000, "{checks} checks");
     }
 
     #[test]

@@ -95,7 +95,7 @@
 //! [`GoodputSim`]: crate::GoodputSim
 //! [`GoodputSim::goodput`]: crate::GoodputSim::goodput
 
-use crate::goodput::{place_reconfigurable_words, place_static_words, slice_geometry};
+use crate::goodput::{place_reconfigurable_words, slice_geometry};
 use crate::model::PlannerModel;
 use crate::slice_mix::SliceMix;
 use crate::trials::{chunk_seed, run_chunks};
@@ -105,7 +105,7 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use tpu_core::StaticCluster;
+use tpu_core::{FirstFitPlan, StaticCluster};
 use tpu_ocs::{healthy_chips, pick_lowest_blocks, HostHealth};
 use tpu_spec::{consts, FabricKind, FleetSpec, MachineSpec};
 use tpu_topology::SliceShape;
@@ -747,7 +747,10 @@ enum Arm {
 struct Engine<'a> {
     sim: &'a FleetSim,
     arm: Arm,
-    probe_box: (u32, u32, u32),
+    /// The static arm's capacity probe: the first fit of the probe box
+    /// on the model's pristine cluster, planned once per run (`None` on
+    /// the reconfigurable arms).
+    static_probe: Option<FirstFitPlan<'a>>,
     probe_shape: SliceShape,
     probe_blocks: u32,
     reconfig_s: f64,
@@ -801,6 +804,8 @@ impl<'a> Engine<'a> {
             sim.model.chips_per_block(),
             sim.probe_slice_chips,
         );
+        let static_probe =
+            matches!(arm, Arm::Fixed(_)).then(|| sim.model.static_arm().plan_first_fit(probe_box));
         // The plugboard spends reconfig_ms programming circuits per
         // placement; static cabling and packet-switched fabrics have no
         // such window.
@@ -872,7 +877,7 @@ impl<'a> Engine<'a> {
         let mut engine = Engine {
             sim,
             arm,
-            probe_box,
+            static_probe,
             probe_shape,
             probe_blocks,
             reconfig_s,
@@ -1026,14 +1031,9 @@ impl<'a> Engine<'a> {
     /// so this is the capacity the closed-form model would report for
     /// this instant; both counts only read the arm they borrow.
     fn reprobe(&mut self) {
-        let placed_blocks = match self.arm {
-            Arm::Fixed(_) => place_static_words(
-                self.sim.model.static_arm(),
-                self.health.words(),
-                self.probe_box,
-                self.probe_blocks,
-            ),
-            Arm::Plugboard { .. } | Arm::Switched => place_reconfigurable_words(
+        let placed_blocks = match &self.static_probe {
+            Some(plan) => plan.count(self.health.words()) * self.probe_blocks,
+            None => place_reconfigurable_words(
                 self.sim.model.reconfigurable_arm(),
                 self.health.words(),
                 self.health.units(),

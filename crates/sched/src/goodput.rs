@@ -11,11 +11,12 @@
 //! blocks failed, through the placement rules production uses rather
 //! than a private curve:
 //!
-//! * the static arm counts with [`StaticCluster::count_first_fit`]: one
-//!   first-fit pass in the anchor order and with the box test of
-//!   [`StaticCluster::allocate`], so exactly the slices an
-//!   allocate-until-refused loop would place, without touching the
-//!   cluster;
+//! * the static arm counts with a [`FirstFitPlan`] of the slice's box,
+//!   planned once per query ([`StaticCluster::plan_first_fit`]) and
+//!   borrowed by every worker: each trial is one first-fit pass in the
+//!   anchor order and with the box test of [`StaticCluster::allocate`],
+//!   so exactly the slices an allocate-until-refused loop would place,
+//!   without touching the cluster;
 //! * the reconfigurable arm counts in closed form on both of its
 //!   fabrics: behind the OCS plugboard any healthy blocks form a slice,
 //!   and behind the switched fat tree any healthy islands do, so a
@@ -28,7 +29,7 @@ use crate::trials::{chunk_seed, run_chunks};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use tpu_core::{StaticCluster, Supercomputer};
+use tpu_core::{FirstFitPlan, StaticCluster, Supercomputer};
 use tpu_ocs::healthy_chips;
 use tpu_spec::{FabricKind, MachineSpec};
 use tpu_topology::{most_cubic_box, SliceShape};
@@ -168,9 +169,12 @@ impl GoodputSim {
 
         // Trials run in fixed-size chunks, each on its own RNG stream
         // derived from (seed, chunk). Every worker borrows the model's
-        // lazily-cached pristine arm: neither count mutates it.
+        // lazily-cached pristine arm, which neither count mutates; the
+        // static arm's first fit is planned once here, for every worker.
         let arm = match fabric {
-            FabricKind::Static => FabricArm::Static(self.model.static_arm()),
+            FabricKind::Static => {
+                FabricArm::Static(self.model.static_arm().plan_first_fit(slice_box))
+            }
             FabricKind::Ocs | FabricKind::Switched => {
                 FabricArm::Reconfigurable(self.model.reconfigurable_arm())
             }
@@ -187,10 +191,8 @@ impl GoodputSim {
                 let mut sum = 0.0;
                 for _ in 0..chunk_trials {
                     draw_health(&mut rng, up_below, total_blocks, health);
-                    let placed_blocks = match arm {
-                        FabricArm::Static(cluster) => {
-                            place_static_words(cluster, health, slice_box, blocks_needed)
-                        }
+                    let placed_blocks = match &arm {
+                        FabricArm::Static(plan) => plan.count(health) * blocks_needed,
                         FabricArm::Reconfigurable(machine) => place_reconfigurable_words(
                             machine,
                             health,
@@ -251,11 +253,11 @@ impl GoodputSim {
 
 /// The model's pristine arm a goodput query counts on; every worker
 /// borrows it, since neither count mutates it.
-#[derive(Clone, Copy)]
 enum FabricArm<'a> {
-    /// The statically-cabled grid (the machine itself for static specs,
-    /// the counterfactual otherwise).
-    Static(&'a StaticCluster),
+    /// The first fit of the slice's box on the statically-cabled grid
+    /// (the machine itself for static specs, the counterfactual
+    /// otherwise), planned once per query.
+    Static(FirstFitPlan<'a>),
     /// The [`Supercomputer`] on the spec's any-healthy-capacity fabric
     /// (OCS plugboard / switched islands).
     Reconfigurable(&'a Supercomputer),
@@ -390,9 +392,10 @@ pub(crate) fn place_reconfigurable_words(
 /// first-fit of contiguous boxes places on the core [`StaticCluster`]
 /// (which also serves as the static *counterfactual* grid for switched
 /// specs, one "block" per island) with the blocks `healthy` marks down
-/// failed. One pass of [`StaticCluster::count_first_fit`], which reads
-/// the cluster and mutates nothing. Like [`place_reconfigurable`],
-/// doubles as the fleet DES capacity probe.
+/// failed. [`StaticCluster::count_first_fit`], which plans the box and
+/// counts once and mutates nothing; [`GoodputSim::goodput`] and the
+/// fleet DES capacity probe plan the box once and count every trial or
+/// probe on that plan ([`FirstFitPlan::count`]).
 #[doc(hidden)]
 pub fn place_static(
     cluster: &StaticCluster,
@@ -400,17 +403,7 @@ pub fn place_static(
     slice_box: (u32, u32, u32),
     blocks_needed: u32,
 ) -> u32 {
-    place_static_words(cluster, &health_words(healthy), slice_box, blocks_needed)
-}
-
-/// [`place_static`] over health words ([`health_words`]).
-pub(crate) fn place_static_words(
-    cluster: &StaticCluster,
-    health: &[u64],
-    slice_box: (u32, u32, u32),
-    blocks_needed: u32,
-) -> u32 {
-    cluster.count_first_fit(health, slice_box) * blocks_needed
+    cluster.count_first_fit(&health_words(healthy), slice_box) * blocks_needed
 }
 
 #[cfg(test)]
@@ -615,12 +608,15 @@ mod tests {
 
     #[test]
     fn small_slices_track_block_availability() {
-        // 64-chip slices: OCS goodput ≈ share of healthy blocks =
-        // availability^16.
+        // 64-chip slices: a trial's OCS goodput is the share of healthy
+        // blocks, Binomial(64, availability^16)/64, so the mean of the
+        // trials lies within 4σ/√trials of availability^16.
         let s = sim();
         let g = s.goodput(64, 0.99, FabricKind::Ocs);
-        let expect = 0.99f64.powi(16);
-        assert!((g - expect).abs() < 0.03, "{g} vs {expect}");
+        let p = 0.99f64.powi(16);
+        let sigma = (p * (1.0 - p) / 64.0).sqrt();
+        let tol = 4.0 * sigma / f64::from(s.trials).sqrt();
+        assert!((g - p).abs() <= tol, "{g} vs {p} ± {tol}");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!   scheduling under CPU-host failures, with the OCS plugboard (any
 //!   healthy blocks form a slice) versus a statically-cabled machine
 //!   (slices need contiguous healthy sub-boxes), selected by
-//!   `tpu_spec::FabricKind`. The static arm counts placements with
-//!   `StaticCluster::count_first_fit`; the reconfigurable arm counts in
+//!   `tpu_spec::FabricKind`. The static arm counts placements with a
+//!   `FirstFitPlan` of the slice's box, planned once per query on the
+//!   model's pristine `StaticCluster`; the reconfigurable arm counts in
 //!   closed form over the model's pristine machine (any healthy blocks
 //!   or islands form a slice).
 //! * [`slice_mix`] — the Table 2 production slice distribution, its
