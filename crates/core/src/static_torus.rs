@@ -279,7 +279,7 @@ impl StaticCluster {
 /// box at `a`, wraparound included. That is n²·blocks words for `n`
 /// orientations, at most 18 KB. Larger grids plan only the orientations
 /// and count by the run test.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FirstFitPlan<'a> {
     cluster: &'a StaticCluster,
     orients: Orientations,

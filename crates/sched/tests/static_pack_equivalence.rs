@@ -1,10 +1,10 @@
-//! The static arm's pack query (`place_static`, one resumable first-fit
-//! pass of `StaticCluster::count_first_fit`) must count exactly what the
+//! The static arm's pack query (`place_static`, one first-fit pass of
+//! `StaticCluster::count_first_fit`) must count exactly what the
 //! allocate-until-refused trial placed: inject the drawn failures with
 //! `set_host_up`, `allocate` until the cluster refuses, then release
 //! every slice and repair every injected failure. Checked on every
-//! committed spec — so on both sides of bit-parallel erosion (grids of
-//! at most 64 blocks) and the run test (v4-ib's 512 islands, a100's
+//! committed spec — so on both sides of the conflict-mask count (grids
+//! of at most 64 blocks) and the run test (v4-ib's 512 islands, a100's
 //! 1 054-island rail) — at every `slice_axis()` point, under random
 //! health at availabilities from 0.97 to 1.0, on pristine clusters and
 //! on clusters that already hold jobs and failed hosts.
