@@ -19,6 +19,7 @@
 use crate::cache::QueryCache;
 use crate::http::{query_params, Request};
 use crate::store::{SpecEntry, SpecStore, StoreError};
+use std::borrow::Cow;
 use std::sync::Arc;
 use tpu_core::{Collective, JobSpec};
 use tpu_ocs::SliceSpec;
@@ -48,6 +49,13 @@ pub const MAX_FLEET_TRIALS: u32 = 32;
 pub const MAX_FLEET_ARRIVALS: u64 = 1 << 22;
 /// Seconds per simulated day.
 const SECONDS_PER_DAY: f64 = 86_400.0;
+/// Path segments [`route`] reads. Its longest route has four, so a
+/// path with six behaves as any longer one does.
+const MAX_SEGMENTS: usize = 6;
+
+/// One percent-decoded query parameter, borrowed from the query string
+/// unless decoding changed it.
+type Param<'q> = (Cow<'q, str>, Cow<'q, str>);
 
 /// Everything the handlers share: the spec registry and the result
 /// cache. One per server, `Arc`-shared across workers.
@@ -140,8 +148,16 @@ pub fn handle(state: &ServiceState, req: &Request) -> ApiResponse {
 }
 
 fn route(state: &ServiceState, req: &Request) -> Result<ApiResponse, ApiError> {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
+    let mut slots = [""; MAX_SEGMENTS];
+    let mut len = 0;
+    for (slot, segment) in slots
+        .iter_mut()
+        .zip(req.path.split('/').filter(|s| !s.is_empty()))
+    {
+        *slot = segment;
+        len += 1;
+    }
+    match (req.method.as_str(), &slots[..len]) {
         ("GET", []) => Ok(plain(200, index_body())),
         ("GET", ["healthz"]) => Ok(plain(200, healthz_body(state))),
         ("GET", ["stats"]) => Ok(plain(200, stats_body(state))),
@@ -357,10 +373,7 @@ impl WhatIfQuery {
     /// The parameter-level half of [`WhatIfQuery::parse`], shared with
     /// the sweep expansion so per-point validation cannot diverge from
     /// the single-point endpoint.
-    fn from_params(
-        model: &PlannerModel,
-        params: &[(String, String)],
-    ) -> Result<WhatIfQuery, ApiError> {
+    fn from_params(model: &PlannerModel, params: &[Param<'_>]) -> Result<WhatIfQuery, ApiError> {
         let availability = parse_f64(params, "availability")?.unwrap_or(0.99);
         if !(availability > 0.0 && availability <= 1.0) {
             return Err(ApiError::bad_request(
@@ -464,11 +477,22 @@ fn whatif(state: &ServiceState, name: &str, query: &str) -> Result<ApiResponse, 
 /// keeps answers unnamed, and [`named`] puts in the name each request
 /// asked under.
 const UNNAMED: &str = "";
+/// The `spec` field of a body computed for [`UNNAMED`].
+const UNNAMED_FIELD: &str = "\"spec\":\"\"";
 
-/// A body computed for [`UNNAMED`], as the answer for spec `name`.
-fn named(body: &str, name: &str) -> String {
-    let spec = |name: &str| format!("\"spec\":{}", JsonValue::Str(name.into()));
-    body.replacen(&spec(UNNAMED), &spec(name), 1)
+/// A body computed for [`UNNAMED`], as the answer for `entry`: its
+/// first [`UNNAMED_FIELD`] swapped for the entry's
+/// [`SpecEntry::spec_field`], in one allocation of the exact size.
+fn named(body: &str, entry: &SpecEntry) -> String {
+    let Some(at) = body.find(UNNAMED_FIELD) else {
+        return body.to_string();
+    };
+    let (head, tail) = (&body[..at], &body[at + UNNAMED_FIELD.len()..]);
+    let mut out = String::with_capacity(head.len() + entry.spec_field.len() + tail.len());
+    out.push_str(head);
+    out.push_str(&entry.spec_field);
+    out.push_str(tail);
+    out
 }
 
 /// Answers from the cache under a query's canonical key, or computes
@@ -481,16 +505,17 @@ fn cached(
 ) -> ApiResponse {
     let hash = entry.model.spec_hash();
     let (body, x_cache) = match state.cache.get(hash, key) {
-        Some(body) => (body, "hit"),
+        Some(body) => (named(&body, entry), "hit"),
         None => {
             let body = compute();
-            state.cache.insert(hash, key, body.clone());
-            (body, "miss")
+            let answer = named(&body, entry);
+            state.cache.insert(hash, key, body);
+            (answer, "miss")
         }
     };
     ApiResponse {
         status: 200,
-        body: named(&body, &entry.name),
+        body,
         x_cache: Some(x_cache),
     }
 }
@@ -521,7 +546,7 @@ pub fn sweep_points(model: &PlannerModel, query: &str) -> Result<Vec<WhatIfQuery
             format!("sweep asks for {count} grid points; the cap is {MAX_SWEEP_POINTS}"),
         ));
     }
-    let shared: Vec<(String, String)> = params
+    let shared: Vec<Param<'_>> = params
         .iter()
         .filter(|(k, _)| k != "availability" && k != "slice_chips")
         .cloned()
@@ -531,10 +556,10 @@ pub fn sweep_points(model: &PlannerModel, query: &str) -> Result<Vec<WhatIfQuery
         for slice_chips in &slices {
             let mut point = shared.clone();
             if let Some(a) = availability {
-                point.push(("availability".into(), a.clone()));
+                point.push(("availability".into(), (*a).into()));
             }
             if let Some(s) = slice_chips {
-                point.push(("slice_chips".into(), s.clone()));
+                point.push(("slice_chips".into(), (*s).into()));
             }
             points.push(WhatIfQuery::from_params(model, &point)?);
         }
@@ -545,10 +570,10 @@ pub fn sweep_points(model: &PlannerModel, query: &str) -> Result<Vec<WhatIfQuery
 /// One parameter's sweep axis: the last occurrence split on commas, or
 /// a single defaulted point when absent (`None` lets
 /// [`WhatIfQuery::from_params`] apply the single-point default).
-fn list_values(params: &[(String, String)], key: &str) -> Vec<Option<String>> {
+fn list_values<'p>(params: &'p [Param<'_>], key: &str) -> Vec<Option<&'p str>> {
     match get(params, key) {
         None => vec![None],
-        Some(raw) => raw.split(',').map(|v| Some(v.trim().to_string())).collect(),
+        Some(raw) => raw.split(',').map(|v| Some(v.trim())).collect(),
     }
 }
 
@@ -839,10 +864,10 @@ fn fleet(state: &ServiceState, name: &str, query: &str) -> Result<ApiResponse, A
 /// Splits a query and rejects unknown parameter names — a typo'd
 /// parameter silently falling back to its default would poison the
 /// cache-key canonicalization.
-fn known_params(query: &str, allowed: &[&str]) -> Result<Vec<(String, String)>, ApiError> {
+fn known_params<'q>(query: &'q str, allowed: &[&str]) -> Result<Vec<Param<'q>>, ApiError> {
     let params = query_params(query);
     for (key, _) in &params {
-        if !allowed.contains(&key.as_str()) {
+        if !allowed.contains(&key.as_ref()) {
             return Err(ApiError::bad_request(
                 "unknown_param",
                 format!("unknown parameter {key:?}; allowed: {}", allowed.join(", ")),
@@ -853,15 +878,15 @@ fn known_params(query: &str, allowed: &[&str]) -> Result<Vec<(String, String)>, 
 }
 
 /// Last occurrence of a key wins, like most HTTP servers.
-fn get<'a>(params: &'a [(String, String)], key: &str) -> Option<&'a str> {
+fn get<'p>(params: &'p [Param<'_>], key: &str) -> Option<&'p str> {
     params
         .iter()
         .rev()
         .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
+        .map(|(_, v)| v.as_ref())
 }
 
-fn parse_f64(params: &[(String, String)], key: &'static str) -> Result<Option<f64>, ApiError> {
+fn parse_f64(params: &[Param<'_>], key: &'static str) -> Result<Option<f64>, ApiError> {
     match get(params, key) {
         None => Ok(None),
         Some(raw) => raw
@@ -878,7 +903,7 @@ fn parse_f64(params: &[(String, String)], key: &'static str) -> Result<Option<f6
     }
 }
 
-fn parse_u64(params: &[(String, String)], key: &'static str) -> Result<Option<u64>, ApiError> {
+fn parse_u64(params: &[Param<'_>], key: &'static str) -> Result<Option<u64>, ApiError> {
     match get(params, key) {
         None => Ok(None),
         Some(raw) => raw.parse::<u64>().map(Some).map_err(|_| {
@@ -896,7 +921,7 @@ fn parse_u64(params: &[(String, String)], key: &'static str) -> Result<Option<u6
 /// it canonicalizes to `switched`: one question, one cache key, one
 /// body. `switched` is rejected on torus specs exactly as in
 /// `GoodputSim::goodput`.
-fn parse_fabric(params: &[(String, String)], model: &PlannerModel) -> Result<FabricKind, ApiError> {
+fn parse_fabric(params: &[Param<'_>], model: &PlannerModel) -> Result<FabricKind, ApiError> {
     let fabric = match get(params, "fabric") {
         None => FabricKind::Ocs,
         Some(raw) => FabricKind::from_label(raw).ok_or_else(|| {
@@ -1340,6 +1365,17 @@ mod tests {
             assert_eq!(resp.status, 400, "{query}: {}", resp.body);
             assert!(resp.body.contains(code), "{query}: {}", resp.body);
         }
+    }
+
+    #[test]
+    fn a_named_unnamed_body_is_the_body_computed_for_the_name() {
+        let store = SpecStore::in_memory();
+        let (entry, _, _) = store.put("v4", &MachineSpec::v4()).unwrap();
+        let q = WhatIfQuery::parse(&entry.model, "trials=10").unwrap();
+        let sim = serving_sim(&entry.model, &q);
+        let unnamed = whatif_body(UNNAMED, &sim, &q);
+        assert_eq!(unnamed.matches(UNNAMED_FIELD).count(), 1);
+        assert_eq!(named(&unnamed, &entry), whatif_body("v4", &sim, &q));
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! handlers *after* parameter parsing, defaulting and normalization, so
 //! `availability=0.9920` and `availability=0.992` share one entry.
 //!
+//! A hit is the service's common answer, so it allocates nothing here.
+//! The map is keyed by spec hash, then by query, so a lookup by `&str`
+//! builds no owned key, and bodies are `Arc<str>`, so a hit hands out a
+//! pointer, not a copy. Recency is a tick stamped on each entry: a hit
+//! restamps its entry in place, and an insert into a full cache evicts
+//! the entry with the oldest stamp, found by scanning every entry. The
+//! eviction order is exact LRU, and only a miss pays for the scan.
+//!
 //! Correctness under concurrency does not depend on the cache: every
 //! cached value is the output of a deterministic simulation of its key,
 //! so a hit returns byte-for-byte what a recompute would. The cache is
@@ -17,20 +25,51 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
-
-/// One cache key: the spec's canonical hash plus the handler-built
-/// canonical query string.
-type Key = (u64, String);
+use std::sync::{Arc, Mutex, PoisonError};
 
 struct Entry {
-    body: String,
+    body: Arc<str>,
     last_used: u64,
 }
 
 struct Inner {
-    map: BTreeMap<Key, Entry>,
+    /// Spec hash, then canonical query, to entry.
+    map: BTreeMap<u64, BTreeMap<String, Entry>>,
     tick: u64,
+}
+
+impl Inner {
+    /// Entries over every spec hash.
+    fn len(&self) -> usize {
+        self.map.values().map(BTreeMap::len).sum()
+    }
+
+    fn entry_mut(&mut self, spec_hash: u64, query: &str) -> Option<&mut Entry> {
+        self.map.get_mut(&spec_hash)?.get_mut(query)
+    }
+
+    /// Removes the least-recently-used entry.
+    fn evict_oldest(&mut self) {
+        let oldest = self
+            .map
+            .iter()
+            .flat_map(|(&hash, queries)| {
+                queries
+                    .iter()
+                    .map(move |(query, e)| (e.last_used, hash, query))
+            })
+            .min_by_key(|&(last_used, ..)| last_used)
+            .map(|(_, hash, query)| (hash, query.clone()));
+        let Some((hash, query)) = oldest else {
+            return;
+        };
+        if let Some(queries) = self.map.get_mut(&hash) {
+            queries.remove(&query);
+            if queries.is_empty() {
+                self.map.remove(&hash);
+            }
+        }
+    }
 }
 
 /// A bounded LRU cache of response bodies, shared across workers.
@@ -57,7 +96,7 @@ impl QueryCache {
 
     /// Looks up a response body, refreshing its LRU position. Counts a
     /// hit or miss.
-    pub fn get(&self, spec_hash: u64, query: &str) -> Option<String> {
+    pub fn get(&self, spec_hash: u64, query: &str) -> Option<Arc<str>> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -65,13 +104,10 @@ impl QueryCache {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let body = inner
-            .map
-            .get_mut(&(spec_hash, query.to_string()))
-            .map(|entry| {
-                entry.last_used = tick;
-                entry.body.clone()
-            });
+        let body = inner.entry_mut(spec_hash, query).map(|entry| {
+            entry.last_used = tick;
+            Arc::clone(&entry.body)
+        });
         drop(inner);
         match &body {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -87,40 +123,36 @@ impl QueryCache {
         if self.capacity == 0 {
             return;
         }
+        let body: Arc<str> = body.into();
         let mut inner = self.lock();
         inner.tick += 1;
-        let tick = inner.tick;
-        if inner.map.len() >= self.capacity
-            && !inner.map.contains_key(&(spec_hash, query.to_string()))
-        {
-            if let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&oldest);
-            }
+        let entry = Entry {
+            body,
+            last_used: inner.tick,
+        };
+        if let Some(old) = inner.entry_mut(spec_hash, query) {
+            *old = entry;
+            return;
         }
-        inner.map.insert(
-            (spec_hash, query.to_string()),
-            Entry {
-                body,
-                last_used: tick,
-            },
-        );
+        if inner.len() >= self.capacity {
+            inner.evict_oldest();
+        }
+        inner
+            .map
+            .entry(spec_hash)
+            .or_default()
+            .insert(query.to_string(), entry);
     }
 
     /// Drops every entry whose spec hash matches (spec deleted or
     /// replaced by a *semantically different* one).
     pub fn invalidate_spec(&self, spec_hash: u64) {
-        let mut inner = self.lock();
-        inner.map.retain(|(h, _), _| *h != spec_hash);
+        self.lock().map.remove(&spec_hash);
     }
 
     /// `(hits, misses, live entries)` since start.
     pub fn stats(&self) -> (u64, u64, usize) {
-        let entries = self.lock().map.len();
+        let entries = self.lock().len();
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
@@ -172,6 +204,38 @@ mod tests {
         assert!(cache.get(1, "a").is_some(), "recently used survives");
         assert!(cache.get(1, "b").is_none(), "LRU entry evicted");
         assert!(cache.get(1, "c").is_some());
+    }
+
+    #[test]
+    fn lru_order_spans_spec_hashes() {
+        let cache = QueryCache::new(2);
+        cache.insert(1, "a", "A".into());
+        cache.insert(2, "b", "B".into());
+        assert!(cache.get(1, "a").is_some());
+        cache.insert(3, "c", "C".into());
+        assert!(cache.get(2, "b").is_none(), "LRU entry evicted");
+        assert!(cache.get(1, "a").is_some());
+        assert!(cache.get(3, "c").is_some());
+        assert_eq!(cache.stats().2, 2);
+    }
+
+    #[test]
+    fn reinserting_a_cached_key_evicts_nothing() {
+        let cache = QueryCache::new(2);
+        cache.insert(1, "a", "A".into());
+        cache.insert(1, "b", "B".into());
+        cache.insert(1, "a", "A2".into());
+        assert_eq!(cache.get(1, "a").as_deref(), Some("A2"));
+        assert_eq!(cache.get(1, "b").as_deref(), Some("B"));
+        assert_eq!(cache.stats().2, 2);
+    }
+
+    #[test]
+    fn hits_share_one_body() {
+        let cache = QueryCache::new(2);
+        cache.insert(1, "q", "body".into());
+        let (a, b) = (cache.get(1, "q").unwrap(), cache.get(1, "q").unwrap());
+        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]

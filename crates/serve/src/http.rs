@@ -12,11 +12,25 @@
 //! hostile peer gets a clean 4xx instead of an unbounded read: request
 //! lines and header lines are capped at [`MAX_LINE`] bytes, header
 //! count at [`MAX_HEADERS`], bodies at [`MAX_BODY`].
+//!
+//! A cache hit runs through here twice, so neither direction copies
+//! more than it must. [`read_request`] finds each line in the reader's
+//! own buffer (`fill_buf`, then `consume` up to and including the LF,
+//! never past it, so pipelined requests still parse from the same
+//! reader) and copies it once into one line buffer that every header
+//! line of the request reuses. [`percent_decode`] and [`query_params`]
+//! borrow from the query string and allocate only for a `%` or `+`.
+//! [`write_response`] formats the head straight into its sink: the
+//! server passes one buffer per connection and sends each response with
+//! one write. `tests/http_reader.rs` holds the reader to the
+//! byte-at-a-time reference it replaced.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
-/// Longest accepted request or header line, bytes (including CRLF).
+/// Longest accepted request or header line, bytes (counting a CR, not
+/// the LF).
 pub const MAX_LINE: usize = 8 * 1024;
 /// Most headers accepted per request.
 pub const MAX_HEADERS: usize = 64;
@@ -36,9 +50,10 @@ pub enum ParseError {
     LineTooLong,
     /// More than [`MAX_HEADERS`] header lines.
     TooManyHeaders,
-    /// `Content-Length` is missing on a bodied request, unparsable, or
-    /// exceeds [`MAX_BODY`].
+    /// `Content-Length` is not a decimal byte count.
     BadLength(String),
+    /// `Content-Length` exceeds [`MAX_BODY`].
+    BodyTooLarge(usize),
     /// The protocol is not HTTP/1.0 or HTTP/1.1.
     BadVersion(String),
     /// Transport error mid-request.
@@ -49,7 +64,7 @@ impl ParseError {
     /// The HTTP status this parse failure answers with.
     pub fn status(&self) -> u16 {
         match self {
-            ParseError::BadLength(msg) if msg.contains("exceeds") => 413,
+            ParseError::BodyTooLarge(_) => 413,
             ParseError::BadVersion(_) => 505,
             _ => 400,
         }
@@ -63,8 +78,8 @@ impl ParseError {
             ParseError::BadHeader => "bad_header",
             ParseError::LineTooLong => "line_too_long",
             ParseError::TooManyHeaders => "too_many_headers",
-            ParseError::BadLength(msg) if msg.contains("exceeds") => "body_too_large",
             ParseError::BadLength(_) => "bad_content_length",
+            ParseError::BodyTooLarge(_) => "body_too_large",
             ParseError::BadVersion(_) => "http_version_not_supported",
             ParseError::Io(_) => "io",
         }
@@ -80,6 +95,10 @@ impl fmt::Display for ParseError {
             ParseError::LineTooLong => write!(f, "request or header line exceeds {MAX_LINE} bytes"),
             ParseError::TooManyHeaders => write!(f, "more than {MAX_HEADERS} headers"),
             ParseError::BadLength(msg) => write!(f, "{msg}"),
+            ParseError::BodyTooLarge(n) => write!(
+                f,
+                "Content-Length {n} exceeds the {MAX_BODY}-byte body limit"
+            ),
             ParseError::BadVersion(v) => write!(f, "unsupported protocol {v:?}"),
             ParseError::Io(kind) => write!(f, "transport error: {kind:?}"),
         }
@@ -112,31 +131,36 @@ pub struct Request {
 /// Returns a [`ParseError`] naming the violated rule; callers map it to
 /// a 4xx/5xx via [`ParseError::status`].
 pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
-    let line = read_line(reader)?;
+    let mut buf = Vec::with_capacity(256);
+    let line = read_line(reader, &mut buf)?;
     if line.is_empty() {
         return Err(ParseError::ConnectionClosed);
     }
     let mut parts = line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
-        _ => return Err(ParseError::BadRequestLine(truncate(&line, 120))),
+        _ => return Err(ParseError::BadRequestLine(truncate(line, 120))),
     };
     if version != "HTTP/1.1" && version != "HTTP/1.0" {
         return Err(ParseError::BadVersion(truncate(version, 40)));
     }
     if !target.starts_with('/') {
-        return Err(ParseError::BadRequestLine(truncate(&line, 120)));
+        return Err(ParseError::BadRequestLine(truncate(line, 120)));
     }
     let (raw_path, raw_query) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),
     };
+    // Copied out of the line buffer, which the header lines reuse.
+    let method = method.to_string();
+    let path = percent_decode(raw_path).into_owned();
+    let query = raw_query.to_string();
 
     let mut content_length: usize = 0;
     let mut keep_alive = version == "HTTP/1.1";
     let mut headers = 0usize;
     loop {
-        let header = read_line(reader)?;
+        let header = read_line(reader, &mut buf)?;
         if header.is_empty() {
             break;
         }
@@ -151,9 +175,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
                 ParseError::BadLength(format!("unparsable Content-Length {value:?}"))
             })?;
             if n > MAX_BODY {
-                return Err(ParseError::BadLength(format!(
-                    "Content-Length {n} exceeds the {MAX_BODY}-byte body limit"
-                )));
+                return Err(ParseError::BodyTooLarge(n));
             }
             content_length = n;
         } else if name.eq_ignore_ascii_case("connection") {
@@ -183,78 +205,91 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
     }
 
     Ok(Request {
-        method: method.to_string(),
-        path: percent_decode(raw_path),
-        query: raw_query.to_string(),
+        method,
+        path,
+        query,
         body,
         keep_alive,
     })
 }
 
-/// Reads one CRLF- (or LF-) terminated line, without the terminator.
-/// An empty return at the request line means EOF; at a header line it
-/// means end of headers.
-fn read_line(reader: &mut impl BufRead) -> Result<String, ParseError> {
-    let mut buf = Vec::with_capacity(128);
+/// Reads one LF-terminated line into `buf` and returns it without the
+/// LF or a CR before it. An empty return at the request line means EOF;
+/// at a header line it means end of headers.
+///
+/// The line is found in the reader's own buffer and consumed up to and
+/// including its LF, never past it. A line that reaches EOF without an
+/// LF ends there. A line is refused once it holds more than
+/// [`MAX_LINE`] bytes, with exactly one byte past the cap consumed.
+fn read_line<'b>(reader: &mut impl BufRead, buf: &'b mut Vec<u8>) -> Result<&'b str, ParseError> {
+    buf.clear();
     loop {
-        let mut byte = [0u8; 1];
-        match io::Read::read(reader, &mut byte) {
-            Ok(0) => break,
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    break;
-                }
-                buf.push(byte[0]);
-                if buf.len() > MAX_LINE {
-                    return Err(ParseError::LineTooLong);
-                }
-            }
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(ParseError::Io(e.kind())),
+        };
+        if available.is_empty() {
+            break;
+        }
+        // The line may grow to one byte past the cap before it is
+        // refused, so look no further than that for its LF.
+        let window = &available[..available.len().min(MAX_LINE + 1 - buf.len())];
+        if let Some(end) = window.iter().position(|&b| b == b'\n') {
+            buf.extend_from_slice(&window[..end]);
+            reader.consume(end + 1);
+            break;
+        }
+        let taken = window.len();
+        buf.extend_from_slice(window);
+        reader.consume(taken);
+        if buf.len() > MAX_LINE {
+            return Err(ParseError::LineTooLong);
         }
     }
     if buf.last() == Some(&b'\r') {
         buf.pop();
     }
-    String::from_utf8(buf).map_err(|_| ParseError::BadHeader)
+    std::str::from_utf8(buf).map_err(|_| ParseError::BadHeader)
 }
 
 /// Splits a raw query string into percent-decoded `(key, value)` pairs,
-/// in wire order. Keys without `=` get an empty value.
-pub fn query_params(query: &str) -> Vec<(String, String)> {
-    query
-        .split('&')
-        .filter(|p| !p.is_empty())
-        .map(|pair| match pair.split_once('=') {
-            Some((k, v)) => (percent_decode(k), percent_decode(v)),
-            None => (percent_decode(pair), String::new()),
-        })
-        .collect()
+/// in wire order. Keys without `=` get an empty value. Each half
+/// borrows from `query` unless it had something to decode.
+pub fn query_params(query: &str) -> Vec<(Cow<'_, str>, Cow<'_, str>)> {
+    let pairs = query.split('&').filter(|p| !p.is_empty());
+    let mut params = Vec::with_capacity(pairs.clone().count());
+    params.extend(pairs.map(|pair| match pair.split_once('=') {
+        Some((k, v)) => (percent_decode(k), percent_decode(v)),
+        None => (percent_decode(pair), Cow::Borrowed("")),
+    }));
+    params
 }
 
-/// Percent-decodes `%XX` escapes and `+`-as-space; malformed escapes
-/// pass through literally (the route/param validators reject them).
-pub fn percent_decode(s: &str) -> String {
+/// Percent-decodes `%XX` escapes (two ASCII hex digits) and
+/// `+`-as-space; malformed escapes pass through literally (the
+/// route/param validators reject them). Borrows `s` when it holds
+/// neither `%` nor `+`.
+pub fn percent_decode(s: &str) -> Cow<'_, str> {
+    if !s.bytes().any(|b| b == b'%' || b == b'+') {
+        return Cow::Borrowed(s);
+    }
+    let hex = |b: u8| char::from(b).to_digit(16);
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
-            b'%' if i + 2 < bytes.len() => {
-                let decoded = std::str::from_utf8(&bytes[i + 1..i + 3])
-                    .ok()
-                    .and_then(|hex| u8::from_str_radix(hex, 16).ok());
-                match decoded {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
+            b'%' if i + 2 < bytes.len() => match (hex(bytes[i + 1]), hex(bytes[i + 2])) {
+                (Some(high), Some(low)) => {
+                    out.push((high * 16 + low) as u8);
+                    i += 3;
                 }
-            }
+                _ => {
+                    out.push(b'%');
+                    i += 1;
+                }
+            },
             b'+' => {
                 out.push(b' ');
                 i += 1;
@@ -265,19 +300,24 @@ pub fn percent_decode(s: &str) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&out).into_owned()
+    Cow::Owned(
+        String::from_utf8(out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+    )
 }
 
-/// Writes one complete response and flushes: status line, the fixed
-/// header set (`Content-Type: application/json`, `Content-Length`,
-/// `Connection: keep-alive` or `close` per `keep_alive`), any extra
-/// headers (e.g. `X-Cache`), then the body.
+/// Writes one complete response straight into `out`: status line, the
+/// fixed header set (`Content-Type: application/json`,
+/// `Content-Length`, `Connection: keep-alive` or `close` per
+/// `keep_alive`), any extra headers (e.g. `X-Cache`), then the body.
+/// It writes piece by piece, so give it a buffer and send the buffer in
+/// one write, as the server does.
 ///
 /// # Errors
 ///
-/// Propagates transport errors; the caller drops the connection.
+/// Propagates the sink's errors.
 pub fn write_response(
-    stream: &mut impl Write,
+    out: &mut impl Write,
     status: u16,
     body: &str,
     keep_alive: bool,
@@ -285,23 +325,16 @@ pub fn write_response(
 ) -> io::Result<()> {
     let reason = reason_phrase(status);
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut head = format!(
+    write!(
+        out,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         body.len()
-    );
+    )?;
     for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        write!(out, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    // One write for head + body: on a keep-alive socket, two small
-    // writes would trip Nagle against the peer's delayed ACK (~40ms
-    // per response).
-    head.push_str(body);
-    stream.write_all(head.as_bytes())?;
-    stream.flush()
+    out.write_all(b"\r\n")?;
+    out.write_all(body.as_bytes())
 }
 
 /// The reason phrase for the statuses the service emits.
@@ -394,9 +427,14 @@ mod tests {
 
     #[test]
     fn unparsable_content_length_is_400() {
-        let err = parse("PUT /specs/x HTTP/1.1\r\nContent-Length: nope\r\n\r\n").unwrap_err();
-        assert_eq!(err.status(), 400);
-        assert_eq!(err.code(), "bad_content_length");
+        // Only a number past MAX_BODY is a 413, whatever words the
+        // value holds.
+        for value in ["nope", "exceeds"] {
+            let raw = format!("PUT /specs/x HTTP/1.1\r\nContent-Length: {value}\r\n\r\n");
+            let err = parse(&raw).unwrap_err();
+            assert_eq!(err.status(), 400, "{value}");
+            assert_eq!(err.code(), "bad_content_length", "{value}");
+        }
     }
 
     #[test]
@@ -437,7 +475,7 @@ mod tests {
             vec![
                 ("a".into(), "1".into()),
                 ("b".into(), "hello world".into()),
-                ("flag".into(), String::new()),
+                ("flag".into(), "".into()),
                 ("c".into(), "x=y".into()),
             ]
         );
@@ -449,6 +487,11 @@ mod tests {
         assert_eq!(percent_decode("a%2Fb"), "a/b");
         assert_eq!(percent_decode("a+b"), "a b");
         assert_eq!(percent_decode("%"), "%");
+        // Only two hex digits make an escape: no sign is read as one.
+        assert_eq!(percent_decode("%+1"), "% 1");
+        assert_eq!(percent_decode("%-1"), "%-1");
+        // Nothing to decode borrows.
+        assert!(matches!(percent_decode("a/b"), Cow::Borrowed("a/b")));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::api::{self, ApiResponse, ServiceState};
 use crate::http::{read_request, write_response, ParseError};
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -141,6 +141,7 @@ fn serve_connection(state: &ServiceState, stream: TcpStream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
+    let mut out = Vec::new();
     for served in 1..=MAX_REQUESTS_PER_CONNECTION {
         match read_request(&mut reader) {
             Ok(req) => {
@@ -157,12 +158,16 @@ fn serve_connection(state: &ServiceState, stream: TcpStream) {
                         body: api::error_body(500, "internal", "handler panicked; see server log"),
                         x_cache: None,
                     });
-                let extras: Vec<(&str, &str)> =
-                    resp.x_cache.map(|v| ("X-Cache", v)).into_iter().collect();
-                if write_response(&mut writer, resp.status, &resp.body, keep_alive, &extras)
-                    .is_err()
-                    || !keep_alive
-                {
+                let x_cache = resp.x_cache.map(|v| ("X-Cache", v));
+                let sent = send(
+                    &mut writer,
+                    &mut out,
+                    resp.status,
+                    &resp.body,
+                    keep_alive,
+                    x_cache.as_slice(),
+                );
+                if sent.is_err() || !keep_alive {
                     return;
                 }
             }
@@ -173,11 +178,28 @@ fn serve_connection(state: &ServiceState, stream: TcpStream) {
             // Parse errors poison the stream framing; answer and drop.
             Err(e) => {
                 let body = api::error_body(e.status(), e.code(), &e.to_string());
-                let _ = write_response(&mut writer, e.status(), &body, false, &[]);
+                let _ = send(&mut writer, &mut out, e.status(), &body, false, &[]);
                 return;
             }
         }
     }
+}
+
+/// Formats one response into the connection's buffer `out`, reused from
+/// response to response, and sends it with one write: two small writes
+/// on a keep-alive socket would cost two segments and, under Nagle, the
+/// peer's delayed ACK (~40 ms per response).
+fn send(
+    writer: &mut TcpStream,
+    out: &mut Vec<u8>,
+    status: u16,
+    body: &str,
+    keep_alive: bool,
+    extra_headers: &[(&str, &str)],
+) -> io::Result<()> {
+    out.clear();
+    write_response(out, status, body, keep_alive, extra_headers)?;
+    writer.write_all(out)
 }
 
 #[cfg(test)]

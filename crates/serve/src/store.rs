@@ -15,6 +15,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError, RwLock};
 use tpu_sched::PlannerModel;
+use tpu_spec::json::JsonValue;
 use tpu_spec::MachineSpec;
 
 /// One stored machine: its service name and shared planner model.
@@ -24,6 +25,19 @@ pub struct SpecEntry {
     pub name: String,
     /// The immutable spec-derived model all queries share.
     pub model: Arc<PlannerModel>,
+    /// The name as a response body's JSON field, `"spec":"<name>"`,
+    /// rendered once here so a cache hit only splices it in.
+    pub(crate) spec_field: String,
+}
+
+impl SpecEntry {
+    fn new(name: &str, spec: &MachineSpec) -> SpecEntry {
+        SpecEntry {
+            name: name.to_string(),
+            model: Arc::new(PlannerModel::for_spec(spec)),
+            spec_field: format!("\"spec\":{}", JsonValue::Str(name.into())),
+        }
+    }
 }
 
 /// Why a store operation failed, with its HTTP mapping.
@@ -93,13 +107,7 @@ impl SpecStore {
                 .map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))?;
             let spec = MachineSpec::from_json(&text)
                 .map_err(|e| StoreError::BadSpec(format!("{}: {e}", path.display())))?;
-            specs.insert(
-                name.clone(),
-                Arc::new(SpecEntry {
-                    name,
-                    model: Arc::new(PlannerModel::for_spec(&spec)),
-                }),
-            );
+            specs.insert(name.clone(), Arc::new(SpecEntry::new(&name, &spec)));
         }
         Ok(SpecStore {
             specs: RwLock::new(specs),
@@ -143,10 +151,7 @@ impl SpecStore {
         spec: &MachineSpec,
     ) -> Result<(Arc<SpecEntry>, Option<u64>, bool), StoreError> {
         validate_name(name)?;
-        let entry = Arc::new(SpecEntry {
-            name: name.to_string(),
-            model: Arc::new(PlannerModel::for_spec(spec)),
-        });
+        let entry = Arc::new(SpecEntry::new(name, spec));
         if let Some(dir) = &self.persist_dir {
             let path = dir.join(format!("{name}.json"));
             fs::write(&path, format!("{}\n", spec.to_json()))

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The CI service-smoke gate (DESIGN.md §14): start tpu-serve over the
 # committed specs/ corpus, then prove — byte for byte — that the HTTP
-# answer for every spec's what-if query, on its default fabric and on
-# the static arm, equals the offline answer from `tpu-serve --oneshot`
+# answer for every spec's what-if query, on its default fabric (as a
+# cache miss and then as a hit) and on the static arm, equals the
+# offline answer from `tpu-serve --oneshot`
 # (which builds its simulator through the same GoodputSim::for_spec
 # path as `repro --spec` and the test suite). The same holds for one
 # collective quote per op and one short fleet run per arm.
@@ -43,15 +44,31 @@ for spec in specs/*.json; do
     fail=1
   fi
 
-  # The HTTP what-if answer is the offline answer, byte for byte.
-  curl -sf "http://$ADDR/specs/$name/whatif?$QUERY" >"$workdir/$name.http.json"
+  # The HTTP what-if answer is the offline answer, byte for byte: asked
+  # twice on one connection, it must miss the cache and then hit it,
+  # and both bodies must equal the --oneshot body.
   "$BIN" --oneshot "$spec" "whatif?$QUERY" >"$workdir/$name.offline.json"
-  if diff -u "$workdir/$name.offline.json" "$workdir/$name.http.json"; then
-    echo "ok $name: HTTP == offline ($(cat "$workdir/$name.http.json"))"
-  else
-    echo "FAIL $name: HTTP response differs from offline --oneshot"
+  curl -sf -v -D "$workdir/$name.headers" \
+    -o "$workdir/$name.http.json" "http://$ADDR/specs/$name/whatif?$QUERY" \
+    -o "$workdir/$name.hit.json" "http://$ADDR/specs/$name/whatif?$QUERY" \
+    2>"$workdir/$name.curl.log"
+  caches=$(tr -d '\r' <"$workdir/$name.headers" | sed -n 's/^[Xx]-[Cc]ache: //p' | tr '\n' ' ')
+  if [ "$caches" != "miss hit " ]; then
+    echo "FAIL $name: X-Cache was '$caches', expected 'miss hit '"
     fail=1
   fi
+  if ! grep -q "Re-using existing connection" "$workdir/$name.curl.log"; then
+    echo "FAIL $name: curl did not reuse the connection for the hit"
+    fail=1
+  fi
+  for asked in http hit; do
+    if diff -u "$workdir/$name.offline.json" "$workdir/$name.$asked.json"; then
+      echo "ok $name: HTTP $asked == offline ($(cat "$workdir/$name.$asked.json"))"
+    else
+      echo "FAIL $name: HTTP $asked response differs from offline --oneshot"
+      fail=1
+    fi
+  done
 
   # No spec's default fabric is the static arm, so ask for it as well:
   # the statically-cabled machine, or a switched spec's counterfactual.
