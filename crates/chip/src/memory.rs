@@ -6,9 +6,8 @@
 //! 1.2× on average and 2× for RNN1 ("small weights and small batch size
 //! benefit significantly from CMEM bandwidth versus HBM").
 
-use crate::specs::ChipSpec;
-use serde::{Deserialize, Serialize};
 use tpu_spec::consts::GIGA;
+use tpu_spec::ChipSpec;
 
 /// One MiB in bytes.
 pub const MIB: f64 = 1024.0 * 1024.0;
@@ -17,7 +16,7 @@ pub const MIB: f64 = 1024.0 * 1024.0;
 pub const GIB: f64 = 1024.0 * MIB;
 
 /// A two-level bandwidth model: HBM plus an optional on-chip scratchpad.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySystem {
     hbm_bytes_per_s: f64,
     hbm_capacity_bytes: f64,

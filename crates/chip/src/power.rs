@@ -5,11 +5,10 @@
 //! running MLPerf. The model interpolates linearly between idle and max
 //! power with utilization, which reproduces both tables from one curve.
 
-use crate::specs::ChipSpec;
-use serde::{Deserialize, Serialize};
+use tpu_spec::ChipSpec;
 
 /// Linear utilization → power model for one chip package (ASIC + HBM).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     idle_w: f64,
     max_w: f64,

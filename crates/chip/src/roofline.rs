@@ -7,11 +7,10 @@
 //! byte), so rank orders flip between the compute- and memory-bound
 //! regimes.
 
-use crate::specs::ChipSpec;
-use serde::{Deserialize, Serialize};
+use tpu_spec::ChipSpec;
 
 /// A roofline: peak compute ceiling plus memory-bandwidth slope.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Roofline {
     name: String,
     peak_tflops: f64,
@@ -90,7 +89,7 @@ impl Roofline {
 /// the text; these are representative values consistent with the model
 /// descriptions (embedding-heavy DLRMs are far left / memory-bound,
 /// Transformers far right / compute-bound).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelPoint {
     /// Model name.
     pub name: String,

@@ -15,7 +15,6 @@
 
 use crate::StaticCluster;
 use crate::{Result, SupercomputerError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use tpu_net::CollectiveBackend;
@@ -23,9 +22,7 @@ use tpu_ocs::{healthy_chips, BlockId, Fabric, HostHealth, MaterializedSlice, Sli
 use tpu_spec::{FabricKind, MachineSpec};
 
 /// Identifier of a running job.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(u64);
 
 impl JobId {
@@ -42,7 +39,7 @@ impl fmt::Display for JobId {
 }
 
 /// A job submission: a name and the slice it wants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     name: String,
     slice: SliceSpec,
@@ -69,7 +66,7 @@ impl JobSpec {
 }
 
 /// Where a running job's chips live.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Placement {
     /// A materialized OCS slice: physical blocks, programmed circuits and
     /// the resulting chip-level link graph.
@@ -111,7 +108,7 @@ impl Placement {
 }
 
 /// A running job and its placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunningJob {
     id: JobId,
     spec: JobSpec,
@@ -146,7 +143,7 @@ impl RunningJob {
 }
 
 /// A collective operation to time on a job's slice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Collective {
     /// All-reduce of `bytes` (gradient aggregation).
     AllReduce {
@@ -165,7 +162,7 @@ pub enum Collective {
 /// island health. Islands are interchangeable behind the
 /// full-bisection fat tree, so allocation is pure chip accounting — the
 /// contrast the paper draws with slice geometry on the torus machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwitchedCluster {
     island_chips: u32,
     fleet_chips: u64,
@@ -234,7 +231,7 @@ impl SwitchedCluster {
 /// The interconnect backing a [`Supercomputer`]: the paper's OCS torus,
 /// the statically-cabled torus it replaced (§2.7), or the switched
 /// alternative it is compared against in §7.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MachineFabric {
     /// OCS-stitched torus blocks (the TPU machine).
     Torus(Fabric),
@@ -247,7 +244,7 @@ pub enum MachineFabric {
 
 /// One supercomputer — a TPU v4 OCS machine or a switched comparison
 /// system, behind the same job/performance API.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Supercomputer {
     fabric: MachineFabric,
     jobs: BTreeMap<JobId, RunningJob>,

@@ -19,7 +19,6 @@
 //! [`AlphaBeta`](tpu_net::AlphaBeta) torus models the OCS arm uses.
 
 use crate::{Result, SupercomputerError};
-use serde::{Deserialize, Serialize};
 use tpu_ocs::HostHealth;
 use tpu_spec::MachineSpec;
 use tpu_topology::most_cubic_box;
@@ -34,7 +33,7 @@ use tpu_topology::most_cubic_box;
 /// words from the health words and the in-use words when they are
 /// called, so no mutation has a derived structure to keep current
 /// (DESIGN.md §11).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StaticCluster {
     grid: (u32, u32, u32),
     block_edge: u32,
@@ -46,7 +45,6 @@ pub struct StaticCluster {
     in_use: Vec<u64>,
     /// The grid as one word when it has at most 64 blocks (`None`
     /// above): the pack query's erosion arithmetic, derived from `grid`.
-    #[serde(skip)]
     word_grid: Option<WordGrid>,
 }
 

@@ -4,11 +4,10 @@ use crate::dlrm::DlrmConfig;
 use crate::feature::{sample_zipf, Popularity, Valency};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// The lookups of one feature over a batch, in CSR-like layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureBatch {
     /// Row ids, concatenated over examples.
     pub ids: Vec<u64>,
@@ -30,7 +29,7 @@ impl FeatureBatch {
 }
 
 /// One synthetic batch across all features of a model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     batch_size: u32,
     per_feature: Vec<FeatureBatch>,
@@ -61,7 +60,7 @@ impl Batch {
 
 /// Deduplication statistics of a batch (§3.4: "deduplication of frequent
 /// feature values is commonly used").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchStats {
     total: u64,
     unique: u64,

@@ -2,11 +2,10 @@
 
 use crate::feature::{FeatureSpec, Popularity, Valency};
 use crate::table::EmbeddingTable;
-use serde::{Deserialize, Serialize};
 
 /// A deep learning recommendation model: dense layers plus a set of
 /// categorical features served by embedding tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DlrmConfig {
     name: String,
     dense_params: u64,

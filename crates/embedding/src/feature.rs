@@ -1,10 +1,8 @@
 //! Categorical features: valency and popularity distributions.
 
-use serde::{Deserialize, Serialize};
-
 /// How many rows one example looks up in a feature's table (§3.2:
 /// univalent vs multivalent features, "typically combined by summing").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Valency {
     /// Exactly one lookup per example.
     Univalent,
@@ -38,7 +36,7 @@ impl Valency {
 /// Popularity distribution of feature values. Production categorical
 /// features are heavily skewed — "deduplication of frequent feature
 /// values is commonly used" (§3.4) only pays off under skew.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Popularity {
     /// All vocabulary entries equally likely (the adversarial case for
     /// dedup).
@@ -51,7 +49,7 @@ pub enum Popularity {
 }
 
 /// One categorical feature bound to a table index in a DLRM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureSpec {
     /// Feature name.
     pub name: String,

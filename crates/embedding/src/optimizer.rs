@@ -7,10 +7,9 @@
 
 use crate::dlrm::DlrmConfig;
 use crate::sharding::ShardingPlan;
-use serde::{Deserialize, Serialize};
 
 /// The optimizer applied to embedding tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EmbeddingOptimizer {
     /// Plain SGD: no slot state.
     Sgd,

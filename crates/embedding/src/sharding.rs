@@ -2,10 +2,9 @@
 //! row sharding, table sharding, and replication for small tables.
 
 use crate::dlrm::DlrmConfig;
-use serde::{Deserialize, Serialize};
 
 /// How one table is distributed across the slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sharding {
     /// Full copy on every chip (data parallelism; "for small embedding
     /// tables, replication across all chips is better for performance").
@@ -22,7 +21,7 @@ pub enum Sharding {
 }
 
 /// A sharding decision for every table of a DLRM on a slice of chips.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardingPlan {
     chips: u32,
     assignments: Vec<Sharding>,

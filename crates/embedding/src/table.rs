@@ -1,10 +1,8 @@
 //! Embedding tables: dense lookup tables over categorical vocabularies.
 
-use serde::{Deserialize, Serialize};
-
 /// One embedding table (§3.2: "a table with 80,000 rows (one per word) of
 /// width 100").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EmbeddingTable {
     name: String,
     rows: u64,

@@ -5,10 +5,8 @@
 //! same model (1.0) × 2× perf/W × (1.57 / 1.10) PUE ≈ 2.85× energy, and
 //! 2.85 × (0.475 / 0.074) ≈ 18.3× CO₂e.
 
-use serde::{Deserialize, Serialize};
-
 /// A datacenter hosting an ML system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Datacenter {
     /// Name.
     pub name: String,
@@ -57,7 +55,7 @@ impl Datacenter {
 }
 
 /// The 4Ms comparison between a reference DSA and TPU v4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CarbonModel {
     /// Model factor (1.0 = both systems train the same model).
     pub model_factor: f64,

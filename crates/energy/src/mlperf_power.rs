@@ -1,12 +1,11 @@
 //! Table 6: mean per-chip power (DSA + HBM) of 64-chip systems running
 //! MLPerf.
 
-use serde::{Deserialize, Serialize};
 use tpu_chip::PowerModel;
 use tpu_spec::MachineSpec;
 
 /// One Table 6 row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlperfPowerRow {
     /// Benchmark name.
     pub benchmark: String,
@@ -24,7 +23,7 @@ impl MlperfPowerRow {
 }
 
 /// The measured Table 6 plus the model that reproduces it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table6 {
     rows: Vec<MlperfPowerRow>,
 }

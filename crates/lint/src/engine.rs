@@ -386,19 +386,10 @@ fn lint_file(
     diags
 }
 
-/// Directories never walked: build output, VCS metadata, the no-op
-/// serde derives under `crates/shims` (the workspace `rand` generator
-/// beside them is walked), and the lint crate's own
-/// deliberately-violating fixtures.
+/// Directories never walked: build output, VCS metadata and the lint
+/// crate's own deliberately-violating fixtures.
 fn skip_dir(rel: &str) -> bool {
-    matches!(
-        rel,
-        "target"
-            | ".git"
-            | "crates/shims/serde"
-            | "crates/shims/serde_derive"
-            | "crates/lint/tests/fixtures"
-    )
+    matches!(rel, "target" | ".git" | "crates/lint/tests/fixtures")
 }
 
 /// Collects every workspace `.rs` file, sorted by relative path.
@@ -497,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn walk_reads_the_generator_and_skips_the_serde_derives() {
+    fn walk_reads_the_generator() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let files: Vec<String> = workspace_files(&root)
             .unwrap()
@@ -505,7 +496,6 @@ mod tests {
             .map(|p| rel_path(&root, p))
             .collect();
         assert!(files.iter().any(|f| f == "crates/shims/rand/src/lib.rs"));
-        assert!(!files.iter().any(|f| f.starts_with("crates/shims/serde")));
     }
 
     #[test]

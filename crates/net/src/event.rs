@@ -8,11 +8,10 @@
 
 use crate::flows::Flow;
 use crate::units::LinkRate;
-use serde::{Deserialize, Serialize};
 use tpu_topology::LinkGraph;
 
 /// Result of simulating a set of flows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     completion_time: f64,
     flow_finish_times: Vec<f64>,

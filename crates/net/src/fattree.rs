@@ -19,10 +19,9 @@
 //! 8×8×16 and 8×16×16 fall below the 1.2× band.
 
 use crate::units::LinkRate;
-use serde::{Deserialize, Serialize};
 
 /// A 3-level folded-Clos (fat tree) InfiniBand fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FatTree {
     /// Per-NIC rate (one direction).
     pub nic_rate: LinkRate,

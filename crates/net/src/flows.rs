@@ -1,11 +1,10 @@
 //! Compiling collective operations into explicit flows for the
 //! discrete-event simulator.
 
-use serde::{Deserialize, Serialize};
 use tpu_topology::{EdgeId, LinkGraph, NodeId};
 
 /// A point-to-point transfer pinned to an explicit path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Flow {
     /// Source node.
     pub src: NodeId,

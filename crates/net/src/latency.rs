@@ -16,12 +16,11 @@
 
 use crate::schedule::{self, CollectiveSchedule, ScheduleAlgorithm, TorusPaths};
 use crate::units::LinkRate;
-use serde::{Deserialize, Serialize};
 use tpu_spec::CollectiveSpec;
 use tpu_topology::SliceShape;
 
 /// Latency/bandwidth parameters of one link hop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaBeta {
     /// Per-message, per-hop latency, seconds (DMA setup + wire + router).
     pub alpha_s: f64,

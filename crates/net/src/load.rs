@@ -7,11 +7,10 @@
 //! pair's traffic evenly across all shortest paths.
 
 use crate::units::LinkRate;
-use serde::{Deserialize, Serialize};
 use tpu_topology::{edge_betweenness, Bisection, LinkGraph};
 
 /// Per-directed-edge byte loads over a link graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkLoads {
     loads: Vec<f64>,
 }
@@ -44,7 +43,7 @@ impl LinkLoads {
 }
 
 /// All-to-all throughput analysis of a topology (the Figure 6 experiment).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllToAll {
     nodes: usize,
     bytes_per_pair: f64,

@@ -15,12 +15,11 @@
 //! `tpu_spec::CollectiveSpec` (calibration notes: DESIGN.md §10).
 
 use crate::units::LinkRate;
-use serde::{Deserialize, Serialize};
 use tpu_spec::{CollectiveSpec, SchedulePolicy};
 use tpu_topology::SliceShape;
 
 /// Which algorithm family a concrete schedule implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScheduleAlgorithm {
     /// Flat ring: `2(p−1)` serialized steps, bandwidth-optimal.
     Ring,
@@ -41,7 +40,7 @@ impl ScheduleAlgorithm {
 
 /// How a torus all-reduce drives its dimension rings — the axis the old
 /// two-variant `AllReduceSchedule` enum hard-coded, now a builder input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TorusPaths {
     /// One dimension's links busy at a time (reduce-scatter x, y, z then
     /// all-gather z, y, x).
@@ -57,7 +56,7 @@ pub enum TorusPaths {
 /// paying `alpha_s` of fixed latency and moving `step_bytes` over a wire
 /// of `wire_bytes_per_s` (the phase's bottleneck: a link direction pair,
 /// an island's injection, a NIC).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulePhase {
     /// What the phase does (diagnostic; printed by `schedule_crossover`).
     pub label: &'static str,
@@ -100,7 +99,7 @@ impl SchedulePhase {
 /// is the sum of phase costs — concurrency (multi-path tori, parallel
 /// rings) is expressed in the phases' `step_bytes`/`wire`, never by a
 /// consumer-side divide.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CollectiveSchedule {
     phases: Vec<SchedulePhase>,
 }

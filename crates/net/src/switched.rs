@@ -34,12 +34,11 @@ use crate::latency::{torus_diameter_hops, AlphaBeta};
 use crate::load::AllToAll;
 use crate::schedule::{self, CollectiveSchedule, ScheduleAlgorithm, TorusPaths};
 use crate::units::LinkRate;
-use serde::{Deserialize, Serialize};
 use tpu_spec::{CollectiveSpec, FabricKind, MachineSpec, ProcessorStyle};
 use tpu_topology::{LinkGraph, SliceShape, Torus};
 
 /// How the chips inside one glueless island are wired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IslandKind {
     /// Point-to-point ICI links forming a small torus (the §7.3 2×2×2
     /// islands): collectives follow the torus schedule on per-link rates.
@@ -51,7 +50,7 @@ pub enum IslandKind {
 
 /// A switched (island + fat-tree) machine fabric: the §7.3 alternative to
 /// the OCS torus, generalized to cover the Table 5 A100 cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchedFabric {
     /// Chips per glueless island (8 for the §7.3 experiment, 4 per
     /// Table 5 A100 host).
@@ -380,7 +379,7 @@ pub(crate) fn island_shape(chips: u32) -> SliceShape {
 /// all-to-all on the slice's materialized wiring
 /// ([`CollectiveBackend::all_to_all_time_on`]); everything else prices a
 /// slice by its shape alone.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CollectiveBackend {
     /// An ICI torus at a per-link alpha-beta (OCS-stitched or statically
     /// cabled — steady-state collective cost is identical).
@@ -531,7 +530,7 @@ impl CollectiveBackend {
 /// Side-by-side collective comparison of two machine specs on the same
 /// slice, through [`CollectiveBackend`] on both sides (the §7.2–§7.3
 /// TPU-vs-switched tables).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendComparison {
     /// Slice shape compared.
     pub shape: (u32, u32, u32),

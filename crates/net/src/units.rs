@@ -1,6 +1,5 @@
 //! Bandwidth units.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tpu_spec::{consts, MachineSpec};
 
@@ -10,7 +9,7 @@ use tpu_spec::{consts, MachineSpec};
 /// at 50 GB/s, TPU v3 4 links at 70 GB/s, and the InfiniBand HDR links of
 /// §7.3 carry 200 Gbit/s = 25 GB/s (ICI link bandwidth "is 2x IB — 400 vs
 /// 200 Gbit/s").
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct LinkRate(f64);
 
 impl LinkRate {

@@ -6,7 +6,6 @@
 //! leave the rack optically and terminate on OCSes.
 
 use crate::OcsError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tpu_topology::{Coord3, Dim, Direction};
 
@@ -26,9 +25,7 @@ pub const LINKS_PER_FACE: u32 = tpu_spec::consts::LINKS_PER_FACE;
 pub const OPTICAL_LINKS_PER_BLOCK: u32 = tpu_spec::consts::OPTICAL_LINKS_PER_BLOCK;
 
 /// Identifier of a block within a fabric.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(u32);
 
 impl BlockId {
@@ -59,7 +56,7 @@ impl fmt::Display for BlockId {
 /// Failure and repair are tracked per host, so a unit with two failed
 /// hosts comes back only once both are repaired, and failing a host
 /// that is already down changes nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostHealth {
     hosts_per_unit: u32,
     /// One bit per host, set while it is down: host `h` of unit `u` is

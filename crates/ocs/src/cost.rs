@@ -14,10 +14,9 @@
 use crate::block::OPTICAL_LINKS_PER_BLOCK;
 use crate::switch::PALOMAR_PORTS;
 use crate::wiring::OCS_COUNT;
-use serde::{Deserialize, Serialize};
 
 /// Cost and power parameters for one TPU v4 supercomputer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// All-in capital cost per deployed chip (chip, HBM, tray, host share,
     /// rack, cooling), USD.
@@ -98,7 +97,7 @@ impl Default for CostModel {
 }
 
 /// Evaluated cost/power shares of the optical fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostReport {
     /// Chips in the machine.
     pub chips: u64,

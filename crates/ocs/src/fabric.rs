@@ -7,7 +7,6 @@ use crate::block::{
 use crate::switch::{OcsSwitch, PortId};
 use crate::wiring::{block_port, ocs_index, OCS_COUNT};
 use crate::OcsError;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use tpu_spec::MachineSpec;
 use tpu_topology::{
@@ -16,7 +15,7 @@ use tpu_topology::{
 use tpu_topology::{Edge, LinkLabel};
 
 /// Request for a slice: a chip-level shape plus optional twist.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SliceSpec {
     shape: SliceShape,
     twist: Option<TwistSpec>,
@@ -62,7 +61,7 @@ impl SliceSpec {
 }
 
 /// One programmed OCS circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Circuit {
     /// Which of the 48 switches carries the circuit.
     pub ocs: usize,
@@ -74,7 +73,7 @@ pub struct Circuit {
 
 /// A live slice: physical blocks, programmed circuits, and (on first
 /// use) the resulting chip-level link graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaterializedSlice {
     spec: SliceSpec,
     blocks: Vec<BlockId>,
@@ -82,8 +81,7 @@ pub struct MaterializedSlice {
     /// Built lazily: Monte Carlo placement loops submit and release
     /// thousands of slices without ever asking for chip-level routes, and
     /// the graph is the expensive part of materialization (6 edges per
-    /// chip). Derived entirely from `spec`, so it is skipped on the wire.
-    #[serde(skip)]
+    /// chip). Derived entirely from `spec`.
     graph: OnceLock<LinkGraph>,
 }
 
@@ -138,7 +136,7 @@ impl MaterializedSlice {
 }
 
 /// The OCS fabric of one TPU v4 supercomputer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fabric {
     /// Host health of every block.
     health: HostHealth,
@@ -147,9 +145,7 @@ pub struct Fabric {
     in_use: u64,
     ocses: Vec<OcsSwitch>,
     /// Deferred-wiring mode: allocations validate and reserve blocks but
-    /// skip programming circuits. Runtime-only tuning, not fabric state —
-    /// excluded from serialization (deserialized fabrics wake up eager).
-    #[serde(skip)]
+    /// skip programming circuits. Runtime-only tuning, not fabric state.
     deferred_wiring: bool,
 }
 

@@ -7,7 +7,6 @@
 //! spares "for link testing and repairs".
 
 use crate::OcsError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Total ports on a Palomar OCS (128 usable + 8 spares; from
@@ -18,9 +17,7 @@ pub const PALOMAR_PORTS: u16 = tpu_spec::consts::PALOMAR_PORTS;
 pub const PALOMAR_SPARE_PORTS: u16 = tpu_spec::consts::PALOMAR_SPARE_PORTS;
 
 /// A port on an OCS.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId(u16);
 
 impl PortId {
@@ -54,7 +51,7 @@ impl fmt::Display for PortId {
 /// assert_eq!(ocs.peer(PortId::new(64))?, Some(PortId::new(0)));
 /// # Ok::<(), tpu_ocs::OcsError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OcsSwitch {
     ports: u16,
     cross: Vec<Option<PortId>>,

@@ -1,13 +1,12 @@
 //! The LLM training step-time model used by the Table 3 search.
 
 use crate::plan::{AxisMapping, Partitioning, ShardingSpec};
-use serde::{Deserialize, Serialize};
-use tpu_chip::ChipSpec;
 use tpu_spec::consts::{GIGA, TERA};
+use tpu_spec::ChipSpec;
 use tpu_topology::SliceShape;
 
 /// A decoder-only LLM training configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LlmConfig {
     /// Model name.
     pub name: String,
@@ -76,7 +75,7 @@ fn mxu_padding_efficiency(width: u32, ways: u32) -> f64 {
 }
 
 /// The evaluated cost of one (topology, plan, sharding) choice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingCost {
     compute_s: f64,
     model_comm_s: f64,

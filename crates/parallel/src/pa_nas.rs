@@ -6,7 +6,6 @@
 //! until the pipelines balance — "which approaches perfect SC-TC
 //! load-balance and improves DLRM0 end-to-end performance by >10%".
 
-use serde::{Deserialize, Serialize};
 use tpu_embedding::DlrmConfig;
 use tpu_sparsecore::{EmbeddingSystem, Placement, StepBreakdown};
 use tpu_spec::MachineSpec;
@@ -21,7 +20,7 @@ pub struct PaNas {
 }
 
 /// The outcome of a PA-NAS search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PaNasResult {
     /// Baseline step breakdown.
     pub original: StepBreakdown,

@@ -1,12 +1,11 @@
 //! Partitionings and their mapping onto torus dimensions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tpu_topology::SliceShape;
 
 /// A parallelism plan `[pipeline, data, model₁, model₂]` (the Table 3
 /// hyper-parameter notation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Partitioning {
     /// Pipeline-parallel depth.
     pub pipeline: u32,
@@ -63,7 +62,7 @@ impl fmt::Display for Partitioning {
 
 /// Activation/weight partitioning dimensionality (Table 3's "1D/2D
 /// activation/weight partitioning"; see GSPMD \[63\]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardingSpec {
     activation_dims: u8,
     weight_dims: u8,
@@ -132,7 +131,7 @@ impl fmt::Display for ShardingSpec {
 /// An assignment of the four parallel axes onto the three torus
 /// dimensions: each torus dimension serves exactly one axis, and each
 /// axis's degree must equal the product of its dimensions' extents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AxisMapping {
     /// Which axis (0 = pipeline, 1 = data, 2 = model1, 3 = model2) each
     /// torus dimension serves.

@@ -2,11 +2,10 @@
 
 use crate::cost::{LlmConfig, TrainingCost};
 use crate::plan::{Partitioning, ShardingSpec};
-use serde::{Deserialize, Serialize};
 use tpu_topology::SliceShape;
 
 /// One evaluated configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// Topology used.
     pub shape: (u32, u32, u32),

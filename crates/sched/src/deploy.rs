@@ -5,11 +5,9 @@
 //! independent, so each 4³ block was put into production as soon as 64
 //! chips and the necessary cables were installed and tested."
 
-use serde::{Deserialize, Serialize};
-
 /// A deployment timeline: block arrival days (possibly out of order,
 /// modelling delivery delays).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentModel {
     arrival_days: Vec<f64>,
 }

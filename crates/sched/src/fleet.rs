@@ -101,7 +101,6 @@ use crate::slice_mix::SliceMix;
 use crate::trials::{chunk_seed, run_chunks};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -393,7 +392,7 @@ impl FleetTrace {
 /// Steady-state metrics derived from a [`FleetTrace`] (all fields are
 /// `f64` so [`FleetSim::run_trials`] can mean them exactly in trial
 /// order).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetMetrics {
     /// Time-average fraction of hosts up. Converges to
     /// [`tpu_spec::FleetSpec::steady_availability`].

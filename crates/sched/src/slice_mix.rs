@@ -2,11 +2,10 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tpu_topology::SliceShape;
 
 /// Whether a production job picked a twisted or regular wiring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyChoice {
     /// Regular (rectangular) torus or mesh.
     Regular,
@@ -16,7 +15,7 @@ pub enum TopologyChoice {
 
 /// One Table 2 row: a slice shape, the user's topology choice, and its
 /// share of machine usage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceUsage {
     /// The slice geometry.
     pub shape: SliceShape,
@@ -28,7 +27,7 @@ pub struct SliceUsage {
 
 /// The Table 2 distribution ("sampling of popularity of TPU v4 slices for
 /// a day in November 2022; includes all slices used ≥ 0.1%").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceMix {
     entries: Vec<SliceUsage>,
     /// The sum of the rows' shares, in row order.

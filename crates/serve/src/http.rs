@@ -133,6 +133,8 @@ pub struct Request {
 pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
     let mut buf = Vec::with_capacity(256);
     let line = read_line(reader, &mut buf)?;
+    // A blank line where the request line belongs is dropped, as an EOF
+    // before the first byte is.
     if line.is_empty() {
         return Err(ParseError::ConnectionClosed);
     }
@@ -214,12 +216,15 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
 }
 
 /// Reads one LF-terminated line into `buf` and returns it without the
-/// LF or a CR before it. An empty return at the request line means EOF;
-/// at a header line it means end of headers.
+/// LF or a CR before it. An empty return is a blank line: at a header
+/// line it ends the head.
 ///
 /// The line is found in the reader's own buffer and consumed up to and
-/// including its LF, never past it. A line that reaches EOF without an
-/// LF ends there. A line is refused once it holds more than
+/// including its LF, never past it. EOF before the LF is
+/// [`ParseError::ConnectionClosed`], whether it comes before the first
+/// byte (the peer closed between requests) or after it (the peer cut a
+/// request short; that request is dropped unanswered, as one with a
+/// short body is). A line is refused once it holds more than
 /// [`MAX_LINE`] bytes, with exactly one byte past the cap consumed.
 fn read_line<'b>(reader: &mut impl BufRead, buf: &'b mut Vec<u8>) -> Result<&'b str, ParseError> {
     buf.clear();
@@ -230,7 +235,7 @@ fn read_line<'b>(reader: &mut impl BufRead, buf: &'b mut Vec<u8>) -> Result<&'b 
             Err(e) => return Err(ParseError::Io(e.kind())),
         };
         if available.is_empty() {
-            break;
+            return Err(ParseError::ConnectionClosed);
         }
         // The line may grow to one byte past the cap before it is
         // refused, so look no further than that for its LF.
@@ -456,9 +461,20 @@ mod tests {
     }
 
     #[test]
-    fn truncated_body_is_connection_closed() {
-        let err = parse("PUT /specs/x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc").unwrap_err();
-        assert_eq!(err, ParseError::ConnectionClosed);
+    fn truncated_request_is_connection_closed() {
+        // Every cut: mid-line and at each line boundary of the head
+        // (before the CR, between CR and LF, after the LF), and short
+        // of the body's Content-Length.
+        for raw in [
+            "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            "PUT /specs/x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabcdefghij",
+        ] {
+            assert!(parse(raw).is_ok(), "{raw:?}");
+            for end in 0..raw.len() {
+                let cut = &raw[..end];
+                assert_eq!(parse(cut), Err(ParseError::ConnectionClosed), "{cut:?}");
+            }
+        }
     }
 
     #[test]

@@ -172,8 +172,8 @@ fn serve_connection(state: &ServiceState, stream: TcpStream) {
                 }
             }
             // The peer left between requests (health probes, shutdown
-            // wake-ups, a drained keep-alive session): nothing to
-            // answer.
+            // wake-ups, a drained keep-alive session) or cut a request
+            // short: nothing to answer.
             Err(ParseError::ConnectionClosed) => return,
             // Parse errors poison the stream framing; answer and drop.
             Err(e) => {

@@ -1,15 +1,17 @@
 //! The HTTP request reader held to the byte-at-a-time reader it
 //! replaced, in the style of `crates/spec/tests/malformed_specs.rs`.
 //!
-//! [`reference`] is that reader, with the two fixes the library made
-//! alongside it: an oversized `Content-Length` is its own error
-//! (`BodyTooLarge`), and a `%XX` escape decodes only two hex digits. So
-//! those fixes are the only change in behaviour, and everything else —
-//! every result, every error, and where the stream is left — must
-//! match. Each input is read as a pipelined stream under every reader
-//! shape: reads of 1, 2, 3, 7 and 64 bytes under `BufReader`
-//! capacities 1, 2, 7, 64 and 8192, each also with a hostile stream
-//! that interrupts every other read and ends in a reset instead of EOF.
+//! [`reference`] is that reader, with the three fixes the library made
+//! since: an oversized `Content-Length` is its own error
+//! (`BodyTooLarge`), a `%XX` escape decodes only two hex digits, and an
+//! EOF before the LF that ends a line is `ConnectionClosed`, so a head
+//! cut short is dropped as a short body is. So those fixes are the only
+//! change in behaviour, and everything else — every result, every
+//! error, and where the stream is left — must match. Each input is read
+//! as a pipelined stream under every reader shape: reads of 1, 2, 3, 7
+//! and 64 bytes under `BufReader` capacities 1, 2, 7, 64 and 8192, each
+//! also with a hostile stream that interrupts every other read and ends
+//! in a reset instead of EOF.
 
 use std::io::{self, BufRead, BufReader, Read};
 use std::path::Path;
@@ -102,7 +104,7 @@ mod reference {
         loop {
             let mut byte = [0u8; 1];
             match io::Read::read(reader, &mut byte) {
-                Ok(0) => break,
+                Ok(0) => return Err(ParseError::ConnectionClosed),
                 Ok(_) => {
                     if byte[0] == b'\n' {
                         break;

@@ -1,17 +1,7 @@
-//! No-op stand-in for the `serde` facade.
+//! Empty on purpose: nothing in the workspace serializes through serde.
+//! The machine specs travel as JSON through `tpu_spec::json`.
 //!
-//! Exposes `Serialize`/`Deserialize` as marker traits and re-exports the
-//! matching no-op derive macros so `use serde::{Deserialize, Serialize}`
-//! plus `#[derive(Serialize, Deserialize)]` compile unchanged across the
-//! workspace. No serializer exists here; structured output is produced by
-//! `tpu_spec::json` instead.
-
-#![forbid(unsafe_code)]
-
-pub use serde_derive::{Deserialize, Serialize};
-
-/// Marker trait mirroring `serde::Serialize`.
-pub trait Serialize {}
-
-/// Marker trait mirroring `serde::Deserialize`.
-pub trait Deserialize<'de> {}
+//! The crate exists only because `perfbench/Cargo.lock` pins the
+//! `serde` dependency edges of the crates the benchmark builds. It
+//! exports nothing, so a `use serde::Serialize` or a
+//! `#[derive(Serialize)]` fails to compile.

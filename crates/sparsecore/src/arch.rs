@@ -1,13 +1,12 @@
 //! The SparseCore hardware architecture (Figure 7).
 
-use serde::{Deserialize, Serialize};
 use tpu_spec::consts::MEGA;
 
 /// The five cross-channel units (gold boxes in Figure 7). The paper says
 /// only that "their names explain" their operations; these are the five
 /// canonical stages of a distributed embedding lookup (inference recorded
 /// in DESIGN.md §4.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrossChannelUnit {
     /// Sorts lookup ids so duplicates become adjacent and destination
     /// chips become contiguous ranges.
@@ -53,7 +52,7 @@ impl CrossChannelUnit {
 /// CISC-like SparseCore instructions (§3.5: "the units execute CISC-like
 /// instructions and operate on variable-length inputs, where the run-time
 /// of each instruction is data-dependent").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScInstruction {
     /// Fetch `count` rows of `row_bytes` from HBM into spmem.
     Gather {
@@ -123,7 +122,7 @@ impl ScInstruction {
 }
 
 /// One TPU generation's SparseCore provisioning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScGeneration {
     /// SparseCores per chip (Table 4: v2 = 1, v3 = 2, v4 = 4).
     pub sc_per_chip: u32,

@@ -7,12 +7,11 @@
 //! dense (TensorCore) path with the sparse path, so the step time is the
 //! max of the two (exactly the structure of Figure 10).
 
-use serde::{Deserialize, Serialize};
 use tpu_embedding::{Batch, DlrmConfig};
 
 /// Workload statistics the timing model consumes, either analytic (from a
 /// model descriptor) or measured (from a generated batch).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadProfile {
     /// Mean embedding lookups per example (summed over features).
     pub lookups_per_example: f64,
@@ -71,7 +70,7 @@ impl WorkloadProfile {
 }
 
 /// The timed components of one training step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepBreakdown {
     /// HBM (or host-DRAM) gather + scatter time, seconds.
     pub gather_s: f64,

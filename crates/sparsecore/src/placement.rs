@@ -17,11 +17,10 @@
 
 use crate::arch::{ScGeneration, ScInstruction};
 use crate::exec::{StepBreakdown, WorkloadProfile};
-use serde::{Deserialize, Serialize};
 use tpu_spec::MachineSpec;
 
 /// Where the embedding tables are placed (Figure 9's bars).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// In pooled HBM, driven by the SparseCore.
     SparseCore,
@@ -63,13 +62,13 @@ const TC_SOFTWARE_PENALTY: f64 = 4.0;
 const INSTRS_PER_FEATURE: u64 = 6;
 
 /// A system that can train a DLRM (a TPU slice or the CPU baseline).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingSystem {
     name: String,
     kind: SystemKind,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum SystemKind {
     TpuSlice {
         chips: u64,

@@ -1,6 +1,5 @@
 //! Machine generations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A machine generation the simulator can describe.
@@ -12,7 +11,7 @@ use std::fmt;
 /// can use any other label.
 ///
 /// [`Custom`]: Generation::Custom
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Generation {
     /// TPU v2 (deployed 2017): 2D torus, first SparseCore.
     V2,

@@ -2,7 +2,6 @@
 
 use crate::json::{self, JsonValue};
 use crate::{consts, ChipSpec, Generation, ProcessorStyle, SpecError};
-use serde::{Deserialize, Serialize};
 
 /// The electrically-cabled building-block geometry (§2.2: 4³ chips in
 /// one rack; inter-block links are optical).
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// records the granularity the slice-fabric model schedules at, so
 /// cross-generation counterfactuals ("a v3 fleet behind OCSes") stay
 /// expressible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockGeometry {
     /// Chips along one block edge.
     pub edge: u32,
@@ -47,7 +46,7 @@ impl BlockGeometry {
 /// Optional on [`MachineSpec`]: specs that omit it get
 /// [`LatencySpec::reference`], the calibrated defaults of DESIGN.md §7.
 /// All values are seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySpec {
     /// Per-hop latency on a direct chip-to-chip link (ICI, NVLink):
     /// DMA setup + wire + router, per message per hop.
@@ -88,7 +87,7 @@ impl LatencySpec {
 /// `Tree` is the double-binary-tree schedule (`2⌈log₂p⌉` alpha steps at a
 /// `p/(p−1)` bandwidth penalty); `Auto` picks per collective, by payload
 /// and participant count — the selection real NCCL-class stacks perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulePolicy {
     /// Always the flat ring schedule (the pre-IR behavior).
     Ring,
@@ -126,7 +125,7 @@ impl SchedulePolicy {
 /// Optional on [`MachineSpec`]: specs that omit the block get
 /// [`CollectiveSpec::reference`] — `auto` selection with the analytic
 /// crossover (DESIGN.md §10).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveSpec {
     /// Schedule family (`ring`/`tree`/`auto`).
     pub schedule: SchedulePolicy,
@@ -156,7 +155,7 @@ impl CollectiveSpec {
 /// [`FleetSpec::reference`], a month-scale production profile whose
 /// steady-state host availability is exactly 0.995 — the middle
 /// availability column of the paper's Figure 4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetSpec {
     /// Mean job inter-arrival time, seconds (arrivals are Poisson).
     pub arrival_interval_s: f64,
@@ -226,7 +225,7 @@ impl FleetSpec {
 /// healthy blocks, a statically-cabled one must find a contiguous healthy
 /// sub-torus, so a single dead host fragments capacity instead of being
 /// routed around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FabricKind {
     /// OCS-stitched torus blocks (TPU v4): any healthy blocks form a
     /// slice, twists are programmable per job.
@@ -262,7 +261,7 @@ impl FabricKind {
 
 /// The optical-circuit-switch layer of a machine (§2.1), absent on the
 /// statically-cabled generations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OcsSpec {
     /// Switches in the fabric (48 = 3 dims × 16 face lines).
     pub count: u32,
@@ -293,7 +292,7 @@ impl OcsSpec {
 /// bandwidth, TDP/measured power), the MXU organization, the ICI link
 /// rate and topology dimensionality, the block geometry and the fleet
 /// size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
     /// Which generation this spec describes.
     pub generation: Generation,

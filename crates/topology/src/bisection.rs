@@ -10,10 +10,9 @@
 
 use crate::graph::LinkGraph;
 use crate::{Dim, TopologyError};
-use serde::{Deserialize, Serialize};
 
 /// One candidate cut evaluated during bisection search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CutReport {
     /// Dimension the slab cut runs across, or `None` for the index-split
     /// fallback cut.
@@ -25,7 +24,7 @@ pub struct CutReport {
 }
 
 /// Result of a plane-cut bisection search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bisection {
     cuts: Vec<CutReport>,
     min: CutReport,

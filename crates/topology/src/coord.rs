@@ -1,10 +1,9 @@
 //! Coordinates, dimensions and directions in a 3D slice.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the three torus dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Dim {
     /// The x dimension (innermost in node numbering).
     X,
@@ -53,7 +52,7 @@ impl fmt::Display for Dim {
 }
 
 /// Direction of travel along a dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Direction {
     /// Increasing coordinate ("+" face in Figure 1 of the paper).
     Plus,
@@ -89,9 +88,7 @@ impl fmt::Display for Direction {
 /// shape defines the modulus for wraparound arithmetic.
 ///
 /// [`SliceShape`]: crate::SliceShape
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Coord3 {
     /// Position along x.
     pub x: u32,

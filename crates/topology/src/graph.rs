@@ -1,13 +1,10 @@
 //! The concrete link graph shared by every topology generator.
 
 use crate::{Coord3, Dim, Direction, SliceShape, TopologyError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a chip (node) inside a link graph.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -29,9 +26,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifier of a *directed* link inside a link graph.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(u32);
 
 impl EdgeId {
@@ -53,7 +48,7 @@ impl fmt::Display for EdgeId {
 }
 
 /// Structural label carried by every directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkLabel {
     /// Torus dimension this link travels along.
     pub dim: Dim,
@@ -65,7 +60,7 @@ pub struct LinkLabel {
 }
 
 /// A directed link between two nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Edge {
     /// Source node.
     pub src: NodeId,
@@ -86,7 +81,7 @@ pub struct Edge {
 /// [`Torus`]: crate::Torus
 /// [`TwistedTorus`]: crate::TwistedTorus
 /// [`Mesh`]: crate::Mesh
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkGraph {
     shape: SliceShape,
     name: String,

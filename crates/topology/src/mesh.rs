@@ -3,10 +3,9 @@
 
 use crate::graph::{Edge, LinkGraph, LinkLabel};
 use crate::{Dim, Direction, NodeId, SliceShape};
-use serde::{Deserialize, Serialize};
 
 /// Which mesh family a shape belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MeshKind {
     /// One dimension used (a chain), e.g. 1×1×2.
     Line,
@@ -18,7 +17,7 @@ pub enum MeshKind {
 }
 
 /// A mesh (torus without wraparound links) over a slice shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     shape: SliceShape,
 }

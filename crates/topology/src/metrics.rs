@@ -2,10 +2,9 @@
 
 use crate::graph::LinkGraph;
 use crate::routing::bfs_distances;
-use serde::{Deserialize, Serialize};
 
 /// Histogram of pairwise hop distances.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistanceProfile {
     /// `counts[d]` = number of ordered pairs at distance `d`.
     counts: Vec<u64>,
@@ -52,7 +51,7 @@ impl DistanceProfile {
 /// assert_eq!(m.diameter(), 6); // 2 + 2 + 2 hops in a 4^3 torus
 /// # Ok::<(), tpu_topology::TopologyError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphMetrics {
     diameter: u32,
     mean_distance: f64,

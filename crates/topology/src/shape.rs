@@ -1,7 +1,6 @@
 //! Slice shapes and the paper's twistability classification.
 
 use crate::{Coord3, Dim, TopologyError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Twistability of a slice shape, per §2.8–§2.9 of the paper.
@@ -9,7 +8,7 @@ use std::fmt;
 /// Only shapes of the form `n×n×2n` or `n×2n×2n` can be rewired into a
 /// twisted torus; production additionally requires `n ≥ 4` because the OCS
 /// fabric stitches 4³ building blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Twistability {
     /// `n×n×2n` — the symmetric twistable family (e.g. 4×4×8).
     SquareDoubled {
@@ -30,7 +29,7 @@ pub enum Twistability {
 /// The software scheduler in the paper requires `x ≤ y ≤ z`
 /// ([`SliceShape::to_canonical`]); the topology layer itself accepts any
 /// ordering. All dimensions must be nonzero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SliceShape {
     x: u32,
     y: u32,

@@ -2,7 +2,6 @@
 
 use crate::graph::{Edge, LinkGraph, LinkLabel};
 use crate::{Coord3, Dim, Direction, SliceShape};
-use serde::{Deserialize, Serialize};
 
 /// A regular 3D torus over a slice shape.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// extent 1 that dimension contributes no links, and when it has extent 2
 /// the "+"/"−" neighbors coincide but remain two distinct physical cables,
 /// matching the doubled bandwidth a 2-ring provides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Torus {
     shape: SliceShape,
 }

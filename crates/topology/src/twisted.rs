@@ -9,7 +9,6 @@
 use crate::graph::{Edge, LinkGraph, LinkLabel};
 use crate::shape::Twistability;
 use crate::{Coord3, Dim, Direction, NodeId, SliceShape, TopologyError};
-use serde::{Deserialize, Serialize};
 
 /// Wraparound offsets defining a twisted torus.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// whenever a link wraps around in dimension `d` travelling in the `+`
 /// direction; wrapping in the `−` direction subtracts it. An offset must be
 /// zero in its own dimension, so each dimension still forms closed rings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TwistSpec {
     offsets: [Coord3; 3],
 }
@@ -110,7 +109,7 @@ impl TwistSpec {
 /// assert_eq!(graph.node_count(), 128);
 /// # Ok::<(), tpu_topology::TopologyError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TwistedTorus {
     shape: SliceShape,
     spec: TwistSpec,

@@ -4,10 +4,8 @@
 //! new version was released every ~6 weeks (43 total). Each weight is 1
 //! byte and each embedding is 4 bytes."
 
-use serde::{Deserialize, Serialize};
-
 /// One released version of DLRM0.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dlrm0Version {
     /// Release index (0-based).
     pub index: u32,
@@ -20,7 +18,7 @@ pub struct Dlrm0Version {
 }
 
 /// The 43-version growth timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dlrm0Evolution {
     versions: Vec<Dlrm0Version>,
 }

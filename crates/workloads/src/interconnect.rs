@@ -13,13 +13,12 @@
 //! which this module reproduces for any spec pair.
 
 use crate::WorkloadKind;
-use serde::{Deserialize, Serialize};
 use tpu_net::CollectiveBackend;
 use tpu_spec::MachineSpec;
 use tpu_topology::SliceShape;
 
 /// One training step's collective payloads for a workload class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepCollectives {
     /// Gradient bytes all-reduced per step (bf16 parameters).
     pub all_reduce_bytes: f64,

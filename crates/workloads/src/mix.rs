@@ -1,9 +1,7 @@
 //! The Table 1 workload-mix history.
 
-use serde::{Deserialize, Serialize};
-
 /// DNN model families tracked in Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelFamily {
     /// MLPs and deep learning recommendation models.
     MlpDlrm,
@@ -26,7 +24,7 @@ impl ModelFamily {
 }
 
 /// One snapshot column of Table 1: the share of TPU usage per family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadMix {
     /// Label, e.g. "TPU v4 10/2022 (Training)".
     pub label: String,

@@ -6,11 +6,9 @@
 //! regenerate the log-log scaling curves by power-law interpolation
 //! between the anchors, exactly how Figure 15 draws its dashed lines.
 
-use serde::{Deserialize, Serialize};
-
 /// MLPerf Training 2.0 benchmarks the paper discusses (Figure 14 shows
 /// five; Graphcore submitted two of them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MlperfBenchmark {
     /// BERT pre-training.
     Bert,
@@ -36,7 +34,7 @@ impl MlperfBenchmark {
 }
 
 /// A system submitting MLPerf results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MlperfSystem {
     /// Google TPU v4.
     TpuV4,

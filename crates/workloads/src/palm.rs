@@ -6,11 +6,10 @@
 //! utilization (HFU) counts rematerialization; model FLOPs utilization
 //! (MFU) counts only the 6·N·T useful FLOPs.
 
-use serde::{Deserialize, Serialize};
 use tpu_spec::MachineSpec;
 
 /// A large-model training campaign on TPU v4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LlmCampaign {
     /// Model parameters.
     pub params: f64,

@@ -1,10 +1,9 @@
 //! Figure 11: weak-scaling of the production workloads.
 
 use crate::suite::Workload;
-use serde::{Deserialize, Serialize};
 
 /// A workload's throughput curve over slice sizes (relative to 16 chips).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingCurve {
     name: String,
     points: Vec<(u64, f64)>,

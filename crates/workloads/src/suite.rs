@@ -9,15 +9,14 @@
 //! (§5: "most applications run 1.5x-2.0x faster", not the 2.24x peak
 //! ratio).
 
-use serde::{Deserialize, Serialize};
-use tpu_chip::{ChipSpec, MemorySystem, PowerModel, MIB};
+use tpu_chip::{MemorySystem, PowerModel, MIB};
 use tpu_embedding::DlrmConfig;
 use tpu_sparsecore::{EmbeddingSystem, Placement};
 use tpu_spec::consts::GIGA;
-use tpu_spec::MachineSpec;
+use tpu_spec::{ChipSpec, MachineSpec};
 
 /// Broad workload class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// Convolutional network.
     Cnn,
@@ -30,7 +29,7 @@ pub enum WorkloadKind {
 }
 
 /// One production workload's modelling parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Name (e.g. "RNN1").
     pub name: String,
@@ -67,7 +66,7 @@ impl Workload {
 }
 
 /// The §5 production suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProductionSuite {
     workloads: Vec<Workload>,
 }

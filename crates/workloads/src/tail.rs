@@ -16,7 +16,6 @@
 use crate::interconnect::StepCollectives;
 use crate::mlperf::{MlperfBenchmark, MlperfSystem};
 use crate::WorkloadKind;
-use serde::{Deserialize, Serialize};
 use tpu_net::CollectiveBackend;
 use tpu_topology::SliceShape;
 
@@ -31,7 +30,7 @@ pub const DLRM_ANCHOR_CHIPS: u64 = 128;
 pub const MLPERF_COMPUTE_UTILIZATION: f64 = 0.45;
 
 /// One derived point of a Figure 15 tail curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TailPoint {
     /// System size.
     pub chips: u64,
@@ -44,7 +43,7 @@ pub struct TailPoint {
 }
 
 /// A Figure 15 scaling curve derived from the latency-aware backend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingTail {
     /// The submitting system.
     pub system: MlperfSystem,

@@ -1,7 +1,6 @@
 //! Integration: the paper's abstract-level headline claims, each checked
 //! end-to-end through the composed simulator stack.
 
-use tpuv4::chip::ChipSpec;
 use tpuv4::embedding::DlrmConfig;
 use tpuv4::energy::carbon::{CarbonModel, Datacenter};
 use tpuv4::net::BackendComparison;
@@ -11,6 +10,7 @@ use tpuv4::sparsecore::{EmbeddingSystem, Placement};
 use tpuv4::spec::{FabricKind, MachineSpec};
 use tpuv4::topology::SliceShape;
 use tpuv4::workloads::suite::ProductionSuite;
+use tpuv4::ChipSpec;
 
 #[test]
 fn headline_ocs_cost_under_5_percent_power_under_3() {
